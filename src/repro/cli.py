@@ -189,11 +189,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.report import render_table
+    from repro.crypto.provider import FastProvider, OcbProvider
     from repro.faults.chaos import run_chaos
 
     names = args.algorithms.split(",") if args.algorithms else None
+    provider = OcbProvider if args.provider == "ocb" else FastProvider
     report = run_chaos(algorithms=names, seed=args.seed, crashes=args.crashes,
-                       interval=args.interval, small=args.small)
+                       interval=args.interval, small=args.small,
+                       provider=provider)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -476,6 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint every this many boundary ops")
     chaos.add_argument("--algorithms", default="",
                        help="comma-separated subset (default: all safe algorithms)")
+    chaos.add_argument("--provider", default="fast", choices=["fast", "ocb"],
+                       help="crypto provider under test (ocb crashes the "
+                            "span-cell path)")
 
     serve = sub.add_parser(
         "serve", help="run the networked join service on a TCP port"

@@ -403,7 +403,10 @@ class JoinService:
             self.metrics.counter(
                 "recovery_crashes_total", "coprocessor crashes survived",
                 algorithm=algorithm).inc(report.crashes)
-            instrument_coprocessor(self.metrics, report.coprocessor)
+            # Every attempt's device, so a crashed attempt's checkpoints,
+            # retries and crypto work are exported with the job.
+            for device in report.devices:
+                instrument_coprocessor(self.metrics, device)
         elif self._injected_host:
             # The deployment pinned storage (e.g. a FaultyHost drill): run on
             # the legacy shared context so the join exercises that host.

@@ -5,9 +5,9 @@ For each safe algorithm (1, 1v, 2, 3, 4, 5, 6, 7, 8) the sweep:
 1. runs two data instances that agree on the public parameters (sizes + N
    for Chapter 4, sizes + S for Chapter 5) fault-free, recording their
    StreamingTrace fingerprints — the privacy observable;
-2. samples ≥ 3 crash points uniformly from the run's host operations and,
-   for each, crashes the coprocessor there under a seeded
-   :class:`~repro.faults.plan.FaultPlan` and recovers via
+2. samples ≥ 3 crash points from the run's boundary operations (uniformly,
+   plus the final one) and, for each, crashes the coprocessor there under a
+   seeded :class:`~repro.faults.plan.FaultPlan` and recovers via
    :func:`~repro.faults.recovery.run_with_recovery`, asserting the recovered
    :class:`JoinResult` and fingerprint equal the uninterrupted run's;
 3. runs one multi-crash pass (every sampled point in a single run, plus a
@@ -189,34 +189,43 @@ class ChaosReport:
         }
 
 
-def _plain_run(runner: Runner, trace_factory=StreamingTrace) -> JoinResult:
-    context = JoinContext.fresh(provider=FastProvider(KEY), seed=0,
+def _plain_run(runner: Runner, trace_factory=StreamingTrace,
+               provider=FastProvider) -> JoinResult:
+    context = JoinContext.fresh(provider=provider(KEY), seed=0,
                                 trace_factory=trace_factory)
     return runner(context)
 
 
 def _recovered_run(runner: Runner, plan: FaultPlan, *, interval: int,
                    max_attempts: int, retry: RetryPolicy | None = None,
-                   trace_factory=StreamingTrace):
+                   trace_factory=StreamingTrace, provider=FastProvider):
     host = FaultyHost(HostMemory(), plan, clock=VirtualClock())
     return run_with_recovery(
-        host, FastProvider(KEY), runner, seed=0,
+        host, provider(KEY), runner, seed=0,
         checkpoint_interval=interval, max_attempts=max_attempts,
         retry=retry, clock=host.clock, trace_factory=trace_factory,
     )
 
 
 def chaos_algorithm(name: str, *, seed: int = 0, crashes: int = 3,
-                    interval: int = 8, small: bool = True) -> AlgorithmChaos:
-    """Run the full chaos battery for one safe algorithm."""
+                    interval: int = 8, small: bool = True,
+                    provider=FastProvider) -> AlgorithmChaos:
+    """Run the full chaos battery for one safe algorithm.
+
+    ``provider`` is the crypto provider class every run is keyed under
+    (``OcbProvider`` puts the span-cell path under the same crashes).
+    """
     run_a, run_b = _runners(name, small)
-    baseline = _plain_run(run_a)
+    baseline = _plain_run(run_a, provider=provider)
     fingerprint = baseline.trace.fingerprint()
     transfers = baseline.stats.total
 
+    # Checkpoints commit on batch boundaries, so a uniformly sampled point
+    # may precede the first one (restart from zero); the final boundary op is
+    # always sampled too — the latest crash replays every sealed batch.
     rng = random.Random(f"chaos:{seed}:{name}")
-    points = sorted(rng.sample(range(1, transfers + 1),
-                               k=min(crashes, transfers)))
+    points = sorted(rng.sample(range(1, transfers),
+                               k=min(crashes, transfers) - 1)) + [transfers]
 
     result_ok = fingerprint_ok = True
     attempts = checkpoints = replayed = retries = 0
@@ -226,9 +235,10 @@ def chaos_algorithm(name: str, *, seed: int = 0, crashes: int = 3,
         report = _recovered_run(
             run_a, FaultPlan(seed=seed, specs=(FaultSpec(kind="crash",
                                                          at_ops=(point,)),)),
-            interval=interval, max_attempts=4,
+            interval=interval, max_attempts=4, provider=provider,
         )
         result_ok &= report.result.result.same_multiset(baseline.result)
+        result_ok &= report.crashes == 1
         fingerprint_ok &= report.result.trace.fingerprint() == fingerprint
         attempts += report.attempts
         checkpoints += report.checkpoints_sealed
@@ -244,7 +254,7 @@ def chaos_algorithm(name: str, *, seed: int = 0, crashes: int = 3,
     ))
     report = _recovered_run(run_a, storm, interval=interval,
                             max_attempts=len(points) + 2,
-                            retry=RetryPolicy(max_retries=4))
+                            retry=RetryPolicy(max_retries=4), provider=provider)
     result_ok &= report.result.result.same_multiset(baseline.result)
     result_ok &= report.crashes == len(points)
     fingerprint_ok &= report.result.trace.fingerprint() == fingerprint
@@ -259,10 +269,12 @@ def chaos_algorithm(name: str, *, seed: int = 0, crashes: int = 3,
         plan = FaultPlan(seed=seed,
                          specs=(FaultSpec(kind="crash", at_ops=(points[0],)),))
         return _recovered_run(run_a, plan, interval=interval, max_attempts=4,
-                              trace_factory=None).result
+                              trace_factory=None, provider=provider).result
 
-    privacy_ok = check_runs([recovered,
-                             lambda: _plain_run(run_b, trace_factory=None)]).safe
+    privacy_ok = check_runs([
+        recovered,
+        lambda: _plain_run(run_b, trace_factory=None, provider=provider),
+    ]).safe
 
     return AlgorithmChaos(
         algorithm=name,
@@ -275,11 +287,12 @@ def chaos_algorithm(name: str, *, seed: int = 0, crashes: int = 3,
         result_ok=bool(result_ok),
         fingerprint_ok=bool(fingerprint_ok),
         privacy_ok=privacy_ok,
-        tamper_ok=_tamper_aborts_immediately(run_a),
+        tamper_ok=_tamper_aborts_immediately(run_a, provider),
     )
 
 
-def _tamper_aborts_immediately(runner: Runner, tamper_at_read: int = 2) -> bool:
+def _tamper_aborts_immediately(runner: Runner, provider=FastProvider,
+                               tamper_at_read: int = 2) -> bool:
     """Tampering must abort on the tampered read — never enter the retry loop.
 
     If the coprocessor (wrongly) retried the authentication failure, the host
@@ -288,7 +301,7 @@ def _tamper_aborts_immediately(runner: Runner, tamper_at_read: int = 2) -> bool:
     """
     tampering = TamperingHost(tamper_at_read)
     host = FaultyHost(tampering)
-    provider = FastProvider(KEY)
+    provider = provider(KEY)
     coprocessor = SecureCoprocessor(host, provider,
                                     retry=RetryPolicy(max_retries=3),
                                     clock=VirtualClock())
@@ -302,8 +315,8 @@ def _tamper_aborts_immediately(runner: Runner, tamper_at_read: int = 2) -> bool:
 
 
 def run_chaos(algorithms: Sequence[str] | None = None, *, seed: int = 0,
-              crashes: int = 3, interval: int = 8,
-              small: bool = True) -> ChaosReport:
+              crashes: int = 3, interval: int = 8, small: bool = True,
+              provider=FastProvider) -> ChaosReport:
     """Sweep the chaos battery over the given (default: all) safe algorithms."""
     names = tuple(algorithms) if algorithms else SAFE_ALGORITHMS
     for name in names:
@@ -315,6 +328,6 @@ def run_chaos(algorithms: Sequence[str] | None = None, *, seed: int = 0,
     for name in names:
         report.algorithms.append(
             chaos_algorithm(name, seed=seed, crashes=crashes,
-                            interval=interval, small=small)
+                            interval=interval, small=small, provider=provider)
         )
     return report

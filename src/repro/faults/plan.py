@@ -11,8 +11,8 @@ on every run, so chaos sweeps are reproducible and failures bisectable.
 A plan is *compiled* before use: compilation binds each spec to its own
 seeded RNG stream (independent of the other specs and of anything the
 algorithms draw), producing a :class:`CompiledFaultPlan` that a
-:class:`~repro.hardware.faulty.FaultyHost` consults once per host storage
-operation.
+:class:`~repro.hardware.faulty.FaultyHost` consults once per declared
+boundary operation (a batch presents one op per slot it moves).
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class FaultSpec:
     """One declarative fault source.
 
     A spec fires on a host operation when its trigger matches — an explicit
-    operation number in ``at_ops`` (1-based, counted over *attempted* host
-    storage operations), a period ``every``, or a per-operation Bernoulli
+    operation number in ``at_ops`` (1-based, counted over *attempted*
+    boundary operations), a period ``every``, or a per-operation Bernoulli
     ``probability`` — subject to the ``regions``/``ops`` filters and the
     ``times`` cap.  ``transient-*`` kinds raise
     :class:`~repro.errors.TransientHostError` *before* the operation executes

@@ -41,6 +41,7 @@ from repro.crypto.provider import CryptoProvider
 from repro.errors import CheckpointError, ConfigurationError, CoprocessorCrashError
 from repro.faults.checkpoint import CheckpointStore
 from repro.hardware.coprocessor import SecureCoprocessor, TraceFactory
+from repro.hardware.events import PUT
 from repro.hardware.resilience import ReplayCursor, RetryPolicy
 from repro.hardware.timing import VirtualClock
 
@@ -61,6 +62,8 @@ class RecoveryHost:
         self.inner = inner
         self.cursor = cursor
         self.suppressed_mutations = 0
+        #: The wrapped host's fault clock, when it has one (``FaultyHost``).
+        self.admit = getattr(inner, "admit", None)
 
     @property
     def replaying(self) -> bool:
@@ -93,10 +96,24 @@ class RecoveryHost:
         if not self._suppress():
             self.inner.write_slot(name, index, ciphertext)
 
+    def write_slots(self, slots, ciphertexts) -> None:
+        if not self._suppress():
+            self.inner.write_slots(slots, ciphertexts)
+
     def append_slot(self, name: str, ciphertext: bytes) -> int:
-        if self._suppress():
-            return self.inner.size(name) - 1
-        return self.inner.append_slot(name, ciphertext)
+        if not self._suppress():
+            return self.inner.append_slot(name, ciphertext)
+        return self._journalled_appends(name, 1)[0]
+
+    def append_slots(self, name: str, ciphertexts) -> list[int]:
+        if not self._suppress():
+            return self.inner.append_slots(name, ciphertexts)
+        return self._journalled_appends(name, len(ciphertexts))
+
+    def _journalled_appends(self, name: str, count: int) -> list[int]:
+        """A suppressed append reports the indices the journal recorded, one per row."""
+        rows = self.cursor.peek_batch([(PUT, name, None)] * count)
+        return [row.index for row in rows]
 
     def host_copy(self, src: str, src_start: int, count: int, dst: str) -> None:
         if not self._suppress():
@@ -110,6 +127,9 @@ class RecoveryHost:
     # -- reads: delegated -----------------------------------------------------
     def read_slot(self, name: str, index: int) -> bytes:
         return self.inner.read_slot(name, index)
+
+    def read_slots(self, slots) -> list[bytes]:
+        return self.inner.read_slots(slots)
 
     def has_region(self, name: str) -> bool:
         return self.inner.has_region(name)
@@ -132,7 +152,13 @@ class RecoveryHost:
 
 @dataclass
 class RecoveryReport:
-    """Outcome of a checkpointed run, possibly spanning several attempts."""
+    """Outcome of a checkpointed run, possibly spanning several attempts.
+
+    ``retries``, ``replayed_transfers`` and ``checkpoints_sealed`` are totals
+    over the whole job; ``devices`` holds every attempt's coprocessor in
+    order, so per-attempt counters (modeled and physical crypto, batches,
+    retries, commits) of crashed attempts are not lost with them.
+    """
 
     result: JoinResult
     attempts: int
@@ -141,7 +167,12 @@ class RecoveryReport:
     replayed_transfers: int
     checkpoints_sealed: int
     suppressed_mutations: int
-    coprocessor: SecureCoprocessor  # the final attempt's device
+    devices: list[SecureCoprocessor]
+
+    @property
+    def coprocessor(self) -> SecureCoprocessor:
+        """The final attempt's device — the one that finished the join."""
+        return self.devices[-1]
 
 
 def run_with_recovery(
@@ -188,7 +219,7 @@ def run_with_recovery(
     resuming = resume and host.has_region(store.region)
     if not resuming:
         store.initialize()
-    crashes = retries = replayed = 0
+    devices: list[SecureCoprocessor] = []
     for attempt in range(1, max_attempts + 1):
         cursor = None
         if attempt > 1 or resuming:
@@ -202,36 +233,30 @@ def run_with_recovery(
             retry=retry, clock=clock, replay=cursor,
             checkpoint_store=store, checkpoint_interval=checkpoint_interval,
         )
+        devices.append(coprocessor)
         context = JoinContext(host=gate, coprocessor=coprocessor,
                               provider=provider, rng=random.Random(seed))
         try:
             result = run(context)
         except CoprocessorCrashError:
-            crashes += 1
-            retries += coprocessor.retries
-            replayed += coprocessor.replayed_transfers
+            # The dead device keeps only its counters.
+            coprocessor.clear_cache()
+            coprocessor.reset_trace()
             continue
-        retries += coprocessor.retries
-        replayed += coprocessor.replayed_transfers
-        report = RecoveryReport(
-            result=result,
-            attempts=attempt,
-            crashes=crashes,
-            retries=retries,
-            replayed_transfers=replayed,
-            checkpoints_sealed=store.commits,
-            suppressed_mutations=gate.suppressed_mutations,
-            coprocessor=coprocessor,
-        )
         result.meta["recovery"] = {
             "attempts": attempt,
-            "crashes": crashes,
-            "retries": retries,
-            "replayed_transfers": replayed,
+            "crashes": attempt - 1,
+            "retries": sum(device.retries for device in devices),
+            "replayed_transfers": sum(d.replayed_transfers for d in devices),
             "checkpoints_sealed": store.commits,
         }
-        return report
+        return RecoveryReport(
+            result=result,
+            suppressed_mutations=gate.suppressed_mutations,
+            devices=devices,
+            **result.meta["recovery"],
+        )
     raise CheckpointError(
         f"computation did not complete within {max_attempts} attempts "
-        f"({crashes} crashes)"
+        f"({max_attempts} crashes)"
     )

@@ -24,6 +24,10 @@ from repro.hardware.host import HostMemory
 class TamperingHost(HostMemory):
     """A host that flips one ciphertext bit on its n-th read."""
 
+    #: Counts individual reads, so it offers no ranged surface: T serves it
+    #: slot by slot and aborts on the tampered read itself.
+    read_slots = None
+
     def __init__(self, tamper_at_read: int, bit: int = 0) -> None:
         super().__init__()
         if tamper_at_read < 1:
@@ -54,6 +58,8 @@ class ReplayingHost(HostMemory):
     this host to document exactly which substitutions the per-tuple provider
     model does and does not detect.
     """
+
+    read_slots = None  # per-read interposition: served slot by slot
 
     def __init__(self, replay_at_read: int, source: tuple[str, int]) -> None:
         super().__init__()

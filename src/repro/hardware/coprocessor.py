@@ -22,13 +22,22 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
 from repro.errors import EnclaveMemoryError
 from repro.hardware.events import GET, PUT, Trace
-from repro.hardware.host import HostMemory
-from repro.hardware.resilience import JournalEntry, ReplayCursor, RetryPolicy
+from repro.hardware.host import HostMemory, has_ranged_surface
+from repro.hardware.resilience import (
+    CHARGE,
+    GATHER,
+    JournalEntry,
+    ReplayCursor,
+    RetryPolicy,
+)
 from repro.hardware.timing import VirtualClock
 
 #: Builds a fresh trace sink (the default materializes a :class:`Trace`; the
 #: bounded-memory sinks live in :mod:`repro.obs.sinks`).
 TraceFactory = Callable[[], "Trace"]
+
+#: The host fault clock's op class for each declared trace op.
+_OP_CLASS = {GET: "read", PUT: "write"}
 
 
 class EnclaveBuffer:
@@ -108,21 +117,24 @@ class SecureCoprocessor:
 
     Fault tolerance
     ---------------
-    The host is allowed to fail: a :class:`RetryPolicy` re-issues a host
-    call that raised :class:`~repro.errors.TransientHostError`, bounded and
-    with deterministic backoff on a simulated clock.  The retried request is
-    the *identical* (op, region, index), so the declared access pattern is
-    unchanged — only the count of physical attempts (``retries``) grows,
-    and that count depends on the host's fault process, never on the data.
+    A batch is the unit of fault tolerance (a scalar op is a batch of one),
+    so the batched path is the path under faults too.  The host is allowed
+    to fail: a :class:`RetryPolicy` re-issues a host call that raised
+    :class:`~repro.errors.TransientHostError`, bounded and with deterministic
+    backoff on a simulated clock.  The retried request is the *identical*
+    batch, re-issued whole, so the declared access pattern is unchanged —
+    only the count of physical attempts (``retries``) grows, and that count
+    depends on the host's fault process, never on the data.
     :class:`~repro.errors.AuthenticationError` is raised by the provider
     *after* the host bytes arrive and is never retried.
 
     For crash recovery, a coprocessor can carry a checkpoint store (sealed
-    journal + host image committed every ``checkpoint_interval`` boundary
-    ops, outside the trace) and, on resume, a :class:`ReplayCursor` that
-    serves the journalled prefix back without touching host or crypto while
-    still recording every trace event — so a recovered run's logical trace
-    is bit-identical to an uninterrupted one (:mod:`repro.faults`).
+    journal + host image committed at the first batch boundary at or past
+    each ``checkpoint_interval`` multiple of boundary ops, outside the trace)
+    and, on resume, a :class:`ReplayCursor` that serves the journalled
+    batches back without touching host or crypto while still recording every
+    trace event — so a recovered run's logical trace is bit-identical to an
+    uninterrupted one (:mod:`repro.faults`).
     """
 
     def __init__(
@@ -166,15 +178,24 @@ class SecureCoprocessor:
         self.batched_ops = 0
         self.batch_rows = 0
         self._batch_physical_pending = 0
-        self._host_batch_safe: bool | None = None
+        #: Batches cross to the host as one ranged call; a host without the
+        #: ranged surface is served slot by slot.
+        self._ranged = batched_io and has_ranged_surface(host)
+        #: A section's encrypted writes, staged until ``charge_boundary``.
+        self._staged: list[tuple[list[tuple[str, int]], list[bytes]]] = []
         #: Fault tolerance: bounded transient-fault retry and, when recovery
         #: is wired up, the sealed checkpoint store and replay cursor.
         self.retry = retry
         self.clock = clock
+        #: The host's fault clock (``FaultyHost.admit``), when it has one.
+        self._admit = getattr(host, "admit", None)
         self._replay = replay
         self.checkpoint_store = checkpoint_store
         self.checkpoint_interval = checkpoint_interval
+        self._journaling = checkpoint_store is not None
         self._journal: list[JournalEntry] = []
+        #: ``ops_completed`` as of the newest sealed checkpoint.
+        self._sealed_ops = 0
         #: Boundary operations completed (replayed + live) this run.
         self.ops_completed = 0
         self.retries = 0
@@ -182,32 +203,69 @@ class SecureCoprocessor:
         self.checkpoints_sealed = 0
 
     # -- fault-tolerant host access -------------------------------------------
-    def _host_call(self, operation: Callable[[], Any]) -> Any:
-        """One host storage call under the retry policy (if any)."""
+    def _count_retry(self) -> None:
+        self.retries += 1
+
+    def _host_call(self, operation: Callable[[], Any], window=None) -> Any:
+        """One host storage call under the retry policy (if any).
+
+        ``window`` — a batch's declared ``(op class, region)`` ops, built only
+        for hosts with a fault clock — is admitted inside the retried unit and
+        before ``operation`` touches storage: a transient fault re-issues the
+        whole batch as one retry with nothing written twice.
+        """
+        if window is not None:
+            admit, storage = self._admit, operation
+
+            def operation():
+                admit(window)
+                return storage()
+
         if self.retry is None:
             return operation()
+        return self.retry.call(operation, clock=self.clock,
+                               on_retry=self._count_retry)
 
-        def bump() -> None:
-            self.retries += 1
+    def _finish(self, ops: int, rows: Iterable[JournalEntry] = ()) -> None:
+        """Count one completed live batch of ``ops`` boundary ops; journal it.
 
-        return self.retry.call(operation, clock=self.clock, on_retry=bump)
-
-    def _finish_op(self, entry: JournalEntry | None) -> None:
-        """Count one completed boundary op; journal and seal checkpoints.
-
-        ``entry`` is None for replayed operations — their journal records are
-        already sealed on the host, so they are neither re-journalled nor do
-        they trigger a new checkpoint commit.
+        A checkpoint commits at the first batch boundary at or past each
+        ``checkpoint_interval`` multiple — never inside a batch, so the sealed
+        host image and the sealed tape always describe the same instant.
         """
-        self.ops_completed += 1
-        if entry is None or self.checkpoint_store is None:
+        self.ops_completed += ops
+        if not self._journaling:
             return
-        self._journal.append(entry)
+        self._journal.extend(rows)
         interval = self.checkpoint_interval
-        if interval and self.ops_completed % interval == 0:
+        if interval and self.ops_completed // interval > self._sealed_ops // interval:
             self.checkpoint_store.commit(self.ops_completed, self._journal)
             self._journal = []
+            self._sealed_ops = self.ops_completed
             self.checkpoints_sealed += 1
+
+    def _replay_batch(self, events: Sequence[tuple]) -> list[JournalEntry]:
+        """Serve one whole batch from the recovery tape.
+
+        No host access and no crypto, but the identical trace events and
+        modeled counters.  The rows are already sealed on the host, so they
+        are neither re-journalled nor do they trigger a checkpoint commit.
+        """
+        entries = self._replay.take_batch(events)
+        record = self.trace.record
+        gets = 0
+        for op, region, index, _ in entries:
+            record(op, region, index)
+            gets += op == GET
+        self._settle_replayed(gets, len(entries) - gets)
+        return entries
+
+    def _settle_replayed(self, gets: int, puts: int) -> None:
+        self.decryptions += gets
+        self.encryptions += puts
+        self.replayed_transfers += gets + puts
+        self.ops_completed += gets + puts
+        self._sealed_ops = self.ops_completed
 
     @property
     def replaying(self) -> bool:
@@ -261,132 +319,81 @@ class SecureCoprocessor:
         either way.
         """
         if self.replaying:
-            journalled = self._replay.take(GET, region, index)
-            self.trace.record(GET, region, index)
-            self.decryptions += 1
-            self.replayed_transfers += 1
-            self._finish_op(None)
-            return journalled.payload
+            return self._replay_batch(((GET, region, index),))[0].payload
         ciphertext = self._host_call(lambda: self.host.read_slot(region, index))
         self.trace.record(GET, region, index)
         self.decryptions += 1
-        if self.cache_enabled:
-            entry = self._cache.get((region, index))
-            if entry is not None and entry[0] == ciphertext:
-                self.cache_hits += 1
-                self._finish_op(JournalEntry(GET, region, index, entry[1])
-                                if self.checkpoint_store is not None else None)
-                return entry[1]
-            plaintext = self.provider.decrypt(ciphertext)
+        entry = self._cache.get((region, index)) if self.cache_enabled else None
+        if entry is not None and entry[0] == ciphertext:
+            self.cache_hits += 1
+            plaintext = entry[1]
+        else:
             self.physical_decryptions += 1
-            self._cache[(region, index)] = (ciphertext, plaintext)
-            self._finish_op(JournalEntry(GET, region, index, plaintext)
-                            if self.checkpoint_store is not None else None)
-            return plaintext
-        self.physical_decryptions += 1
-        plaintext = self.provider.decrypt(ciphertext)
-        self._finish_op(JournalEntry(GET, region, index, plaintext)
-                        if self.checkpoint_store is not None else None)
+            plaintext = self.provider.decrypt(ciphertext)
+            if self.cache_enabled:
+                self._cache[(region, index)] = (ciphertext, plaintext)
+        if self._journaling:
+            self._finish(1, (JournalEntry(GET, region, index, plaintext),))
+        else:
+            self.ops_completed += 1
         return plaintext
 
     def put(self, region: str, index: int, plaintext: bytes) -> None:
         """Write one plaintext out to a host slot, encrypting under a fresh nonce."""
         if self.replaying:
-            self._replay.take(PUT, region, index)
-            self.trace.record(PUT, region, index)
-            self.encryptions += 1
-            self.replayed_transfers += 1
-            self._finish_op(None)
+            self._replay_batch(((PUT, region, index),))
             return
         ciphertext = self.provider.encrypt(plaintext)
         self._host_call(lambda: self.host.write_slot(region, index, ciphertext))
-        self.trace.record(PUT, region, index)
-        self.encryptions += 1
-        if self.cache_enabled:
-            self._cache[(region, index)] = (ciphertext, plaintext)
-        self._finish_op(JournalEntry(PUT, region, index)
-                        if self.checkpoint_store is not None else None)
+        self._put_done(region, index, ciphertext, plaintext)
 
     def put_append(self, region: str, plaintext: bytes) -> int:
         """Append an encrypted tuple to a growable host region."""
         if self.replaying:
-            journalled = self._replay.take(PUT, region, None)
-            self.trace.record(PUT, region, journalled.index)
-            self.encryptions += 1
-            self.replayed_transfers += 1
-            self._finish_op(None)
-            return journalled.index
+            return self._replay_batch(((PUT, region, None),))[0].index
         ciphertext = self.provider.encrypt(plaintext)
         index = self._host_call(lambda: self.host.append_slot(region, ciphertext))
+        self._put_done(region, index, ciphertext, plaintext)
+        return index
+
+    def _put_done(self, region: str, index: int, ciphertext: bytes,
+                  plaintext: bytes) -> None:
         self.trace.record(PUT, region, index)
         self.encryptions += 1
         if self.cache_enabled:
             self._cache[(region, index)] = (ciphertext, plaintext)
-        self._finish_op(JournalEntry(PUT, region, index)
-                        if self.checkpoint_store is not None else None)
-        return index
+        if self._journaling:
+            self._finish(1, (JournalEntry(PUT, region, index),))
+        else:
+            self.ops_completed += 1
 
     # -- batched boundary ops --------------------------------------------------
-    def _batch_safe(self) -> bool:
-        """True when batched physical execution cannot be observed.
-
-        Batching collapses many boundary crossings into one physical pass, so
-        it is only legal when nothing hangs semantics off the *per-call*
-        physical sequence: no retry policy (fault injection counts physical
-        attempts), no checkpoint journal (entries are sealed per boundary op),
-        no replay cursor, and a host whose slot methods are the unmodified
-        :class:`HostMemory` ones — adversarial hosts override ``read_slot`` to
-        tamper with the n-th physical read, and wrapper hosts (faulty, chaos,
-        recovery) interpose per-call behaviour.  A host class may declare
-        itself safe explicitly with a ``supports_batched_io = True`` class
-        attribute (the shared-memory shard host does).
-        """
-        if not self.batched_io or self.retry is not None:
-            return False
-        if self.checkpoint_store is not None or self.replaying:
-            return False
-        safe = self._host_batch_safe
-        if safe is None:
-            host_type = type(self.host)
-            safe = bool(getattr(host_type, "supports_batched_io", False)) or (
-                host_type.read_slot is HostMemory.read_slot
-                and host_type.write_slot is HostMemory.write_slot
-                and host_type.append_slot is HostMemory.append_slot
-            )
-            self._host_batch_safe = safe
-        return safe
-
     @property
     def batched_hot_path(self) -> bool:
         """True when vectorized (tier-2) primitives may run.
 
-        On top of :meth:`_batch_safe`, the gather/scatter path needs the
-        plaintext cache: elided re-reads of enclave-resident batch plaintexts
-        are charged as ``cache_hits``, which only balances the
+        Batches need a host with the ranged slot surface (one without it, e.g.
+        an adversary host counting individual reads, is served slot by slot)
+        and ``batched_io`` — the single reference switch.  Retry, checkpoint,
+        replay and fault injection all operate on whole batches, so none of
+        them turns batching off.  On top of that the gather/scatter path needs
+        the plaintext cache: elided re-reads of enclave-resident batch
+        plaintexts are charged as ``cache_hits``, which only balances the
         ``physical + hits == decryptions`` ledger when the cache is on.  With
         the cache off every modeled decryption must be physical, so callers
         fall back to the scalar network.
         """
-        return self.cache_enabled and self._batch_safe()
+        return self.cache_enabled and self._ranged
 
     def get_many(self, slots: Iterable[tuple[str, int]]) -> list[bytes]:
         """Read several host slots in one boundary call.
 
         Per-slot trace events, modeled counters, and cache behaviour are
         identical to the equivalent sequence of :meth:`get` calls — batching
-        only collapses the physical work (one :meth:`CryptoProvider.decrypt_many`
-        pass over the cache misses instead of one provider roundtrip per
-        slot).  The caller must hold enough enclave slots for every plaintext
-        returned.
-        """
-        slots = list(slots)
-        if len(slots) < 2 or not self._batch_safe():
-            get = self.get
-            return [get(region, index) for region, index in slots]
-        return self._get_batch(slots)
-
-    def _get_batch(self, slots: list[tuple[str, int]]) -> list[bytes]:
-        """Batched GET: one physical decrypt pass over the cache misses.
+        only collapses the physical work (one ranged host read and one
+        :meth:`CryptoProvider.decrypt_many` pass over the cache misses instead
+        of one roundtrip per slot).  The caller must hold enough enclave slots
+        for every plaintext returned.
 
         Re-creates the scalar cache semantics exactly, including duplicate
         slots within one batch: the first occurrence of a slot that misses
@@ -394,112 +401,121 @@ class SecureCoprocessor:
         ciphertext) count as cache hits just as they would after the scalar
         path filled the cache.
         """
-        host = self.host
-        read = host.read_slot
-        ciphertexts = [read(region, index) for region, index in slots]
+        slots = list(slots)
+        if len(slots) < 2 or not self._ranged:
+            get = self.get
+            return [get(region, index) for region, index in slots]
+        if self.replaying:
+            return [entry.payload for entry in self._replay_batch(
+                [(GET, region, index) for region, index in slots])]
+        window = None
+        if self._admit is not None:
+            window = [("read", region) for region, _ in slots]
+        ciphertexts = self._host_call(lambda: self.host.read_slots(slots), window)
         n = len(slots)
-        trace = self.trace
         if not self.cache_enabled:
-            plaintexts = decrypt_batch(self.provider, ciphertexts)
-            for region, index in slots:
-                trace.record(GET, region, index)
-            self.decryptions += n
+            results = decrypt_batch(self.provider, ciphertexts)
             self.physical_decryptions += n
-            self.ops_completed += n
-            self.batched_ops += 1
-            self.batch_rows += n
-            return plaintexts
+        else:
+            results, misses = self._resolve(slots, ciphertexts)
+            self.cache_hits += n - misses
+        record = self.trace.record
+        for region, index in slots:
+            record(GET, region, index)
+        self.decryptions += n
+        self.batched_ops += 1
+        self.batch_rows += n
+        self._finish(n, (JournalEntry(GET, region, index, plaintext)
+                         for (region, index), plaintext in zip(slots, results)))
+        return results
+
+    def _resolve(self, slots: list[tuple[str, int]],
+                 ciphertexts: list[bytes]) -> tuple[list[bytes], int]:
+        """Plaintexts for freshly read cells, and how many were cache misses.
+
+        Hits come from the slot cache; the misses are decrypted in one pass.
+        """
         cache = self._cache
-        results: list[bytes | None] = [None] * n
-        #: (region, index) -> (ciphertext, miss position) for misses resolved
-        #: in this batch; later equal-byte occurrences are cache hits.
+        results: list[bytes | None] = [None] * len(slots)
+        #: slot -> (ciphertext, miss position) for misses resolved in this
+        #: batch; later equal-byte occurrences are cache hits.
         pending: dict[tuple[str, int], tuple[bytes, int]] = {}
-        miss_positions: list[int] = []
-        miss_ciphertexts: list[bytes] = []
-        hits = 0
-        for k, ((region, index), ciphertext) in enumerate(zip(slots, ciphertexts)):
-            key = (region, index)
+        misses: list[int] = []
+        duplicates: list[tuple[int, int]] = []
+        for k, (key, ciphertext) in enumerate(zip(slots, ciphertexts)):
             entry = cache.get(key)
             if entry is not None and entry[0] == ciphertext:
                 results[k] = entry[1]
-                hits += 1
                 continue
             earlier = pending.get(key)
             if earlier is not None and earlier[0] == ciphertext:
-                results[k] = earlier[1]  # placeholder: miss position
-                hits += 1
+                duplicates.append((k, earlier[1]))
                 continue
             pending[key] = (ciphertext, k)
-            miss_positions.append(k)
-            miss_ciphertexts.append(ciphertext)
-        if miss_ciphertexts:
-            decrypted = decrypt_batch(self.provider, miss_ciphertexts)
-            for k, ciphertext, plaintext in zip(
-                miss_positions, miss_ciphertexts, decrypted
-            ):
+            misses.append(k)
+        if misses:
+            decrypted = decrypt_batch(self.provider,
+                                      [ciphertexts[k] for k in misses])
+            for k, plaintext in zip(misses, decrypted):
                 results[k] = plaintext
-                cache[(slots[k][0], slots[k][1])] = (ciphertext, plaintext)
-        # Resolve in-batch duplicate hits (their placeholder is the position
-        # of the miss that produced the plaintext).
-        for k in range(n):
-            if isinstance(results[k], int):
-                results[k] = results[results[k]]
-        for region, index in slots:
-            trace.record(GET, region, index)
-        self.decryptions += n
-        self.cache_hits += hits
-        self.physical_decryptions += len(miss_ciphertexts)
-        self.ops_completed += n
-        self.batched_ops += 1
-        self.batch_rows += n
-        return results  # type: ignore[return-value]
+                cache[slots[k]] = (ciphertexts[k], plaintext)
+        for k, source in duplicates:
+            results[k] = results[source]
+        self.physical_decryptions += len(misses)
+        return results, len(misses)  # type: ignore[return-value]
 
     def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
         """Write several plaintexts out in one boundary call (fresh nonces each)."""
         slots = list(slots)
-        if len(slots) < 2 or not self._batch_safe():
+        if len(slots) < 2 or not self._ranged:
             put = self.put
             for region, index, plaintext in slots:
                 put(region, index, plaintext)
             return
-        ciphertexts = encrypt_batch(self.provider, [p for _, _, p in slots])
-        write = self.host.write_slot
-        trace = self.trace
-        cache = self._cache if self.cache_enabled else None
-        for (region, index, plaintext), ciphertext in zip(slots, ciphertexts):
-            write(region, index, ciphertext)
-            trace.record(PUT, region, index)
-            if cache is not None:
-                cache[(region, index)] = (ciphertext, plaintext)
-        n = len(slots)
-        self.encryptions += n
-        self.ops_completed += n
-        self.batched_ops += 1
-        self.batch_rows += n
+        targets = [(region, index) for region, index, _ in slots]
+        if self.replaying:
+            self._replay_batch([(PUT, region, index) for region, index in targets])
+            return
+        plaintexts = [plaintext for _, _, plaintext in slots]
+        ciphertexts = encrypt_batch(self.provider, plaintexts)
+        window = None
+        if self._admit is not None:
+            window = [("write", region) for region, _ in targets]
+        self._host_call(lambda: self.host.write_slots(targets, ciphertexts), window)
+        self._puts_done(targets, ciphertexts, plaintexts)
 
     def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
         """Append several encrypted tuples to a growable region in one call."""
         plaintexts = list(plaintexts)
-        if len(plaintexts) < 2 or not self._batch_safe():
+        if len(plaintexts) < 2 or not self._ranged:
             put_append = self.put_append
             return [put_append(region, plaintext) for plaintext in plaintexts]
+        if self.replaying:
+            return [entry.index for entry in self._replay_batch(
+                [(PUT, region, None)] * len(plaintexts))]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        append = self.host.append_slot
-        trace = self.trace
-        cache = self._cache if self.cache_enabled else None
-        indices = []
-        for plaintext, ciphertext in zip(plaintexts, ciphertexts):
-            index = append(region, ciphertext)
-            trace.record(PUT, region, index)
-            if cache is not None:
-                cache[(region, index)] = (ciphertext, plaintext)
-            indices.append(index)
-        n = len(plaintexts)
+        window = None
+        if self._admit is not None:
+            window = [("append", region)] * len(plaintexts)
+        indices = self._host_call(
+            lambda: self.host.append_slots(region, ciphertexts), window)
+        self._puts_done([(region, index) for index in indices],
+                        ciphertexts, plaintexts)
+        return indices
+
+    def _puts_done(self, targets: list[tuple[str, int]],
+                   ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
+        record = self.trace.record
+        for region, index in targets:
+            record(PUT, region, index)
+        if self.cache_enabled:
+            self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+        n = len(targets)
         self.encryptions += n
-        self.ops_completed += n
         self.batched_ops += 1
         self.batch_rows += n
-        return indices
+        self._finish(n, (JournalEntry(PUT, region, index)
+                         for region, index in targets))
 
     # -- ranged boundary ops ---------------------------------------------------
     def get_range(self, region: str, start: int, count: int) -> list[bytes]:
@@ -520,15 +536,21 @@ class SecureCoprocessor:
     # -- vectorized physical execution (tier 2) --------------------------------
     #
     # The comparator-network primitives below split the logical ledger from
-    # physical execution: ``gather_slots``/``scatter_slots`` move whole slot
-    # sets across the boundary *without* recording anything, and
-    # ``charge_boundary`` then records the scalar network's per-slot events
+    # physical execution: ``gather_slots`` reads a whole slot set across the
+    # boundary and ``scatter_slots`` stages a whole slot set for writing
+    # *without* recording anything, and ``charge_boundary`` then settles the
+    # section: it presents the scalar network's declared ops to the host's
+    # fault clock, flushes the staged writes, and records the per-slot events
     # and modeled counts in their original order.  Legal only under
     # ``batched_hot_path`` and only for sections whose scalar equivalent is a
     # sequence of wire-disjoint read-modify-write steps over the gathered
     # slots (a comparator network): the final host state, the declared trace
     # and every modeled counter match the scalar execution exactly, while the
     # physical crypto collapses to one decrypt pass and one encrypt pass.
+    #
+    # A section is one batch for fault tolerance: a fault fires before its
+    # first storage mutation, its tape rows are what it gathered plus one
+    # CHARGE row, and a checkpoint can only commit once it has settled.
 
     def gather_slots(self, region: str, indices: Sequence[int]) -> list[bytes]:
         """Physically read a slot set for a vectorized section (unrecorded).
@@ -537,60 +559,66 @@ class SecureCoprocessor:
         here are remembered in a pending ledger that the next
         :meth:`charge_boundary` settles against the section's modeled GETs.
         """
-        read = self.host.read_slot
-        cache = self._cache
-        ciphertexts = [read(region, index) for index in indices]
-        plaintexts: list[bytes | None] = [None] * len(indices)
-        miss_positions: list[int] = []
-        miss_ciphertexts: list[bytes] = []
-        for k, (index, ciphertext) in enumerate(zip(indices, ciphertexts)):
-            entry = cache.get((region, index))
-            if entry is not None and entry[0] == ciphertext:
-                plaintexts[k] = entry[1]
-            else:
-                miss_positions.append(k)
-                miss_ciphertexts.append(ciphertext)
-        if miss_ciphertexts:
-            decrypted = decrypt_batch(self.provider, miss_ciphertexts)
-            for k, ciphertext, plaintext in zip(
-                miss_positions, miss_ciphertexts, decrypted
-            ):
-                plaintexts[k] = plaintext
-                cache[(region, indices[k])] = (ciphertext, plaintext)
-            self.physical_decryptions += len(miss_ciphertexts)
-            self._batch_physical_pending += len(miss_ciphertexts)
+        if self.replaying:
+            return [entry.payload for entry in self._replay.take_batch(
+                [(GATHER, region, index) for index in indices])]
+        slots = [(region, index) for index in indices]
+        ciphertexts = self._host_call(lambda: self.host.read_slots(slots))
+        plaintexts, misses = self._resolve(slots, ciphertexts)
+        self._batch_physical_pending += misses
         self.batched_ops += 1
-        self.batch_rows += len(indices)
-        return plaintexts  # type: ignore[return-value]
+        self.batch_rows += len(slots)
+        if self._journaling:
+            self._journal.extend(JournalEntry(GATHER, region, index, plaintext)
+                                 for index, plaintext in zip(indices, plaintexts))
+        return plaintexts
 
     def scatter_slots(
         self, region: str, indices: Sequence[int], plaintexts: Sequence[bytes]
     ) -> None:
-        """Physically write a slot set for a vectorized section (unrecorded).
+        """Stage a slot set's write for a vectorized section (unrecorded).
 
-        One batch encrypt under fresh nonces; modeled PUTs are charged by the
-        section's :meth:`charge_boundary` call.
+        One batch encrypt under fresh nonces; the section's
+        :meth:`charge_boundary` call flushes the staged cells to the host —
+        after the fault clock has admitted the section — and charges the
+        modeled PUTs.  During replay nothing is staged: the restored host
+        image already holds the section's writes.
         """
+        if self.replaying:
+            return
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        write = self.host.write_slot
-        cache = self._cache
-        for index, ciphertext, plaintext in zip(indices, ciphertexts, plaintexts):
-            write(region, index, ciphertext)
-            cache[(region, index)] = (ciphertext, plaintext)
+        targets = [(region, index) for index in indices]
+        self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+        self._staged.append((targets, ciphertexts))
         self.batched_ops += 1
-        self.batch_rows += len(plaintexts)
+        self.batch_rows += len(targets)
 
     def charge_boundary(self, events: Iterable[tuple[str, str, int]]) -> None:
-        """Settle the logical ledger for a completed vectorized section.
+        """Settle a completed vectorized section: flush it, then its ledger.
 
-        Records the declared ``(op, region, index)`` events in order — the
-        exact sequence the scalar execution would have emitted — and charges
-        the modeled counters.  GETs beyond the physical decrypts pending from
+        Presents the declared ops to the host's fault clock (if it has one),
+        writes the staged cells, then records the declared
+        ``(op, region, index)`` events in order — the exact sequence the
+        scalar execution would have emitted — and charges the modeled
+        counters.  GETs beyond the physical decrypts pending from
         :meth:`gather_slots` were served from enclave-resident batch
         plaintexts, the vectorized analogue of a slot-cache hit, and are
         charged as ``cache_hits`` so the ``physical + hits == decryptions``
         ledger keeps balancing.
         """
+        replayed = self.replaying
+        if not replayed:
+            window = None
+            if self._admit is not None:
+                events = list(events)
+                window = [(_OP_CLASS[op], region) for op, region, _ in events]
+            staged, self._staged = self._staged, []
+
+            def flush() -> None:
+                for targets, ciphertexts in staged:
+                    self.host.write_slots(targets, ciphertexts)
+
+            self._host_call(flush, window)
         record = self.trace.record
         gets = 0
         puts = 0
@@ -600,12 +628,16 @@ class SecureCoprocessor:
                 gets += 1
             else:
                 puts += 1
+        if replayed:
+            self._replay.take_batch(((CHARGE, "", gets + puts),))
+            self._settle_replayed(gets, puts)
+            return
         pending = self._batch_physical_pending
         self._batch_physical_pending = 0
         self.decryptions += gets
         self.encryptions += puts
         self.cache_hits += gets - pending
-        self.ops_completed += gets + puts
+        self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
 
     # -- cache management ------------------------------------------------------
     @property

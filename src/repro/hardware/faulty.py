@@ -4,9 +4,16 @@ Where :class:`~repro.hardware.adversary.TamperingHost` models a *malicious*
 host, :class:`FaultyHost` models an *unreliable* one: reads drop, writes
 stall, and the attached coprocessor can lose power mid-join.  It always wraps
 an inner host — storage semantics stay exactly the inner host's; the wrapper
-only decides, per attempted storage operation, whether a declared fault fires
+only decides, per attempted boundary operation, whether a declared fault fires
 first.  Faults are raised *before* the operation executes, so a retried or
 replayed append can never double-apply.
+
+The fault clock counts **declared boundary ops**, not Python calls.  A scalar
+slot call is one op.  A batch presents its whole op window — one
+``(op class, region)`` pair per declared op, in trace order — through
+:meth:`FaultyHost.admit` before its first storage mutation; the ranged slot
+calls themselves then pass straight through.  A plan therefore fires at the
+same boundary-op ordinal whether the coprocessor batches or not.
 
 The wrapper consults a compiled fault plan (see :mod:`repro.faults.plan`) by
 duck type — anything with ``consult(op_number, op, region) -> specs`` works —
@@ -33,11 +40,12 @@ from repro.hardware.timing import VirtualClock
 class FaultyHost:
     """Injects declared faults in front of an inner host's storage ops.
 
-    ``ops_attempted`` counts every attempted storage operation (including
-    attempts that faulted and were retried) — the 1-based counter fault
-    specs' ``at_ops`` refer to.  The host survives injected crashes, so the
-    counter keeps climbing across coprocessor restarts; a crash declared at
-    operation *k* therefore fires exactly once.
+    ``ops_attempted`` counts every attempted boundary operation (including
+    attempts that faulted and were retried; a retried batch re-presents its
+    whole window) — the 1-based counter fault specs' ``at_ops`` refer to.
+    The host survives injected crashes, so the counter keeps climbing across
+    coprocessor restarts; a crash declared at operation *k* therefore fires
+    exactly once.
     """
 
     def __init__(self, inner: HostMemory, plan=None,
@@ -84,6 +92,21 @@ class FaultyHost:
     def append_slot(self, name: str, ciphertext: bytes) -> int:
         self._consult("append", name)
         return self.inner.append_slot(name, ciphertext)
+
+    # -- batches: the window is admitted first, the ranged I/O cannot fault ---
+    def admit(self, window: Iterable[tuple[str, str]]) -> None:
+        """Present a batch's declared ``(op class, region)`` ops to the plan."""
+        for op, region in window:
+            self._consult(op, region)
+
+    def read_slots(self, slots) -> list[bytes]:
+        return self.inner.read_slots(slots)
+
+    def write_slots(self, slots, ciphertexts) -> None:
+        self.inner.write_slots(slots, ciphertexts)
+
+    def append_slots(self, name: str, ciphertexts) -> list[int]:
+        return self.inner.append_slots(name, ciphertexts)
 
     # -- transparent delegation ----------------------------------------------
     def allocate(self, name: str, size: int) -> None:

@@ -11,24 +11,31 @@ can use them without importing the higher-level recovery machinery:
   :class:`~repro.errors.AuthenticationError` is raised by the provider after
   the host bytes arrive and never enters the retry loop — tampering still
   terminates immediately (Section 3.3.1).
-* :class:`JournalEntry` — one boundary operation's replay record: the
-  (op, region, index) the trace declares plus, for a ``get``, the plaintext
-  T consumed.  The journal is the enclave's input tape: together with the
-  algorithm's determinism it reconstructs all in-enclave state.
-* :class:`ReplayCursor` — consumes a journal during resume.  Every replayed
-  operation is verified against the journalled (op, region, index); a
-  mismatch means the "deterministic" re-execution diverged and raises
-  :class:`~repro.errors.CheckpointError` rather than silently corrupting
-  the join.
+* :class:`JournalEntry` — one row of the enclave's input tape.  A ``GET`` /
+  ``PUT`` row is one declared boundary op — the (op, region, index) the
+  trace declares plus, for a ``get``, the plaintext T consumed.  A vectorized
+  section journals what it physically read as ``GATHER`` rows (no boundary
+  op) and its settlement as one ``CHARGE`` row counting the ops it declared.
+  The tape grows a batch at a time (a scalar op is a batch of one); together
+  with the algorithm's determinism it reconstructs all in-enclave state.
+* :class:`ReplayCursor` — serves the tape back during resume, one whole
+  batch per call.  Every replayed row is verified against the re-issued
+  (op, region, index); a mismatch means the "deterministic" re-execution
+  diverged and raises :class:`~repro.errors.CheckpointError` rather than
+  silently corrupting the join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.errors import CheckpointError, ConfigurationError, TransientHostError
 from repro.hardware.timing import VirtualClock
+
+#: Tape-only row kinds (``GET``/``PUT`` rows reuse the trace's op names).
+GATHER = "gather"  # a section's physical read: payload, no boundary op
+CHARGE = "charge"  # a section's settlement: ``index`` boundary ops declared
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,10 @@ class RetryPolicy:
 
 
 class JournalEntry(NamedTuple):
-    """One boundary operation as recorded for deterministic replay.
+    """One tape row as recorded for deterministic replay.
 
-    ``payload`` carries the plaintext T read for a ``get`` and ``None`` for
-    writes (a replayed write re-derives its plaintext from the re-executed
+    ``payload`` carries the plaintext T read (``GET``/``GATHER``) and ``None``
+    for writes (a replayed write re-derives its plaintext from the re-executed
     algorithm and is suppressed at the host, which already holds the
     checkpointed ciphertext).
     """
@@ -93,13 +100,21 @@ class JournalEntry(NamedTuple):
     payload: bytes | None = None
 
 
-class ReplayCursor:
-    """Serves journalled boundary operations back to a resumed coprocessor.
+def journalled_ops(entries: Sequence[JournalEntry]) -> int:
+    """The number of declared boundary ops a run of tape rows stands for."""
+    return sum(e.index if e.op == CHARGE else 1
+               for e in entries if e.op != GATHER)
 
-    While :attr:`active`, the coprocessor takes each operation's result from
-    the journal instead of the host: no physical crypto, no host access, but
-    the identical trace event.  The cursor verifies every replayed operation
-    against the journal and raises :class:`CheckpointError` on divergence.
+
+class ReplayCursor:
+    """Serves journalled batches back to a resumed coprocessor.
+
+    While :attr:`active`, the coprocessor takes each batch's result from the
+    tape instead of the host: no physical crypto, no host access, but the
+    identical trace events.  The cursor verifies every replayed row against
+    the tape and raises :class:`CheckpointError` on divergence.  Checkpoints
+    commit on batch boundaries, so a re-issued batch lies wholly inside the
+    tape or wholly past it.
     """
 
     def __init__(self, entries: list[JournalEntry]) -> None:
@@ -117,22 +132,34 @@ class ReplayCursor:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def take(self, op: str, region: str, index: int | None) -> JournalEntry:
-        """Consume the next journal entry, verifying it matches the re-issued op.
+    def peek_batch(self, events: Sequence[tuple]) -> list[JournalEntry]:
+        """The next ``len(events)`` rows, verified against the re-issued batch.
 
-        ``index`` is ``None`` for appends — the journal's recorded index is
-        authoritative there (the host assigned it on the original run).
+        ``events`` are ``(op, region, index)`` triples; ``index`` is ``None``
+        for appends — the journal's recorded index is authoritative there
+        (the host assigned it on the original run).
         """
-        if not self.active:
-            raise CheckpointError("replay cursor exhausted mid-operation")
-        entry = self._entries[self._position]
-        if entry.op != op or entry.region != region or (
-            index is not None and entry.index != index
-        ):
-            raise CheckpointError(
-                f"recovery replay diverged at operation {self._position + 1}: "
-                f"journal has ({entry.op}, {entry.region!r}, {entry.index}), "
-                f"re-execution issued ({op}, {region!r}, {index})"
-            )
-        self._position += 1
-        return entry
+        start = self._position
+        entries = self._entries[start:start + len(events)]
+        if len(entries) < len(events):
+            raise CheckpointError("replay cursor exhausted mid-batch")
+        for offset, (entry, (op, region, index)) in enumerate(zip(entries, events)):
+            if entry.op != op or entry.region != region or (
+                index is not None and entry.index != index
+            ):
+                raise CheckpointError(
+                    f"recovery replay diverged at journal row {start + offset + 1}: "
+                    f"journal has ({entry.op}, {entry.region!r}, {entry.index}), "
+                    f"re-execution issued ({op}, {region!r}, {index})"
+                )
+        return entries
+
+    def take_batch(self, events: Sequence[tuple]) -> list[JournalEntry]:
+        """Consume one whole batch (see :meth:`peek_batch`)."""
+        entries = self.peek_batch(events)
+        self._position += len(entries)
+        return entries
+
+    def take(self, op: str, region: str, index: int | None) -> JournalEntry:
+        """Consume a batch of one."""
+        return self.take_batch(((op, region, index),))[0]

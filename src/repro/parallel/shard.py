@@ -448,12 +448,6 @@ class ShardHostMemory:
     bit-identical to the sequential run's.
     """
 
-    #: Slot methods are plain dict/arena operations with no per-call
-    #: interposition, so the coprocessor may batch boundary ops over them;
-    #: with shared-memory shards workers then move whole packed slot spans
-    #: per crypto pass instead of re-encoding tuple by tuple.
-    supports_batched_io = True
-
     def __init__(self, shards: dict[str, RegionShard | SharedRegionShard]) -> None:
         self._shards = shards
         self._written: dict[str, dict[int, bytes]] = {name: {} for name in shards}
@@ -525,6 +519,18 @@ class ShardHostMemory:
         appended = self._appended[name]
         appended.append(ciphertext)
         return shard.append_base + len(appended) - 1
+
+    # -- ranged slot access: with shared-memory shards workers move whole
+    # packed slot spans per crypto pass instead of tuple by tuple ------------
+    def read_slots(self, slots) -> list[bytes]:
+        return [self.read_slot(name, index) for name, index in slots]
+
+    def write_slots(self, slots, ciphertexts) -> None:
+        for (name, index), ciphertext in zip(slots, ciphertexts):
+            self.write_slot(name, index, ciphertext)
+
+    def append_slots(self, name: str, ciphertexts) -> list[int]:
+        return [self.append_slot(name, ciphertext) for ciphertext in ciphertexts]
 
     def region_bytes(self, name: str) -> list[bytes | None]:
         shard = self._shard(name)

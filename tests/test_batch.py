@@ -466,3 +466,123 @@ class TestRangedOps:
             assert cop.decryptions == 3
             assert cop.physical_decryptions == 1
             assert cop.cache_hits == 2
+
+
+# --- batches under retry, tampering and replay -------------------------------
+
+from collections import Counter
+
+from repro.errors import TransientHostError
+from repro.faults.plan import FaultPlan, FaultSpec, transient_plan
+from repro.hardware.adversary import TamperingHost
+from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.faulty import FaultyHost
+from repro.hardware.host import HostMemory
+from repro.hardware.resilience import RetryPolicy
+from repro.oblivious.sort import oblivious_sort
+
+
+class CountingHost(HostMemory):
+    """Honest ranged storage that counts how often each slot is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+        self.appends = 0
+
+    def write_slot(self, name, index, ciphertext):
+        self.writes[name, index] += 1
+        super().write_slot(name, index, ciphertext)
+
+    def append_slots(self, name, ciphertexts):
+        self.appends += len(ciphertexts)
+        return super().append_slots(name, ciphertexts)
+
+
+def faulty_coprocessor(plan, storage=None):
+    storage = storage if storage is not None else CountingHost()
+    host = FaultyHost(storage, plan)
+    coprocessor = SecureCoprocessor(host, FastProvider(KEY),
+                                    retry=RetryPolicy(max_retries=2))
+    assert coprocessor.batched_hot_path  # retry + FaultyHost keep batching on
+    return storage, host, coprocessor
+
+
+class TestBatchIsTheUnitOfRetry:
+    def test_transient_fault_inside_a_write_batch_is_one_retry(self):
+        storage, host, t = faulty_coprocessor(
+            transient_plan(at_ops=(5,), kind="transient-write"))
+        storage.allocate("r", 8)
+        t.put_range("r", 0, [bytes([i]) * 4 for i in range(8)])
+        assert t.retries == host.transient_faults_injected == 1
+        assert set(storage.writes.values()) == {1}  # no slot written twice
+        assert host.ops_attempted == 5 + 8  # the whole window is re-presented
+        assert t.get_range("r", 0, 8) == [bytes([i]) * 4 for i in range(8)]
+        assert (t.batched_ops, t.encryptions, t.decryptions) == (2, 8, 8)
+
+    def test_transient_fault_inside_an_append_batch_applies_once(self):
+        storage, host, t = faulty_coprocessor(
+            transient_plan(at_ops=(3,), kind="transient-write"))
+        storage.allocate("out", 0)
+        assert t.append_many("out", [b"a", b"b", b"c", b"d"]) == [0, 1, 2, 3]
+        assert t.retries == 1
+        assert (storage.appends, storage.size("out")) == (4, 4)
+
+    def test_transient_fault_inside_a_read_batch_is_one_retry(self):
+        storage, host, t = faulty_coprocessor(transient_plan(at_ops=(6,)))
+        storage.allocate_from("r", [t.provider.encrypt(bytes([i])) for i in range(4)])
+        plain = SecureCoprocessor(HostMemory(), FastProvider(KEY))
+        plain.host.allocate_from("r", storage.region_bytes("r"))
+        assert t.get_range("r", 0, 4) == plain.get_range("r", 0, 4)
+        assert t.get_range("r", 0, 4) == plain.get_range("r", 0, 4)  # op 6 faults
+        assert t.retries == 1
+        assert t.trace.fingerprint() == plain.trace.fingerprint()
+        assert host.ops_attempted == 4 + 2 + 4
+
+    def test_section_is_admitted_before_its_first_write(self):
+        """A fault anywhere in a sort's declared window fires before the
+        staged cells are flushed: one retry, every slot written once."""
+        payloads = [bytes([9 - i]) * 4 for i in range(8)]
+        reference = SecureCoprocessor(HostMemory(), FastProvider(KEY))
+        reference.host.allocate("r", 8)
+        reference.put_range("r", 0, payloads)
+        oblivious_sort(reference, "r", 8, key=lambda p: p)
+        window = reference.ops_completed - 8
+
+        storage, host, t = faulty_coprocessor(FaultPlan(specs=(
+            FaultSpec(kind="transient-write", at_ops=(8 + window - 1,)),)))
+        storage.allocate("r", 8)
+        t.put_range("r", 0, payloads)
+        storage.writes.clear()
+        oblivious_sort(t, "r", 8, key=lambda p: p)
+        assert t.retries == 1
+        assert set(storage.writes.values()) == {1}
+        assert host.ops_attempted == 8 + (window - 1) + window
+        assert t.trace.fingerprint() == reference.trace.fingerprint()
+        assert t.get_range("r", 0, 8) == sorted(payloads)
+
+    def test_exhausted_retries_surface_with_nothing_written(self):
+        storage, host, t = faulty_coprocessor(FaultPlan(specs=(
+            FaultSpec(kind="transient-write", every=1),)))
+        storage.allocate("r", 4)
+        with pytest.raises(TransientHostError):
+            t.put_range("r", 0, [b"a", b"b", b"c", b"d"])
+        assert t.retries == 2 and not storage.writes
+        assert t.trace.transfer_count() == 0
+
+
+def test_host_without_the_ranged_surface_is_served_slot_by_slot():
+    """Adversary hosts count individual reads; T must not batch over them,
+    not even beneath a fault-injecting wrapper."""
+    for host in (TamperingHost(tamper_at_read=3),
+                 FaultyHost(TamperingHost(tamper_at_read=3))):
+        t = SecureCoprocessor(host, FastProvider(KEY),
+                              retry=RetryPolicy(max_retries=3))
+        assert not t.batched_hot_path
+        host.allocate("r", 6)
+        t.put_range("r", 0, [bytes([i]) for i in range(6)])
+        with pytest.raises(AuthenticationError):
+            t.get_range("r", 0, 6)
+        tampering = getattr(host, "inner", host)
+        assert tampering.reads_served == 3  # aborted on first contact
+        assert t.retries == 0 and t.batched_ops == 0

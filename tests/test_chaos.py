@@ -42,3 +42,147 @@ def test_chaos_report_aggregates():
     assert [a["algorithm"] for a in payload["algorithms"]] == [
         "algorithm1", "algorithm3"]
     assert payload["seed"] == 1
+
+
+# --- scalar vs batched under faults -------------------------------------------
+#
+# The fast path is the path under faults: the same recovery code runs a join
+# through ranged batches (any host with the ranged surface) and slot by slot
+# (a host without it — exactly what ``batched_io=False`` selects), and every
+# observable of the recovered runs must agree with each other and with the
+# uninterrupted run.
+
+import random
+
+from repro.crypto.provider import FastProvider, NullProvider, OcbProvider
+from repro.errors import CheckpointError
+from repro.faults.chaos import KEY, _plain_run, _runners
+from repro.faults.plan import FaultPlan, FaultSpec, crash_plan
+from repro.faults.recovery import run_with_recovery
+from repro.hardware.faulty import FaultyHost
+from repro.hardware.host import HostMemory
+from repro.hardware.resilience import RetryPolicy
+from repro.hardware.timing import VirtualClock
+from repro.obs.sinks import StreamingTrace
+
+
+class SlotBySlotHost(HostMemory):
+    """Honest storage without the ranged surface: T serves it scalar-only."""
+
+    read_slots = None
+
+
+HOSTS = {"scalar": SlotBySlotHost, "batched": HostMemory}
+PROVIDERS = [FastProvider, OcbProvider, NullProvider]
+
+
+def recover(runner, provider, plan, storage, *, retry=None, max_attempts=4):
+    host = FaultyHost(storage(), plan, clock=VirtualClock())
+    report = run_with_recovery(
+        host, provider(KEY), runner, seed=0, checkpoint_interval=8,
+        max_attempts=max_attempts, retry=retry, clock=host.clock,
+        trace_factory=StreamingTrace)
+    return host, report
+
+
+def assert_matches(report, baseline):
+    assert report.result.result.same_multiset(baseline.result)
+    assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
+    assert report.result.stats == baseline.stats
+
+
+def batched_ops(report):
+    return sum(device.batched_ops for device in report.devices)
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("name", SAFE_ALGORITHMS)
+class TestScalarVsBatchedUnderFaults:
+    def sampled(self, name, provider):
+        run_a, _ = _runners(name, small=True)
+        baseline = _plain_run(run_a, provider=provider)
+        transfers = baseline.stats.total
+        rng = random.Random(f"differential:{name}")
+        points = sorted(rng.sample(range(1, transfers), k=3)) + [transfers]
+        return run_a, baseline, points
+
+    def test_single_crash_at_sampled_points(self, name, provider):
+        run_a, baseline, points = self.sampled(name, provider)
+        for point in points:
+            for mode, storage in HOSTS.items():
+                host, report = recover(run_a, provider, crash_plan([point]), storage)
+                assert (report.crashes, report.attempts) == (1, 2), (mode, point)
+                assert host.crashes_injected == 1
+                assert_matches(report, baseline)
+                assert (batched_ops(report) > 0) == (mode == "batched")
+
+    def test_multi_crash_and_transient_storm(self, name, provider):
+        run_a, baseline, points = self.sampled(name, provider)
+        storm = FaultPlan(seed=3, specs=(
+            FaultSpec(kind="crash", at_ops=tuple(points)),
+            FaultSpec(kind="transient-read", probability=0.05, times=4),
+        ))
+        for mode, storage in HOSTS.items():
+            host, report = recover(run_a, provider, storm, storage,
+                                   retry=RetryPolicy(max_retries=4),
+                                   max_attempts=len(points) + 2)
+            assert report.crashes == len(points), mode
+            assert report.retries == host.transient_faults_injected > 0
+            assert_matches(report, baseline)
+            assert (batched_ops(report) > 0) == (mode == "batched")
+
+    def test_resume_across_a_dead_process(self, name, provider):
+        run_a, baseline, points = self.sampled(name, provider)
+        for mode, storage in HOSTS.items():
+            sealing = provider(KEY)
+            inner = storage()
+            first_life = FaultyHost(inner, crash_plan([points[-1]]))
+            with pytest.raises(CheckpointError, match="did not complete"):
+                run_with_recovery(first_life, sealing, run_a,
+                                  checkpoint_interval=8, max_attempts=1,
+                                  trace_factory=StreamingTrace)
+            report = run_with_recovery(inner, sealing, run_a,
+                                       checkpoint_interval=8, resume=True,
+                                       trace_factory=StreamingTrace)
+            # Crashed on its final op, so this life is almost all replay —
+            # served from whole journalled batches, whatever is left runs live.
+            assert report.attempts == 1 and report.replayed_transfers > 0, mode
+            assert_matches(report, baseline)
+
+
+class RecordingPlan:
+    """A compiled plan that remembers every op the fault clock presented."""
+
+    def __init__(self, plan):
+        self.inner = plan.compile()
+        self.seen = []
+
+    def consult(self, op_number, op, region):
+        self.seen.append((op_number, op, region))
+        return self.inner.consult(op_number, op, region)
+
+
+@pytest.mark.parametrize("name", ["algorithm4", "algorithm5", "algorithm6",
+                                  "algorithm7", "algorithm8"])
+def test_fault_clock_presents_the_same_ops_batched_or_not(name):
+    """The plan sees one (ordinal, op class, region) per declared boundary op,
+    in trace order, whichever way T moves the bytes — so ``at_ops``, ``every``
+    and ``probability`` triggers fire at the same boundary-op ordinal."""
+    run_a, _ = _runners(name, small=True)
+    transfers = _plain_run(run_a).stats.total
+    crash_at = transfers // 2
+    streams = {}
+    for mode, storage in HOSTS.items():
+        plan = RecordingPlan(FaultPlan())
+        run_with_recovery(FaultyHost(storage(), plan), FastProvider(KEY), run_a,
+                          checkpoint_interval=8)
+        assert len(plan.seen) == transfers
+        crashing = RecordingPlan(crash_plan([crash_at]))
+        host = FaultyHost(storage(), crashing)
+        report = run_with_recovery(host, FastProvider(KEY), run_a,
+                                   checkpoint_interval=8)
+        assert report.crashes == 1
+        streams[mode] = (plan.seen, crashing.seen[:crash_at])
+    assert streams["scalar"] == streams["batched"]
+    fault_free, until_crash = streams["batched"]
+    assert until_crash == fault_free[:crash_at]

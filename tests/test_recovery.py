@@ -9,9 +9,12 @@ the privacy definitions quantify over.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm1 import algorithm1
 from repro.core.algorithm5 import algorithm5
+from repro.core.algorithm7 import algorithm7
 from repro.core.base import JoinContext
 from repro.core.service import Contract, JoinService, Party
 from repro.crypto.provider import FastProvider
@@ -20,12 +23,25 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
 )
-from repro.faults.checkpoint import CHECKPOINT_REGION, CheckpointStore, base_host
+from repro.faults.checkpoint import (
+    CHECKPOINT_REGION,
+    CHUNK_SIZE,
+    CheckpointStore,
+    base_host,
+)
 from repro.faults.plan import crash_plan
-from repro.faults.recovery import run_with_recovery
+from repro.faults.recovery import RecoveryHost, run_with_recovery
+from repro.hardware.events import GET, PUT
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
-from repro.hardware.resilience import JournalEntry, ReplayCursor
+from repro.hardware.resilience import (
+    CHARGE,
+    GATHER,
+    JournalEntry,
+    ReplayCursor,
+    journalled_ops,
+)
+from repro.obs.metrics import family_total
 from repro.relational.generate import equijoin_workload
 from repro.relational.predicates import BinaryAsMulti, Equality
 
@@ -125,22 +141,177 @@ class TestCheckpointStore:
         assert base_host(faulty) is inner
 
 
+def _rows(batches):
+    """Flatten journal batches into the tape rows a commit receives."""
+    return [row for batch in batches for row in batch]
+
+
+class TestSealedChunks:
+    """Every sealed blob is a span of fixed-size chunks bound by the manifest."""
+
+    def sealed_store(self):
+        host = HostMemory()
+        # Big enough that the image and the journal segment each span
+        # several chunks.
+        host.allocate_from("data", [bytes([i]) * 600 for i in range(12)])
+        store = CheckpointStore(host, FastProvider(KEY))
+        store.initialize()
+        entries = [JournalEntry("GET", "data", i, bytes([i]) * 600)
+                   for i in range(12)]
+        store.commit(12, entries)
+        return host, store, entries
+
+    def chunk_slots(self, store):
+        spans = store._segments + [store._image]
+        return [slot for first, count, _ in spans
+                for slot in range(first, first + count)]
+
+    def test_blobs_span_several_fixed_size_chunks(self):
+        host, store, entries = self.sealed_store()
+        for first, count, _ in store._segments + [store._image]:
+            assert count >= 3
+            sizes = {len(host.read_slot(CHECKPOINT_REGION, slot))
+                     for slot in range(first, first + count - 1)}
+            # All but the last chunk are full: the host sees count and size.
+            assert sizes == {CHUNK_SIZE + FastProvider.overhead}
+        loaded = CheckpointStore(host, FastProvider(KEY)).load()
+        assert loaded.entries == entries
+
+    def test_superseded_image_is_blanked(self):
+        host, store, _ = self.sealed_store()
+        live = set(self.chunk_slots(store)) | {store.MANIFEST_SLOT}
+        for slot in range(host.size(CHECKPOINT_REGION)):
+            if slot not in live:
+                assert host.read_slot(CHECKPOINT_REGION, slot) == b""
+
+    def test_flipped_byte_in_any_chunk_fails_authentication(self):
+        host, store, _ = self.sealed_store()
+        for slot in [store.MANIFEST_SLOT] + self.chunk_slots(store):
+            pristine = host.read_slot(CHECKPOINT_REGION, slot)
+            for position in (0, len(pristine) // 2, len(pristine) - 1):
+                raw = bytearray(pristine)
+                raw[position] ^= 0x40
+                host.write_slot(CHECKPOINT_REGION, slot, bytes(raw))
+                with pytest.raises(AuthenticationError):
+                    store.load()
+            host.write_slot(CHECKPOINT_REGION, slot, pristine)
+        store.load()  # restored: loads cleanly again
+
+    @pytest.mark.parametrize("blob", ["segment", "image"])
+    @pytest.mark.parametrize("damage", ["drop", "duplicate", "swap", "truncate"])
+    def test_reordered_or_missing_chunks_are_checkpoint_errors(self, blob, damage):
+        """Each chunk still authenticates; only the manifest digest, which
+        binds order and count, can tell."""
+        host, store, _ = self.sealed_store()
+        first, count, _ = store._segments[0] if blob == "segment" else store._image
+        cells = host.region_bytes(CHECKPOINT_REGION)
+        if damage == "drop":
+            del cells[first + 1]
+        elif damage == "duplicate":
+            cells[first + 1] = cells[first]
+        elif damage == "swap":
+            cells[first], cells[first + 1] = cells[first + 1], cells[first]
+        else:
+            del cells[first + count - 1:]
+        host.free(CHECKPOINT_REGION)
+        host.allocate_from(CHECKPOINT_REGION, cells)
+        with pytest.raises(CheckpointError):
+            store.load()
+
+
+_payloads = st.binary(min_size=1, max_size=40)
+_regions = st.sampled_from(["X0", "X1", "out", "sort-buf"])
+_indices = st.integers(0, 10_000)
+_get_batches = st.lists(
+    st.builds(JournalEntry, st.just(GET), _regions, _indices, _payloads),
+    min_size=1, max_size=6)
+_put_batches = st.lists(
+    st.builds(JournalEntry, st.just(PUT), _regions, _indices),
+    min_size=1, max_size=6)
+_sections = st.builds(
+    lambda gathered, ops: gathered + [JournalEntry(CHARGE, "", ops)],
+    st.lists(st.builds(JournalEntry, st.just(GATHER), _regions, _indices,
+                       _payloads), min_size=1, max_size=6),
+    st.integers(1, 500))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.one_of(_get_batches, _put_batches, _sections),
+                         min_size=1, max_size=5), min_size=1, max_size=4))
+def test_batch_journal_round_trips_through_commit_and_load(commits):
+    """Scalar ops, ranged batches and sections survive sealing unchanged."""
+    host = HostMemory()
+    host.allocate_from("data", [b"cipher"])
+    store = CheckpointStore(host, FastProvider(KEY))
+    store.initialize()
+    tape, ops = [], 0
+    for batches in commits:
+        rows = _rows(batches)
+        ops += journalled_ops(rows)
+        tape += rows
+        store.commit(ops, rows)
+    loaded = CheckpointStore(host, FastProvider(KEY)).load()
+    assert loaded.entries == tape
+    assert loaded.ops == ops == journalled_ops(tape)
+    cursor = ReplayCursor(loaded.entries)
+    for batches in commits:
+        for batch in batches:
+            assert cursor.take_batch([row[:3] for row in batch]) == batch
+    assert not cursor.active
+
+
 class TestReplayCursor:
+    def test_serves_whole_batches(self):
+        rows = [JournalEntry(GET, "data", i, bytes([i])) for i in range(4)]
+        cursor = ReplayCursor(rows)
+        assert cursor.peek_batch([(GET, "data", 0), (GET, "data", 1)]) == rows[:2]
+        assert cursor.position == 0  # peeking consumes nothing
+        assert cursor.take_batch([(GET, "data", i) for i in range(3)]) == rows[:3]
+        with pytest.raises(CheckpointError, match="mid-batch"):
+            cursor.take_batch([(GET, "data", 3), (GET, "data", 4)])
+        assert cursor.position == 3  # a refused batch consumes nothing
+
+    def test_divergence_inside_a_batch_names_the_row(self):
+        cursor = ReplayCursor([JournalEntry(PUT, "out", 0),
+                               JournalEntry(PUT, "out", 1)])
+        with pytest.raises(CheckpointError, match="row 2"):
+            cursor.take_batch([(PUT, "out", 0), (PUT, "out", 5)])
+
     def test_divergence_raises(self):
-        cursor = ReplayCursor([JournalEntry("GET", "data", 0, b"x")])
+        cursor = ReplayCursor([JournalEntry(GET, "data", 0, b"x")])
         with pytest.raises(CheckpointError, match="diverged"):
-            cursor.take("GET", "data", 1)
+            cursor.take(GET, "data", 1)
 
     def test_exhaustion_raises(self):
         cursor = ReplayCursor([])
         assert not cursor.active
         with pytest.raises(CheckpointError):
-            cursor.take("GET", "data", 0)
+            cursor.take(GET, "data", 0)
 
     def test_append_index_is_journal_authoritative(self):
-        cursor = ReplayCursor([JournalEntry("PUT", "out", 7)])
-        assert cursor.take("PUT", "out", None).index == 7
+        cursor = ReplayCursor([JournalEntry(PUT, "out", 7)])
+        assert cursor.take(PUT, "out", None).index == 7
         assert not cursor.active
+
+
+class TestRecoveryHost:
+    def test_suppressed_appends_report_the_journalled_indices(self):
+        inner = HostMemory()
+        inner.allocate_from("out", [b"c%d" % i for i in range(7)])  # restored image
+        cursor = ReplayCursor([JournalEntry(PUT, "out", i) for i in (4, 5, 6)])
+        gate = RecoveryHost(inner, cursor)
+        assert gate.append_slots("out", [b"x", b"y"]) == [4, 5]
+        assert gate.append_slot("out", b"x") == 4
+        assert inner.size("out") == 7  # nothing double-applied
+        assert gate.suppressed_mutations == 2
+        cursor.take_batch([(PUT, "out", None)] * 3)
+        assert gate.append_slots("out", [b"x", b"y"]) == [7, 8]  # live again
+
+    def test_suppressed_append_must_match_the_journal(self):
+        gate = RecoveryHost(HostMemory(),
+                            ReplayCursor([JournalEntry(GET, "data", 0, b"p")]))
+        with pytest.raises(CheckpointError, match="diverged"):
+            gate.append_slots("out", [b"x"])
 
 
 class TestRunWithRecovery:
@@ -185,6 +356,49 @@ class TestRunWithRecovery:
         # A crash past the first checkpoint resumes off the journal.
         if crash_at > 8:
             assert report.replayed_transfers > 0
+
+    @pytest.mark.parametrize("crash_at", [5000, 9000])
+    def test_fault_clock_counts_boundary_ops_not_host_calls(self, crash_at):
+        """Batched Algorithm 7 at 32x32 declares 17 184 boundary ops over far
+        fewer physical host calls; a crash planned at op 5000 must still fire
+        — exactly once.  Op 5000 falls inside the partition sort, a single
+        batch that ends past the first interval multiple, so that crash
+        restarts from checkpoint zero; op 9000 resumes off sealed batches."""
+        wl = equijoin_workload(32, 32, 32, rng=random.Random(7))
+
+        def run(context):
+            return algorithm7(context, [wl.left, wl.right],
+                              BinaryAsMulti(Equality("key")))
+
+        baseline = plain_result(run)
+        host = FaultyHost(HostMemory(), crash_plan([crash_at]))
+        report = run_with_recovery(host, FastProvider(KEY), run,
+                                   checkpoint_interval=4096)
+        assert host.crashes_injected == 1
+        assert (report.crashes, report.attempts) == (1, 2)
+        if crash_at == 9000:
+            assert report.replayed_transfers >= 4096
+        assert all(device.batched_ops > 0 for device in report.devices)
+        # The clock advanced once per declared op: the crashed attempt's
+        # admitted prefix plus everything the second attempt ran live.
+        assert host.ops_attempted == crash_at + (
+            baseline.stats.total - report.replayed_transfers)
+        assert report.result.result.same_multiset(baseline.result)
+        assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
+        assert report.result.stats == baseline.stats
+
+    def test_report_totals_span_every_attempt(self):
+        runner = join_runner()
+        host = FaultyHost(HostMemory(), crash_plan(at_ops=(40, 90)))
+        report = run_with_recovery(host, FastProvider(KEY), runner,
+                                   checkpoint_interval=8, max_attempts=4)
+        assert len(report.devices) == report.attempts == 3
+        assert report.coprocessor is report.devices[-1]
+        assert report.checkpoints_sealed == sum(
+            d.checkpoints_sealed for d in report.devices)
+        assert report.replayed_transfers == sum(
+            d.replayed_transfers for d in report.devices)
+        assert report.devices[0].checkpoints_sealed > 0  # the crashed attempt's
 
     def test_repeated_crashes_exhaust_attempts(self):
         runner = join_runner()
@@ -269,6 +483,23 @@ class TestServiceRecovery:
         assert "recovery_attempts_total" in rendered
         assert "recovery_crashes_total" in rendered
         assert "checkpoints_sealed_total" in rendered
+
+    def test_metrics_export_the_whole_job_not_the_final_attempt(self):
+        crashing = FaultyHost(HostMemory(), crash_plan(at_ops=(300, 900)))
+        service = self.build_service(checkpoint_interval=8, host=crashing)
+        result = service.execute("C-001", BinaryAsMulti(Equality("key")),
+                                 algorithm="algorithm4")
+        recovery = result.meta["recovery"]
+        assert recovery["crashes"] == 2
+        assert recovery["replayed_transfers"] > 0
+        total = lambda name: family_total(service.metrics, name)
+        assert total("checkpoints_sealed_total") == recovery["checkpoints_sealed"]
+        assert total("replayed_transfers_total") == recovery["replayed_transfers"]
+        # Modeled crypto counts every attempt's work: the finished attempt's
+        # full trace plus what the two crashed attempts got through.
+        modeled = (total("crypto_encryptions_total")
+                   + total("crypto_decryptions_total"))
+        assert modeled > result.stats.total
 
     def test_uncheckpointed_service_unchanged(self):
         service = self.build_service()
