@@ -16,12 +16,13 @@ via :meth:`hold` or :meth:`buffer` and exceeding the budget raises
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
 from repro.errors import EnclaveMemoryError
-from repro.hardware.events import GET, PUT, Trace
+from repro.hardware.events import GET, PUT, Pairs, Trace, run_counts
 from repro.hardware.host import HostMemory, has_ranged_surface
 from repro.hardware.resilience import (
     CHARGE,
@@ -244,21 +245,27 @@ class SecureCoprocessor:
             self._sealed_ops = self.ops_completed
             self.checkpoints_sealed += 1
 
-    def _replay_batch(self, events: Sequence[tuple]) -> list[JournalEntry]:
-        """Serve one whole batch from the recovery tape.
+    def _replay_batch(self, op: str, slots: Sequence[tuple]) -> list[JournalEntry]:
+        """Serve one whole batch of ``op`` over ``slots`` from the recovery tape.
 
         No host access and no crypto, but the identical trace events and
         modeled counters.  The rows are already sealed on the host, so they
         are neither re-journalled nor do they trigger a checkpoint commit.
+        An append's slot index is ``None``: the tape's index is authoritative.
         """
-        entries = self._replay.take_batch(events)
-        record = self.trace.record
-        gets = 0
-        for op, region, index, _ in entries:
-            record(op, region, index)
-            gets += op == GET
+        entries = self._replay.take_batch(
+            [(op, region, index) for region, index in slots])
+        self._record_slots(op, [(entry.region, entry.index) for entry in entries])
+        gets = len(entries) if op == GET else 0
         self._settle_replayed(gets, len(entries) - gets)
         return entries
+
+    def _record_slots(self, op: str, slots: Sequence[tuple[str, int]]) -> None:
+        """Record ``op`` on each ``(region, index)`` slot, in order, as one run."""
+        regions, indices = zip(*slots)
+        code_of = {region: code for code, region in enumerate(dict.fromkeys(regions))}
+        self.trace.record_run([(op, region) for region in code_of],
+                              bytes(map(code_of.__getitem__, regions)), array("q", indices))
 
     def _settle_replayed(self, gets: int, puts: int) -> None:
         self.decryptions += gets
@@ -319,7 +326,7 @@ class SecureCoprocessor:
         either way.
         """
         if self.replaying:
-            return self._replay_batch(((GET, region, index),))[0].payload
+            return self._replay_batch(GET, ((region, index),))[0].payload
         ciphertext = self._host_call(lambda: self.host.read_slot(region, index))
         self.trace.record(GET, region, index)
         self.decryptions += 1
@@ -341,7 +348,7 @@ class SecureCoprocessor:
     def put(self, region: str, index: int, plaintext: bytes) -> None:
         """Write one plaintext out to a host slot, encrypting under a fresh nonce."""
         if self.replaying:
-            self._replay_batch(((PUT, region, index),))
+            self._replay_batch(PUT, ((region, index),))
             return
         ciphertext = self.provider.encrypt(plaintext)
         self._host_call(lambda: self.host.write_slot(region, index, ciphertext))
@@ -350,7 +357,7 @@ class SecureCoprocessor:
     def put_append(self, region: str, plaintext: bytes) -> int:
         """Append an encrypted tuple to a growable host region."""
         if self.replaying:
-            return self._replay_batch(((PUT, region, None),))[0].index
+            return self._replay_batch(PUT, ((region, None),))[0].index
         ciphertext = self.provider.encrypt(plaintext)
         index = self._host_call(lambda: self.host.append_slot(region, ciphertext))
         self._put_done(region, index, ciphertext, plaintext)
@@ -406,8 +413,7 @@ class SecureCoprocessor:
             get = self.get
             return [get(region, index) for region, index in slots]
         if self.replaying:
-            return [entry.payload for entry in self._replay_batch(
-                [(GET, region, index) for region, index in slots])]
+            return [entry.payload for entry in self._replay_batch(GET, slots)]
         window = None
         if self._admit is not None:
             window = [("read", region) for region, _ in slots]
@@ -419,9 +425,7 @@ class SecureCoprocessor:
         else:
             results, misses = self._resolve(slots, ciphertexts)
             self.cache_hits += n - misses
-        record = self.trace.record
-        for region, index in slots:
-            record(GET, region, index)
+        self._record_slots(GET, slots)
         self.decryptions += n
         self.batched_ops += 1
         self.batch_rows += n
@@ -474,7 +478,7 @@ class SecureCoprocessor:
             return
         targets = [(region, index) for region, index, _ in slots]
         if self.replaying:
-            self._replay_batch([(PUT, region, index) for region, index in targets])
+            self._replay_batch(PUT, targets)
             return
         plaintexts = [plaintext for _, _, plaintext in slots]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
@@ -492,7 +496,7 @@ class SecureCoprocessor:
             return [put_append(region, plaintext) for plaintext in plaintexts]
         if self.replaying:
             return [entry.index for entry in self._replay_batch(
-                [(PUT, region, None)] * len(plaintexts))]
+                PUT, [(region, None)] * len(plaintexts))]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
         window = None
         if self._admit is not None:
@@ -505,9 +509,7 @@ class SecureCoprocessor:
 
     def _puts_done(self, targets: list[tuple[str, int]],
                    ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
-        record = self.trace.record
-        for region, index in targets:
-            record(PUT, region, index)
+        self._record_slots(PUT, targets)
         if self.cache_enabled:
             self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
         n = len(targets)
@@ -593,14 +595,15 @@ class SecureCoprocessor:
         self.batched_ops += 1
         self.batch_rows += len(targets)
 
-    def charge_boundary(self, events: Iterable[tuple[str, str, int]]) -> None:
+    def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
         """Settle a completed vectorized section: flush it, then its ledger.
 
-        Presents the declared ops to the host's fault clock (if it has one),
-        writes the staged cells, then records the declared
-        ``(op, region, index)`` events in order — the exact sequence the
-        scalar execution would have emitted — and charges the modeled
-        counters.  GETs beyond the physical decrypts pending from
+        The declaration is one run (:mod:`repro.hardware.events`): event ``k``
+        is ``(*table[codes[k]], indices[k])``, the exact sequence the scalar
+        execution would have emitted.  Presents the declared ops to the
+        host's fault clock (if it has one), writes the staged cells, then
+        appends the run to the trace once and charges the modeled counters
+        from the code column.  GETs beyond the physical decrypts pending from
         :meth:`gather_slots` were served from enclave-resident batch
         plaintexts, the vectorized analogue of a slot-cache hit, and are
         charged as ``cache_hits`` so the ``physical + hits == decryptions``
@@ -610,8 +613,8 @@ class SecureCoprocessor:
         if not replayed:
             window = None
             if self._admit is not None:
-                events = list(events)
-                window = [(_OP_CLASS[op], region) for op, region, _ in events]
+                classes = [(_OP_CLASS[op], region) for op, region in table]
+                window = list(map(classes.__getitem__, codes))
             staged, self._staged = self._staged, []
 
             def flush() -> None:
@@ -619,15 +622,9 @@ class SecureCoprocessor:
                     self.host.write_slots(targets, ciphertexts)
 
             self._host_call(flush, window)
-        record = self.trace.record
-        gets = 0
-        puts = 0
-        for op, region, index in events:
-            record(op, region, index)
-            if op == GET:
-                gets += 1
-            else:
-                puts += 1
+        self.trace.record_run(table, codes, indices)
+        gets = sum(n for (op, _), n in run_counts(table, codes).items() if op == GET)
+        puts = len(codes) - gets
         if replayed:
             self._replay.take_batch(((CHARGE, "", gets + puts),))
             self._settle_replayed(gets, puts)

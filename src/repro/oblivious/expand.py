@@ -29,6 +29,8 @@ scalar path.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Callable
 
 from repro.hardware.coprocessor import SecureCoprocessor
@@ -75,13 +77,9 @@ def oblivious_linear_pass(
             plains = coprocessor.gather_slots(region, indices)
             outs = [step(i, plain) for i, plain in zip(indices, plains)]
             coprocessor.scatter_slots(region, indices, outs)
-
-            def pass_events():
-                for i in indices:
-                    yield (GET, region, i)
-                    yield (PUT, region, i)
-
-            coprocessor.charge_boundary(pass_events())
+            coprocessor.charge_boundary(
+                ((GET, region), (PUT, region)), b"\0\1" * size,
+                array("q", chain.from_iterable(zip(indices, indices))))
         return
     get = coprocessor.get
     put = coprocessor.put
@@ -114,13 +112,9 @@ def oblivious_transform_copy(
             plains = coprocessor.gather_slots(source_region, src_indices)
             outs = [transform(k, plain) for k, plain in enumerate(plains)]
             coprocessor.scatter_slots(dest_region, dst_indices, outs)
-
-            def copy_events():
-                for src, dst in zip(src_indices, dst_indices):
-                    yield (GET, source_region, src)
-                    yield (PUT, dest_region, dst)
-
-            coprocessor.charge_boundary(copy_events())
+            coprocessor.charge_boundary(
+                ((GET, source_region), (PUT, dest_region)), b"\0\1" * count,
+                array("q", chain.from_iterable(zip(src_indices, dst_indices))))
         return
     get = coprocessor.get
     put = coprocessor.put
@@ -157,14 +151,10 @@ def oblivious_zip_write(
                 for r, (a, b) in enumerate(zip(left_plains, right_plains))
             ]
             coprocessor.scatter_slots(output_region, indices, outs)
-
-            def zip_events():
-                for r in indices:
-                    yield (GET, left_region, r)
-                    yield (GET, right_region, r)
-                    yield (PUT, output_region, r)
-
-            coprocessor.charge_boundary(zip_events())
+            coprocessor.charge_boundary(
+                ((GET, left_region), (GET, right_region), (PUT, output_region)),
+                b"\0\1\2" * count,
+                array("q", chain.from_iterable(zip(indices, indices, indices))))
         return
     get = coprocessor.get
     put = coprocessor.put

@@ -21,7 +21,9 @@ The module also provides the two cost views used throughout the library:
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from repro.errors import ConfigurationError
@@ -96,6 +98,19 @@ def bitonic_merge_network(n: int) -> tuple[Comparator, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def wired_network(n: int, merge: bool = False) -> tuple[tuple[Comparator, ...], array]:
+    """The size-``n`` sort (or merge) network and its wire column.
+
+    The column holds ``low, high, low, high`` per comparator — the wires its
+    two gets and two puts touch — so mapping it through a slot list gives a
+    section's declared indices.  Shared by every caller: read it, never write.
+    """
+    network = bitonic_merge_network(n) if merge else bitonic_network(n)
+    return network, array("q", chain.from_iterable(
+        (comp.low, comp.high, comp.low, comp.high) for comp in network))
+
+
 def schedule_stages(
     network: tuple[Comparator, ...],
 ) -> tuple[tuple[Comparator, ...], ...]:
@@ -124,12 +139,6 @@ def schedule_stages(
 def bitonic_stages(n: int) -> tuple[tuple[Comparator, ...], ...]:
     """The size-``n`` sorting network scheduled into wire-disjoint stages."""
     return schedule_stages(bitonic_network(n))
-
-
-@lru_cache(maxsize=256)
-def merge_stages(n: int) -> tuple[tuple[Comparator, ...], ...]:
-    """The size-``n`` merge network scheduled into wire-disjoint stages."""
-    return schedule_stages(bitonic_merge_network(n))
 
 
 def merge_comparator_count(n: int) -> int:

@@ -29,7 +29,9 @@ inspectable.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
@@ -81,10 +83,7 @@ class ParallelSortReport:
 def _merge_indices(coprocessor, region: str, indices: list[int], key: KeyFunction) -> None:
     """Run the ascending bitonic merge network over explicit slot indices."""
     if coprocessor.batched_hot_path:
-        run_network_vectorized(
-            coprocessor, region, indices,
-            bitonic_merge_network(len(indices)), key, ascending=True,
-        )
+        run_network_vectorized(coprocessor, region, indices, key, merge=True)
         return
     get_many = coprocessor.get_many
     put_many = coprocessor.put_many
@@ -111,21 +110,15 @@ def _normalize_chunk(
         with coprocessor.hold(2):
             plains = coprocessor.gather_slots(region, indices)
             coprocessor.scatter_slots(region, indices, plains[::-1])
-
-            def reversal_events():
-                for offset in range(chunk // 2):
-                    front = base + offset
-                    back = base + chunk - 1 - offset
-                    yield (GET, region, front)
-                    yield (GET, region, back)
-                    yield (PUT, region, front)
-                    yield (PUT, region, back)
-                if chunk % 2:
-                    middle = base + chunk // 2
-                    yield (GET, region, middle)
-                    yield (PUT, region, middle)
-
-            coprocessor.charge_boundary(reversal_events())
+            # Swap the ends inwards; an odd chunk re-encrypts its middle.
+            half = chunk // 2
+            fronts, backs = indices[:half], indices[:-half - 1:-1]
+            middle = [indices[half]] * 2 * (chunk % 2)
+            coprocessor.charge_boundary(
+                ((GET, region), (PUT, region)),
+                b"\0\0\1\1" * half + b"\0\1" * (chunk % 2),
+                array("q", [*chain.from_iterable(zip(fronts, backs, fronts, backs)),
+                            *middle]))
         return
     with coprocessor.hold(2):
         for offset in range(chunk // 2):

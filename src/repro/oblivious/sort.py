@@ -11,11 +11,12 @@ positions.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Sequence
 
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
-from repro.oblivious.networks import Comparator, bitonic_network, comparators
+from repro.oblivious.networks import comparators, wired_network
 
 #: Extracts a sort key from a plaintext tuple.  Keys must be comparable.
 KeyFunction = Callable[[bytes], object]
@@ -25,11 +26,11 @@ def run_network_vectorized(
     coprocessor: SecureCoprocessor,
     region: str,
     indices: Sequence[int],
-    network: tuple[Comparator, ...],
     key: KeyFunction,
     ascending: bool = True,
+    merge: bool = False,
 ) -> None:
-    """Execute a comparator network as one gather / in-memory pass / scatter.
+    """Execute the sort (or merge) network as one gather / in-memory pass / scatter.
 
     The physical execution differs from the scalar walk — one batched
     decrypt pass over the gathered slots, compare-exchanges on resident
@@ -39,9 +40,12 @@ def run_network_vectorized(
     ``charge_boundary``, valid because within-wire comparator order is
     preserved and wire-disjoint comparators commute), modeled counters match
     the scalar path op for op, and the final host plaintexts are the same.
+    The declared index column is the network's cached wire column mapped
+    through ``indices``.
 
     Callers must check ``coprocessor.batched_hot_path`` first.
     """
+    network, wires = wired_network(len(indices), merge)
     if not network:
         with coprocessor.hold(2):
             return
@@ -55,17 +59,10 @@ def run_network_vectorized(
                 plains[low], plains[high] = plains[high], plains[low]
                 keys[low], keys[high] = keys[high], keys[low]
         coprocessor.scatter_slots(region, indices, plains)
-
-        def network_events():
-            for comp in network:
-                low_index = indices[comp.low]
-                high_index = indices[comp.high]
-                yield (GET, region, low_index)
-                yield (GET, region, high_index)
-                yield (PUT, region, low_index)
-                yield (PUT, region, high_index)
-
-        coprocessor.charge_boundary(network_events())
+        if indices != list(range(len(indices))):  # else the wire column is the answer
+            wires = array("q", [indices[wire] for wire in wires])
+        coprocessor.charge_boundary(
+            ((GET, region), (PUT, region)), b"\0\0\1\1" * len(network), wires)
 
 
 def oblivious_sort_indices(
@@ -83,10 +80,7 @@ def oblivious_sort_indices(
     only on ``len(indices)``, so obliviousness is preserved.
     """
     if coprocessor.batched_hot_path:
-        run_network_vectorized(
-            coprocessor, region, indices, bitonic_network(len(indices)),
-            key, ascending,
-        )
+        run_network_vectorized(coprocessor, region, indices, key, ascending)
         return
     get_many = coprocessor.get_many
     put_many = coprocessor.put_many

@@ -4,8 +4,8 @@ The security definitions quantify over "the ordered list of host locations
 read and written by T".  :class:`~repro.hardware.events.Trace` materializes
 that list, which is exact but grows O(total transfers) in memory — unusable
 at production scale.  The sinks here consume the same event stream through
-the identical ``record(op, region, index)`` interface while holding only O(1)
-state:
+the identical ``record(op, region, index)`` / ``record_run(table, codes,
+indices)`` interface while holding only O(1) state:
 
 * :class:`StreamingTrace` — a running SHA-256 fingerprint plus per-(op,
   region) counters.  Its :meth:`~StreamingTrace.fingerprint` is bit-identical
@@ -32,9 +32,17 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.hardware.events import AccessEvent, event_digest_bytes
+from repro.hardware.events import (
+    AccessEvent,
+    Pairs,
+    TransferCounts,
+    event_digest_bytes,
+    run_counts,
+    run_digest_bytes,
+    run_events,
+)
 
 
 @runtime_checkable
@@ -43,6 +51,9 @@ class TraceSink(Protocol):
 
     def record(self, op: str, region: str, index: int) -> None: ...
 
+    def record_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        """Event ``k`` of the run is ``(*table[codes[k]], indices[k])``."""
+
     def transfer_count(self) -> int: ...
 
     def by_region(self) -> Counter: ...
@@ -50,7 +61,7 @@ class TraceSink(Protocol):
     def fingerprint(self) -> str: ...
 
 
-class StreamingTrace:
+class StreamingTrace(TransferCounts):
     """O(1)-memory trace capture: running fingerprint + transfer counters.
 
     Holds one SHA-256 state, an event count, and a (op, region) -> count
@@ -69,27 +80,17 @@ class StreamingTrace:
         self._count += 1
         self._by_region[(op, region)] += 1
 
+    def record_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        self._digest.update(run_digest_bytes(table, codes, indices))
+        self._count += len(codes)
+        self._by_region.update(run_counts(table, codes))
+
     def __len__(self) -> int:
         return self._count
-
-    def transfer_count(self) -> int:
-        """Total tuple transfers in and out of the coprocessor's memory."""
-        return self._count
-
-    def count(self, op: str | None = None, region: str | None = None) -> int:
-        """Transfers matching an (op, region) filter; None means any."""
-        return sum(
-            v
-            for (o, r), v in self._by_region.items()
-            if (op is None or o == op) and (region is None or r == region)
-        )
 
     def by_region(self) -> Counter:
         """Counter keyed by (op, region)."""
         return Counter(self._by_region)
-
-    def regions(self) -> set[str]:
-        return {region for (_, region) in self._by_region}
 
     def fingerprint(self) -> str:
         """The running SHA-256 over the event stream so far.
@@ -117,10 +118,14 @@ class JsonlTrace(StreamingTrace):
         self._file: IO[str] | None = open(path, "w", encoding="utf-8")
 
     def record(self, op: str, region: str, index: int) -> None:
-        super().record(op, region, index)
+        self.record_run(((op, region),), b"\0", (index,))
+
+    def record_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
         if self._file is None:
             raise ValueError(f"JSONL trace sink {self.path!r} is closed")
-        self._file.write(f'["{op}","{region}",{index}]\n')
+        super().record_run(table, codes, indices)
+        self._file.writelines(json.dumps(event, separators=(",", ":")) + "\n"
+                              for event in run_events(table, codes, indices))
 
     def close(self) -> None:
         if self._file is not None:
@@ -189,14 +194,17 @@ class DivergenceTrace(StreamingTrace):
         self.divergence: StreamDivergence | None = None
 
     def record(self, op: str, region: str, index: int) -> None:
-        position = self.transfer_count()  # before counting this event
-        super().record(op, region, index)
-        if self.divergence is not None:
-            return
-        got = AccessEvent(op, region, index)
-        expected = next(self._reference, None)
-        if expected != got:
-            self.divergence = StreamDivergence(position, expected, got)
+        self.record_run(((op, region),), b"\0", (index,))
+
+    def record_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        position = self.transfer_count()  # before counting this run
+        super().record_run(table, codes, indices)
+        for position, got in enumerate(run_events(table, codes, indices), position):
+            if self.divergence is not None:
+                return
+            expected = next(self._reference, None)
+            if expected != got:
+                self.divergence = StreamDivergence(position, expected, got)
 
     def finish(self) -> StreamDivergence | None:
         """Flag a reference with leftover events; returns the divergence."""
@@ -209,7 +217,7 @@ class DivergenceTrace(StreamingTrace):
         return self.divergence
 
 
-class TeeTrace:
+class TeeTrace(TransferCounts):
     """Fan one event stream out to several sinks.
 
     Count/fingerprint queries delegate to the first sink, so a TeeTrace can
@@ -225,10 +233,11 @@ class TeeTrace:
         for sink in self.sinks:
             sink.record(op, region, index)
 
-    def __len__(self) -> int:
-        return self.sinks[0].transfer_count()
+    def record_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        for sink in self.sinks:
+            sink.record_run(table, codes, indices)
 
-    def transfer_count(self) -> int:
+    def __len__(self) -> int:
         return self.sinks[0].transfer_count()
 
     def by_region(self) -> Counter:

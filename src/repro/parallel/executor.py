@@ -10,12 +10,13 @@ wall clock:
   footprints read into one :class:`~repro.parallel.shard.SharedShardArena`
   segment; tasks carry only (segment, layout, span) descriptors and workers
   map the slots zero-copy instead of unpickling per-slot dictionaries.
-* **Batched write-back** — workers return writes, appends, and trace events
-  as packed byte blobs (one contiguous flush per region), merged back in
-  task-submission order — the order the sequential simulation performs the
-  same operations — so the parent's host image, every per-coprocessor
-  trace, and therefore the modelled makespan and the privacy checker's
-  accepted access pattern are all bit-identical to the sequential run.
+* **Batched write-back** — workers return writes and appends as packed byte
+  blobs (one contiguous flush per region) and their trace as its columns (one
+  run append per task), merged back in task-submission order — the order the
+  sequential simulation performs the same operations — so the parent's host
+  image, every per-coprocessor trace, and therefore the modelled makespan and
+  the privacy checker's accepted access pattern are all bit-identical to the
+  sequential run.
 * **Memoized worker providers** — each worker process clones the crypto
   provider once (:func:`~repro.crypto.provider.clone_provider`: independent
   nonce-prefix sequence, interoperable ciphertexts) and reuses the clone
@@ -59,7 +60,6 @@ from repro.parallel.shard import (
     attach_arena_shards,
     build_shards,
     merge_shard_result,
-    pack_events,
     shards_payload_bytes,
 )
 
@@ -153,7 +153,6 @@ def _run_shard_task(
                 attempt += 1
                 continue
             raise
-    event_table, events = pack_events(coprocessor.trace)
     return ShardResult(
         value=value,
         writes=host.packed_writes(),
@@ -163,8 +162,7 @@ def _run_shard_task(
             for region, shard in shards.items()
             if shard.append_base is not None
         },
-        event_table=event_table,
-        events=events,
+        events=coprocessor.trace.columns(),
         counters={name: getattr(coprocessor, name) for name in _COUNTERS},
     )
 
@@ -342,9 +340,7 @@ class ClusterExecutor:
         for task, result in zip(tasks, results):
             self.flushes += merge_shard_result(cluster.host, result)
             device = cluster[task.device]
-            trace = device.trace
-            for op, region, index in result.iter_events():
-                trace.record(op, region, index)
+            device.trace.record_run(*result.events)
             for counter in _COUNTERS:
                 setattr(device, counter,
                         getattr(device, counter) + result.counters.get(counter, 0))

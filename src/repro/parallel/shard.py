@@ -26,14 +26,16 @@ the sequential simulation.  Access outside the declared shard raises
 machine-checked statement of the task's I/O footprint.
 
 After the work runs, the worker returns a :class:`ShardResult` with its
-writes, appends, and trace packed into *contiguous byte blobs* (one flush
-per region, not per-slot pickle entries), which the parent merges back
-deterministically in task-submission order (:mod:`repro.parallel.executor`).
+writes and appends packed into *contiguous byte blobs* (one flush per region,
+not per-slot pickle entries) and its trace as the columns it already is,
+which the parent merges back deterministically in task-submission order
+(:mod:`repro.parallel.executor`).
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -48,7 +50,6 @@ Span = tuple[int, int]
 _NEVER_WRITTEN = 0xFFFFFFFF
 
 _LEN = struct.Struct("<I")          # per-slot length table entry
-_EVENT = struct.Struct("<Hq")       # (op, region) table code, slot index
 _WRITE = struct.Struct("<QI")       # written slot index, ciphertext length
 
 
@@ -81,28 +82,6 @@ def _check_span(region: str, start: int, stop: int, size: int) -> None:
 # Worker results cross the process boundary as flat byte blobs instead of
 # per-slot dict/list entries: pickling one bytes object is a memcpy, pickling
 # a dict of thousands of small bytes objects is not.
-
-def pack_events(events: Iterable[tuple[str, str, int]]) -> tuple[tuple[tuple[str, str], ...], bytes]:
-    """Encode trace events as a small (op, region) table plus a packed array."""
-    table: dict[tuple[str, str], int] = {}
-    buf = bytearray()
-    pack = _EVENT.pack
-    for op, region, index in events:
-        key = (op, region)
-        code = table.get(key)
-        if code is None:
-            code = table[key] = len(table)
-        buf += pack(code, index)
-    return tuple(table), bytes(buf)
-
-
-def unpack_events(
-    table: Sequence[tuple[str, str]], blob: bytes
-) -> Iterator[tuple[str, str, int]]:
-    for code, index in _EVENT.iter_unpack(blob):
-        op, region = table[code]
-        yield op, region, index
-
 
 def pack_writes(writes: Iterable[tuple[int, bytes]]) -> bytes:
     """One region's written slots as contiguous (index, length, bytes) runs."""
@@ -170,29 +149,27 @@ class RegionShard:
 class ShardResult:
     """What one worker task sends back for the deterministic merge.
 
-    Writes, appends, and trace events travel as packed blobs (see the
-    ``pack_*`` helpers): the transfer is a handful of contiguous byte
-    strings, however many slots the task touched.
+    Writes and appends travel as packed blobs (see the ``pack_*`` helpers)
+    and the trace as its columns (:meth:`repro.hardware.events.Trace.columns`):
+    the transfer is a handful of contiguous buffers, however many slots the
+    task touched.
     """
 
     value: Any
     writes: dict[str, bytes]                # region -> packed (index, len, data)
     appends: dict[str, bytes]               # region -> packed (len, data)
     append_bases: dict[str, int]
-    event_table: tuple[tuple[str, str], ...]
-    events: bytes                           # packed (table code, index)
+    events: tuple[tuple[tuple[str, str], ...], bytes, array]  # one trace run
     counters: dict[str, int]
 
     def payload_bytes(self) -> int:
         """Bytes of packed payload this result carries across the boundary."""
+        _, codes, indices = self.events
         return (
-            len(self.events)
+            len(codes) + indices.itemsize * len(indices)
             + sum(len(blob) for blob in self.writes.values())
             + sum(len(blob) for blob in self.appends.values())
         )
-
-    def iter_events(self) -> Iterator[tuple[str, str, int]]:
-        return unpack_events(self.event_table, self.events)
 
 
 def build_shards(host: HostMemory, io: TaskIO) -> dict[str, RegionShard]:

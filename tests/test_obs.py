@@ -358,3 +358,25 @@ class TestStreamingAtScale:
         # The full event list would be tens of MB; the streaming run must stay
         # far below that.  The bound is generous to absorb allocator noise.
         assert peak < 8 * 1024 * 1024, f"peak {peak} bytes"
+
+    def test_materialized_trace_is_columns_not_objects(self):
+        """A materialized Trace holds ~9 bytes an event (a code and an index),
+        where a list of AccessEvent tuples held over 100."""
+        import tracemalloc
+
+        events = 100_000
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        trace = Trace()
+        for start in range(0, events // 2, 1000):
+            for index in range(start, start + 1000):  # the scalar path ...
+                trace.record(GET if index % 3 else PUT, "A", index)
+        table, codes = ((GET, "scratch"), (PUT, "scratch")), b"\0\0\1\1" * 250
+        for start in range(0, events // 2, 1000):  # ... and the section path
+            trace.record_run(table, codes, range(start, start + 1000))
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+
+        assert len(trace) == events
+        assert held - before <= 16 * events, f"{(held - before) / events:.1f} bytes/event"
+        assert trace[events - 1] == AccessEvent(PUT, "scratch", events // 2 - 1)

@@ -9,6 +9,7 @@ concurrently running test processes cannot interfere.
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -23,6 +24,7 @@ from tests.test_parallel_exec import (
 
 from repro.errors import CoprocessorCrashError
 from repro.faults.plan import crash_plan
+from repro.hardware.events import Trace
 from repro.hardware.faulty import FaultyHost
 from repro.obs import MetricsRegistry, instrument_executor
 from repro.parallel import (
@@ -34,10 +36,8 @@ from repro.parallel import (
 )
 from repro.parallel.shard import (
     pack_appends,
-    pack_events,
     pack_writes,
     unpack_appends,
-    unpack_events,
     unpack_writes,
 )
 
@@ -71,14 +71,20 @@ def provider_identity(coprocessor, region, index):
 
 
 class TestPackedTransfers:
-    def test_events_round_trip(self):
+    def test_trace_columns_round_trip(self):
+        """A worker trace crosses the pool as its columns and merges as one run."""
         events = [("get", "A", 0), ("put", "B", 7), ("get", "A", 2 ** 40)]
-        table, blob = pack_events(events)
-        assert list(unpack_events(table, blob)) == events
+        worker = Trace()
+        for event in events * 10:
+            worker.record(*event)
+        table, codes, indices = pickle.loads(pickle.dumps(worker.columns()))
         # The table interns one entry per distinct (op, region) pair.
-        assert len(table) == 2
-        table2, _ = pack_events(events * 10)
-        assert table2 == table
+        assert table == (("get", "A"), ("put", "B"))
+        assert len(codes) == len(indices) == 30 and indices.itemsize == 8
+        parent = Trace()
+        parent.record("put", "B", 1)  # interned in another order than the worker
+        parent.record_run(table, codes, indices)
+        assert parent.events == [("put", "B", 1)] + events * 10
 
     def test_writes_round_trip(self):
         writes = [(0, b"abc"), (5, b""), (2 ** 33, b"\x00" * 17)]
