@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
 from repro.core.base import OUTPUT_REGION, JoinContext
-from repro.core.cartesian import upload_tables
+from repro.core.cartesian import scan_matches, upload_tables
 from repro.errors import ConfigurationError
 from repro.hardware.counters import TransferStats
 from repro.hardware.events import Trace
@@ -162,11 +162,9 @@ def aggregate_join(
 
     accumulators = [_Accumulator(spec) for spec in aggregates]
     with coprocessor.hold(2):  # one iTuple + the accumulator block
-        for logical in range(total):
-            records = reader.read(logical)
-            if predicate.satisfies(records):
-                for accumulator in accumulators:
-                    accumulator.feed(records)
+        for _, records in scan_matches(reader, range(total), predicate):
+            for accumulator in accumulators:
+                accumulator.feed(records)
         # One fixed-size output write, unconditionally (even for zero matches).
         payload = b"".join(
             struct.pack(">d", float(a.result() if a.result() is not None else 0.0))
@@ -212,13 +210,10 @@ def group_by_aggregate(
 
     accumulators = {g: _Accumulator(aggregate) for g in groups}
     with coprocessor.hold(2 + len(groups)):
-        for logical in range(total):
-            records = reader.read(logical)
-            if predicate.satisfies(records):
-                key = records[group_table][group_attr]
-                accumulator = accumulators.get(key)
-                if accumulator is not None:
-                    accumulator.feed(records)
+        for _, records in scan_matches(reader, range(total), predicate):
+            accumulator = accumulators.get(records[group_table][group_attr])
+            if accumulator is not None:
+                accumulator.feed(records)
         for group in groups:
             result = accumulators[group].result()
             payload = struct.pack(">d", float(result if result is not None else 0.0))

@@ -27,16 +27,47 @@ from repro.core.base import (
     make_real,
     multi_party_output_schema,
 )
-from repro.core.cartesian import joined_values, upload_tables
+from repro.core.cartesian import (
+    CartesianReader,
+    encode_joined,
+    scan_blocks,
+    upload_tables,
+)
 from repro.costs.filter_opt import optimal_delta
 from repro.errors import ConfigurationError
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
-from repro.relational.tuples import Record, TupleCodec
+from repro.relational.tuples import TupleCodec
 
 OTUPLE_REGION = "otuples"
+
+
+def scan_otuples(
+    reader: CartesianReader,
+    logicals: Sequence[int],
+    predicate: MultiPredicate,
+    out_codec: TupleCodec,
+) -> int:
+    """Algorithm 4's scan: one oTuple out per iTuple in, unconditionally.
+
+    Writes ``otuples[logical]`` for every logical index given — the join
+    result on a match, a decoy otherwise — and returns the number of real
+    results.  The caller holds the two enclave slots.
+    """
+    decoy = make_decoy(out_codec.record_size)
+    result_count = 0
+    for block in scan_blocks(reader, logicals, output=OTUPLE_REGION):
+        otuples = []
+        for _, records in block:
+            if predicate.satisfies(records):
+                otuples.append(make_real(encode_joined(out_codec, records)))
+                result_count += 1
+            else:
+                otuples.append(decoy)
+        block.write(otuples)
+    return result_count
 
 
 def algorithm4(
@@ -57,7 +88,6 @@ def algorithm4(
 
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
 
     reader = upload_tables(context, relations)
     total = len(reader.space)
@@ -68,18 +98,8 @@ def algorithm4(
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
 
-    # Scan: one oTuple out per iTuple in, unconditionally.
-    result_count = 0
     with profile.span("scan"), coprocessor.hold(2):
-        for logical in range(total):
-            records = reader.read(logical)
-            if predicate.satisfies(records):
-                payload = out_codec.encode(Record(out_schema, joined_values(records)))
-                plain = make_real(payload)
-                result_count += 1
-            else:
-                plain = make_decoy(payload_size)
-            coprocessor.put(OTUPLE_REGION, logical, plain)
+        result_count = scan_otuples(reader, range(total), predicate, out_codec)
 
     # Oblivious decoy removal: keep the S real results.
     chosen_delta = delta if delta is not None else optimal_delta(result_count, total)

@@ -34,12 +34,59 @@ from repro.core.base import (
     finish,
     multi_party_output_schema,
 )
-from repro.core.cartesian import joined_values, scan_blocks as _scan_blocks, upload_tables
+from repro.core.cartesian import (
+    CartesianReader,
+    encode_joined,
+    scan_blocks,
+    upload_tables,
+)
 from repro.errors import ConfigurationError
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
-from repro.relational.tuples import Record, TupleCodec
+from repro.relational.tuples import TupleCodec
+
+
+def rescan_output(
+    reader: CartesianReader,
+    predicate: MultiPredicate,
+    out_codec: TupleCodec,
+    memory: int,
+    known_result_size: int | None,
+    profile: PhaseProfile,
+) -> tuple[int, int]:
+    """Algorithm 5's scans (also Algorithm 6's salvage): ``(flushed, scans)``.
+
+    Every scan reads every iTuple whatever the data; a block that lies at or
+    before ``pindex``, or that starts after the buffer filled, has nothing to
+    store and is not decoded.
+    """
+    coprocessor = reader.coprocessor
+    flushed = 0
+    scans = 0
+    pindex = -1  # index of the last iTuple whose result has been flushed
+    while True:
+        buffer = coprocessor.buffer(memory)
+        lindex = pindex  # last index stored THIS scan
+        with profile.span("scan"), coprocessor.hold(1):
+            for block in scan_blocks(reader, range(len(reader.space))):
+                if buffer.full or block.logicals[-1] <= pindex:
+                    continue
+                for logical, records in block:
+                    if logical > pindex and not buffer.full and predicate.satisfies(records):
+                        buffer.append(encode_joined(out_codec, records))
+                        lindex = logical
+        scans += 1
+        was_full = buffer.full
+        with profile.span("flush"):
+            flushed += len(coprocessor.append_many(OUTPUT_REGION, buffer.drain()))
+        buffer.release()
+        pindex = lindex
+        if not was_full:
+            break  # every remaining result fit: nothing is left unflushed
+        if known_result_size is not None and flushed >= known_result_size:
+            break
+    return flushed, scans
 
 
 def algorithm5(
@@ -64,34 +111,8 @@ def algorithm5(
     context.allocate_output()
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
-    flushed = 0
-    scans = 0
-    pindex = -1  # index of the last iTuple whose result has been flushed
-    while True:
-        buffer = coprocessor.buffer(memory)
-        lindex = pindex  # last index stored THIS scan
-        with profile.span("scan"), coprocessor.hold(1):
-            # The scan always visits every iTuple (no data-dependent early
-            # exit), so the batched path may stream it in fixed-size blocks
-            # through the columnar codec — same per-slot trace either way.
-            for block in _scan_blocks(coprocessor, reader, total):
-                for logical, records in block:
-                    if logical > pindex and not buffer.full and predicate.satisfies(records):
-                        payload = out_codec.encode(
-                            Record(out_schema, joined_values(records))
-                        )
-                        buffer.append(payload)
-                        lindex = logical
-        scans += 1
-        was_full = buffer.full
-        with profile.span("flush"):
-            flushed += len(coprocessor.append_many(OUTPUT_REGION, buffer.drain()))
-        buffer.release()
-        pindex = lindex
-        if not was_full:
-            break  # every remaining result fit: nothing is left unflushed
-        if known_result_size is not None and flushed >= known_result_size:
-            break
+    flushed, scans = rescan_output(
+        reader, predicate, out_codec, memory, known_result_size, profile)
 
     expected_scans = (
         max(1, math.ceil(known_result_size / memory))

@@ -218,33 +218,18 @@ def compute_n_exactly(
     """
     coprocessor = context.coprocessor
     best = 0
-    if coprocessor.batched_hot_path:
-        # Same G(A,i), G(B,0..m-1) event sequence, but each inner pass is one
-        # ranged read and the B records are decoded once per pass columnarly.
-        right_batch = BatchCodec(right_codec.schema)
-        b_records = None
-        with coprocessor.hold(2):
-            for i in range(left_size):
-                a = left_codec.decode(coprocessor.get(left_region, i))
-                payloads = coprocessor.get_range(right_region, 0, right_size)
-                if b_records is None:
-                    # B is never written during the scan, so the decoded
-                    # records from the first pass stay valid for every pass.
-                    b_records = right_batch.decode_rows(payloads)
-                matches = sum(
-                    1 for b in b_records if predicate.matches(a, b)
-                )
-                best = max(best, matches)
-        return best
+    # Each inner pass is one ranged read (served slot by slot by a host
+    # without the ranged surface) and the B records are decoded once: B is
+    # never written during the scan, so the first pass's stay valid.
+    right_batch = BatchCodec(right_codec.schema)
+    b_records = None
     with coprocessor.hold(2):
         for i in range(left_size):
             a = left_codec.decode(coprocessor.get(left_region, i))
-            matches = 0
-            for j in range(right_size):
-                b = right_codec.decode(coprocessor.get(right_region, j))
-                if predicate.matches(a, b):
-                    matches += 1
-            best = max(best, matches)
+            payloads = coprocessor.get_range(right_region, 0, right_size)
+            if b_records is None:
+                b_records = right_batch.decode_rows(payloads)
+            best = max(best, sum(1 for b in b_records if predicate.matches(a, b)))
     return best
 
 

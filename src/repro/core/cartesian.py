@@ -15,10 +15,14 @@ difference recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from array import array
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.events import GET, PUT
 from repro.relational.batch import BatchCodec
 from repro.relational.relation import Relation
 from repro.relational.tuples import Record, TupleCodec
@@ -78,15 +82,15 @@ class CartesianReader:
     ) -> None:
         if not len(regions) == len(codecs) == len(space.sizes):
             raise ConfigurationError("regions, codecs and space arity must agree")
-        self._coprocessor = coprocessor
-        self._regions = tuple(regions)
-        self._codecs = tuple(codecs)
+        self.coprocessor = coprocessor
+        self.regions = tuple(regions)
+        self.codecs = tuple(codecs)
         self._batch_codecs = tuple(BatchCodec(codec.schema) for codec in codecs)
+        #: Per table, plaintext -> decoded record: a component tuple is decoded
+        #: once per reader however many product rows repeat it.  The inputs
+        #: are never rewritten during a join, so table i holds at most |Xi|.
+        self._records: tuple[dict[bytes, Record], ...] = tuple({} for _ in regions)
         self.space = space
-
-    @property
-    def tables(self) -> int:
-        return len(self._regions)
 
     def read(self, logical: int) -> tuple[Record, ...]:
         """Fetch and decode the component records of one iTuple.
@@ -97,68 +101,138 @@ class CartesianReader:
         but only physically decrypted on first touch.
         """
         components = self.space.decompose(logical)
-        plains = self._coprocessor.get_many(
-            tuple(zip(self._regions, components))
+        plains = self.coprocessor.get_many(
+            tuple(zip(self.regions, components))
         )
         return tuple(
-            codec.decode(plain) for codec, plain in zip(self._codecs, plains)
+            codec.decode(plain) for codec, plain in zip(self.codecs, plains)
         )
 
-    def read_batch(self, logicals: Sequence[int]) -> list[tuple[Record, ...]]:
-        """Fetch and decode a block of iTuples in one boundary call.
+    def gather(self, logicals: Sequence[int], output: str | None) -> "ScanBlock":
+        """One vectorized block of :func:`scan_blocks`.
 
-        The slot list interleaves the J component gets of each logical index
-        in order, so the trace is the exact event sequence of per-iTuple
-        :meth:`read` calls; decoding happens columnarly per table and only
-        once per *distinct* payload — a cartesian block repeats each
-        component tuple with its mixed-radix stride, so this removes almost
-        all of the block's decode work.
+        Row k reads slot ``(logicals[k] // stride) % size`` of each table;
+        each table's *distinct* slots are gathered once.  A read-only block is
+        settled here, a writing one by its ``write``, after the scatter.
         """
-        decomposed = [self.space.decompose(logical) for logical in logicals]
-        slots: list[tuple[str, int]] = []
-        regions = self._regions
-        for components in decomposed:
-            slots.extend(zip(regions, components))
-        plains = self._coprocessor.get_many(slots)
-        tables = len(regions)
-        decoded = [
-            batch_codec.decode_unique(plains[table::tables])
-            for table, batch_codec in enumerate(self._batch_codecs)
+        if min(logicals) < 0 or max(logicals) >= self.space.total:
+            raise ConfigurationError(
+                f"logical indices must lie in [0, {self.space.total})")
+        coprocessor = self.coprocessor
+        columns = [
+            [(logical // stride) % size for logical in logicals]
+            for stride, size in zip(self.space.strides, self.space.sizes)
         ]
-        return [
-            tuple(
-                decoded[table][plains[row * tables + table]]
-                for table in range(tables)
-            )
-            for row in range(len(decomposed))
-        ]
+        gathered = []
+        for region, column in zip(self.regions, columns):
+            distinct = list(dict.fromkeys(column))
+            gathered.append((distinct, coprocessor.gather_slots(region, distinct)))
+
+        def rows():
+            components = []
+            for memo, codec, column, (distinct, plains) in zip(
+                    self._records, self._batch_codecs, columns, gathered):
+                memo.update(codec.decode_unique(
+                    plain for plain in plains if plain not in memo))
+                by_slot = dict(zip(distinct, map(memo.__getitem__, plains)))
+                components.append(map(by_slot.__getitem__, column))
+            return zip(*components)
+
+        table = [(GET, region) for region in self.regions]
+        declared = list(columns)
+        if output is not None:
+            table.append((PUT, output))
+            declared.append(logicals)
+
+        def settle() -> None:
+            coprocessor.charge_boundary(
+                table, bytes(range(len(table))) * len(logicals),
+                array("q", chain.from_iterable(zip(*declared))))
+
+        if output is None:
+            settle()
+            return ScanBlock(logicals, rows)
+
+        def write(otuples: Sequence[bytes]) -> None:
+            coprocessor.scatter_slots(output, logicals, otuples)
+            settle()
+
+        return ScanBlock(logicals, rows, write)
 
 
-#: Logical rows per batched boundary call when streaming full product scans.
+#: Most logical rows one block of a cartesian pass gathers and settles.
 SCAN_BLOCK = 256
 
 
-def scan_blocks(
-    coprocessor: SecureCoprocessor,
-    reader: CartesianReader,
-    total: int,
-    block: int = SCAN_BLOCK,
-):
-    """Yield ``[(logical, records), ...]`` blocks covering ``range(total)``.
+@dataclass(slots=True)
+class ScanBlock:
+    """One block of a cartesian pass: its ``logicals``, and ``(logical,
+    records)`` per row on iteration — decoding happens there, so a block the
+    caller skips costs its gather and its ledger only.  A pass with an output
+    region hands the block's oTuples, in row order, to ``write``."""
 
-    On the batched hot path each block is one :meth:`CartesianReader.read_batch`
-    call; otherwise blocks are singletons read scalarly.  Only valid for scans
-    with no data-dependent early exit — a caller that may ``break`` mid-scan
-    (Algorithm 6's blemish-interruptible pass) must read tuple by tuple, since
-    a batch pre-read past the break point would change the trace.
+    logicals: Sequence[int]
+    rows: Callable[[], Iterable[tuple[Record, ...]]]
+    write: Callable[[Sequence[bytes]], None] | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[Record, ...]]]:
+        return zip(self.logicals, self.rows())
+
+
+def scan_blocks(
+    reader: CartesianReader,
+    logicals: Sequence[int],
+    output: str | None = None,
+    room: Callable[[], int] | None = None,
+) -> Iterator[ScanBlock]:
+    """The cartesian pass: visit the iTuples at ``logicals``, in that order.
+
+    The one scan body of Algorithms 4/5/6, their parallel shares and the
+    aggregation scans.  ``logicals`` is any sequence — a ``range``, a slice
+    of the LFSR order.  With ``output``, row k also writes
+    ``output[logicals[k]]`` from the oTuples the caller hands to
+    :attr:`ScanBlock.write` before asking for the next block.  The declared
+    events are ``G(X0) .. G(XJ-1) [P(output)]`` per row either way:
+
+    * **vectorized** (``batched_hot_path``) — up to :data:`SCAN_BLOCK` rows
+      are one gather per table, one scatter when the pass writes, and one
+      ``charge_boundary`` whose interleaved index column is the scalar event
+      sequence;
+    * **scalar** (``batched_io=False``, adversary hosts, cache off) — the
+      reference: one :meth:`CartesianReader.read`, and one ``put``, per row.
+
+    A pass that may stop on a data-dependent condition passes ``room``: how
+    many more matching rows the caller can take before it would stop.  A
+    block then holds at most ``max(1, room())`` rows, so no stop can fall
+    inside a block of more than one row: every slot a block gathers is one
+    the scalar pass reads too.
     """
-    if coprocessor.batched_hot_path:
-        for start in range(0, total, block):
-            logicals = range(start, min(start + block, total))
-            yield list(zip(logicals, reader.read_batch(logicals)))
-    else:
-        for logical in range(total):
-            yield [(logical, reader.read(logical))]
+    coprocessor = reader.coprocessor
+    if not coprocessor.batched_hot_path:
+        for logical in logicals:
+            yield ScanBlock(
+                (logical,), (reader.read(logical),).__iter__,
+                lambda otuples, logical=logical: coprocessor.put(output, logical, otuples[0]))
+        return
+    position = 0
+    while position < len(logicals):
+        size = SCAN_BLOCK if room is None else max(1, min(SCAN_BLOCK, room()))
+        chunk = logicals[position:position + size]
+        position += len(chunk)
+        yield reader.gather(chunk, output)
+
+
+def scan_matches(
+    reader: CartesianReader,
+    logicals: Sequence[int],
+    predicate,
+    room: Callable[[], int] | None = None,
+) -> Iterator[tuple[int, tuple[Record, ...]]]:
+    """The ``(logical, records)`` rows of a read-only pass satisfying ``predicate``."""
+    for block in scan_blocks(reader, logicals, room=room):
+        for row in block:
+            if predicate.satisfies(row[1]):
+                yield row
 
 
 def upload_tables(context, relations: Sequence[Relation]) -> CartesianReader:
@@ -176,3 +250,8 @@ def upload_tables(context, relations: Sequence[Relation]) -> CartesianReader:
 def joined_values(records: Sequence[Record]) -> tuple:
     """Concatenated value tuple of an iTuple's component records."""
     return tuple(v for record in records for v in record.values)
+
+
+def encode_joined(out_codec: TupleCodec, records: Sequence[Record]) -> bytes:
+    """An iTuple's joined record, encoded as an oTuple payload."""
+    return out_codec.encode(Record(out_codec.schema, joined_values(records)))

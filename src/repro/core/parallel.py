@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.algorithm4 import scan_otuples
+from repro.core.algorithm6 import pad_segment, scan_segment
 from repro.core.base import (
     JoinContext,
     decoy_priority,
@@ -45,7 +47,13 @@ from repro.core.base import (
     multi_party_output_schema,
     two_party_output_schema,
 )
-from repro.core.cartesian import CartesianReader, CartesianSpace, joined_values
+from repro.core.cartesian import (
+    CartesianReader,
+    encode_joined,
+    scan_blocks,
+    scan_matches,
+    upload_tables,
+)
 from repro.costs.filter_opt import optimal_delta
 from repro.errors import BlemishError, ConfigurationError
 from repro.hardware.cluster import Cluster
@@ -88,13 +96,17 @@ class ParallelJoinResult:
 
 
 def _upload_multi(context: JoinContext, relations: Sequence[Relation]):
-    regions, codecs = [], []
-    for i, relation in enumerate(relations):
-        region = f"X{i}"
-        codecs.append(context.upload_relation(region, relation))
-        regions.append(region)
-    space = CartesianSpace([len(r) for r in relations])
-    return regions, codecs, space
+    """Upload the tables; returns what any coprocessor needs to read their
+    product: the ``CartesianReader`` arguments after the coprocessor."""
+    reader = upload_tables(context, relations)
+    return reader.regions, reader.codecs, reader.space
+
+
+def _screen(coordinator, tables, predicate, profile) -> int:
+    """The coordinator's screening pass: learn S, write nothing."""
+    reader = CartesianReader(coordinator, *tables)
+    with profile.span("screen"), coordinator.hold(1):
+        return sum(1 for _ in scan_matches(reader, range(len(reader.space)), predicate))
 
 
 def _span(profile: PhaseProfile | None, name: str):
@@ -207,40 +219,21 @@ def _alg4_scan_share(
     index_range: range,
     worker: int,
     *,
-    regions: Sequence[str],
-    codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    tables: tuple,
     predicate: MultiPredicate,
-    out_schema,
     out_codec: TupleCodec,
-    payload_size: int,
 ) -> int:
     """One coprocessor's Algorithm 4 share; returns its real-result count."""
-    space = CartesianSpace(sizes)
-    reader = CartesianReader(coprocessor, regions, codecs, space)
-    count = 0
+    reader = CartesianReader(coprocessor, *tables)
     with coprocessor.hold(2):
-        for logical in index_range:
-            records = reader.read(logical)
-            if predicate.satisfies(records):
-                plain = make_real(
-                    out_codec.encode(Record(out_schema, joined_values(records)))
-                )
-                count += 1
-            else:
-                plain = make_decoy(payload_size)
-            coprocessor.put("otuples", logical, plain)
-    return count
+        return scan_otuples(reader, index_range, predicate, out_codec)
 
 
 def _alg5_scan_share(
     coprocessor,
     *,
-    regions: Sequence[str],
-    codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    tables: tuple,
     predicate: MultiPredicate,
-    out_schema,
     out_codec: TupleCodec,
     memory: int,
     lo: int,
@@ -248,42 +241,33 @@ def _alg5_scan_share(
     profile: PhaseProfile | None = None,
 ) -> None:
     """One coprocessor's Algorithm 5 share: emit result ordinals [lo, hi)."""
-    space = CartesianSpace(sizes)
-    total = len(space)
-    reader = CartesianReader(coprocessor, regions, codecs, space)
+    reader = CartesianReader(coprocessor, *tables)
+    total = len(reader.space)
     scans = max(1, math.ceil((hi - lo) / memory))
     emitted = lo
     pending = coprocessor.buffer(memory)
     with coprocessor.hold(1):
         for _ in range(scans):
             ordinal = 0
-            for logical in range(total):
-                records = reader.read(logical)
-                if predicate.satisfies(records):
-                    if emitted <= ordinal < hi and not pending.full:
-                        pending.append(
-                            out_codec.encode(
-                                Record(out_schema, joined_values(records))
-                            )
-                        )
-                    ordinal += 1
+            for block in scan_blocks(reader, range(total)):
+                if pending.full or ordinal >= hi:
+                    continue  # nothing left to store this scan: read, not decoded
+                for _logical, records in block:
+                    if predicate.satisfies(records):
+                        if emitted <= ordinal < hi and not pending.full:
+                            pending.append(encode_joined(out_codec, records))
+                        ordinal += 1
             with _span(profile, "flush"):
-                for payload in pending.drain():
-                    coprocessor.put_append("output", payload)
-                    emitted += 1
+                emitted += len(coprocessor.append_many("output", pending.drain()))
     pending.release()
 
 
 def _alg6_scan_share(
     coprocessor,
     *,
-    regions: Sequence[str],
-    codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    tables: tuple,
     predicate: MultiPredicate,
-    out_schema,
     out_codec: TupleCodec,
-    payload_size: int,
     positions: Sequence[int],
     first_segment: int,
     last_segment: int,
@@ -293,30 +277,17 @@ def _alg6_scan_share(
 ) -> bool:
     """One coprocessor's Algorithm 6 share: its range of random-order
     segments.  Returns True when a segment blemished (overflowed M)."""
-    space = CartesianSpace(sizes)
-    reader = CartesianReader(coprocessor, regions, codecs, space)
+    reader = CartesianReader(coprocessor, *tables)
     buffer = coprocessor.buffer(memory)
     blemish = False
     with coprocessor.hold(1):
         for seg in range(first_segment, last_segment):
             offset = (seg - first_segment) * n_star
-            for logical in positions[offset:offset + n_star]:
-                records = reader.read(logical)
-                if predicate.satisfies(records):
-                    if buffer.full:
-                        blemish = True
-                        break
-                    buffer.append(
-                        out_codec.encode(Record(out_schema, joined_values(records)))
-                    )
+            blemish = scan_segment(
+                reader, positions[offset:offset + n_star], predicate, out_codec, buffer)
             with _span(profile, "flush"):
-                slot = seg * memory
-                for plain_payload in buffer.drain():
-                    coprocessor.put("psegments", slot, make_real(plain_payload))
-                    slot += 1
-                while slot < (seg + 1) * memory:
-                    coprocessor.put("psegments", slot, make_decoy(payload_size))
-                    slot += 1
+                coprocessor.put_range("psegments", seg * memory, pad_segment(
+                    buffer.drain(), memory, out_codec.record_size))
             if blemish:
                 break
     buffer.release()
@@ -469,8 +440,7 @@ def parallel_algorithm4(
     """Algorithm 4 with the iTuples partitioned across the cluster."""
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
-    regions, codecs, space = _upload_multi(context, relations)
+    tables = regions, _, space = _upload_multi(context, relations)
     total = len(space)
     context.host.allocate("otuples", total)
     output = context.allocate_output()
@@ -479,9 +449,7 @@ def parallel_algorithm4(
 
     work = partial(
         _alg4_scan_share,
-        regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-        predicate=predicate, out_schema=out_schema, out_codec=out_codec,
-        payload_size=payload_size,
+        tables=tables, predicate=predicate, out_codec=out_codec,
     )
 
     with profile.span("scan"):
@@ -565,20 +533,13 @@ def parallel_algorithm5(
     """
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    regions, codecs, space = _upload_multi(context, relations)
-    total = len(space)
+    tables = regions, _, _ = _upload_multi(context, relations)
     context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
 
     # Screening by the coordinator (T0).
-    coordinator = cluster[0]
-    reader0 = CartesianReader(coordinator, regions, codecs, space)
-    result_count = 0
-    with profile.span("screen"), coordinator.hold(1):
-        for logical in range(total):
-            if predicate.satisfies(reader0.read(logical)):
-                result_count += 1
+    result_count = _screen(cluster[0], tables, predicate, profile)
 
     share = math.ceil(result_count / len(cluster)) if result_count else 0
 
@@ -587,8 +548,7 @@ def parallel_algorithm5(
         if lo >= hi:
             return None
         return dict(
-            regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-            predicate=predicate, out_schema=out_schema, out_codec=out_codec,
+            tables=tables, predicate=predicate, out_codec=out_codec,
             memory=memory, lo=lo, hi=hi,
         )
 
@@ -656,21 +616,14 @@ def parallel_algorithm6(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
-    regions, codecs, space = _upload_multi(context, relations)
+    tables = regions, _, space = _upload_multi(context, relations)
     total = len(space)
     output = context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
 
     # Screening by the coordinator to learn S (no writes).
-    coordinator = cluster[0]
-    reader0 = CartesianReader(coordinator, regions, codecs, space)
-    result_count = 0
-    with profile.span("screen"), coordinator.hold(1):
-        for logical in range(total):
-            if predicate.satisfies(reader0.read(logical)):
-                result_count += 1
+    result_count = _screen(cluster[0], tables, predicate, profile)
 
     n_star = segment_size if segment_size is not None else optimal_segment_size(
         total, result_count, memory, epsilon
@@ -690,9 +643,7 @@ def parallel_algorithm6(
         if first_segment >= last_segment:
             return None
         return dict(
-            regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-            predicate=predicate, out_schema=out_schema, out_codec=out_codec,
-            payload_size=payload_size,
+            tables=tables, predicate=predicate, out_codec=out_codec,
             positions=order[first_segment * n_star:last_segment * n_star],
             first_segment=first_segment, last_segment=last_segment,
             n_star=n_star, memory=memory,

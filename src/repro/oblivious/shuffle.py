@@ -12,6 +12,7 @@ import random
 import struct
 
 from repro.hardware.coprocessor import SecureCoprocessor
+from repro.oblivious.expand import oblivious_transform_copy
 from repro.oblivious.sort import oblivious_sort
 
 _KEY_BYTES = 8
@@ -29,16 +30,12 @@ def oblivious_shuffle(
     if host.has_region(scratch_region):
         host.free(scratch_region)
     host.allocate(scratch_region, size)
-    with coprocessor.hold(1):
-        # Tag: read each tuple, prepend a random sort key, write to scratch.
-        for i in range(size):
-            plain = coprocessor.get(region, i)
-            tag = struct.pack(">Q", rng.getrandbits(64))
-            coprocessor.put(scratch_region, i, tag + plain)
+    # Tag: read each tuple, prepend a random sort key, write to scratch.
+    oblivious_transform_copy(
+        coprocessor, region, 0, scratch_region, 0, size,
+        lambda _, plain: struct.pack(">Q", rng.getrandbits(64)) + plain)
     oblivious_sort(coprocessor, scratch_region, size, key=lambda p: p[:_KEY_BYTES])
-    with coprocessor.hold(1):
-        # Strip: move the permuted tuples back without their tags.
-        for i in range(size):
-            tagged = coprocessor.get(scratch_region, i)
-            coprocessor.put(region, i, tagged[_KEY_BYTES:])
+    # Strip: move the permuted tuples back without their tags.
+    oblivious_transform_copy(coprocessor, scratch_region, 0, region, 0, size,
+                             lambda _, tagged: tagged[_KEY_BYTES:])
     host.free(scratch_region)

@@ -85,3 +85,345 @@ class TestCartesianReader:
         context = fresh_context()
         reader = upload_tables(context, [a, b])
         assert joined_values(reader.read(0)) == (1, 2, 3, 4)
+
+
+# --- the cartesian pass: vectorized blocks against the scalar reference -------
+#
+# ``scan_blocks`` is the one scan body of Algorithms 4/5/6.  On the batched
+# hot path a block is one gather per table, an optional scatter and one
+# declared section; with ``batched_io=False`` it is the scalar reference, one
+# ``reader.read`` (and one ``put``) per row.  Nothing observable may tell the
+# two apart.
+
+import random
+from collections import Counter
+
+from repro.core.algorithm4 import OTUPLE_REGION, algorithm4, scan_otuples
+from repro.core.algorithm5 import algorithm5
+from repro.core.algorithm6 import algorithm6
+from repro.core.base import JoinContext, decoy_priority, multi_party_output_schema
+from repro.core.cartesian import SCAN_BLOCK, scan_blocks, scan_matches
+from repro.core.parallel import parallel_algorithm6
+from repro.crypto.mlfsr import RandomOrder
+from repro.crypto.provider import FastProvider, NullProvider, OcbProvider
+from repro.errors import AuthenticationError, BlemishError
+from repro.hardware.cluster import Cluster
+from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.counters import TransferStats
+from repro.hardware.host import HostMemory
+from repro.oblivious.filterbuf import oblivious_filter
+from repro.relational.generate import equijoin_workload
+from repro.relational.predicates import BinaryAsMulti, CustomMulti, Equality
+from repro.relational.tuples import TupleCodec
+
+from tests.conftest import KEY
+from tests.test_trace_columns import CountingTrace
+
+PROVIDERS = [FastProvider, OcbProvider, NullProvider]
+EQUAL_KEYS = CustomMulti(lambda records: len({r["key"] for r in records}) == 1)
+
+#: Table sizes: J in {1, 2, 3}; n = 1; L below, above and not a multiple of
+#: SCAN_BLOCK; 17 x 17 puts a left-row change (and a block edge) mid-block.
+SHAPES = [(5,), (300,), (1, 1), (17, 17), (3, 4, 5), (7, 6, 7)]
+
+
+def tables(sizes, seed=0):
+    rng = random.Random(seed)
+    return [keyed(f"T{t}", [(rng.randrange(4), rng.randrange(100)) for _ in range(n)])
+            for t, n in enumerate(sizes)]
+
+
+def context_on(host, provider, batched, coprocessor_class=SecureCoprocessor,
+               trace_factory=None):
+    coprocessor = coprocessor_class(host, provider, batched_io=batched,
+                                    trace_factory=trace_factory)
+    return JoinContext(host=host, coprocessor=coprocessor, provider=provider)
+
+
+def plain_image(context):
+    """Every host region, decrypted: what the two runs must agree on."""
+    host, provider = context.host, context.provider
+    return {name: [None if cell is None else provider.decrypt(cell)
+                   for cell in host.region_bytes(name)]
+            for name in host.region_names()}
+
+
+def run_pass(sizes, provider, batched, order, output):
+    """One pass over ``order`` (None = every index in turn), marking matches."""
+    context = context_on(HostMemory(), provider(KEY), batched)
+    reader = upload_tables(context, tables(sizes))
+    total = len(reader.space)
+    logicals = range(total) if order is None else order(total)
+    if output is not None:
+        context.host.allocate(output, total)
+    seen = []
+    for block in scan_blocks(reader, logicals, output=output):
+        rows = list(block)
+        seen.extend((logical, tuple(r.values for r in records))
+                    for logical, records in rows)
+        if output is not None:
+            block.write([bytes([EQUAL_KEYS.satisfies(records)]) * 3
+                         for _, records in rows])
+    return context, seen
+
+
+def lfsr_slice(total):
+    """A non-contiguous stretch of the LFSR order, as Algorithm 6 walks it."""
+    order = RandomOrder(total, seed=3).permutation()
+    return order[total // 5:]
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("output", [None, "marks"])
+@pytest.mark.parametrize("order", [None, lfsr_slice], ids=["range", "lfsr"])
+@pytest.mark.parametrize("sizes", SHAPES, ids=str)
+def test_vectorized_pass_is_the_scalar_pass(sizes, order, output, provider):
+    (scalar, rows_scalar), (batched, rows_batched) = (
+        run_pass(sizes, provider, flag, order, output) for flag in (False, True))
+    assert batched.coprocessor.batched_hot_path and not scalar.coprocessor.batched_hot_path
+    assert rows_batched == rows_scalar
+    s, b = scalar.coprocessor, batched.coprocessor
+    assert b.trace == s.trace
+    assert b.trace.fingerprint() == s.trace.fingerprint()
+    assert TransferStats.from_trace(b.trace) == TransferStats.from_trace(s.trace)
+    assert (b.decryptions, b.encryptions, b.ops_completed) == (
+        s.decryptions, s.encryptions, s.ops_completed)
+    assert (b.physical_decryptions, b.cache_hits) == (s.physical_decryptions, s.cache_hits)
+    assert b.physical_decryptions + b.cache_hits == b.decryptions
+    assert plain_image(batched) == plain_image(scalar)
+    assert s.batched_ops == 0 and b.batched_ops > 0
+
+
+def test_blocks_follow_scan_block_and_the_row_layout():
+    """289 rows of 17 x 17: one full block, then the 33-row remainder; the
+    first block crosses fifteen left-row changes and stops inside a left row."""
+    context = context_on(HostMemory(), FastProvider(KEY), True)
+    reader = upload_tables(context, tables((17, 17)))
+    blocks = [block.logicals for block in scan_blocks(reader, range(289))]
+    assert [len(b) for b in blocks] == [SCAN_BLOCK, 289 - SCAN_BLOCK]
+    assert blocks[0][-1] // 17 == blocks[1][0] // 17 == 15  # same left row
+    with pytest.raises(ConfigurationError):
+        next(scan_blocks(reader, [288, 289]))
+
+
+def run_algorithm(name, batched, wl, provider=FastProvider, **kwargs):
+    context = JoinContext.fresh(provider=provider(KEY), batched_io=batched)
+    runner = {"algorithm4": algorithm4, "algorithm5": algorithm5,
+              "algorithm6": algorithm6}[name]
+    out = runner(context, [wl.left, wl.right], BinaryAsMulti(Equality("key")), **kwargs)
+    return out, context.coprocessor
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("algorithm4", {}),
+    ("algorithm5", {"memory": 2}),
+    ("algorithm6", {"memory": 2, "epsilon": 1e-6}),
+])
+@pytest.mark.parametrize("shape", [(1, 1, 0), (1, 1, 1), (17, 17, 0), (17, 17, 9)],
+                         ids=["n1-S0", "n1-S1", "S0", "S9"])
+def test_algorithms_at_the_edges_agree_with_the_scalar_reference(name, kwargs, shape):
+    left, right, results = shape
+    wl = equijoin_workload(left, right, results, rng=random.Random(5))
+    (scalar, t_scalar), (batched, t_batched) = (
+        run_algorithm(name, flag, wl, **kwargs) for flag in (False, True))
+    assert len(batched.result) == results
+    assert list(batched.result) == list(scalar.result)
+    assert batched.trace == scalar.trace
+    assert batched.stats == scalar.stats
+    assert (t_batched.physical_decryptions, t_batched.cache_hits) == (
+        t_scalar.physical_decryptions, t_scalar.cache_hits)
+    assert t_batched.peak_in_use == t_scalar.peak_in_use
+
+
+@pytest.mark.parametrize("provider", PROVIDERS, ids=lambda p: p.__name__)
+def test_tampered_input_slot_aborts_the_block_before_anything_is_emitted(provider):
+    context = context_on(HostMemory(), provider(KEY), True)
+    reader = upload_tables(context, tables((17, 17)))
+    context.host.allocate("marks", 289)
+    cell = bytearray(context.host.read_slot("X1", 11))
+    cell[len(cell) // 2] ^= 0x01
+    context.host.write_slot("X1", 11, bytes(cell))
+    with pytest.raises(AuthenticationError):
+        for block in scan_blocks(reader, range(289), output="marks"):
+            block.write([b"\x00"] * len(block.logicals))
+    assert len(context.coprocessor.trace) == 0
+    assert context.host.region_bytes("marks") == [None] * 289
+    assert context.coprocessor.encryptions == 0
+
+
+# --- a data-dependent stop never pre-reads -------------------------------------
+
+class ReadLoggingHost(HostMemory):
+    """Honest ranged storage that logs every physical slot read, and every
+    region allocation as a phase marker."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def allocate(self, name, size):
+        self.log.append(("allocate", name))
+        super().allocate(name, size)
+
+    def read_slot(self, name, index):
+        self.log.append((name, index))
+        return super().read_slot(name, index)
+
+    def reads_between(self, start_marker, stop_marker):
+        """Input-table reads after the last ``start_marker`` allocation and
+        before the next ``stop_marker`` one (or the end of the log)."""
+        start = len(self.log) - 1 - self.log[::-1].index(("allocate", start_marker))
+        rest = self.log[start + 1:]
+        if ("allocate", stop_marker) in rest:
+            rest = rest[:rest.index(("allocate", stop_marker))]
+        return Counter(entry for entry in rest if entry[0].startswith("X"))
+
+
+def blemishing_workload():
+    """16 x 16 over four key values, about 64 results: at M = 1 the second
+    match of a segment blemishes it, a handful of rows in."""
+    relations = tables((16, 16), seed=9)
+    results = sum(a["key"] == b["key"] for a in relations[0] for b in relations[1])
+    assert results > 32
+    return relations, results
+
+
+class TestNoPreRead:
+    def sequential(self, batched, salvage):
+        relations, results = blemishing_workload()
+        host = ReadLoggingHost()
+        context = context_on(host, FastProvider(KEY), batched)
+        def run():
+            return algorithm6(
+                context, relations, BinaryAsMulti(Equality("key")), memory=1,
+                segment_size=256, salvage=salvage, known_result_size=results)
+
+        if salvage == "raise":
+            with pytest.raises(BlemishError):
+                run()
+            trace = context.coprocessor.trace
+        else:
+            out = run()
+            assert out.meta["blemish"] and len(out.result) == results
+            trace = out.trace
+        # One-pass mode has no screening scan: the random pass is everything
+        # between allocating the segment region and (salvage) the new output.
+        return host.reads_between("segments", "output"), trace
+
+    @pytest.mark.parametrize("salvage", ["raise", "algorithm5"])
+    def test_sequential_random_pass_reads_nothing_past_the_break(self, salvage):
+        scalar_reads, scalar_trace = self.sequential(False, salvage)
+        batched_reads, batched_trace = self.sequential(True, salvage)
+        assert batched_trace == scalar_trace
+        # The break came early: most input slots were never touched ...
+        assert len(scalar_reads) < 32 and sum(scalar_reads.values()) < 64
+        # ... and the batched pass read no slot the scalar pass did not, nor
+        # any slot more often.
+        assert batched_reads and not batched_reads - scalar_reads
+
+    def share(self, batched):
+        relations, _ = blemishing_workload()
+        host = ReadLoggingHost()
+        provider = FastProvider(KEY)
+        context = context_on(host, provider, batched)
+        cluster = Cluster(host, provider, count=2, batched_io=batched)
+        with pytest.raises(BlemishError):
+            parallel_algorithm6(context, cluster, relations,
+                                BinaryAsMulti(Equality("key")), memory=1,
+                                segment_size=128)
+        # The coordinator's screen reads every slot; the shares run after the
+        # segment region is allocated.
+        return host.reads_between("psegments", "output"), [t.trace for t in cluster]
+
+    def test_parallel_share_reads_nothing_past_the_break(self):
+        scalar_reads, scalar_traces = self.share(False)
+        batched_reads, batched_traces = self.share(True)
+        assert batched_traces == scalar_traces
+        assert len(scalar_reads) < 32
+        assert batched_reads and not batched_reads - scalar_reads
+
+    def test_room_bounds_every_block(self):
+        """A block never holds more rows than the caller has room for matches,
+        so the stop can only fall in a block of one row."""
+        context = context_on(HostMemory(), FastProvider(KEY), True)
+        reader = upload_tables(context, tables((17, 17)))
+        room = [5]
+        sizes = []
+        for block in scan_blocks(reader, range(289), room=lambda: room[0]):
+            sizes.append(len(block.logicals))
+            room[0] = max(0, room[0] - 2)
+        assert sizes[:4] == [5, 3, 1, 1] and set(sizes[2:]) == {1}
+        assert sum(sizes) == 289
+
+
+# --- regression guards: the saving, without reading a clock ---------------------
+
+class CountingProvider(FastProvider):
+    def __init__(self, key):
+        super().__init__(key)
+        self.scalar_encrypts = 0
+        self.batch_encrypts = 0
+
+    def encrypt(self, plaintext):
+        self.scalar_encrypts += 1
+        return super().encrypt(plaintext)
+
+    def encrypt_many(self, plaintexts):
+        self.batch_encrypts += 1
+        return super().encrypt_many(plaintexts)
+
+
+class GatherCountingCoprocessor(SecureCoprocessor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gathers = []
+
+    def gather_slots(self, region, indices):
+        self.gathers.append((region, list(indices)))
+        return super().gather_slots(region, indices)
+
+
+class TestTheScanIsOneSectionPerBlock:
+    def test_algorithm4_scan_is_nine_runs_and_nine_batch_encrypts(self):
+        wl = equijoin_workload(48, 48, 48, rng=random.Random(5))
+        provider = CountingProvider(KEY)
+        context = context_on(HostMemory(), provider, True, trace_factory=CountingTrace)
+        relations = [wl.left, wl.right]
+        reader = upload_tables(context, relations)
+        total = len(reader.space)
+        context.host.allocate(OTUPLE_REGION, total)
+        provider.batch_encrypts = 0  # the uploads
+        blocks = -(-total // SCAN_BLOCK)
+        assert blocks == 9
+
+        found = scan_otuples(reader, range(total), BinaryAsMulti(Equality("key")),
+                             TupleCodec(multi_party_output_schema(relations)))
+        assert found == 48
+        trace = context.coprocessor.trace
+        assert (trace.runs, trace.singles) == (blocks, 0)
+        assert len(trace) == 3 * total
+        assert (provider.batch_encrypts, provider.scalar_encrypts) == (blocks, 0)
+
+        oblivious_filter(context.coprocessor, OTUPLE_REGION, total, keep=found,
+                         delta=16, priority=decoy_priority)
+        assert provider.scalar_encrypts == 0
+        assert context.coprocessor.trace.singles == 0
+
+    def test_algorithm5_scan_gathers_each_distinct_slot_once_per_block(self):
+        wl = equijoin_workload(128, 128, 128, rng=random.Random(5))
+        context = context_on(HostMemory(), FastProvider(KEY), True,
+                             coprocessor_class=GatherCountingCoprocessor)
+        reader = upload_tables(context, [wl.left, wl.right])
+        total = len(reader.space)
+        matches = sum(1 for _ in scan_matches(
+            reader, range(total), BinaryAsMulti(Equality("key"))))
+        assert matches == 128
+        gathers = context.coprocessor.gathers
+        blocks = total // SCAN_BLOCK
+        assert len(gathers) == 2 * blocks
+        for region, indices in gathers:
+            assert len(indices) == len(set(indices))  # distinct slots only
+            assert len(indices) == (2 if region == "X0" else 128)
+        t = context.coprocessor
+        assert t.batch_rows == blocks * (2 + 128) and t.decryptions == 2 * total
+        assert t.physical_decryptions == 128 + 128  # each input tuple, once

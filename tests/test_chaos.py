@@ -186,3 +186,57 @@ def test_fault_clock_presents_the_same_ops_batched_or_not(name):
     assert streams["scalar"] == streams["batched"]
     fault_free, until_crash = streams["batched"]
     assert until_crash == fault_free[:crash_at]
+
+
+# --- crashes inside a cartesian scan --------------------------------------------
+#
+# Algorithms 4/5/6 scan through ``scan_blocks``: on a ranged host a block of up
+# to 256 iTuples is one gathered section, declared to the fault clock as the
+# scalar ``G(X0) G(X1) [P(otuples)]`` ops it stands for.
+
+from repro.core.algorithm4 import algorithm4
+from repro.core.algorithm6 import algorithm6
+from repro.relational.generate import equijoin_workload
+from repro.relational.predicates import BinaryAsMulti, Equality
+
+
+def _scan_crash_case(name):
+    predicate = BinaryAsMulti(Equality("key"))
+    if name == "algorithm4-scan":
+        wl = equijoin_workload(48, 48, 48, rng=random.Random(5))
+        # Op 3000 is row 1000's write, four blocks into the nine-block scan.
+        return (lambda ctx: algorithm4(ctx, [wl.left, wl.right], predicate),
+                3000, {"scan"})
+    wl = equijoin_workload(24, 24, 24, rng=random.Random(5))
+    return (lambda ctx: algorithm6(ctx, [wl.left, wl.right], predicate,
+                                   memory=4, epsilon=1e-6),
+            2 * 576 + 700, {"random_scan", "flush"})
+
+
+@pytest.mark.parametrize("name", ["algorithm4-scan", "algorithm6-random-pass"])
+def test_crash_inside_a_scan_fires_at_the_same_declared_op(name):
+    run, crash_at, phases = _scan_crash_case(name)
+    baseline = _plain_run(run)
+    before = 0
+    for phase, cost in baseline.meta["phases"].items():
+        if phase in phases:
+            break
+        before += cost["transfers"]
+    inside = sum(baseline.meta["phases"][phase]["transfers"] for phase in phases)
+    assert before < crash_at <= before + inside
+    streams = {}
+    for mode, storage in HOSTS.items():
+        crashing = RecordingPlan(crash_plan([crash_at]))
+        host = FaultyHost(storage(), crashing)
+        report = run_with_recovery(host, FastProvider(KEY), run,
+                                   checkpoint_interval=1024,
+                                   trace_factory=StreamingTrace)
+        assert host.crashes_injected == 1, mode
+        assert (report.crashes, report.attempts) == (1, 2), mode
+        assert host.ops_attempted == crash_at + (
+            baseline.stats.total - report.replayed_transfers), mode
+        assert_matches(report, baseline)
+        assert (batched_ops(report) > 0) == (mode == "batched")
+        streams[mode] = crashing.seen[:crash_at]
+    assert streams["scalar"] == streams["batched"]
+    assert streams["batched"][-1][0] == crash_at

@@ -506,3 +506,30 @@ class TestServiceRecovery:
         result = service.execute("C-001", BinaryAsMulti(Equality("key")),
                                  algorithm="algorithm5")
         assert "recovery" not in result.meta
+
+
+def test_crash_inside_algorithm4s_scan_resumes_at_a_block_boundary():
+    """Batched Algorithm 4 at 48x48 scans in nine 256-row sections of 768
+    declared ops each.  A crash planned at op 5000 — inside the seventh —
+    fires there, and the run resumes off the checkpoint sealed when the sixth
+    section settled (4608 >= 2 x 2048), not from zero."""
+    from repro.core.algorithm4 import algorithm4
+
+    wl = equijoin_workload(48, 48, 48, rng=random.Random(5))
+
+    def run(context):
+        return algorithm4(context, [wl.left, wl.right],
+                          BinaryAsMulti(Equality("key")))
+
+    baseline = plain_result(run)
+    assert baseline.meta["phases"]["scan"]["transfers"] == 3 * 48 * 48 > 5000
+    host = FaultyHost(HostMemory(), crash_plan([5000]))
+    report = run_with_recovery(host, FastProvider(KEY), run,
+                               checkpoint_interval=2048)
+    assert host.crashes_injected == 1
+    assert (report.crashes, report.attempts) == (1, 2)
+    assert report.replayed_transfers == 6 * 768
+    assert host.ops_attempted == 5000 + baseline.stats.total - 6 * 768
+    assert report.result.result.same_multiset(baseline.result)
+    assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
+    assert report.result.stats == baseline.stats
