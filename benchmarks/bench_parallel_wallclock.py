@@ -17,17 +17,12 @@ path must be trace-identical to the scalar one, and its wall-clock win is
 reported as ``batched_vs_scalar``.  The worker runs use the production
 configuration (batching on, in the parent and in every pool worker).
 
-Honesty notes recorded in the JSON:
-
-* ``host_cpus`` — ``os.cpu_count()`` where the numbers were produced.  On a
-  single-CPU machine process parallelism cannot beat the sequential run, so
-  ``--check`` only enforces the speedup thresholds when at least two CPUs
-  are present; the identity and privacy checks are enforced everywhere.
-* ``--check`` fails when the P=2 sort speedup drops under ``--min-speedup``
-  (default 1.2), when any section's P=2/P=4 speedup drops under
-  ``--floor-speedup`` (default 1.0 — parallelism must never *lose* to the
-  sequential run on a multi-CPU host), or, with four or more CPUs, when no
-  algorithm reaches ``--target-speedup`` (default 1.5) at P=4.
+``--check`` enforces identity (executor vs simulation, batched vs scalar) and
+privacy acceptance, on every host.  Speedups are recorded, next to
+``host_cpus`` (``os.cpu_count()`` where the numbers were produced), but not
+gated here: the wall-clock verdict on the pool belongs to the benchmark of
+record (``parallel.speedup_vs_sequential`` of ``benchmarks/e2e``'s
+``parallel_pool`` workload), which measures medians of repeated runs.
 
 Each worker entry also records the executor's IPC accounting
 (``bytes_shared`` mapped through shared-memory arenas vs ``bytes_pickled``
@@ -56,7 +51,7 @@ from repro.core.parallel import (
 )
 from repro.crypto.provider import FastProvider, OcbProvider
 from repro.hardware.cluster import Cluster
-from repro.parallel import ClusterExecutor, wallclock_oblivious_sort
+from repro.parallel import ClusterExecutor
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.relational.generate import equijoin_workload
 from repro.relational.predicates import BinaryAsMulti, Equality
@@ -132,8 +127,8 @@ def bench_sort(size: int, provider_name: str, processors: int = 4) -> dict:
         _, cluster = rig(processors, provider_name)
         load_values(cluster, values)
         with ClusterExecutor(workers=workers) as executor:
-            seconds, report = _timed(lambda: wallclock_oblivious_sort(
-                executor, cluster, "R", size, int_key
+            seconds, report = _timed(lambda: parallel_oblivious_sort(
+                cluster, "R", size, int_key, executor=executor
             ))
             counters = executor_counters(executor)
         identical = (
@@ -282,17 +277,10 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for CI smoke runs")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on identity/privacy/speedup failures")
+                        help="exit non-zero on identity/privacy failures")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--provider", choices=("ocb", "fast"), default="ocb",
                         help="crypto provider for the measured runs")
-    parser.add_argument("--min-speedup", type=float, default=1.2,
-                        help="required P=2 sort speedup (multi-CPU hosts only)")
-    parser.add_argument("--floor-speedup", type=float, default=1.0,
-                        help="every section's P>=2 speedup floor "
-                             "(multi-CPU hosts only)")
-    parser.add_argument("--target-speedup", type=float, default=1.5,
-                        help="required best P=4 speedup (4+ CPU hosts only)")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -343,39 +331,6 @@ def main(argv=None) -> int:
     for name, accepted in report["privacy_accepted"].items():
         if not accepted:
             failures.append(f"{name} parallel trace depends on the data")
-
-    if cpus >= 2:
-        sort_p2 = report["sort"]["workers"]["2"]["speedup"]
-        if sort_p2 is not None and sort_p2 < args.min_speedup:
-            failures.append(
-                f"P=2 sort wall-clock speedup {sort_p2} < {args.min_speedup}"
-            )
-        # Parallelism must never lose to the sequential run once the host
-        # actually has the CPUs for the requested worker count.
-        for name, data in sections:
-            for workers, run in data["workers"].items():
-                if int(workers) < 2 or cpus < int(workers):
-                    continue
-                if run["speedup"] is not None and \
-                        run["speedup"] < args.floor_speedup:
-                    failures.append(
-                        f"{name} P={workers} wall-clock speedup "
-                        f"{run['speedup']} < floor {args.floor_speedup}"
-                    )
-    else:
-        print(f"NOTE: host has {cpus} CPU; speedup thresholds skipped "
-              "(identity and privacy checks still enforced)", file=sys.stderr)
-    if cpus >= 4:
-        best = max(
-            run["speedup"] or 0.0
-            for _, data in sections
-            for workers, run in data["workers"].items()
-            if workers == "4"
-        )
-        if best < args.target_speedup:
-            failures.append(
-                f"best P=4 wall-clock speedup {best} < {args.target_speedup}"
-            )
 
     if failures:
         for failure in failures:

@@ -46,6 +46,7 @@ from repro.core.planner import JoinPlan, execute_plan, plan_join
 from repro.core.parallel import (
     ParallelJoinResult,
     parallel_algorithm2,
+    parallel_algorithm3,
     parallel_algorithm4,
     parallel_algorithm5,
     parallel_algorithm6,
@@ -72,7 +73,6 @@ __all__ = [
     "count",
     "group_by_aggregate",
     "paper_aggregation_cost",
-    "parallel_algorithm6",
     "CartesianReader",
     "CartesianSpace",
     "Contract",
@@ -104,8 +104,10 @@ __all__ = [
     "execute_plan",
     "plan_join",
     "parallel_algorithm2",
+    "parallel_algorithm3",
     "parallel_algorithm4",
     "parallel_algorithm5",
+    "parallel_algorithm6",
     "parallel_algorithm7",
     "unsafe_blocked_output",
     "unsafe_commutative",

@@ -5,36 +5,40 @@ speed-up in the number of processors" and describes the Chapter 5 schemes:
 partition the iTuples for Algorithm 4, coordinate per-coprocessor output
 ranges for Algorithm 5, and share an MLFSR seed for Algorithm 6.
 
-Every variant here runs in one of two modes:
+Every variant here is written once: it builds its coprocessors' shares as one
+barrier round of :class:`~repro.hardware.cluster.ShardTask` — module-level
+(picklable) share functions plus their declared host footprints — and hands
+the round to :meth:`~repro.hardware.cluster.Cluster.run_tasks`, which has two
+executors:
 
-* **sequential simulation** (default) — the coprocessors' shares execute one
-  after another but are accounted per coprocessor; the modelled parallel
-  makespan is the busiest coprocessor's transfer count, so linear speedup
-  appears as ``speedup ~= P``.
+* **sequential simulation** (default) — the shares execute one after another
+  but are accounted per coprocessor; the modelled parallel makespan is the
+  busiest coprocessor's transfer count, so linear speedup appears as
+  ``speedup ~= P``.
 * **wall-clock execution** — pass a :class:`~repro.parallel.executor.
-  ClusterExecutor` as ``executor`` and the same shares run as real OS
-  processes.  The per-coprocessor work is factored into module-level
-  (picklable) functions used verbatim by both modes, and the executor merges
-  worker results in the sequential order — so traces, counters, results and
-  the modelled makespan are bit-identical between the two modes; only the
-  wall clock differs.
+  ClusterExecutor` as ``executor`` and the same round runs as real OS
+  processes, merged back in task order — so traces, counters, results, the
+  modelled makespan and the rows of ``meta["phases"]`` (their transfer totals
+  too) are bit-identical between the two; only the wall clock differs.  A
+  share reports no phase rows of its own: a profile cannot cross a process
+  boundary, so what a share flushes is booked to the round's row.
 
 Oblivious decoy filtering in parallel needs a parallel bitonic sort, which
 the paper lists as future work ("implementing a parallel bitonic sort is
 tricky due to synchronization"); Algorithm 4's filter phase uses the
-implementation in :mod:`repro.oblivious.parallel_filter` (or its wall-clock
-twin in :mod:`repro.parallel.sort`), while Algorithm 6's variant keeps the
-serial filter (its omega is small relative to the scans).
+implementation in :mod:`repro.oblivious.parallel_filter` (same ``executor``),
+while Algorithm 6's variant keeps the serial filter (its omega is small
+relative to the scans).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
+from repro.core.algorithm2 import gamma_for
 from repro.core.algorithm4 import scan_otuples
 from repro.core.algorithm6 import pad_segment, scan_segment
 from repro.core.base import (
@@ -56,17 +60,16 @@ from repro.core.cartesian import (
 )
 from repro.costs.filter_opt import optimal_delta
 from repro.errors import BlemishError, ConfigurationError
-from repro.hardware.cluster import Cluster
+from repro.hardware.cluster import Cluster, ShardTask, TaskExecutor, TaskIO
 from repro.hardware.counters import TransferStats
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
+from repro.oblivious.parallel_filter import parallel_oblivious_filter
+from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Equality, MultiPredicate, Predicate
 from repro.relational.relation import Relation
 from repro.relational.tuples import Record, TupleCodec
-
-if TYPE_CHECKING:  # no runtime import: repro.parallel layers above repro.core
-    from repro.parallel.executor import ClusterExecutor
 
 
 @dataclass
@@ -95,13 +98,6 @@ class ParallelJoinResult:
         return self.total_transfers / makespan
 
 
-def _upload_multi(context: JoinContext, relations: Sequence[Relation]):
-    """Upload the tables; returns what any coprocessor needs to read their
-    product: the ``CartesianReader`` arguments after the coprocessor."""
-    reader = upload_tables(context, relations)
-    return reader.regions, reader.codecs, reader.space
-
-
 def _screen(coordinator, tables, predicate, profile) -> int:
     """The coordinator's screening pass: learn S, write nothing."""
     reader = CartesianReader(coordinator, *tables)
@@ -109,16 +105,15 @@ def _screen(coordinator, tables, predicate, profile) -> int:
         return sum(1 for _ in scan_matches(reader, range(len(reader.space)), predicate))
 
 
-def _span(profile: PhaseProfile | None, name: str):
-    """A profile span, or a no-op where no profile travels (worker tasks)."""
-    return profile.span(name) if profile is not None else nullcontext()
-
-
-def _partition_io(reads: dict, appends: dict | None = None):
-    """Build the executor's per-partition TaskIO (imported lazily)."""
-    from repro.parallel.shard import TaskIO
-
-    return TaskIO(reads=reads, appends=appends or {})
+def _join_result(result: Relation, cluster: Cluster, profile: PhaseProfile,
+                 meta: dict[str, Any], stats=None) -> ParallelJoinResult:
+    """The tail every variant shares: per-coprocessor accounting (``stats``
+    when it was taken before a later phase) plus ``P`` and the phase rows."""
+    return ParallelJoinResult(
+        result=result,
+        per_coprocessor=stats or [TransferStats.from_trace(t.trace) for t in cluster],
+        meta={**meta, "P": len(cluster), "phases": profile.breakdown()},
+    )
 
 
 # -- per-coprocessor work (module-level, hence picklable) --------------------
@@ -137,7 +132,6 @@ def _alg2_scan_share(
     out_schema,
     out_codec: TupleCodec,
     payload_size: int,
-    profile: PhaseProfile | None = None,
 ) -> None:
     """One coprocessor's Algorithm 2 share: its slice of A against all of B."""
     for a_index in index_range:
@@ -162,9 +156,8 @@ def _alg2_scan_share(
                             last = current
                 while len(joined) < blk:
                     joined.append(make_decoy(payload_size))
-                with _span(profile, "flush"):
-                    for plain in joined.drain():
-                        coprocessor.put_append("output", plain)
+                for plain in joined.drain():
+                    coprocessor.put_append("output", plain)
                 joined.release()
 
 
@@ -182,7 +175,6 @@ def _alg3_scan_share(
     out_codec: TupleCodec,
     payload_size: int,
     output_region: str,
-    profile: PhaseProfile | None = None,
 ) -> None:
     """One coprocessor's Algorithm 3 share: its slice of A over sorted B.
 
@@ -195,11 +187,8 @@ def _alg3_scan_share(
     for a_index in index_range:
         with coprocessor.hold(1):
             a = left_codec.decode(coprocessor.get("A", a_index))
-            with _span(profile, "init"):
-                decoy = make_decoy(payload_size)
-                coprocessor.put_many(
-                    (scratch, slot, decoy) for slot in range(n_max)
-                )
+            decoy = make_decoy(payload_size)
+            coprocessor.put_many((scratch, slot, decoy) for slot in range(n_max))
             for i in range(right_size):
                 with coprocessor.hold(2):
                     b_plain, previous = coprocessor.get_many(
@@ -238,7 +227,6 @@ def _alg5_scan_share(
     memory: int,
     lo: int,
     hi: int,
-    profile: PhaseProfile | None = None,
 ) -> None:
     """One coprocessor's Algorithm 5 share: emit result ordinals [lo, hi)."""
     reader = CartesianReader(coprocessor, *tables)
@@ -257,8 +245,7 @@ def _alg5_scan_share(
                         if emitted <= ordinal < hi and not pending.full:
                             pending.append(encode_joined(out_codec, records))
                         ordinal += 1
-            with _span(profile, "flush"):
-                emitted += len(coprocessor.append_many("output", pending.drain()))
+            emitted += len(coprocessor.append_many("output", pending.drain()))
     pending.release()
 
 
@@ -273,7 +260,6 @@ def _alg6_scan_share(
     last_segment: int,
     n_star: int,
     memory: int,
-    profile: PhaseProfile | None = None,
 ) -> bool:
     """One coprocessor's Algorithm 6 share: its range of random-order
     segments.  Returns True when a segment blemished (overflowed M)."""
@@ -285,9 +271,8 @@ def _alg6_scan_share(
             offset = (seg - first_segment) * n_star
             blemish = scan_segment(
                 reader, positions[offset:offset + n_star], predicate, out_codec, buffer)
-            with _span(profile, "flush"):
-                coprocessor.put_range("psegments", seg * memory, pad_segment(
-                    buffer.drain(), memory, out_codec.record_size))
+            coprocessor.put_range("psegments", seg * memory, pad_segment(
+                buffer.drain(), memory, out_codec.record_size))
             if blemish:
                 break
     buffer.release()
@@ -304,12 +289,12 @@ def parallel_algorithm2(
     predicate: Predicate,
     n_max: int,
     memory: int,
-    executor: "ClusterExecutor | None" = None,
+    executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 2 with A partitioned across the cluster (Section 4.4.4)."""
     if not 1 <= n_max <= len(right):
         raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
-    gamma = max(1, math.ceil(n_max / memory))
+    gamma = gamma_for(n_max, memory)
     blk = math.ceil(n_max / gamma)
     out_schema = left.schema.joined_with(right.schema)
     out_codec = TupleCodec(out_schema)
@@ -326,26 +311,19 @@ def parallel_algorithm2(
         out_codec=out_codec, payload_size=payload_size,
     )
     per_a_outputs = gamma * blk
-
-    with profile.span("scan"):
-        if executor is None:
-            cluster.run_partitioned(len(left), partial(work, profile=profile))
-        else:
-            executor.run_partitioned(
-                cluster, len(left), work,
-                io=lambda index_range, worker: _partition_io(
-                    reads={"A": [(index_range.start, index_range.stop)], "B": None},
-                    appends={"output": index_range.start * per_a_outputs},
-                ),
-                label="algorithm2 scan",
-            )
-    result = context.download_output(out_schema)
-    return ParallelJoinResult(
-        result=result,
-        per_coprocessor=[TransferStats.from_trace(t.trace) for t in cluster],
-        meta={"algorithm": "parallel_algorithm2", "gamma": gamma, "blk": blk,
-              "P": len(cluster), "phases": profile.breakdown()},
+    tasks = cluster.partition_tasks(
+        len(left), work,
+        io=lambda index_range, worker: TaskIO(
+            reads={"A": [(index_range.start, index_range.stop)], "B": None},
+            appends={"output": index_range.start * per_a_outputs},
+        ),
+        label="algorithm2 scan",
     )
+    with profile.span("scan"):
+        cluster.run_tasks(tasks, executor)
+    return _join_result(
+        context.download_output(out_schema), cluster, profile,
+        {"algorithm": "parallel_algorithm2", "gamma": gamma, "blk": blk})
 
 
 def parallel_algorithm3(
@@ -356,7 +334,7 @@ def parallel_algorithm3(
     on: str | Equality,
     n_max: int,
     presorted: bool = False,
-    executor: "ClusterExecutor | None" = None,
+    executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 3 with A partitioned across the cluster.
 
@@ -403,31 +381,24 @@ def parallel_algorithm3(
         right_size=len(right), out_schema=out_schema, out_codec=out_codec,
         payload_size=payload_size, output_region=output,
     )
-    with profile.span("scan"):
-        if executor is None:
-            cluster.run_partitioned(len(left), partial(work, profile=profile))
-        else:
-            executor.run_partitioned(
-                cluster, len(left), work,
-                io=lambda index_range, worker: _partition_io(
-                    reads={
-                        "A": [(index_range.start, index_range.stop)],
-                        "B": None,
-                        f"scratch3w{worker}": None,
-                    },
-                    appends={output: index_range.start * n_max},
-                ),
-                label="algorithm3 scan",
-            )
-
-    return ParallelJoinResult(
-        result=context.download_output(out_schema),
-        per_coprocessor=[TransferStats.from_trace(t.trace) for t in cluster],
-        meta={"algorithm": "parallel_algorithm3", "N": n_max,
-              "P": len(cluster), "presorted": presorted,
-              "output_slots": n_max * len(left),
-              "phases": profile.breakdown()},
+    tasks = cluster.partition_tasks(
+        len(left), work,
+        io=lambda index_range, worker: TaskIO(
+            reads={
+                "A": [(index_range.start, index_range.stop)],
+                "B": None,
+                f"scratch3w{worker}": None,
+            },
+            appends={output: index_range.start * n_max},
+        ),
+        label="algorithm3 scan",
     )
+    with profile.span("scan"):
+        cluster.run_tasks(tasks, executor)
+    return _join_result(
+        context.download_output(out_schema), cluster, profile,
+        {"algorithm": "parallel_algorithm3", "N": n_max, "presorted": presorted,
+         "output_slots": n_max * len(left)})
 
 
 def parallel_algorithm4(
@@ -435,84 +406,55 @@ def parallel_algorithm4(
     cluster: Cluster,
     relations: Sequence[Relation],
     predicate: MultiPredicate,
-    executor: "ClusterExecutor | None" = None,
+    executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 4 with the iTuples partitioned across the cluster."""
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    tables = regions, _, space = _upload_multi(context, relations)
-    total = len(space)
+    reader = upload_tables(context, relations)
+    tables = reader.regions, reader.codecs, reader.space
+    total = len(reader.space)
     context.host.allocate("otuples", total)
     output = context.allocate_output()
-    counts = [0] * len(cluster)
     profile = PhaseProfile.for_cluster(cluster)
 
-    work = partial(
-        _alg4_scan_share,
-        tables=tables, predicate=predicate, out_codec=out_codec,
+    tasks = cluster.partition_tasks(
+        total,
+        partial(_alg4_scan_share,
+                tables=tables, predicate=predicate, out_codec=out_codec),
+        io=lambda index_range, worker: TaskIO(reads={
+            **{region: None for region in reader.regions},
+            "otuples": [(index_range.start, index_range.stop)],
+        }),
+        label="algorithm4 scan",
     )
-
     with profile.span("scan"):
-        if executor is None:
-            def sequential(coprocessor, index_range, worker):
-                counts[worker] = work(coprocessor, index_range, worker)
-
-            cluster.run_partitioned(total, sequential)
-        else:
-            ranges = cluster.partition_range(total)
-            from repro.parallel.executor import ShardTask
-
-            tasks = [
-                ShardTask(
-                    device=worker,
-                    fn=work,
-                    io=_partition_io(reads={
-                        **{region: None for region in regions},
-                        "otuples": [(index_range.start, index_range.stop)],
-                    }),
-                    args=(index_range, worker),
-                    label=f"algorithm4 scan [{index_range.start}, {index_range.stop})",
-                )
-                for worker, index_range in enumerate(ranges)
-            ]
-            counts = executor.run_tasks(cluster, tasks)
+        counts = cluster.run_tasks(tasks, executor)
     result_count = sum(counts)
     scan_stats = [TransferStats.from_trace(t.trace) for t in cluster]
 
     # Filter phase: all coprocessors cooperate via the parallel bitonic sort
     # (Section 5.3.5's "oblivious filtering out decoys in parallel").
     with profile.span("filter"):
-        if executor is None:
-            from repro.oblivious.parallel_filter import parallel_oblivious_filter
-
-            filter_report = parallel_oblivious_filter(
-                cluster, "otuples", total, keep=result_count,
-                delta=optimal_delta(result_count, total), priority=decoy_priority,
-            )
-        else:
-            from repro.parallel.sort import wallclock_oblivious_filter
-
-            filter_report = wallclock_oblivious_filter(
-                executor, cluster, "otuples", total, keep=result_count,
-                delta=optimal_delta(result_count, total), priority=decoy_priority,
-            )
+        filter_report = parallel_oblivious_filter(
+            cluster, "otuples", total, keep=result_count,
+            delta=optimal_delta(result_count, total), priority=decoy_priority,
+            executor=executor,
+        )
     with profile.span("emit"):
         emit_kept(cluster[0], filter_report.buffer_region, result_count, output,
                   is_real=is_real, strip=1)
-    result = context.download_output(out_schema, flagged=False)
-    return ParallelJoinResult(
-        result=result,
-        per_coprocessor=scan_stats,
-        meta={
+    return _join_result(
+        context.download_output(out_schema, flagged=False), cluster, profile,
+        {
             "algorithm": "parallel_algorithm4",
-            "P": len(cluster),
             "S": result_count,
             "filter_parallel": filter_report.parallel,
             "filter_makespan": filter_report.makespan,
             "filter_sorts": filter_report.sorts,
-            "per_worker_results": list(counts),
-            "phases": profile.breakdown(),
+            "per_worker_results": counts,
         },
+        stats=scan_stats,
     )
 
 
@@ -522,7 +464,7 @@ def parallel_algorithm5(
     relations: Sequence[Relation],
     predicate: MultiPredicate,
     memory: int,
-    executor: "ClusterExecutor | None" = None,
+    executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 5 parallelized by output ranges (Section 5.3.5).
 
@@ -531,9 +473,12 @@ def parallel_algorithm5(
     [i*blk, (i+1)*blk); every coprocessor scans the iTuples in the same fixed
     order and outputs only its share.
     """
+    if memory < 1:
+        raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    tables = regions, _, _ = _upload_multi(context, relations)
+    reader = upload_tables(context, relations)
+    tables = reader.regions, reader.codecs, reader.space
     context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
@@ -542,49 +487,28 @@ def parallel_algorithm5(
     result_count = _screen(cluster[0], tables, predicate, profile)
 
     share = math.ceil(result_count / len(cluster)) if result_count else 0
-
-    def share_kwargs(p: int) -> dict | None:
+    tasks = []
+    for p in range(len(cluster)):
         lo, hi = p * share, min((p + 1) * share, result_count)
-        if lo >= hi:
-            return None
-        return dict(
-            tables=tables, predicate=predicate, out_codec=out_codec,
-            memory=memory, lo=lo, hi=hi,
-        )
-
+        if lo < hi:
+            tasks.append(ShardTask(
+                device=p,
+                fn=_alg5_scan_share,
+                io=TaskIO(
+                    reads={region: None for region in reader.regions},
+                    appends={"output": lo},
+                ),
+                kwargs=dict(
+                    tables=tables, predicate=predicate, out_codec=out_codec,
+                    memory=memory, lo=lo, hi=hi,
+                ),
+                label=f"algorithm5 ordinals [{lo}, {hi})",
+            ))
     with profile.span("scan"):
-        if executor is None:
-            for p, coprocessor in enumerate(cluster):
-                kwargs = share_kwargs(p)
-                if kwargs is not None:
-                    _alg5_scan_share(coprocessor, profile=profile, **kwargs)
-        else:
-            from repro.parallel.executor import ShardTask
-
-            tasks = []
-            for p in range(len(cluster)):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                tasks.append(ShardTask(
-                    device=p,
-                    fn=_alg5_scan_share,
-                    io=_partition_io(
-                        reads={region: None for region in regions},
-                        appends={"output": kwargs["lo"]},
-                    ),
-                    kwargs=kwargs,
-                    label=f"algorithm5 ordinals [{kwargs['lo']}, {kwargs['hi']})",
-                ))
-            executor.run_tasks(cluster, tasks)
-
-    result = context.download_output(out_schema, flagged=False)
-    return ParallelJoinResult(
-        result=result,
-        per_coprocessor=[TransferStats.from_trace(t.trace) for t in cluster],
-        meta={"algorithm": "parallel_algorithm5", "P": len(cluster),
-              "S": result_count, "share": share, "phases": profile.breakdown()},
-    )
+        cluster.run_tasks(tasks, executor)
+    return _join_result(
+        context.download_output(out_schema, flagged=False), cluster, profile,
+        {"algorithm": "parallel_algorithm5", "S": result_count, "share": share})
 
 
 def parallel_algorithm6(
@@ -596,7 +520,7 @@ def parallel_algorithm6(
     epsilon: float = 1e-20,
     seed: int = 1,
     segment_size: int | None = None,
-    executor: "ClusterExecutor | None" = None,
+    executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 6 parallelized by MLFSR position ranges (Section 5.3.5).
 
@@ -616,8 +540,9 @@ def parallel_algorithm6(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    tables = regions, _, space = _upload_multi(context, relations)
-    total = len(space)
+    reader = upload_tables(context, relations)
+    tables = reader.regions, reader.codecs, reader.space
+    total = len(reader.space)
     output = context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
@@ -636,50 +561,29 @@ def parallel_algorithm6(
     # identical seed; coprocessor p owns segments [p*per, (p+1)*per).
     per = math.ceil(segments / len(cluster))
     order = list(RandomOrder(total, seed=seed))
-
-    def share_kwargs(p: int) -> dict | None:
-        first_segment = p * per
-        last_segment = min((p + 1) * per, segments)
-        if first_segment >= last_segment:
-            return None
-        return dict(
-            tables=tables, predicate=predicate, out_codec=out_codec,
-            positions=order[first_segment * n_star:last_segment * n_star],
-            first_segment=first_segment, last_segment=last_segment,
-            n_star=n_star, memory=memory,
-        )
-
-    blemish = False
+    tasks = []
+    for p in range(len(cluster)):
+        first_segment, last_segment = p * per, min((p + 1) * per, segments)
+        if first_segment < last_segment:
+            tasks.append(ShardTask(
+                device=p,
+                fn=_alg6_scan_share,
+                io=TaskIO(reads={
+                    **{region: None for region in reader.regions},
+                    "psegments": [(first_segment * memory, last_segment * memory)],
+                }),
+                kwargs=dict(
+                    tables=tables, predicate=predicate, out_codec=out_codec,
+                    positions=order[first_segment * n_star:last_segment * n_star],
+                    first_segment=first_segment, last_segment=last_segment,
+                    n_star=n_star, memory=memory,
+                ),
+                label=f"algorithm6 segments [{first_segment}, {last_segment})",
+            ))
+    # Inline, the round ends at the first blemished share (any() stops asking
+    # for values); on a pool the whole round has run by then.
     with profile.span("random_scan"):
-        if executor is None:
-            for p, coprocessor in enumerate(cluster):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                blemish = _alg6_scan_share(coprocessor, profile=profile, **kwargs)
-                if blemish:
-                    break
-        else:
-            from repro.parallel.executor import ShardTask
-
-            tasks = []
-            for p in range(len(cluster)):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                tasks.append(ShardTask(
-                    device=p,
-                    fn=_alg6_scan_share,
-                    io=_partition_io(reads={
-                        **{region: None for region in regions},
-                        "psegments": [(kwargs["first_segment"] * memory,
-                                       kwargs["last_segment"] * memory)],
-                    }),
-                    kwargs=kwargs,
-                    label=(f"algorithm6 segments [{kwargs['first_segment']}, "
-                           f"{kwargs['last_segment']})"),
-                ))
-            blemish = any(executor.run_tasks(cluster, tasks))
+        blemish = any(cluster.iter_tasks(tasks, executor))
 
     if blemish:
         raise BlemishError(
@@ -696,14 +600,10 @@ def parallel_algorithm6(
     with profile.span("emit"):
         emit_kept(filter_t, buffer_region, result_count, output,
                   is_real=is_real, strip=1)
-    result = context.download_output(out_schema, flagged=False)
-    return ParallelJoinResult(
-        result=result,
-        per_coprocessor=[TransferStats.from_trace(t.trace) for t in cluster],
-        meta={"algorithm": "parallel_algorithm6", "P": len(cluster),
-              "S": result_count, "segments": segments, "segment_size": n_star,
-              "phases": profile.breakdown()},
-    )
+    return _join_result(
+        context.download_output(out_schema, flagged=False), cluster, profile,
+        {"algorithm": "parallel_algorithm6", "S": result_count,
+         "segments": segments, "segment_size": n_star})
 
 
 def parallel_algorithm7(
@@ -724,7 +624,6 @@ def parallel_algorithm7(
     slot) and stay on the coordinator, as do build and emit.
     """
     from repro.core.algorithm7 import SortMergeEngine, sort_merge_equijoin
-    from repro.oblivious.parallel_sort import parallel_oblivious_sort
 
     coordinator = cluster[0]
     profile = PhaseProfile.for_cluster(cluster)
@@ -749,15 +648,7 @@ def parallel_algorithm7(
     out_schema, meta = sort_merge_equijoin(
         context, relations, predicate, profile, engine
     )
-    result = context.download_output(out_schema, flagged=False)
-    return ParallelJoinResult(
-        result=result,
-        per_coprocessor=[TransferStats.from_trace(t.trace) for t in cluster],
-        meta={
-            **meta,
-            "algorithm": "parallel_algorithm7",
-            "P": len(cluster),
-            "parallel_sorts": parallel_sorts,
-            "phases": profile.breakdown(),
-        },
-    )
+    return _join_result(
+        context.download_output(out_schema, flagged=False), cluster, profile,
+        {**meta, "algorithm": "parallel_algorithm7",
+         "parallel_sorts": parallel_sorts})

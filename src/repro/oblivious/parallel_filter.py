@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.hardware.cluster import Cluster
+from repro.hardware.cluster import Cluster, TaskExecutor
 from repro.oblivious.filterbuf import oblivious_filter
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.oblivious.sort import KeyFunction
@@ -57,11 +57,13 @@ def parallel_oblivious_filter(
     delta: int,
     priority: KeyFunction,
     buffer_region: str = "__pfilter",
+    executor: TaskExecutor | None = None,
 ) -> ParallelFilterReport:
     """Condense ``source_region`` to its ``keep`` real elements, in parallel.
 
     Semantics match :func:`repro.oblivious.filterbuf.oblivious_filter`; the
-    buffer's repeated sorts run on all coprocessors.
+    buffer's repeated sorts run on all coprocessors (through ``executor``
+    when one is given; refills and the serial fallback stay host-side).
     """
     if keep < 0 or source_size < 0:
         raise ConfigurationError("sizes must be non-negative")
@@ -99,7 +101,8 @@ def parallel_oblivious_filter(
 
     sorts = 0
     makespan = 0
-    report = parallel_oblivious_sort(cluster, buffer_region, buffer_size, priority)
+    report = parallel_oblivious_sort(
+        cluster, buffer_region, buffer_size, priority, executor)
     sorts += 1
     makespan += report.makespan
     position = buffer_size
@@ -108,7 +111,8 @@ def parallel_oblivious_filter(
         host.host_copy_into(source_region, position, take, buffer_region,
                             buffer_size - take)
         position += take
-        report = parallel_oblivious_sort(cluster, buffer_region, buffer_size, priority)
+        report = parallel_oblivious_sort(
+            cluster, buffer_region, buffer_size, priority, executor)
         sorts += 1
         makespan += report.makespan
     return ParallelFilterReport(

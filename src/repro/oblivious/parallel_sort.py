@@ -22,9 +22,15 @@ synchronization").  The construction here follows the sketch:
 Synchronization appears in the accounting: :func:`network_stages` schedules
 the comparator network into minimal dependency stages (ASAP); comparators in
 one stage touch disjoint chunk pairs and run concurrently, so a stage's
-modelled makespan is a single block merge.  The executor charges each merge
-to the lower chunk's owning coprocessor so per-device totals are
-inspectable.
+modelled makespan is a single block merge.  Each merge is charged to the
+lower chunk's owning coprocessor so per-device totals are inspectable.
+
+The sort is barrier rounds of :class:`~repro.hardware.cluster.ShardTask` — a
+local-sort round, one round per global stage, a normalization round — that
+:meth:`~repro.hardware.cluster.Cluster.run_tasks` runs inline (the sequential
+simulation, which only *models* the makespan) or, given ``executor=``, on
+real processes: same traces, same report.  On processes the sort key must be
+picklable (a module-level function or ``functools.partial``).
 """
 
 from __future__ import annotations
@@ -34,16 +40,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 from repro.errors import ConfigurationError
-from repro.hardware.cluster import Cluster
+from repro.hardware.cluster import Cluster, ShardTask, TaskExecutor, TaskIO
 from repro.hardware.events import GET, PUT
 from repro.oblivious.networks import (
     Comparator,
-    bitonic_merge_network,
     bitonic_stages,
     exact_transfers,
     merge_comparator_count,
 )
-from repro.oblivious.sort import KeyFunction, oblivious_sort, run_network_vectorized
+from repro.oblivious.sort import KeyFunction, oblivious_sort, oblivious_sort_indices
 
 
 def network_stages(n: int) -> list[list[Comparator]]:
@@ -80,25 +85,15 @@ class ParallelSortReport:
         return self.total / self.makespan if self.makespan else float("nan")
 
 
-def _merge_indices(coprocessor, region: str, indices: list[int], key: KeyFunction) -> None:
-    """Run the ascending bitonic merge network over explicit slot indices."""
-    if coprocessor.batched_hot_path:
-        run_network_vectorized(coprocessor, region, indices, key, merge=True)
-        return
-    get_many = coprocessor.get_many
-    put_many = coprocessor.put_many
-    with coprocessor.hold(2):
-        for comp in bitonic_merge_network(len(indices)):
-            low_index = indices[comp.low]
-            high_index = indices[comp.high]
-            low_plain, high_plain = get_many(
-                ((region, low_index), (region, high_index))
-            )
-            if key(low_plain) > key(high_plain):
-                low_plain, high_plain = high_plain, low_plain
-            put_many(
-                ((region, low_index, low_plain), (region, high_index, high_plain))
-            )
+def _merge_stage_share(coprocessor, region: str, merges, key: KeyFunction) -> None:
+    """One device's block merges of one global stage, in plan order.
+
+    Module-level (picklable) so a whole stage share ships as a single task;
+    running the merges in the order :func:`plan_global_phase` lists them
+    fixes the device's trace whichever executor runs the round.
+    """
+    for indices in merges:
+        oblivious_sort_indices(coprocessor, region, indices, key, merge=True)
 
 
 def _normalize_chunk(
@@ -144,9 +139,7 @@ def plan_global_phase(
     Returns ``(stages, normalize)``: each stage is a list of
     ``(device, indices)`` pairs — the coprocessor charged with the merge and
     the explicit slot order the ascending merge network runs over — and
-    ``normalize`` lists the chunks left descending at the end.  Both the
-    sequential simulation and the multiprocess executor walk this same plan,
-    which is what makes their traces bit-identical by construction.
+    ``normalize`` lists the chunks left descending at the end.
     """
     # +1: ascending along natural index order.
     orientation = [1] * processors
@@ -177,20 +170,12 @@ def plan_global_phase(
     return plan, normalize
 
 
-def check_parallel_sort_shape(size: int, processors: int) -> int:
-    """Validate the (size, P) combination and return the chunk size."""
-    if size % processors != 0:
-        raise ConfigurationError(
-            f"size {size} must be divisible by the cluster size {processors}"
-        )
-    chunk = size // processors
-    if chunk == 0:
-        raise ConfigurationError("each coprocessor needs at least one element")
-    return chunk
-
-
 def parallel_oblivious_sort(
-    cluster: Cluster, region: str, size: int, key: KeyFunction
+    cluster: Cluster,
+    region: str,
+    size: int,
+    key: KeyFunction,
+    executor: TaskExecutor | None = None,
 ) -> ParallelSortReport:
     """Sort ``region[0:size]`` ascending with all coprocessors cooperating.
 
@@ -198,34 +183,80 @@ def parallel_oblivious_sort(
     makes a block exchange a valid comparator on 0-1 block counts).
     """
     processors = len(cluster)
-    chunk = check_parallel_sort_shape(size, processors)
+    if size % processors != 0:
+        raise ConfigurationError(
+            f"size {size} must be divisible by the cluster size {processors}"
+        )
+    chunk = size // processors
+    if chunk == 0:
+        raise ConfigurationError("each coprocessor needs at least one element")
+
+    def chunks_io(*chunks: int) -> TaskIO:
+        return TaskIO(reads={region: [(c * chunk, (c + 1) * chunk) for c in chunks]})
 
     # Local phase: every coprocessor sorts its own chunk (concurrent).
-    for p, coprocessor in enumerate(cluster):
-        oblivious_sort(coprocessor, region, chunk, key, start=p * chunk)
+    cluster.run_tasks([
+        ShardTask(
+            device=p,
+            fn=oblivious_sort,
+            io=chunks_io(p),
+            args=(region, chunk, key),
+            kwargs={"start": p * chunk},
+            label=f"local sort chunk {p}",
+        )
+        for p in range(processors)
+    ], executor)
 
     # Global phase: bitonic network over chunks; merge-based block exchange
-    # with per-chunk orientation tracking (see module docstring).
+    # with per-chunk orientation tracking (see module docstring).  One
+    # barrier round per comparator stage; a stage's merges on one device
+    # coarsen into a single task (one shard descriptor, one write-back
+    # flush) — block merges inside a stage touch disjoint chunk pairs, so
+    # grouping by device changes neither the host image nor any per-device
+    # trace order.
     stage_plan, normalize = plan_global_phase(processors, chunk)
     exchanges = 0
-    for stage in stage_plan:
+    for number, stage in enumerate(stage_plan):
+        grouped: dict[int, list[list[int]]] = {}
         for device, indices in stage:
-            _merge_indices(cluster[device], region, indices, key)
+            grouped.setdefault(device, []).append(indices)
             exchanges += 1
+        tasks = []
+        for device, merges in grouped.items():
+            # Each merge touches exactly two aligned chunks, which need not
+            # be adjacent — ship the chunk spans, not the hull between them.
+            chunks = sorted({i // chunk for indices in merges for i in indices})
+            tasks.append(ShardTask(
+                device=device,
+                fn=_merge_stage_share,
+                io=chunks_io(*chunks),
+                args=(region, merges, key),
+                label=f"stage {number}: {len(merges)} merge(s) over chunks "
+                      f"{','.join(map(str, chunks))}",
+            ))
+        cluster.run_tasks(tasks, executor)
 
     # Normalization: physically reverse any chunk left in descending
     # orientation (a data-independent read-and-rewrite pass).
-    normalized = 0
-    for p in normalize:
-        _normalize_chunk(cluster[p], region, p * chunk, chunk)
-        normalized += 1
+    cluster.run_tasks([
+        ShardTask(
+            device=p,
+            fn=_normalize_chunk,
+            io=chunks_io(p),
+            args=(region, p * chunk, chunk),
+            label=f"normalize chunk {p}",
+        )
+        for p in normalize
+    ], executor)
 
     local = exact_transfers(chunk)
     exchange = 4 * merge_comparator_count(2 * chunk)
     normalize_cost = 2 * chunk
-    makespan = local + len(stage_plan) * exchange + (normalize_cost if normalized else 0)
+    makespan = (
+        local + len(stage_plan) * exchange + (normalize_cost if normalize else 0)
+    )
     total = (
-        processors * local + exchanges * exchange + normalized * normalize_cost
+        processors * local + exchanges * exchange + len(normalize) * normalize_cost
     )
     return ParallelSortReport(
         processors=processors,

@@ -16,7 +16,11 @@ from typing import Callable, Sequence
 
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
-from repro.oblivious.networks import comparators, wired_network
+from repro.oblivious.networks import (
+    bitonic_merge_network,
+    bitonic_network,
+    wired_network,
+)
 
 #: Extracts a sort key from a plaintext tuple.  Keys must be comparable.
 KeyFunction = Callable[[bytes], object]
@@ -71,21 +75,25 @@ def oblivious_sort_indices(
     indices: list[int],
     key: KeyFunction,
     ascending: bool = True,
+    merge: bool = False,
 ) -> None:
     """Obliviously sort the slots at ``indices`` (in index-list order).
 
     The generalization used by the parallel bitonic sort of Section 5.3.5:
-    a block compare-exchange sorts the union of two coprocessors' chunks,
-    whose slots need not be contiguous.  The comparator positions depend
-    only on ``len(indices)``, so obliviousness is preserved.
+    a block compare-exchange works on the union of two coprocessors' chunks,
+    whose slots need not be contiguous — with ``merge`` it runs only the
+    merge network, which sorts a sequence that is already bitonic.  The
+    comparator positions depend only on ``len(indices)``, so obliviousness is
+    preserved.
     """
     if coprocessor.batched_hot_path:
-        run_network_vectorized(coprocessor, region, indices, key, ascending)
+        run_network_vectorized(coprocessor, region, indices, key, ascending, merge)
         return
+    network = (bitonic_merge_network if merge else bitonic_network)(len(indices))
     get_many = coprocessor.get_many
     put_many = coprocessor.put_many
     with coprocessor.hold(2):
-        for comp in comparators(len(indices)):
+        for comp in network:
             low_index = indices[comp.low]
             high_index = indices[comp.high]
             # One boundary call per comparator pair in each direction; the

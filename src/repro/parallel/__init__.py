@@ -1,21 +1,21 @@
 """Wall-clock parallel execution for the cluster simulation.
 
-The :mod:`repro.hardware.cluster` layer *models* parallelism (sequential
-execution, per-coprocessor accounting).  This package makes it real:
+The :mod:`repro.hardware.cluster` layer describes parallel work as barrier
+rounds of :class:`ShardTask` and, on its own, runs them one after another
+(per-coprocessor accounting, modelled makespan).  This package is the other
+executor of the same rounds:
 
 * :mod:`repro.parallel.shard` — host-memory shards addressed by global slot
   indices with machine-checked I/O footprints, shipped zero-copy through
   ``multiprocessing.shared_memory`` arenas (or pickled dicts inline);
 * :mod:`repro.parallel.executor` — a ``ProcessPoolExecutor``-backed
   :class:`ClusterExecutor` with deterministic, sequential-order merges,
-  batched blob write-back, and IPC byte accounting;
-* :mod:`repro.parallel.sort` — the Section 5.3.5 parallel bitonic sort and
-  repeated-sort decoy filter on real processes.
+  batched blob write-back, and IPC byte accounting.
 
-The parallel join algorithms accept the executor directly:
-``parallel_algorithm2(..., executor=ClusterExecutor(4))`` (and 3/4/5/6
-likewise, see :mod:`repro.core.parallel`) runs the same shares — same
-traces, same results — concurrently.
+Everything parallel takes it as ``executor=``: ``parallel_algorithm2(...,
+executor=ClusterExecutor(4))`` (and 3/4/5/6, see :mod:`repro.core.parallel`),
+``parallel_oblivious_sort`` and ``parallel_oblivious_filter`` run the same
+rounds — same traces, same results — concurrently.
 """
 
 from repro.parallel.executor import SEGMENT_PREFIX, ClusterExecutor, ShardTask
@@ -31,7 +31,6 @@ from repro.parallel.shard import (
     build_shards,
     merge_shard_result,
 )
-from repro.parallel.sort import wallclock_oblivious_filter, wallclock_oblivious_sort
 
 __all__ = [
     "ClusterExecutor",
@@ -47,6 +46,4 @@ __all__ = [
     "attach_arena_shards",
     "build_shards",
     "merge_shard_result",
-    "wallclock_oblivious_sort",
-    "wallclock_oblivious_filter",
 ]

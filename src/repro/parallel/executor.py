@@ -42,12 +42,11 @@ import multiprocessing
 import os
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.crypto.provider import CryptoProvider, clone_provider
-from repro.errors import ConfigurationError, TransientHostError
-from repro.hardware.cluster import Cluster
+from repro.errors import ConfigurationError
+from repro.hardware.cluster import Cluster, ShardTask, TaskIO, attempt_task
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.parallel.shard import (
     ArenaTaskSpec,
@@ -56,7 +55,6 @@ from repro.parallel.shard import (
     SharedShardArena,
     ShardHostMemory,
     ShardResult,
-    TaskIO,
     attach_arena_shards,
     build_shards,
     merge_shard_result,
@@ -113,18 +111,6 @@ def _worker_provider(token: str, provider: CryptoProvider) -> CryptoProvider:
     return cached
 
 
-@dataclass
-class ShardTask:
-    """One unit of parallel work, bound to a cluster device for accounting."""
-
-    device: int
-    fn: Callable[..., Any]          # fn(coprocessor, *args, **kwargs)
-    io: TaskIO
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    label: str = ""
-
-
 def _run_shard_task(
     shards: dict[str, RegionShard | SharedRegionShard],
     provider: CryptoProvider,
@@ -137,22 +123,17 @@ def _run_shard_task(
     kwargs: dict,
     transient_retries: int,
 ) -> ShardResult:
-    """Run the work over rebuilt shards and pack the result for the merge."""
+    """Run the work over rebuilt shards and pack the result for the merge.
+
+    Called directly with dictionary shards (in-process tasks and the pickled
+    fallback transport), through :func:`_execute_arena_task` with arena ones.
+    """
     host = ShardHostMemory(shards)
     coprocessor = SecureCoprocessor(
         host, provider, memory_limit=memory_limit, name=name,
         plaintext_cache=plaintext_cache, batched_io=batched_io,
     )
-    attempt = 0
-    while True:
-        try:
-            value = fn(coprocessor, *args, **kwargs)
-            break
-        except TransientHostError:
-            if attempt < transient_retries:
-                attempt += 1
-                continue
-            raise
+    value = attempt_task(fn, coprocessor, args, kwargs, transient_retries)
     return ShardResult(
         value=value,
         writes=host.packed_writes(),
@@ -164,25 +145,6 @@ def _run_shard_task(
         },
         events=coprocessor.trace.columns(),
         counters={name: getattr(coprocessor, name) for name in _COUNTERS},
-    )
-
-
-def _execute_shard_task(
-    shards: dict[str, RegionShard],
-    provider: CryptoProvider,
-    name: str,
-    memory_limit: int | None,
-    plaintext_cache: bool,
-    batched_io: bool,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    transient_retries: int,
-) -> ShardResult:
-    """Dictionary-shard entry point (inline mode and tests)."""
-    return _run_shard_task(
-        shards, provider, name, memory_limit, plaintext_cache, batched_io,
-        fn, args, kwargs, transient_retries,
     )
 
 
@@ -258,7 +220,12 @@ class ClusterExecutor:
         self.use_shared_memory = shared_memory
         self._pool: ProcessPoolExecutor | None = None
         self._arenas: dict[str, SharedShardArena] = {}
-        self._inline_providers: dict[str, CryptoProvider] = {}
+        #: Clones for tasks run in-process, held weakly by the parent's
+        #: provider so a long-lived executor does not collect one per join.
+        #: Not ``_worker_providers``: a worker forked later would inherit the
+        #: parent's clone and its nonce counter.
+        self._inline_providers: "weakref.WeakKeyDictionary[Any, CryptoProvider]" = (
+            weakref.WeakKeyDictionary())
         #: Tasks executed and tasks that actually went through the pool.
         self.tasks_run = 0
         self.tasks_pooled = 0
@@ -329,12 +296,11 @@ class ClusterExecutor:
         """
         self.rounds += 1
         self.tasks_submitted += len(tasks)
-        token = _provider_token(cluster.provider)
 
         if self.inline or len(tasks) <= 1:
-            results = self._run_inline(cluster, tasks, token, transient_retries)
+            results = self._run_inline(cluster, tasks, transient_retries)
         else:
-            results = self._run_pooled(cluster, tasks, token, transient_retries)
+            results = self._run_pooled(cluster, tasks, transient_retries)
 
         values = []
         for task, result in zip(tasks, results):
@@ -352,17 +318,20 @@ class ClusterExecutor:
         self,
         cluster: Cluster,
         tasks: Sequence[ShardTask],
-        token: str,
         transient_retries: int,
     ) -> list[ShardResult]:
-        provider = self._inline_providers.get(token)
-        if provider is None:
-            provider = self._inline_providers[token] = clone_provider(cluster.provider)
+        try:
+            provider = self._inline_providers.get(cluster.provider)
+            if provider is None:
+                provider = clone_provider(cluster.provider)
+                self._inline_providers[cluster.provider] = provider
+        except TypeError:  # unhashable/unweakrefable provider: never memoize
+            provider = clone_provider(cluster.provider)
         results = []
         for task in tasks:
             device = cluster[task.device]
             shards = build_shards(cluster.host, task.io)
-            results.append(self._guarded(task, cluster, lambda: _execute_shard_task(
+            results.append(self._guarded(task, cluster, lambda: _run_shard_task(
                 shards, provider, device.name, device.memory_limit,
                 device.cache_enabled, device.batched_io,
                 task.fn, task.args, task.kwargs, transient_retries,
@@ -373,10 +342,10 @@ class ClusterExecutor:
         self,
         cluster: Cluster,
         tasks: Sequence[ShardTask],
-        token: str,
         transient_retries: int,
     ) -> list[ShardResult]:
         pool = self._ensure_pool()
+        token = _provider_token(cluster.provider)
         arena: SharedShardArena | None = None
         if self.use_shared_memory:
             try:
@@ -403,7 +372,7 @@ class ClusterExecutor:
                     shards = build_shards(cluster.host, task.io)
                     self.bytes_pickled += shards_payload_bytes(shards)
                     futures.append(pool.submit(
-                        _execute_shard_task, shards,
+                        _run_shard_task, shards,
                         clone_provider(cluster.provider), *tail,
                     ))
             self.tasks_pooled += len(futures)
@@ -448,16 +417,6 @@ class ClusterExecutor:
         ``work(coprocessor, index_range, worker)`` must be picklable;
         ``io(index_range, worker)`` declares each partition's host footprint.
         """
-        ranges = cluster.partition_range(size)
-        tasks = [
-            ShardTask(
-                device=worker,
-                fn=work,
-                io=io(index_range, worker),
-                args=(index_range, worker),
-                label=f"{label} [{index_range.start}, {index_range.stop})",
-            )
-            for worker, index_range in enumerate(ranges)
-        ]
+        tasks = cluster.partition_tasks(size, work, io, label)
         self.run_tasks(cluster, tasks, transient_retries=transient_retries)
-        return ranges
+        return [task.args[0] for task in tasks]

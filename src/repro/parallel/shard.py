@@ -2,7 +2,7 @@
 
 A parallel worker cannot share the parent's :class:`~repro.hardware.host.
 HostMemory` — it lives in another process.  Two transports ship a task its
-declared footprint (:class:`TaskIO`):
+declared footprint (:class:`~repro.hardware.cluster.TaskIO`):
 
 * **Dictionary shards** (:func:`build_shards`) — the slot spans of every
   region the task touches are copied into :class:`RegionShard` dicts and
@@ -38,35 +38,17 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import HostMemoryError
+from repro.hardware.cluster import Span, TaskIO
 from repro.hardware.host import HostMemory
-
-#: One contiguous slot span [start, stop) of a region.
-Span = tuple[int, int]
 
 #: Length-table sentinel for a slot that was never written (region_bytes None).
 _NEVER_WRITTEN = 0xFFFFFFFF
 
 _LEN = struct.Struct("<I")          # per-slot length table entry
 _WRITE = struct.Struct("<QI")       # written slot index, ciphertext length
-
-
-@dataclass(frozen=True)
-class TaskIO:
-    """A task's declared host footprint.
-
-    ``reads`` maps each region the work touches in place to the slot spans
-    shipped to the worker (``None`` means the whole region); written slots
-    are merged back, so reads double as writes.  ``appends`` maps a growable
-    region to the global index the task's first append must land on — the
-    parent verifies the base at merge time, which pins the deterministic
-    append order the sequential simulation produces.
-    """
-
-    reads: Mapping[str, Sequence[Span] | None] = field(default_factory=dict)
-    appends: Mapping[str, int] = field(default_factory=dict)
 
 
 def _check_span(region: str, start: int, stop: int, size: int) -> None:
@@ -537,14 +519,6 @@ class ShardHostMemory:
             self.write_slot(dst, dst_start + i, value)
 
     # -- merge payload -------------------------------------------------------
-    def writes(self) -> dict[str, list[tuple[int, bytes]]]:
-        """Touched fixed slots, in ascending index order per region."""
-        return {
-            name: sorted(written.items())
-            for name, written in self._written.items()
-            if written
-        }
-
     def packed_writes(self) -> dict[str, bytes]:
         """Touched fixed slots as one contiguous blob per region."""
         return {
@@ -552,9 +526,6 @@ class ShardHostMemory:
             for name, written in self._written.items()
             if written
         }
-
-    def appends(self) -> dict[str, list[bytes]]:
-        return {name: list(items) for name, items in self._appended.items()}
 
     def packed_appends(self) -> dict[str, bytes]:
         """Appended ciphertexts as one contiguous blob per region."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.crypto.provider import FastProvider
 from repro.errors import AuthenticationError, EnclaveMemoryError, HostMemoryError
-from repro.hardware.cluster import Cluster
+from repro.hardware.cluster import Cluster, ShardTask, TaskIO
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.counters import TransferStats
 from repro.hardware.events import GET, PUT, AccessEvent, Trace
@@ -340,3 +340,84 @@ class TestCluster:
 
         cluster.run_partitioned(2, flaky, transient_retries=1)
         assert cluster.total_transfers() == 2
+
+
+class ForbiddenIO:
+    """A footprint the inline runner must never look at."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"inline round touched io.{name}")
+
+
+class TestClusterTaskRounds:
+    """``Cluster.run_tasks`` with no executor: the sequential simulation."""
+
+    def build(self, count=2, slots=4):
+        host = HostMemory()
+        host.allocate("R", slots)
+        return Cluster(host, FastProvider(KEY), count=count)
+
+    def test_values_in_task_order_on_the_named_devices(self):
+        cluster = self.build(count=3)
+
+        def put_and_name(t, index, *, scale):
+            t.put("R", index, b"x")
+            return (t.name, index * scale)
+
+        values = cluster.run_tasks([
+            ShardTask(device=2, fn=put_and_name, io=ForbiddenIO(), args=(0,),
+                      kwargs={"scale": 10}),
+            ShardTask(device=0, fn=put_and_name, io=ForbiddenIO(), args=(3,),
+                      kwargs={"scale": 10}),
+        ])
+        assert values == [("T2", 0), ("T0", 30)]
+        assert [t.trace.transfer_count() for t in cluster] == [1, 0, 1]
+
+    def test_failure_names_device_and_label_and_keeps_the_type(self):
+        cluster = self.build()
+        ran = []
+
+        def work(t, index):
+            ran.append(index)
+            if index == 1:
+                raise AuthenticationError("tag mismatch")
+
+        with pytest.raises(AuthenticationError) as excinfo:
+            cluster.run_tasks([
+                ShardTask(device=0, fn=work, io=TaskIO(), args=(0,), label="first"),
+                ShardTask(device=1, fn=work, io=TaskIO(), args=(1,), label="second probe"),
+                ShardTask(device=0, fn=work, io=TaskIO(), args=(2,), label="third"),
+            ])
+        message = str(excinfo.value)
+        assert "worker 1" in message and "T1" in message
+        assert "second probe" in message and "tag mismatch" in message
+        assert isinstance(excinfo.value.__cause__, AuthenticationError)
+        assert ran == [0, 1]  # the round stops at the failure
+
+    def test_transient_retries_honoured_per_task(self):
+        from repro.errors import TransientHostError
+
+        cluster = self.build()
+        attempts = []
+
+        def flaky(t, index):
+            attempts.append(index)
+            if index == 1 and attempts.count(1) < 3:
+                raise TransientHostError("stall")
+            return index
+
+        tasks = [ShardTask(device=i, fn=flaky, io=TaskIO(), args=(i,), label=f"task {i}")
+                 for i in range(2)]
+        assert cluster.run_tasks(tasks, transient_retries=2) == [0, 1]
+        assert attempts == [0, 1, 1, 1]
+        attempts.clear()
+        with pytest.raises(TransientHostError, match="task 1"):
+            cluster.run_tasks(tasks, transient_retries=1)
+
+    def test_iter_tasks_runs_each_task_as_its_value_is_asked_for(self):
+        cluster = self.build()
+        ran = []
+        tasks = [ShardTask(device=0, fn=lambda t, i=i: ran.append(i) or i == 1,
+                           io=ForbiddenIO()) for i in range(4)]
+        assert any(cluster.iter_tasks(tasks))
+        assert ran == [0, 1]

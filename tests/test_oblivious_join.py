@@ -351,6 +351,22 @@ class TestParallelAlgorithm7:
         out = parallel_algorithm7(context, cluster, [wl.left, wl.right], PRED)
         assert out.result.same_multiset(serial.result)
 
+    @pytest.mark.parametrize("processors,transfers,prints", [
+        (2, [1240, 922], ["78f433fe1e5b63d2", "c3461ef72340fe91"]),
+        (3, [1124, 986, 104],
+         ["4d19d43daa02c0c2", "7b09e73b89cb81f0", "4a6f077498360c5e"]),
+    ])
+    def test_per_device_traces_pinned(self, processors, transfers, prints):
+        """Golden pins taken before the parallel sort became task rounds: its
+        union sorts (closure key, no executor) leave every device's trace as
+        it was."""
+        wl = equijoin_workload(8, 10, 6, rng=random.Random(62))
+        context, cluster = self._rig(processors)
+        out = parallel_algorithm7(context, cluster, [wl.left, wl.right], PRED)
+        assert out.meta["parallel_sorts"] == 2
+        assert [t.trace.transfer_count() for t in cluster] == transfers
+        assert [t.trace.fingerprint()[:16] for t in cluster] == prints
+
 
 # ---------------------------------------------------------------------------
 # planner integration

@@ -9,10 +9,12 @@ processes.
 
 import random
 import struct
+from contextlib import nullcontext
 
 import pytest
 
 from tests.conftest import KEY
+from tests.test_cartesian import blemishing_workload, plain_image
 
 from repro.core.base import JoinContext
 from repro.core.parallel import (
@@ -23,7 +25,7 @@ from repro.core.parallel import (
     parallel_algorithm6,
 )
 from repro.crypto.provider import FastProvider
-from repro.errors import ConfigurationError, HostMemoryError
+from repro.errors import BlemishError, ConfigurationError, HostMemoryError
 from repro.hardware.cluster import Cluster
 from repro.hardware.host import HostMemory
 from repro.oblivious.parallel_filter import parallel_oblivious_filter
@@ -34,8 +36,6 @@ from repro.parallel import (
     TaskIO,
     build_shards,
     merge_shard_result,
-    wallclock_oblivious_filter,
-    wallclock_oblivious_sort,
 )
 from repro.parallel.shard import ShardHostMemory
 from repro.relational.generate import equijoin_workload
@@ -243,8 +243,8 @@ class TestWallclockSortIdentity:
         _, concurrent = rig(processors)
         load_region(concurrent, values)
         with ClusterExecutor(workers=workers) as executor:
-            par_report = wallclock_oblivious_sort(
-                executor, concurrent, "R", size, int_key
+            par_report = parallel_oblivious_sort(
+                concurrent, "R", size, int_key, executor=executor
             )
 
         assert par_report == seq_report
@@ -257,7 +257,7 @@ class TestWallclockSortIdentity:
         load_region(cluster, list(range(8)))
         with ClusterExecutor(workers=1) as executor:
             with pytest.raises(ConfigurationError):
-                wallclock_oblivious_sort(executor, cluster, "R", 8, int_key)
+                parallel_oblivious_sort(cluster, "R", 8, int_key, executor=executor)
 
 
 class TestWallclockFilterIdentity:
@@ -284,9 +284,9 @@ class TestWallclockFilterIdentity:
         _, concurrent = rig(2)
         load(concurrent)
         with ClusterExecutor(workers=2) as executor:
-            par = wallclock_oblivious_filter(
-                executor, concurrent, "S", size, keep=keep, delta=3,
-                priority=flag_priority,
+            par = parallel_oblivious_filter(
+                concurrent, "S", size, keep=keep, delta=3,
+                priority=flag_priority, executor=executor,
             )
 
         assert par == seq
@@ -386,3 +386,93 @@ class TestParallelExecutionPrivacy:
                        executor=executor)
                 observed.append([list(t.trace.events) for t in cluster])
         assert observed[0] == observed[1]
+
+
+JOIN_CASES = {
+    "algorithm2": (51, lambda wl: (parallel_algorithm2, (
+        wl.left, wl.right, Equality("key"), wl.max_matches, 2), {})),
+    "algorithm3": (52, lambda wl: (parallel_algorithm3, (
+        wl.left, wl.right, "key", wl.max_matches), {})),
+    "algorithm4": (53, lambda wl: (parallel_algorithm4, (
+        [wl.left, wl.right], BinaryAsMulti(Equality("key"))), {})),
+    "algorithm5": (54, lambda wl: (parallel_algorithm5, (
+        [wl.left, wl.right], BinaryAsMulti(Equality("key")), 4), {})),
+    "algorithm6": (55, lambda wl: (parallel_algorithm6, (
+        [wl.left, wl.right], BinaryAsMulti(Equality("key")), 6), {"seed": 9})),
+}
+
+
+class TestOneDriverTwoExecutors:
+    """Each parallel driver is one function; ``executor=`` only picks who runs
+    its rounds.  Everything a caller can observe — the phase rows included —
+    is the same inline, on the in-process shard path and on a pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(JOIN_CASES))
+    def test_join_observables_identical(self, name, workers):
+        seed, case = JOIN_CASES[name]
+        wl, reference = workload(seed=seed)
+        fn, args, kwargs = case(wl)
+
+        context, inline = rig(3)
+        seq = fn(context, inline, *args, **kwargs)
+        context, pooled = rig(3)
+        with ClusterExecutor(workers=workers) as executor:
+            par = fn(context, pooled, *args, executor=executor, **kwargs)
+            assert executor.tasks_run > 0
+
+        assert seq.result.same_multiset(reference)
+        assert par.result == seq.result  # row order too
+        assert fingerprints(pooled) == fingerprints(inline)
+        assert par.per_coprocessor == seq.per_coprocessor
+        assert par.makespan_transfers == seq.makespan_transfers
+        assert par.total_transfers == seq.total_transfers
+        assert plain_image(pooled) == plain_image(inline)
+        # The phase rows: a share books nothing of its own in either mode.
+        assert list(par.meta["phases"]) == list(seq.meta["phases"])
+        for phase, row in seq.meta["phases"].items():
+            for column in ("gets", "puts", "transfers", "calls"):
+                assert par.meta["phases"][phase][column] == row[column], (phase, column)
+        assert sum(row["transfers"] for row in seq.meta["phases"].values()) \
+            == sum(t.trace.transfer_count() for t in inline)
+        assert {**par.meta, "phases": None} == {**seq.meta, "phases": None}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_filter_observables_identical(self, workers):
+        rng = random.Random(12)
+        size, keep = 24, 7
+        flagged = [(1 if i < keep else 0, rng.randrange(1000)) for i in range(size)]
+        rng.shuffle(flagged)
+
+        def run(executor):
+            _, cluster = rig(3)
+            cluster.host.allocate("S", size)
+            for i, (flag, v) in enumerate(flagged):
+                cluster[0].put("S", i, bytes([flag]) + struct.pack(">q", v))
+            for t in cluster:
+                t.reset_trace()
+            report = parallel_oblivious_filter(
+                cluster, "S", size, keep=keep, delta=4, priority=flag_priority,
+                executor=executor)
+            return report, fingerprints(cluster), plain_image(cluster)
+
+        with ClusterExecutor(workers=workers) as executor:
+            par = run(executor)
+        seq = run(None)
+        assert seq[0].parallel and seq[0].sorts > 1
+        assert par == seq
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_forced_blemish_raises_either_way(self, workers):
+        """Inline, Algorithm 6's round ends at the first blemished share; a
+        pool has run the whole round — and reports the blemish all the same."""
+        relations, _ = blemishing_workload()
+        context, cluster = rig(2)
+        with (ClusterExecutor(workers=workers) if workers else nullcontext()) as executor:
+            with pytest.raises(BlemishError):
+                parallel_algorithm6(
+                    context, cluster, relations, BinaryAsMulti(Equality("key")),
+                    memory=1, segment_size=128, executor=executor)
+        # T0 screened either way; T1 only ever ran on the pool.
+        busy = [t.trace.transfer_count() > 0 for t in cluster]
+        assert busy == [True, workers is not None]

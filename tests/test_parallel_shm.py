@@ -26,13 +26,13 @@ from repro.errors import CoprocessorCrashError
 from repro.faults.plan import crash_plan
 from repro.hardware.events import Trace
 from repro.hardware.faulty import FaultyHost
+from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.obs import MetricsRegistry, instrument_executor
 from repro.parallel import (
     SEGMENT_PREFIX,
     ClusterExecutor,
     ShardTask,
     TaskIO,
-    wallclock_oblivious_sort,
 )
 from repro.parallel.shard import (
     pack_appends,
@@ -198,6 +198,34 @@ class TestWorkerProviderMemoization:
                 f"worker {pid} rebuilt its provider instead of memoizing"
             )
 
+    def test_in_process_clones_die_with_their_providers(self):
+        """A round of one task (every global stage of a P=2 sort) runs in the
+        parent on a clone of the cluster's provider.  The executor holds that
+        clone weakly by provider: joins with fresh providers on one long-lived
+        executor (the benchmark's ``parallel_pool``) must not leave one each."""
+        import gc
+
+        from tests.test_parallel_exec import workload
+        from repro.core.parallel import parallel_algorithm4
+        from repro.relational.predicates import BinaryAsMulti, Equality
+
+        wl, reference = workload(seed=52)
+        prints = set()
+        with ClusterExecutor(workers=2) as executor:
+            for _ in range(6):
+                context, cluster = rig(2)  # a fresh provider per join
+                out = parallel_algorithm4(
+                    context, cluster, [wl.left, wl.right],
+                    BinaryAsMulti(Equality("key")), executor=executor)
+                assert out.result.same_multiset(reference)
+                assert out.meta["filter_parallel"]
+                prints.add(tuple(fingerprints(cluster)))
+                assert len(executor._inline_providers) >= 1  # the path was taken
+            del context, cluster, out
+            gc.collect()
+            assert len(executor._inline_providers) == 0
+        assert len(prints) == 1
+
     def test_ciphertexts_interoperate_across_memoized_clones(self):
         # End to end: a multi-round sort where every worker reuses its clone
         # must still produce host ciphertexts the parent can decrypt.
@@ -207,7 +235,7 @@ class TestWorkerProviderMemoization:
         _, cluster = rig(4)
         load_region(cluster, values)
         with ClusterExecutor(workers=2) as executor:
-            wallclock_oblivious_sort(executor, cluster, "R", 16, int_key)
+            parallel_oblivious_sort(cluster, "R", 16, int_key, executor=executor)
         assert read_region(cluster, 16) == sorted(values)
 
 
@@ -219,7 +247,7 @@ class TestExecutorCounters:
         _, cluster = rig(4)
         load_region(cluster, values)
         with ClusterExecutor(workers=2) as executor:
-            wallclock_oblivious_sort(executor, cluster, "R", 16, int_key)
+            parallel_oblivious_sort(cluster, "R", 16, int_key, executor=executor)
             assert executor.bytes_shared > 0
             assert executor.bytes_pickled > 0   # packed results still pickle
             assert executor.tasks_submitted == executor.tasks_run
@@ -242,13 +270,13 @@ class TestExecutorCounters:
         _, cluster = rig(4)
         load_region(cluster, values)
         with ClusterExecutor(workers=2) as executor:
-            wallclock_oblivious_sort(executor, cluster, "R", 16, int_key)
+            parallel_oblivious_sort(cluster, "R", 16, int_key, executor=executor)
         shm_prints = fingerprints(cluster)
 
         _, cluster = rig(4)
         load_region(cluster, values)
         with ClusterExecutor(workers=2, shared_memory=False) as executor:
-            wallclock_oblivious_sort(executor, cluster, "R", 16, int_key)
+            parallel_oblivious_sort(cluster, "R", 16, int_key, executor=executor)
             assert executor.bytes_shared == 0
             assert executor.bytes_pickled > 0
         assert fingerprints(cluster) == shm_prints
