@@ -400,7 +400,7 @@ def sort_merge_equijoin(
                 return pack_expand(p, FILLER_KIND, INFINITY, 0, 0, 0, 0,
                                    bytes(record_size))
 
-            if s and device.batched_hot_path:
+            if s and device.batched_io:
                 device.put_range(region, size, [filler(p) for p in range(s)])
             elif s:
                 with device.hold(2):

@@ -87,7 +87,6 @@ class JoinContext:
         seed: int = 0,
         key: bytes = b"repro-session-key",
         trace_factory: TraceFactory | None = None,
-        plaintext_cache: bool = True,
         batched_io: bool = True,
     ) -> "JoinContext":
         """A new context with a single coprocessor attached to a new host.
@@ -95,17 +94,14 @@ class JoinContext:
         ``trace_factory`` selects how the coprocessor captures its access
         stream — the default materialized :class:`Trace`, or one of the
         bounded-memory sinks from :mod:`repro.obs.sinks`.
-        ``plaintext_cache`` toggles the coprocessor's crypto fast path, and
-        ``batched_io`` the vectorized batch execution on top of it
-        (observable behaviour is identical either way; both off is the
-        reference slow path for differential tests and benchmarks).
+        ``batched_io=False`` selects the scalar reference path for
+        differential tests and benchmarks (observable behaviour is identical
+        either way).
         """
         host = HostMemory()
         provider = provider if provider is not None else OcbProvider(key)
         coprocessor = SecureCoprocessor(host, provider, memory_limit=memory_limit,
-                                        trace_factory=trace_factory,
-                                        plaintext_cache=plaintext_cache,
-                                        batched_io=batched_io)
+                                        trace_factory=trace_factory, batched_io=batched_io)
         return cls(host=host, coprocessor=coprocessor, provider=provider,
                    rng=random.Random(seed))
 
@@ -218,9 +214,8 @@ def compute_n_exactly(
     """
     coprocessor = context.coprocessor
     best = 0
-    # Each inner pass is one ranged read (served slot by slot by a host
-    # without the ranged surface) and the B records are decoded once: B is
-    # never written during the scan, so the first pass's stay valid.
+    # Each inner pass is one ranged read and the B records are decoded once:
+    # B is never written during the scan, so the first pass's stay valid.
     right_batch = BatchCodec(right_codec.schema)
     b_records = None
     with coprocessor.hold(2):

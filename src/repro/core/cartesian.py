@@ -194,12 +194,12 @@ def scan_blocks(
     :attr:`ScanBlock.write` before asking for the next block.  The declared
     events are ``G(X0) .. G(XJ-1) [P(output)]`` per row either way:
 
-    * **vectorized** (``batched_hot_path``) — up to :data:`SCAN_BLOCK` rows
+    * **vectorized** (``batched_io``) — up to :data:`SCAN_BLOCK` rows
       are one gather per table, one scatter when the pass writes, and one
       ``charge_boundary`` whose interleaved index column is the scalar event
       sequence;
-    * **scalar** (``batched_io=False``, adversary hosts, cache off) — the
-      reference: one :meth:`CartesianReader.read`, and one ``put``, per row.
+    * **scalar** (``batched_io=False``) — the reference: one
+      :meth:`CartesianReader.read`, and one ``put``, per row.
 
     A pass that may stop on a data-dependent condition passes ``room``: how
     many more matching rows the caller can take before it would stop.  A
@@ -208,7 +208,7 @@ def scan_blocks(
     the scalar pass reads too.
     """
     coprocessor = reader.coprocessor
-    if not coprocessor.batched_hot_path:
+    if not coprocessor.batched_io:
         for logical in logicals:
             yield ScanBlock(
                 (logical,), (reader.read(logical),).__iter__,

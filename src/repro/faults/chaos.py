@@ -17,9 +17,10 @@ For each safe algorithm (1, 1v, 2, 3, 4, 5, 6, 7, 8) the sweep:
    privacy checker's event-for-event comparison — recovery must be accepted
    by the same machinery that certifies the algorithms;
 5. wraps a :class:`~repro.hardware.adversary.TamperingHost` in the fault
-   layer and asserts tampering still aborts with
-   :class:`~repro.errors.AuthenticationError` on the tampered read itself —
-   the retry loop must never re-issue an authentication failure.
+   layer and asserts, on the batched path and on the scalar reference, that
+   tampering still aborts with :class:`~repro.errors.AuthenticationError`
+   on the batch that carried the tampered read — the retry loop must never
+   re-issue an authentication failure, and nothing is written after it.
 
 Everything is derived from one seed, so a red sweep reproduces exactly.
 """
@@ -295,22 +296,33 @@ def _tamper_aborts_immediately(runner: Runner, provider=FastProvider,
                                tamper_at_read: int = 2) -> bool:
     """Tampering must abort on the tampered read — never enter the retry loop.
 
-    If the coprocessor (wrongly) retried the authentication failure, the host
-    would serve at least one read beyond the tampered one for the same slot;
-    asserting ``reads_served == tamper_at_read`` rules that out.
+    Judged from the host's side, on both physical paths.  A tampered read
+    inside a batch is followed by the rest of that batch's reads (the host
+    serves the whole ranged call before T authenticates any of it), so the
+    batched statement is: the tampered slot is served once — a retried batch
+    would re-read it — no host write follows it, and T counted no retry.
+    On the scalar reference the exact form holds too: the tampered read is
+    the last one the host ever serves.
     """
+    return all(_stops_at_tamper(runner, provider(KEY), tamper_at_read, batched_io)
+               for batched_io in (True, False))
+
+
+def _stops_at_tamper(runner: Runner, provider, tamper_at_read: int,
+                     batched_io: bool) -> bool:
     tampering = TamperingHost(tamper_at_read)
     host = FaultyHost(tampering)
-    provider = provider(KEY)
     coprocessor = SecureCoprocessor(host, provider,
                                     retry=RetryPolicy(max_retries=3),
-                                    clock=VirtualClock())
+                                    clock=VirtualClock(), batched_io=batched_io)
     context = JoinContext(host=host, coprocessor=coprocessor,
                           provider=provider, rng=random.Random(0))
     try:
         runner(context)
     except AuthenticationError:
-        return tampering.reads_served == tamper_at_read
+        return (tampering.rereads == 0 and coprocessor.retries == 0
+                and tampering.snapshot_regions() == tampering.image_at_tamper
+                and (batched_io or tampering.reads_served == tamper_at_read))
     return False
 
 

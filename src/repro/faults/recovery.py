@@ -42,11 +42,12 @@ from repro.errors import CheckpointError, ConfigurationError, CoprocessorCrashEr
 from repro.faults.checkpoint import CheckpointStore
 from repro.hardware.coprocessor import SecureCoprocessor, TraceFactory
 from repro.hardware.events import PUT
+from repro.hardware.host import ForwardingHost
 from repro.hardware.resilience import ReplayCursor, RetryPolicy
 from repro.hardware.timing import VirtualClock
 
 
-class RecoveryHost:
+class RecoveryHost(ForwardingHost):
     """Gate between a resumed run and the restored host.
 
     While the replay cursor is active, the re-executed prefix's host-side
@@ -55,15 +56,13 @@ class RecoveryHost:
     the gate is transparent.  Boundary reads/writes never reach the gate
     during replay at all (the coprocessor serves them from the journal);
     what lands here is the algorithm's direct host management: region
-    allocation, uploads, frees, and host-side copies.
+    allocation, uploads, frees, and host-side copies; the rest is forwarded.
     """
 
     def __init__(self, inner, cursor: ReplayCursor | None = None) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.cursor = cursor
         self.suppressed_mutations = 0
-        #: The wrapped host's fault clock, when it has one (``FaultyHost``).
-        self.admit = getattr(inner, "admit", None)
 
     @property
     def replaying(self) -> bool:
@@ -124,31 +123,6 @@ class RecoveryHost:
         if not self._suppress():
             self.inner.host_copy_into(src, src_start, count, dst, dst_start)
 
-    # -- reads: delegated -----------------------------------------------------
-    def read_slot(self, name: str, index: int) -> bytes:
-        return self.inner.read_slot(name, index)
-
-    def read_slots(self, slots) -> list[bytes]:
-        return self.inner.read_slots(slots)
-
-    def has_region(self, name: str) -> bool:
-        return self.inner.has_region(name)
-
-    def size(self, name: str) -> int:
-        return self.inner.size(name)
-
-    def region_names(self) -> list[str]:
-        return self.inner.region_names()
-
-    def region_bytes(self, name: str) -> list[bytes | None]:
-        return self.inner.region_bytes(name)
-
-    def snapshot_regions(self, exclude: frozenset[str] = frozenset()):
-        return self.inner.snapshot_regions(exclude=exclude)
-
-    def restore_regions(self, snapshot, exclude: frozenset[str] = frozenset()) -> None:
-        self.inner.restore_regions(snapshot, exclude=exclude)
-
 
 @dataclass
 class RecoveryReport:
@@ -187,7 +161,7 @@ def run_with_recovery(
     retry: RetryPolicy | None = None,
     clock: VirtualClock | None = None,
     trace_factory: TraceFactory | None = None,
-    plaintext_cache: bool = True,
+    batched_io: bool = True,
     name: str = "T0",
     resume: bool = False,
 ) -> RecoveryReport:
@@ -199,7 +173,8 @@ def run_with_recovery(
     repeat.  Non-crash exceptions (including
     :class:`~repro.errors.AuthenticationError` and retry-exhausted
     :class:`~repro.errors.TransientHostError`) propagate immediately —
-    tampering still terminates, never restarts.
+    tampering still terminates, never restarts.  ``batched_io=False`` runs
+    every attempt on the scalar reference path.
 
     With ``resume=True`` a sealed checkpoint already on the host — left by
     an earlier *process* over the same host image and provider, e.g. a
@@ -229,7 +204,7 @@ def run_with_recovery(
         gate = RecoveryHost(host, cursor)
         coprocessor = SecureCoprocessor(
             gate, provider, memory_limit=memory_limit, name=name,
-            trace_factory=trace_factory, plaintext_cache=plaintext_cache,
+            trace_factory=trace_factory, batched_io=batched_io,
             retry=retry, clock=clock, replay=cursor,
             checkpoint_store=store, checkpoint_interval=checkpoint_interval,
         )

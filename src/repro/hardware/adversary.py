@@ -22,11 +22,13 @@ from repro.hardware.host import HostMemory
 
 
 class TamperingHost(HostMemory):
-    """A host that flips one ciphertext bit on its n-th read."""
+    """A host that flips one ciphertext bit on its n-th read.
 
-    #: Counts individual reads, so it offers no ranged surface: T serves it
-    #: slot by slot and aborts on the tampered read itself.
-    read_slots = None
+    The inherited ranged calls loop over :meth:`read_slot`, so the n-th read
+    may fall inside a batch.  For the verdict "T stopped there" the host keeps
+    ``image_at_tamper``, its storage at that instant, and ``rereads``, later
+    reads of the tampered slot (a retried batch would be one).
+    """
 
     def __init__(self, tamper_at_read: int, bit: int = 0) -> None:
         super().__init__()
@@ -36,12 +38,19 @@ class TamperingHost(HostMemory):
         self.bit = bit
         self.reads_served = 0
         self.tampered = False
+        self.tampered_slot: tuple[str, int] | None = None
+        self.image_at_tamper: dict | None = None
+        self.rereads = 0
 
     def read_slot(self, name: str, index: int) -> bytes:
         value = super().read_slot(name, index)
         self.reads_served += 1
+        if (name, index) == self.tampered_slot:
+            self.rereads += 1
         if self.reads_served == self.tamper_at_read:
             self.tampered = True
+            self.tampered_slot = (name, index)
+            self.image_at_tamper = self.snapshot_regions()
             corrupted = bytearray(value)
             corrupted[self.bit // 8] ^= 1 << (self.bit % 8)
             return bytes(corrupted)
@@ -58,8 +67,6 @@ class ReplayingHost(HostMemory):
     this host to document exactly which substitutions the per-tuple provider
     model does and does not detect.
     """
-
-    read_slots = None  # per-read interposition: served slot by slot
 
     def __init__(self, replay_at_read: int, source: tuple[str, int]) -> None:
         super().__init__()

@@ -94,7 +94,6 @@ class Cluster:
         count: int,
         memory_limit: int | None = None,
         trace_factory: TraceFactory | None = None,
-        plaintext_cache: bool = True,
         batched_io: bool = True,
     ) -> None:
         if count < 1:
@@ -105,9 +104,7 @@ class Cluster:
         # device simply misses (byte-inequality) and takes the physical path.
         self.coprocessors = [
             SecureCoprocessor(host, provider, memory_limit=memory_limit, name=f"T{i}",
-                              trace_factory=trace_factory,
-                              plaintext_cache=plaintext_cache,
-                              batched_io=batched_io)
+                              trace_factory=trace_factory, batched_io=batched_io)
             for i in range(count)
         ]
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
 from repro.errors import EnclaveMemoryError
 from repro.hardware.events import GET, PUT, Pairs, Trace, run_counts
-from repro.hardware.host import HostMemory, has_ranged_surface
+from repro.hardware.host import HostMemory
 from repro.hardware.resilience import (
     CHARGE,
     GATHER,
@@ -111,10 +111,13 @@ class SecureCoprocessor:
     cache and takes the full decrypt+authenticate path, preserving
     Section 3.3.1's detect-and-terminate behaviour bit-for-bit.
 
-    The cache changes nothing observable: traces, modeled counters,
-    ``TransferStats`` and phase breakdowns are identical with it on or off
-    (``tests/test_fastpath.py``).  The physical work actually performed is
-    surfaced separately as ``physical_decryptions`` and ``cache_hits``.
+    Neither the cache nor ``batched_io``, the one physical switch, changes
+    anything observable: ``True`` moves whole batches (ranged host calls, one
+    crypto pass, vectorized sections), ``False`` is the scalar reference, and
+    traces, modeled counters, ``TransferStats`` and phase breakdowns are
+    identical in both (``tests/test_fastpath.py``, ``tests/test_batch.py``).
+    The physical work actually performed is surfaced separately as
+    ``physical_decryptions`` and ``cache_hits``.
 
     Fault tolerance
     ---------------
@@ -145,7 +148,6 @@ class SecureCoprocessor:
         memory_limit: int | None = None,
         name: str = "T0",
         trace_factory: TraceFactory | None = None,
-        plaintext_cache: bool = True,
         retry: RetryPolicy | None = None,
         clock: VirtualClock | None = None,
         replay: ReplayCursor | None = None,
@@ -169,7 +171,6 @@ class SecureCoprocessor:
         #: served from the slot cache (decryptions == physical + hits).
         self.physical_decryptions = 0
         self.cache_hits = 0
-        self.cache_enabled = plaintext_cache
         self._cache: dict[tuple[str, int], tuple[bytes, bytes]] = {}
         #: Vectorized physical execution: number of batched boundary calls and
         #: total rows they moved.  Like ``physical_decryptions``/``cache_hits``
@@ -179,9 +180,6 @@ class SecureCoprocessor:
         self.batched_ops = 0
         self.batch_rows = 0
         self._batch_physical_pending = 0
-        #: Batches cross to the host as one ranged call; a host without the
-        #: ranged surface is served slot by slot.
-        self._ranged = batched_io and has_ranged_surface(host)
         #: A section's encrypted writes, staged until ``charge_boundary``.
         self._staged: list[tuple[list[tuple[str, int]], list[bytes]]] = []
         #: Fault tolerance: bounded transient-fault retry and, when recovery
@@ -210,8 +208,8 @@ class SecureCoprocessor:
     def _host_call(self, operation: Callable[[], Any], window=None) -> Any:
         """One host storage call under the retry policy (if any).
 
-        ``window`` — a batch's declared ``(op class, region)`` ops, built only
-        for hosts with a fault clock — is admitted inside the retried unit and
+        ``window`` — a batch's declared ``(op class, region)`` ops, see
+        :meth:`_window` — is admitted inside the retried unit and
         before ``operation`` touches storage: a transient fault re-issues the
         whole batch as one retry with nothing written twice.
         """
@@ -226,6 +224,10 @@ class SecureCoprocessor:
             return operation()
         return self.retry.call(operation, clock=self.clock,
                                on_retry=self._count_retry)
+
+    def _window(self, op: str, regions: Iterable[str]) -> list[tuple[str, str]] | None:
+        """A batch's declared ops, built only for hosts with a fault clock."""
+        return None if self._admit is None else [(op, region) for region in regions]
 
     def _finish(self, ops: int, rows: Iterable[JournalEntry] = ()) -> None:
         """Count one completed live batch of ``ops`` boundary ops; journal it.
@@ -330,15 +332,14 @@ class SecureCoprocessor:
         ciphertext = self._host_call(lambda: self.host.read_slot(region, index))
         self.trace.record(GET, region, index)
         self.decryptions += 1
-        entry = self._cache.get((region, index)) if self.cache_enabled else None
+        entry = self._cache.get((region, index))
         if entry is not None and entry[0] == ciphertext:
             self.cache_hits += 1
             plaintext = entry[1]
         else:
             self.physical_decryptions += 1
             plaintext = self.provider.decrypt(ciphertext)
-            if self.cache_enabled:
-                self._cache[(region, index)] = (ciphertext, plaintext)
+            self._cache[(region, index)] = (ciphertext, plaintext)
         if self._journaling:
             self._finish(1, (JournalEntry(GET, region, index, plaintext),))
         else:
@@ -367,31 +368,13 @@ class SecureCoprocessor:
                   plaintext: bytes) -> None:
         self.trace.record(PUT, region, index)
         self.encryptions += 1
-        if self.cache_enabled:
-            self._cache[(region, index)] = (ciphertext, plaintext)
+        self._cache[(region, index)] = (ciphertext, plaintext)
         if self._journaling:
             self._finish(1, (JournalEntry(PUT, region, index),))
         else:
             self.ops_completed += 1
 
     # -- batched boundary ops --------------------------------------------------
-    @property
-    def batched_hot_path(self) -> bool:
-        """True when vectorized (tier-2) primitives may run.
-
-        Batches need a host with the ranged slot surface (one without it, e.g.
-        an adversary host counting individual reads, is served slot by slot)
-        and ``batched_io`` — the single reference switch.  Retry, checkpoint,
-        replay and fault injection all operate on whole batches, so none of
-        them turns batching off.  On top of that the gather/scatter path needs
-        the plaintext cache: elided re-reads of enclave-resident batch
-        plaintexts are charged as ``cache_hits``, which only balances the
-        ``physical + hits == decryptions`` ledger when the cache is on.  With
-        the cache off every modeled decryption must be physical, so callers
-        fall back to the scalar network.
-        """
-        return self.cache_enabled and self._ranged
-
     def get_many(self, slots: Iterable[tuple[str, int]]) -> list[bytes]:
         """Read several host slots in one boundary call.
 
@@ -409,22 +392,16 @@ class SecureCoprocessor:
         path filled the cache.
         """
         slots = list(slots)
-        if len(slots) < 2 or not self._ranged:
+        if len(slots) < 2 or not self.batched_io:
             get = self.get
             return [get(region, index) for region, index in slots]
         if self.replaying:
             return [entry.payload for entry in self._replay_batch(GET, slots)]
-        window = None
-        if self._admit is not None:
-            window = [("read", region) for region, _ in slots]
+        window = self._window("read", (region for region, _ in slots))
         ciphertexts = self._host_call(lambda: self.host.read_slots(slots), window)
         n = len(slots)
-        if not self.cache_enabled:
-            results = decrypt_batch(self.provider, ciphertexts)
-            self.physical_decryptions += n
-        else:
-            results, misses = self._resolve(slots, ciphertexts)
-            self.cache_hits += n - misses
+        results, misses = self._resolve(slots, ciphertexts)
+        self.cache_hits += n - misses
         self._record_slots(GET, slots)
         self.decryptions += n
         self.batched_ops += 1
@@ -437,7 +414,9 @@ class SecureCoprocessor:
                  ciphertexts: list[bytes]) -> tuple[list[bytes], int]:
         """Plaintexts for freshly read cells, and how many were cache misses.
 
-        Hits come from the slot cache; the misses are decrypted in one pass.
+        Hits come from the slot cache; the misses are decrypted in one pass,
+        and nothing is cached or counted until all of it has authenticated —
+        a tampered cell aborts the batch with none of it released.
         """
         cache = self._cache
         results: list[bytes | None] = [None] * len(slots)
@@ -471,7 +450,7 @@ class SecureCoprocessor:
     def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
         """Write several plaintexts out in one boundary call (fresh nonces each)."""
         slots = list(slots)
-        if len(slots) < 2 or not self._ranged:
+        if len(slots) < 2 or not self.batched_io:
             put = self.put
             for region, index, plaintext in slots:
                 put(region, index, plaintext)
@@ -482,25 +461,21 @@ class SecureCoprocessor:
             return
         plaintexts = [plaintext for _, _, plaintext in slots]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        window = None
-        if self._admit is not None:
-            window = [("write", region) for region, _ in targets]
+        window = self._window("write", (region for region, _ in targets))
         self._host_call(lambda: self.host.write_slots(targets, ciphertexts), window)
         self._puts_done(targets, ciphertexts, plaintexts)
 
     def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
         """Append several encrypted tuples to a growable region in one call."""
         plaintexts = list(plaintexts)
-        if len(plaintexts) < 2 or not self._ranged:
+        if len(plaintexts) < 2 or not self.batched_io:
             put_append = self.put_append
             return [put_append(region, plaintext) for plaintext in plaintexts]
         if self.replaying:
             return [entry.index for entry in self._replay_batch(
                 PUT, [(region, None)] * len(plaintexts))]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        window = None
-        if self._admit is not None:
-            window = [("append", region)] * len(plaintexts)
+        window = self._window("append", [region] * len(plaintexts))
         indices = self._host_call(
             lambda: self.host.append_slots(region, ciphertexts), window)
         self._puts_done([(region, index) for index in indices],
@@ -510,8 +485,7 @@ class SecureCoprocessor:
     def _puts_done(self, targets: list[tuple[str, int]],
                    ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
         self._record_slots(PUT, targets)
-        if self.cache_enabled:
-            self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+        self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
         n = len(targets)
         self.encryptions += n
         self.batched_ops += 1
@@ -544,7 +518,7 @@ class SecureCoprocessor:
     # section: it presents the scalar network's declared ops to the host's
     # fault clock, flushes the staged writes, and records the per-slot events
     # and modeled counts in their original order.  Legal only under
-    # ``batched_hot_path`` and only for sections whose scalar equivalent is a
+    # ``batched_io`` and only for sections whose scalar equivalent is a
     # sequence of wire-disjoint read-modify-write steps over the gathered
     # slots (a comparator network): the final host state, the declared trace
     # and every modeled counter match the scalar execution exactly, while the

@@ -33,11 +33,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.errors import CoprocessorCrashError, TransientHostError
-from repro.hardware.host import HostMemory
+from repro.hardware.host import ForwardingHost, HostMemory
 from repro.hardware.timing import VirtualClock
 
 
-class FaultyHost:
+class FaultyHost(ForwardingHost):
     """Injects declared faults in front of an inner host's storage ops.
 
     ``ops_attempted`` counts every attempted boundary operation (including
@@ -50,7 +50,7 @@ class FaultyHost:
 
     def __init__(self, inner: HostMemory, plan=None,
                  clock: VirtualClock | None = None) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._plan = plan.compile() if hasattr(plan, "compile") else plan
         self.clock = clock
         self.ops_attempted = 0
@@ -93,52 +93,8 @@ class FaultyHost:
         self._consult("append", name)
         return self.inner.append_slot(name, ciphertext)
 
-    # -- batches: the window is admitted first, the ranged I/O cannot fault ---
+    # -- batches: the window is admitted first; the ranged calls are inner's --
     def admit(self, window: Iterable[tuple[str, str]]) -> None:
         """Present a batch's declared ``(op class, region)`` ops to the plan."""
         for op, region in window:
             self._consult(op, region)
-
-    def read_slots(self, slots) -> list[bytes]:
-        return self.inner.read_slots(slots)
-
-    def write_slots(self, slots, ciphertexts) -> None:
-        self.inner.write_slots(slots, ciphertexts)
-
-    def append_slots(self, name: str, ciphertexts) -> list[int]:
-        return self.inner.append_slots(name, ciphertexts)
-
-    # -- transparent delegation ----------------------------------------------
-    def allocate(self, name: str, size: int) -> None:
-        self.inner.allocate(name, size)
-
-    def allocate_from(self, name: str, ciphertexts: Iterable[bytes]) -> None:
-        self.inner.allocate_from(name, ciphertexts)
-
-    def free(self, name: str) -> None:
-        self.inner.free(name)
-
-    def has_region(self, name: str) -> bool:
-        return self.inner.has_region(name)
-
-    def size(self, name: str) -> int:
-        return self.inner.size(name)
-
-    def region_names(self) -> list[str]:
-        return self.inner.region_names()
-
-    def host_copy(self, src: str, src_start: int, count: int, dst: str) -> None:
-        self.inner.host_copy(src, src_start, count, dst)
-
-    def host_copy_into(self, src: str, src_start: int, count: int, dst: str,
-                       dst_start: int) -> None:
-        self.inner.host_copy_into(src, src_start, count, dst, dst_start)
-
-    def region_bytes(self, name: str) -> list[bytes | None]:
-        return self.inner.region_bytes(name)
-
-    def snapshot_regions(self, exclude: frozenset[str] = frozenset()):
-        return self.inner.snapshot_regions(exclude=exclude)
-
-    def restore_regions(self, snapshot, exclude: frozenset[str] = frozenset()) -> None:
-        self.inner.restore_regions(snapshot, exclude=exclude)

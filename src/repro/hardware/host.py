@@ -19,16 +19,50 @@ from typing import Iterable, Sequence
 from repro.errors import HostMemoryError
 
 
-def has_ranged_surface(host) -> bool:
-    """True when ``host`` — and every host it wraps — offers ranged slot access."""
-    while host is not None:
-        if getattr(host, "read_slots", None) is None:
-            return False
-        host = getattr(host, "inner", None)
-    return True
+class RangedSlots:
+    """The ranged slot trio, written once over a host's own scalar slot calls.
+
+    A batch of boundary ops crosses to the host as one call; ``slots`` are
+    ``(region, index)`` pairs in declared order.  Each call loops over
+    ``self.read_slot`` / ``write_slot`` / ``append_slot``, so a host that
+    interposes on single slots (the adversary hosts) sees every slot of a batch.
+    """
+
+    def read_slots(self, slots: Sequence[tuple[str, int]]) -> list[bytes]:
+        read = self.read_slot
+        return [read(name, index) for name, index in slots]
+
+    def write_slots(self, slots: Sequence[tuple[str, int]],
+                    ciphertexts: Sequence[bytes]) -> None:
+        write = self.write_slot
+        for (name, index), ciphertext in zip(slots, ciphertexts):
+            write(name, index, ciphertext)
+
+    def append_slots(self, name: str, ciphertexts: Sequence[bytes]) -> list[int]:
+        """Grow a region by one slot per ciphertext; returns the new indices."""
+        append = self.append_slot
+        return [append(name, ciphertext) for ciphertext in ciphertexts]
 
 
-class HostMemory:
+class ForwardingHost:
+    """A host wrapper: whatever a subclass does not intercept is ``inner``'s.
+
+    ``FaultyHost`` and ``RecoveryHost`` define only the calls they gate; every
+    other host method, and any capability of a host further down the stack
+    (a fault clock's ``admit``), is ``inner``'s own, bound once here so a
+    forwarded call costs what a direct one does.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        for name in dir(inner):
+            if not name.startswith("_") and not hasattr(type(self), name):
+                method = getattr(inner, name)
+                if callable(method):
+                    setattr(self, name, method)
+
+
+class HostMemory(RangedSlots):
     """Named regions of ciphertext slots plus an append-only output area."""
 
     def __init__(self) -> None:
@@ -91,29 +125,6 @@ class HostMemory:
         region = self._region(name)
         region.append(ciphertext)
         return len(region) - 1
-
-    # -- ranged slot access (one host call per coprocessor batch) -------------
-    #
-    # The ranged surface: a batch of boundary ops crosses to the host as one
-    # call.  ``slots`` are ``(region, index)`` pairs in declared order.  A
-    # host that must see every slot individually (the adversary hosts) sets
-    # ``read_slots = None`` and is served slot by slot.
-    def read_slots(self, slots: Sequence[tuple[str, int]]) -> list[bytes]:
-        read = self.read_slot
-        return [read(name, index) for name, index in slots]
-
-    def write_slots(self, slots: Sequence[tuple[str, int]],
-                    ciphertexts: Sequence[bytes]) -> None:
-        write = self.write_slot
-        for (name, index), ciphertext in zip(slots, ciphertexts):
-            write(name, index, ciphertext)
-
-    def append_slots(self, name: str, ciphertexts: Sequence[bytes]) -> list[int]:
-        """Grow a region by one slot per ciphertext; returns the new indices."""
-        region = self._region(name)
-        first = len(region)
-        region.extend(ciphertexts)
-        return list(range(first, len(region)))
 
     # -- host-side operations (no T/H transfer, not traced by T) ------------
     def host_copy(self, src: str, src_start: int, count: int, dst: str) -> None:

@@ -22,7 +22,7 @@ Each primitive has two physical executions with identical observables:
   physical crypto cannot change the declared trace, the modeled counters, or
   the final host state.
 
-Callers never choose: each primitive checks ``coprocessor.batched_hot_path``
+Callers never choose: each primitive checks ``coprocessor.batched_io``
 itself, so retry/checkpoint/replay/adversarial hosts automatically take the
 scalar path.
 """
@@ -72,7 +72,7 @@ def oblivious_linear_pass(
         indices = list(range(start + size - 1, start - 1, -1))
     else:
         indices = list(range(start, start + size))
-    if coprocessor.batched_hot_path:
+    if coprocessor.batched_io:
         with coprocessor.hold(2):
             plains = coprocessor.gather_slots(region, indices)
             outs = [step(i, plain) for i, plain in zip(indices, plains)]
@@ -105,7 +105,7 @@ def oblivious_transform_copy(
     """
     if count <= 0:
         return
-    if coprocessor.batched_hot_path:
+    if coprocessor.batched_io:
         src_indices = list(range(source_start, source_start + count))
         dst_indices = list(range(dest_start, dest_start + count))
         with coprocessor.hold(2):
@@ -141,7 +141,7 @@ def oblivious_zip_write(
     """
     if count <= 0:
         return
-    if coprocessor.batched_hot_path:
+    if coprocessor.batched_io:
         indices = list(range(count))
         with coprocessor.hold(3):
             left_plains = coprocessor.gather_slots(left_region, indices)

@@ -100,7 +100,7 @@ def _normalize_chunk(
     coprocessor, region: str, base: int, chunk: int
 ) -> None:
     """Physically reverse a chunk left descending (data-independent pass)."""
-    if chunk >= 2 and coprocessor.batched_hot_path:
+    if chunk >= 2 and coprocessor.batched_io:
         indices = list(range(base, base + chunk))
         with coprocessor.hold(2):
             plains = coprocessor.gather_slots(region, indices)

@@ -47,7 +47,7 @@ def run_network_vectorized(
     The declared index column is the network's cached wire column mapped
     through ``indices``.
 
-    Callers must check ``coprocessor.batched_hot_path`` first.
+    Callers must check ``coprocessor.batched_io`` first.
     """
     network, wires = wired_network(len(indices), merge)
     if not network:
@@ -86,7 +86,7 @@ def oblivious_sort_indices(
     comparator positions depend only on ``len(indices)``, so obliviousness is
     preserved.
     """
-    if coprocessor.batched_hot_path:
+    if coprocessor.batched_io:
         run_network_vectorized(coprocessor, region, indices, key, ascending, merge)
         return
     network = (bitonic_merge_network if merge else bitonic_network)(len(indices))

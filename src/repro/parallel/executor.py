@@ -116,7 +116,6 @@ def _run_shard_task(
     provider: CryptoProvider,
     name: str,
     memory_limit: int | None,
-    plaintext_cache: bool,
     batched_io: bool,
     fn: Callable[..., Any],
     args: tuple,
@@ -130,8 +129,7 @@ def _run_shard_task(
     """
     host = ShardHostMemory(shards)
     coprocessor = SecureCoprocessor(
-        host, provider, memory_limit=memory_limit, name=name,
-        plaintext_cache=plaintext_cache, batched_io=batched_io,
+        host, provider, memory_limit=memory_limit, name=name, batched_io=batched_io,
     )
     value = attempt_task(fn, coprocessor, args, kwargs, transient_retries)
     return ShardResult(
@@ -154,7 +152,6 @@ def _execute_arena_task(
     provider: CryptoProvider,
     name: str,
     memory_limit: int | None,
-    plaintext_cache: bool,
     batched_io: bool,
     fn: Callable[..., Any],
     args: tuple,
@@ -166,8 +163,8 @@ def _execute_arena_task(
     try:
         worker_provider = _worker_provider(provider_token, provider)
         return _run_shard_task(
-            shards, worker_provider, name, memory_limit, plaintext_cache,
-            batched_io, fn, args, kwargs, transient_retries,
+            shards, worker_provider, name, memory_limit, batched_io,
+            fn, args, kwargs, transient_retries,
         )
     finally:
         # Drop shard views before closing so no exported buffer outlives the
@@ -208,7 +205,6 @@ class ClusterExecutor:
         self,
         workers: int | None = None,
         start_method: str | None = None,
-        shared_memory: bool = True,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError("the executor needs at least one worker")
@@ -217,7 +213,7 @@ class ClusterExecutor:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
-        self.use_shared_memory = shared_memory
+        self.use_shared_memory = True
         self._pool: ProcessPoolExecutor | None = None
         self._arenas: dict[str, SharedShardArena] = {}
         #: Clones for tasks run in-process, held weakly by the parent's
@@ -333,8 +329,7 @@ class ClusterExecutor:
             shards = build_shards(cluster.host, task.io)
             results.append(self._guarded(task, cluster, lambda: _run_shard_task(
                 shards, provider, device.name, device.memory_limit,
-                device.cache_enabled, device.batched_io,
-                task.fn, task.args, task.kwargs, transient_retries,
+                device.batched_io, task.fn, task.args, task.kwargs, transient_retries,
             )))
         return results
 
@@ -359,8 +354,7 @@ class ClusterExecutor:
             for task in tasks:
                 device = cluster[task.device]
                 tail = (
-                    device.name, device.memory_limit, device.cache_enabled,
-                    device.batched_io,
+                    device.name, device.memory_limit, device.batched_io,
                     task.fn, task.args, task.kwargs, transient_retries,
                 )
                 if arena is not None:

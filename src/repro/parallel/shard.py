@@ -42,7 +42,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import HostMemoryError
 from repro.hardware.cluster import Span, TaskIO
-from repro.hardware.host import HostMemory
+from repro.hardware.host import HostMemory, RangedSlots
 
 #: Length-table sentinel for a slot that was never written (region_bytes None).
 _NEVER_WRITTEN = 0xFFFFFFFF
@@ -395,12 +395,13 @@ def attach_arena_shards(
     return shm, shards
 
 
-class ShardHostMemory:
+class ShardHostMemory(RangedSlots):
     """A worker-local host over shipped shards, addressed by global indices.
 
     Implements the slice of the :class:`HostMemory` surface the coprocessor
-    and the algorithms' host-side requests use, over either transport
-    (:class:`RegionShard` dicts or :class:`SharedRegionShard` arena views).
+    and the algorithms' host-side requests use (the ranged trio by
+    :class:`RangedSlots`), over either transport (:class:`RegionShard` dicts
+    or :class:`SharedRegionShard` arena views).
     Writes are tracked (the merge only applies touched slots) and appends
     accumulate locally with indices continuing from the declared append
     base, so returned slot numbers — and hence PUT trace events — are
@@ -478,18 +479,6 @@ class ShardHostMemory:
         appended = self._appended[name]
         appended.append(ciphertext)
         return shard.append_base + len(appended) - 1
-
-    # -- ranged slot access: with shared-memory shards workers move whole
-    # packed slot spans per crypto pass instead of tuple by tuple ------------
-    def read_slots(self, slots) -> list[bytes]:
-        return [self.read_slot(name, index) for name, index in slots]
-
-    def write_slots(self, slots, ciphertexts) -> None:
-        for (name, index), ciphertext in zip(slots, ciphertexts):
-            self.write_slot(name, index, ciphertext)
-
-    def append_slots(self, name: str, ciphertexts) -> list[int]:
-        return [self.append_slot(name, ciphertext) for ciphertext in ciphertexts]
 
     def region_bytes(self, name: str) -> list[bytes | None]:
         shard = self._shard(name)

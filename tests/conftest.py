@@ -14,12 +14,11 @@ KEY = b"test-suite-session-key-000001"
 
 def fresh_context(
     seed: int = 0, memory_limit: int | None = None, trace_factory=None,
-    plaintext_cache: bool = True,
 ) -> JoinContext:
     """A context with the fast provider (OCB is covered by dedicated tests)."""
     return JoinContext.fresh(
         memory_limit=memory_limit, provider=FastProvider(KEY), seed=seed,
-        trace_factory=trace_factory, plaintext_cache=plaintext_cache,
+        trace_factory=trace_factory,
     )
 
 

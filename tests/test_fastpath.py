@@ -1,19 +1,21 @@
 """Differential tests for the crypto fast path (slot cache + batched ops).
 
-The slot cache must be *invisible* in every observable the privacy analysis
+The fast path must be *invisible* in every observable the privacy analysis
 and the cost model read: traces, fingerprints, TransferStats, modeled
 encryption/decryption counters, and of course the join output.  Each case
-runs the same workload twice — cache on and cache off — from identically
-seeded contexts and asserts those observables are bit-identical, then checks
-the physical-counter invariants (``decryptions == physical + hits``) and
-that tamper detection still fires with the cache enabled.
+runs the same workload twice — on the scalar reference (``batched_io=False``)
+and on the fast path — from identically seeded contexts and asserts those
+observables are bit-identical, then checks the physical-counter invariants
+(``decryptions == physical + hits``) and that tamper detection still fires
+on the fast path: a tampered slot inside a batch aborts before anything of
+that batch is released, cached, recorded or written.
 """
 
 import random
 
 import pytest
 
-from tests.conftest import KEY, fresh_context
+from tests.conftest import KEY
 
 from repro.core.algorithm1 import algorithm1
 from repro.core.algorithm1v import algorithm1_variant
@@ -23,7 +25,7 @@ from repro.core.algorithm4 import algorithm4
 from repro.core.algorithm5 import algorithm5
 from repro.core.algorithm6 import algorithm6
 from repro.core.base import JoinContext
-from repro.crypto.provider import FastProvider, OcbProvider
+from repro.crypto.provider import FastProvider, OcbProvider, encrypt_batch
 from repro.errors import AuthenticationError
 from repro.hardware.adversary import TamperingHost
 from repro.hardware.coprocessor import SecureCoprocessor
@@ -53,11 +55,12 @@ ALGORITHMS = {
 
 
 def run_twice(name, seed=5):
-    """One algorithm over one workload, cache off then cache on."""
+    """One algorithm over one workload, scalar reference then fast path."""
     wl = equijoin_workload(8, 10, 5, rng=random.Random(400 + seed))
     outs = []
-    for cache in (False, True):
-        context = fresh_context(seed=seed, plaintext_cache=cache)
+    for batched_io in (False, True):
+        context = JoinContext.fresh(provider=FastProvider(KEY), seed=seed,
+                                    batched_io=batched_io)
         out = ALGORITHMS[name](context, wl)
         outs.append((out, context.coprocessor))
     return outs
@@ -66,47 +69,43 @@ def run_twice(name, seed=5):
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 class TestCacheIsObservablyInvisible:
     def test_trace_and_stats_identical(self, name):
-        (off, _), (on, _) = run_twice(name)
-        assert off.trace.fingerprint() == on.trace.fingerprint()
-        assert off.stats == on.stats
-        assert list(off.result) == list(on.result)
+        (scalar, _), (fast, _) = run_twice(name)
+        assert scalar.trace.fingerprint() == fast.trace.fingerprint()
+        assert scalar.stats == fast.stats
+        assert list(scalar.result) == list(fast.result)
 
     def test_modeled_counters_identical(self, name):
-        (_, t_off), (_, t_on) = run_twice(name)
-        assert t_off.decryptions == t_on.decryptions
-        assert t_off.encryptions == t_on.encryptions
+        (_, t_scalar), (_, t_fast) = run_twice(name)
+        assert t_scalar.decryptions == t_fast.decryptions
+        assert t_scalar.encryptions == t_fast.encryptions
 
     def test_physical_counter_invariants(self, name):
-        (_, t_off), (_, t_on) = run_twice(name)
-        # Cache off: every modeled decryption was physically executed.
-        assert t_off.physical_decryptions == t_off.decryptions
-        assert t_off.cache_hits == 0
-        assert t_off.cache_entries == 0
-        # Cache on: the split is exact and the fast path actually fires.
-        assert t_on.physical_decryptions + t_on.cache_hits == t_on.decryptions
-        assert t_on.cache_hits > 0
-        assert t_on.physical_decryptions < t_off.physical_decryptions
+        # The split is exact in both modes and the cache actually fires.
+        for t in (t for _, t in run_twice(name)):
+            assert t.physical_decryptions + t.cache_hits == t.decryptions
+            assert t.cache_hits > 0
+            assert t.physical_decryptions < t.decryptions
 
 
 def test_cache_differential_holds_under_ocb():
     """Same invisibility property under the faithful (slow) provider."""
     wl = equijoin_workload(6, 8, 4, rng=random.Random(77))
     outs = []
-    for cache in (False, True):
+    for batched_io in (False, True):
         context = JoinContext.fresh(provider=OcbProvider(KEY), seed=3,
-                                    plaintext_cache=cache)
+                                    batched_io=batched_io)
         outs.append(algorithm6(context, [wl.left, wl.right], PRED,
                                memory=3, epsilon=1e-20))
-    off, on = outs
-    assert off.trace.fingerprint() == on.trace.fingerprint()
-    assert off.stats == on.stats
-    assert list(off.result) == list(on.result)
+    scalar, fast = outs
+    assert scalar.trace.fingerprint() == fast.trace.fingerprint()
+    assert scalar.stats == fast.stats
+    assert list(scalar.result) == list(fast.result)
 
 
 class TestCacheSemantics:
-    def rig(self, cache=True):
+    def rig(self):
         host = HostMemory()
-        t = SecureCoprocessor(host, FastProvider(KEY), plaintext_cache=cache)
+        t = SecureCoprocessor(host, FastProvider(KEY))
         host.allocate("R", 4)
         return host, t
 
@@ -168,19 +167,12 @@ class TestCacheSemantics:
         assert t.get("R", 0) == b"kept"
         assert (t.physical_decryptions, t.cache_hits) == (1, 0)
 
-    def test_cache_disabled_records_nothing(self):
-        _, t = self.rig(cache=False)
-        t.put("R", 0, b"plain")
-        assert t.cache_entries == 0
-        assert t.get("R", 0) == b"plain"
-        assert (t.physical_decryptions, t.cache_hits) == (1, 0)
-
     def test_algorithms_abort_on_tamper_with_cache_on(self):
         """Section 3.3.1's detect-and-terminate survives the fast path."""
         wl = equijoin_workload(6, 6, 3, rng=random.Random(91))
         host = TamperingHost(tamper_at_read=7)
         provider = FastProvider(KEY)
-        t = SecureCoprocessor(host, provider, plaintext_cache=True)
+        t = SecureCoprocessor(host, provider)
         context = JoinContext(host=host, coprocessor=t, provider=provider,
                               rng=random.Random(0))
         with pytest.raises(AuthenticationError):
@@ -226,3 +218,168 @@ class TestBatchedOps:
             out = driver(t)
             results.append((out, t.reset_trace().fingerprint()))
         assert results[0] == results[1]
+
+
+# --- tampering on the fast path ----------------------------------------------
+#
+# Every host has the ranged slot calls, so the adversary hosts run the path the
+# benchmark runs and a tampered read can fall anywhere inside a batch.  The
+# abort must leave nothing of that batch behind: no plaintext released or
+# cached, no trace event, no host write, no retry.
+
+import functools
+
+from repro.core.base import OUTPUT_REGION
+from repro.errors import CoprocessorCrashError
+from repro.faults.chaos import _runners
+from repro.faults.plan import crash_plan
+from repro.faults.recovery import RecoveryHost
+from repro.hardware.faulty import FaultyHost
+from repro.hardware.resilience import RetryPolicy
+from repro.hardware.timing import VirtualClock
+from repro.oblivious.sort import oblivious_sort
+
+#: name -> the host T is attached to, built over the tampering storage.
+STACKS = {
+    "bare": lambda tampering: tampering,
+    "faulty": FaultyHost,
+    "recovery-faulty": lambda tampering: RecoveryHost(FaultyHost(tampering)),
+}
+#: placement -> the coprocessor call whose batch carries the tampered read.
+PLACEMENTS = {"recorded-batch": "get_many", "gathered-section": "gather_slots"}
+
+
+def job(name):
+    """The chaos sweep's small join, then its output read back as one ranged
+    get: Algorithms 4-8 read every multi-slot set as a gathered section, so
+    the read-back is the recorded batch all six have."""
+    run, _ = _runners(name, small=True)
+
+    def drive(context):
+        run(context)
+        size = context.host.size(OUTPUT_REGION)
+        context.coprocessor.get_range(OUTPUT_REGION, 0, size)
+
+    return drive
+
+
+def rig(tampering, stack, provider, batched_io=True):
+    host = STACKS[stack](tampering)
+    keyed = provider(KEY)
+    t = SecureCoprocessor(host, keyed, retry=RetryPolicy(max_retries=3),
+                          clock=VirtualClock(), batched_io=batched_io)
+    return t, JoinContext(host=host, coprocessor=t, provider=keyed,
+                          rng=random.Random(0))
+
+
+def spy_on(t, tampering, call, on_entry=None, on_exit=None):
+    """Report the physical-read ordinals each ``t.<call>`` spans: the first
+    to ``on_entry`` before the call, ``(first, last)`` to ``on_exit`` after."""
+    inner = getattr(t, call)
+
+    def spied(*args):
+        first = tampering.reads_served + 1
+        if on_entry is not None:
+            on_entry(first)
+        out = inner(*args)
+        if on_exit is not None:
+            on_exit(first, tampering.reads_served)
+        return out
+
+    setattr(t, call, spied)
+
+
+def observables(t, tampering):
+    return (tampering.snapshot_regions(), t.cache_entries,
+            t.trace.transfer_count(), t.ops_completed, t.batched_ops,
+            t.decryptions, t.physical_decryptions, t.cache_hits)
+
+
+@functools.lru_cache(maxsize=None)
+def read_spans(name, provider, call):
+    """``(first, last)`` read ordinals of every multi-slot ``call`` in an honest
+    fast-path run; the pattern is data-independent, so a tampering run's
+    calls span the same ordinals."""
+    tampering = TamperingHost(tamper_at_read=10 ** 9)
+    t, context = rig(tampering, "bare", provider)
+    spans = []
+    spy_on(t, tampering, call, on_exit=lambda first, last: spans.append((first, last)))
+    job(name)(context)
+    return [(first, last) for first, last in spans if last > first]
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("provider", [FastProvider, OcbProvider],
+                         ids=lambda p: p.__name__)
+@pytest.mark.parametrize("name", ["algorithm3", "algorithm4", "algorithm5",
+                                  "algorithm6", "algorithm7", "algorithm8"])
+def test_tamper_inside_a_batch_aborts_with_nothing_of_it_left(
+        name, provider, stack, placement):
+    call = PLACEMENTS[placement]
+    spans = read_spans(name, provider, call)
+    first, last = spans[len(spans) // 2]
+    tamper_at = (first + last) // 2  # inside the batch, never its last read
+
+    tampering = TamperingHost(tamper_at_read=tamper_at)
+    t, context = rig(tampering, stack, provider)
+    issued_against = []
+
+    def note_the_batch(ordinal):
+        if ordinal == first:
+            issued_against.append(observables(t, tampering))
+
+    spy_on(t, tampering, call, on_entry=note_the_batch)
+    with pytest.raises(AuthenticationError):
+        job(name)(context)
+    # The host served the whole ranged call: this was the fast path ...
+    assert tampering.reads_served == last
+    # ... and T kept nothing of it: image, cache, trace and counters are
+    # what they were when the batch was issued.
+    assert [observables(t, tampering)] == issued_against
+    assert tampering.image_at_tamper == issued_against[0][0]
+    assert t.retries == 0 and tampering.rereads == 0
+
+    # The scalar reference aborts on the tampered read itself.
+    tampering = TamperingHost(tamper_at_read=tamper_at)
+    t, context = rig(tampering, stack, provider, batched_io=False)
+    with pytest.raises(AuthenticationError):
+        job(name)(context)
+    assert tampering.reads_served == tamper_at
+    assert tampering.snapshot_regions() == tampering.image_at_tamper
+    assert t.retries == 0 and t.batched_ops == 0
+
+
+@pytest.mark.parametrize("call", ["get_range", "gather_slots"])
+@pytest.mark.parametrize("provider", [FastProvider, OcbProvider],
+                         ids=lambda p: p.__name__)
+def test_cold_batch_with_a_tampered_cell_caches_and_releases_nothing(provider, call):
+    """Every cell is a miss (an upload T never saw), so decrypting and caching
+    cell by cell would leave the cells before the tampered one behind."""
+    tampering = TamperingHost(tamper_at_read=4)
+    t, context = rig(tampering, "bare", provider)
+    tampering.allocate_from("R", encrypt_batch(
+        context.provider, [b"cell-%d" % i for i in range(6)]))
+    with pytest.raises(AuthenticationError):
+        if call == "get_range":
+            t.get_range("R", 0, 6)
+        else:
+            t.gather_slots("R", range(6))
+    assert tampering.reads_served == 6
+    assert (t.cache_entries, t.physical_decryptions, t.decryptions) == (0, 0, 0)
+    assert t.trace.transfer_count() == 0 and t.retries == 0
+
+
+def test_section_refused_by_the_fault_clock_has_flushed_nothing():
+    """The crash analogue: a section's staged writes reach the host only
+    after its whole declared window was admitted."""
+    tampering = TamperingHost(tamper_at_read=10 ** 9)
+    host = FaultyHost(tampering, crash_plan([8 + 5]))
+    t = SecureCoprocessor(host, FastProvider(KEY))
+    tampering.allocate("R", 8)
+    t.put_range("R", 0, [bytes([9 - i]) * 4 for i in range(8)])
+    image = tampering.snapshot_regions()
+    with pytest.raises(CoprocessorCrashError):
+        oblivious_sort(t, "R", 8, key=lambda p: p)
+    assert tampering.reads_served == 8  # the section had gathered
+    assert tampering.snapshot_regions() == image

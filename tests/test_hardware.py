@@ -421,3 +421,63 @@ class TestClusterTaskRounds:
                            io=ForbiddenIO()) for i in range(4)]
         assert any(cluster.iter_tasks(tasks))
         assert ran == [0, 1]
+
+
+# --- host wrappers forward what they do not intercept ---------------------------
+
+import inspect
+
+from repro.faults.checkpoint import base_host
+from repro.faults.recovery import RecoveryHost
+from repro.hardware.faulty import FaultyHost
+
+#: One call per public ``HostMemory`` method, in an order that is valid on an
+#: empty host.  A method added to ``HostMemory`` must be added here.
+HOST_CALLS = [
+    ("allocate", ("r", 4)),
+    ("allocate_from", ("s", [b"a", b"b"])),
+    ("has_region", ("r",)),
+    ("size", ("s",)),
+    ("region_names", ()),
+    ("write_slot", ("r", 0, b"w")),
+    ("write_slots", ([("r", 1), ("r", 2)], [b"x", b"y"])),
+    ("read_slot", ("r", 0)),
+    ("read_slots", ([("r", 2), ("s", 0)],)),
+    ("append_slot", ("s", b"c")),
+    ("append_slots", ("s", [b"d", b"e"])),
+    ("host_copy", ("r", 0, 2, "s")),
+    ("host_copy_into", ("s", 0, 2, "r", 1)),
+    ("region_bytes", ("r",)),
+    ("snapshot_regions", ()),
+    ("restore_regions", ({"r": [b"q", None]},)),
+    ("free", ("r",)),
+]
+
+
+class TestHostWrappersForward:
+    def test_every_public_host_method_crosses_the_wrapper_stack(self):
+        public = {name for name, member in inspect.getmembers(HostMemory, callable)
+                  if not name.startswith("_")}
+        assert {name for name, _ in HOST_CALLS} == public
+        raw, twin = HostMemory(), HostMemory()
+        stack = RecoveryHost(FaultyHost(raw))
+        for name, args in HOST_CALLS:
+            assert getattr(stack, name)(*args) == getattr(twin, name)(*args), name
+            assert raw.snapshot_regions() == twin.snapshot_regions(), name
+        assert stack.inner.ops_attempted == 3  # the scalar slot calls only
+
+    def test_admit_is_reachable_exactly_when_a_fault_clock_is_below(self):
+        faulty = FaultyHost(HostMemory())
+        assert RecoveryHost(faulty).admit == faulty.admit
+        RecoveryHost(faulty).admit([("read", "r"), ("write", "r")])
+        assert faulty.ops_attempted == 2
+        clockless = RecoveryHost(HostMemory())
+        assert not hasattr(clockless, "admit")
+        assert SecureCoprocessor(clockless, FastProvider(KEY))._admit is None
+        with pytest.raises(AttributeError):
+            clockless.no_such_host_method
+
+    def test_base_host_peels_to_raw_storage(self):
+        raw = HostMemory()
+        assert base_host(RecoveryHost(FaultyHost(raw))) is raw
+        assert base_host(raw) is raw

@@ -262,9 +262,11 @@ class TestExecutorCounters:
             series = registry.to_dict()["executor_bytes_shared_total"]["series"][0]
             assert series["value"] == executor.bytes_shared
 
-    def test_identity_maintained_with_shared_memory_disabled(self):
+    def test_identity_maintained_with_shared_memory_disabled(self, monkeypatch):
         # The dictionary fallback stays observationally identical.
         import random
+
+        import repro.parallel.executor as executor_module
 
         values = random.Random(13).sample(range(10_000), 16)
         _, cluster = rig(4)
@@ -275,8 +277,16 @@ class TestExecutorCounters:
 
         _, cluster = rig(4)
         load_region(cluster, values)
-        with ClusterExecutor(workers=2, shared_memory=False) as executor:
+
+        def no_segments(*args, **kwargs):
+            raise OSError("no usable shared memory")
+
+        # The transport is chosen from an observation: the first arena that
+        # cannot be created switches the executor to dictionaries for good.
+        monkeypatch.setattr(executor_module, "SharedShardArena", no_segments)
+        with ClusterExecutor(workers=2) as executor:
             parallel_oblivious_sort(cluster, "R", 16, int_key, executor=executor)
+            assert not executor.use_shared_memory
             assert executor.bytes_shared == 0
             assert executor.bytes_pickled > 0
         assert fingerprints(cluster) == shm_prints

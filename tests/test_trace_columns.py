@@ -314,7 +314,7 @@ class TestTheLedgerIsOneAppend:
         size = 1024
         context = loaded_context([(v * 7919) % size for v in range(size)])
         coprocessor = context.coprocessor
-        assert coprocessor.batched_hot_path
+        assert coprocessor.batched_io
         before = coprocessor.decryptions + coprocessor.encryptions
         oblivious_sort(coprocessor, "R", size, int_key)
         trace = coprocessor.trace
