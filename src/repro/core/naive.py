@@ -234,6 +234,9 @@ def unsafe_commutative(
         for i in range(len(left)):
             record = left_codec.decode(coprocessor.get("A", i))
             # The tag is written raw: the host is supposed to compare them.
+            # These tag writes (and the host's compare below) are deliberately
+            # scalar slot calls: the only ones in the package outside the host
+            # classes — everything else crosses as a ranged batch.
             host.write_slot("A_tags", i, tag(record.values[left_pos]))
             coprocessor.trace.record("put", "A_tags", i)
         for j in range(len(right)):

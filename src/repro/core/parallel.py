@@ -156,8 +156,7 @@ def _alg2_scan_share(
                             last = current
                 while len(joined) < blk:
                     joined.append(make_decoy(payload_size))
-                for plain in joined.drain():
-                    coprocessor.put_append("output", plain)
+                coprocessor.append_many("output", joined.drain())
                 joined.release()
 
 

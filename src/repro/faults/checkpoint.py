@@ -98,7 +98,8 @@ class CheckpointStore:
     named in the manifest as ``[first slot, chunk count, digest]``.  The
     manifest is always written last, so the store's visible state moves
     atomically from one consistent checkpoint to the next; the superseded
-    image's slots are then blanked.
+    image's slots are then blanked.  A blob is sealed, unsealed and blanked
+    in one ranged host call each, never one call per chunk.
     """
 
     MANIFEST_SLOT = 0
@@ -123,15 +124,15 @@ class CheckpointStore:
             blob[start:start + CHUNK_SIZE]
             for start in range(0, len(blob), CHUNK_SIZE)
         ])
-        slots = [self.host.append_slot(self.region, cell) for cell in cells]
-        return [slots[0], len(cells), _digest(cells)]
+        first = self.host.append_slots(self.region, cells)[0]
+        return [first, len(cells), _digest(cells)]
 
     def _unseal(self, span: list):
         """Authenticate, order-check and parse the blob a span names."""
         first, count, digest = span
         try:
-            cells = [self.host.read_slot(self.region, slot)
-                     for slot in range(first, first + count)]
+            cells = self.host.read_slots(
+                [(self.region, slot) for slot in range(first, first + count)])
         except HostMemoryError as error:
             raise CheckpointError(f"sealed chunks missing: {error}") from error
         chunks = decrypt_batch(self.provider, cells)
@@ -172,10 +173,12 @@ class CheckpointStore:
         )
         manifest = {"ops": ops, "segments": self._segments, "image": self._image}
         (cell,) = encrypt_batch(self.provider, [_serialize(manifest)])
-        self.host.write_slot(self.region, self.MANIFEST_SLOT, cell)
+        self.host.write_slots([(self.region, self.MANIFEST_SLOT)], [cell])
         if stale is not None:
-            for slot in range(stale[0], stale[0] + stale[1]):
-                self.host.write_slot(self.region, slot, b"")
+            first, count, _ = stale
+            self.host.write_slots(
+                [(self.region, slot) for slot in range(first, first + count)],
+                [b""] * count)
 
     # -- reading -------------------------------------------------------------
     def load(self) -> CheckpointState:
@@ -191,7 +194,7 @@ class CheckpointStore:
                 f"no checkpoint region {self.region!r} on this host"
             )
         try:
-            cell = self.host.read_slot(self.region, self.MANIFEST_SLOT)
+            (cell,) = self.host.read_slots([(self.region, self.MANIFEST_SLOT)])
         except HostMemoryError as error:
             raise CheckpointError(f"no usable checkpoint manifest: {error}") from error
         manifest = json.loads(decrypt_batch(self.provider, [cell])[0])

@@ -111,19 +111,23 @@ class SecureCoprocessor:
     cache and takes the full decrypt+authenticate path, preserving
     Section 3.3.1's detect-and-terminate behaviour bit-for-bit.
 
+    Every crossing, scalar or not, runs through one body per op kind over a
+    list of slots: ``get``/``put``/``put_append`` are batches of one.
     Neither the cache nor ``batched_io``, the one physical switch, changes
-    anything observable: ``True`` moves whole batches (ranged host calls, one
-    crypto pass, vectorized sections), ``False`` is the scalar reference, and
-    traces, modeled counters, ``TransferStats`` and phase breakdowns are
-    identical in both (``tests/test_fastpath.py``, ``tests/test_batch.py``).
-    The physical work actually performed is surfaced separately as
-    ``physical_decryptions`` and ``cache_hits``.
+    anything observable: ``True`` moves whole batches (one ranged host call,
+    one crypto pass, vectorized sections), ``False`` is the reference that
+    issues every row as its own batch of one, and traces, modeled counters,
+    ``TransferStats`` and phase breakdowns are identical in both
+    (``tests/test_fastpath.py``, ``tests/test_batch.py``).  The physical work
+    actually performed is surfaced separately as ``physical_decryptions``,
+    ``cache_hits`` and ``batched_ops``/``batch_rows`` (calls that moved more
+    than one row, and the rows they moved).
 
     Fault tolerance
     ---------------
-    A batch is the unit of fault tolerance (a scalar op is a batch of one),
-    so the batched path is the path under faults too.  The host is allowed
-    to fail: a :class:`RetryPolicy` re-issues a host call that raised
+    A batch is the unit of fault tolerance, so the path the product runs is
+    the path under faults too.  The host is allowed to fail: a
+    :class:`RetryPolicy` re-issues a host call that raised
     :class:`~repro.errors.TransientHostError`, bounded and with deterministic
     backoff on a simulated clock.  The retried request is the *identical*
     batch, re-issued whole, so the declared access pattern is unchanged —
@@ -225,9 +229,9 @@ class SecureCoprocessor:
         return self.retry.call(operation, clock=self.clock,
                                on_retry=self._count_retry)
 
-    def _window(self, op: str, regions: Iterable[str]) -> list[tuple[str, str]] | None:
+    def _window(self, op: str, slots: Sequence[tuple]) -> list[tuple[str, str]] | None:
         """A batch's declared ops, built only for hosts with a fault clock."""
-        return None if self._admit is None else [(op, region) for region in regions]
+        return None if self._admit is None else [(op, slot[0]) for slot in slots]
 
     def _finish(self, ops: int, rows: Iterable[JournalEntry] = ()) -> None:
         """Count one completed live batch of ``ops`` boundary ops; journal it.
@@ -264,6 +268,9 @@ class SecureCoprocessor:
 
     def _record_slots(self, op: str, slots: Sequence[tuple[str, int]]) -> None:
         """Record ``op`` on each ``(region, index)`` slot, in order, as one run."""
+        if len(slots) == 1:
+            self.trace.record(op, *slots[0])
+            return
         regions, indices = zip(*slots)
         code_of = {region: code for code, region in enumerate(dict.fromkeys(regions))}
         self.trace.record_run([(op, region) for region in code_of],
@@ -317,64 +324,26 @@ class SecureCoprocessor:
         return EnclaveBuffer(self, capacity)
 
     # -- the traced T/H boundary ----------------------------------------------
+    # One body per op kind (``_read``/``_write``/``_append``) over a list of
+    # slots; ``*_many`` is the one place outside sections reading the switch.
     def get(self, region: str, index: int) -> bytes:
         """Read one host slot into the enclave: decrypt + authenticate.
 
         Raises :class:`~repro.errors.AuthenticationError` when the host (or a
         malicious adversary controlling it) tampered with the slot —
-        Section 3.3.1's detect-and-terminate behaviour.  When the slot cache
-        holds this exact ciphertext, byte-equality replaces the physical
-        decrypt (see the class docstring); a modeled decryption is charged
-        either way.
+        Section 3.3.1's detect-and-terminate behaviour.  A slot-cache hit
+        skips the physical decrypt; a modeled decryption is charged either way.
         """
-        if self.replaying:
-            return self._replay_batch(GET, ((region, index),))[0].payload
-        ciphertext = self._host_call(lambda: self.host.read_slot(region, index))
-        self.trace.record(GET, region, index)
-        self.decryptions += 1
-        entry = self._cache.get((region, index))
-        if entry is not None and entry[0] == ciphertext:
-            self.cache_hits += 1
-            plaintext = entry[1]
-        else:
-            self.physical_decryptions += 1
-            plaintext = self.provider.decrypt(ciphertext)
-            self._cache[(region, index)] = (ciphertext, plaintext)
-        if self._journaling:
-            self._finish(1, (JournalEntry(GET, region, index, plaintext),))
-        else:
-            self.ops_completed += 1
-        return plaintext
+        return self._read([(region, index)])[0]
 
     def put(self, region: str, index: int, plaintext: bytes) -> None:
         """Write one plaintext out to a host slot, encrypting under a fresh nonce."""
-        if self.replaying:
-            self._replay_batch(PUT, ((region, index),))
-            return
-        ciphertext = self.provider.encrypt(plaintext)
-        self._host_call(lambda: self.host.write_slot(region, index, ciphertext))
-        self._put_done(region, index, ciphertext, plaintext)
+        self._write([(region, index, plaintext)])
 
     def put_append(self, region: str, plaintext: bytes) -> int:
         """Append an encrypted tuple to a growable host region."""
-        if self.replaying:
-            return self._replay_batch(PUT, ((region, None),))[0].index
-        ciphertext = self.provider.encrypt(plaintext)
-        index = self._host_call(lambda: self.host.append_slot(region, ciphertext))
-        self._put_done(region, index, ciphertext, plaintext)
-        return index
+        return self._append(region, [plaintext])[0]
 
-    def _put_done(self, region: str, index: int, ciphertext: bytes,
-                  plaintext: bytes) -> None:
-        self.trace.record(PUT, region, index)
-        self.encryptions += 1
-        self._cache[(region, index)] = (ciphertext, plaintext)
-        if self._journaling:
-            self._finish(1, (JournalEntry(PUT, region, index),))
-        else:
-            self.ops_completed += 1
-
-    # -- batched boundary ops --------------------------------------------------
     def get_many(self, slots: Iterable[tuple[str, int]]) -> list[bytes]:
         """Read several host slots in one boundary call.
 
@@ -384,30 +353,39 @@ class SecureCoprocessor:
         :meth:`CryptoProvider.decrypt_many` pass over the cache misses instead
         of one roundtrip per slot).  The caller must hold enough enclave slots
         for every plaintext returned.
-
-        Re-creates the scalar cache semantics exactly, including duplicate
-        slots within one batch: the first occurrence of a slot that misses
-        pays the physical decrypt, later occurrences of the same (slot,
-        ciphertext) count as cache hits just as they would after the scalar
-        path filled the cache.
         """
         slots = list(slots)
-        if len(slots) < 2 or not self.batched_io:
-            get = self.get
-            return [get(region, index) for region, index in slots]
+        if self.batched_io:
+            return self._read(slots)
+        return [self._read([slot])[0] for slot in slots]
+
+    def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
+        """Write several plaintexts out in one boundary call (fresh nonces each)."""
+        slots = list(slots)
+        for batch in [slots] if self.batched_io else [[slot] for slot in slots]:
+            self._write(batch)
+
+    def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
+        """Append several encrypted tuples to a growable region in one call."""
+        plaintexts = list(plaintexts)
+        if self.batched_io:
+            return self._append(region, plaintexts)
+        return [self._append(region, [plaintext])[0] for plaintext in plaintexts]
+
+    def _read(self, slots: list[tuple[str, int]]) -> list[bytes]:
+        """One read batch: replayed from the tape, or read, resolved and settled."""
+        if not slots:
+            return []
         if self.replaying:
             return [entry.payload for entry in self._replay_batch(GET, slots)]
-        window = self._window("read", (region for region, _ in slots))
-        ciphertexts = self._host_call(lambda: self.host.read_slots(slots), window)
-        n = len(slots)
+        ciphertexts = self._host_call(lambda: self.host.read_slots(slots),
+                                      self._window("read", slots))
         results, misses = self._resolve(slots, ciphertexts)
+        n = len(slots)
         self.cache_hits += n - misses
-        self._record_slots(GET, slots)
         self.decryptions += n
-        self.batched_ops += 1
-        self.batch_rows += n
-        self._finish(n, (JournalEntry(GET, region, index, plaintext)
-                         for (region, index), plaintext in zip(slots, results)))
+        self._settle(GET, slots, (JournalEntry(GET, region, index, plaintext)
+                                  for (region, index), plaintext in zip(slots, results)))
         return results
 
     def _resolve(self, slots: list[tuple[str, int]],
@@ -447,13 +425,9 @@ class SecureCoprocessor:
         self.physical_decryptions += len(misses)
         return results, len(misses)  # type: ignore[return-value]
 
-    def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
-        """Write several plaintexts out in one boundary call (fresh nonces each)."""
-        slots = list(slots)
-        if len(slots) < 2 or not self.batched_io:
-            put = self.put
-            for region, index, plaintext in slots:
-                put(region, index, plaintext)
+    def _write(self, slots: list[tuple[str, int, bytes]]) -> None:
+        """One write batch: replayed from the tape, or encrypted, written, settled."""
+        if not slots:
             return
         targets = [(region, index) for region, index, _ in slots]
         if self.replaying:
@@ -461,53 +435,48 @@ class SecureCoprocessor:
             return
         plaintexts = [plaintext for _, _, plaintext in slots]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        window = self._window("write", (region for region, _ in targets))
-        self._host_call(lambda: self.host.write_slots(targets, ciphertexts), window)
-        self._puts_done(targets, ciphertexts, plaintexts)
+        self._host_call(lambda: self.host.write_slots(targets, ciphertexts),
+                        self._window("write", targets))
+        self._written(targets, ciphertexts, plaintexts)
 
-    def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
-        """Append several encrypted tuples to a growable region in one call."""
-        plaintexts = list(plaintexts)
-        if len(plaintexts) < 2 or not self.batched_io:
-            put_append = self.put_append
-            return [put_append(region, plaintext) for plaintext in plaintexts]
+    def _append(self, region: str, plaintexts: list[bytes]) -> list[int]:
+        """One append batch; the host (or, on replay, the tape) assigns indices."""
+        if not plaintexts:
+            return []
+        targets = [(region, None)] * len(plaintexts)
         if self.replaying:
-            return [entry.index for entry in self._replay_batch(
-                PUT, [(region, None)] * len(plaintexts))]
+            return [entry.index for entry in self._replay_batch(PUT, targets)]
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        window = self._window("append", [region] * len(plaintexts))
-        indices = self._host_call(
-            lambda: self.host.append_slots(region, ciphertexts), window)
-        self._puts_done([(region, index) for index in indices],
-                        ciphertexts, plaintexts)
+        indices = self._host_call(lambda: self.host.append_slots(region, ciphertexts),
+                                  self._window("append", targets))
+        self._written([(region, index) for index in indices], ciphertexts, plaintexts)
         return indices
 
-    def _puts_done(self, targets: list[tuple[str, int]],
-                   ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
-        self._record_slots(PUT, targets)
+    def _written(self, targets: list[tuple[str, int]],
+                 ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
         self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
-        n = len(targets)
-        self.encryptions += n
-        self.batched_ops += 1
-        self.batch_rows += n
-        self._finish(n, (JournalEntry(PUT, region, index)
-                         for region, index in targets))
+        self.encryptions += len(targets)
+        self._settle(PUT, targets, (JournalEntry(PUT, region, index)
+                                    for region, index in targets))
 
-    # -- ranged boundary ops ---------------------------------------------------
+    def _settle(self, op: str, slots: list[tuple[str, int]],
+                rows: Iterable[JournalEntry]) -> None:
+        """Record a live batch as one run, count it (``batched_ops`` only when
+        it moved more than one row), and journal its rows."""
+        self._record_slots(op, slots)
+        n = len(slots)
+        if n > 1:
+            self.batched_ops += 1
+            self.batch_rows += n
+        self._finish(n, rows)
+
     def get_range(self, region: str, start: int, count: int) -> list[bytes]:
-        """Read ``count`` contiguous slots starting at ``start`` in one pass.
-
-        Trace events and modeled counters equal the scalar sequence
-        ``get(region, start) .. get(region, start + count - 1)``.
-        """
+        """Read ``count`` contiguous slots starting at ``start`` in one pass."""
         return self.get_many((region, start + i) for i in range(count))
 
     def put_range(self, region: str, start: int, plaintexts: Sequence[bytes]) -> None:
         """Write contiguous slots starting at ``start`` in one pass."""
-        self.put_many(
-            (region, start + i, plaintext)
-            for i, plaintext in enumerate(plaintexts)
-        )
+        self.put_many((region, start + i, p) for i, p in enumerate(plaintexts))
 
     # -- vectorized physical execution (tier 2) --------------------------------
     #

@@ -8,11 +8,12 @@ only decides, per attempted boundary operation, whether a declared fault fires
 first.  Faults are raised *before* the operation executes, so a retried or
 replayed append can never double-apply.
 
-The fault clock counts **declared boundary ops**, not Python calls.  A scalar
-slot call is one op.  A batch presents its whole op window — one
-``(op class, region)`` pair per declared op, in trace order — through
-:meth:`FaultyHost.admit` before its first storage mutation; the ranged slot
-calls themselves then pass straight through.  A plan therefore fires at the
+The fault clock counts **declared boundary ops**, not Python calls, and
+:meth:`FaultyHost.admit` is its only entry.  Every boundary batch — a batch
+of one included — presents its op window, one ``(op class, region)`` pair
+per declared op in trace order, before its first storage mutation.  Slot
+calls and host-side calls (uploads, host copies) pass straight through to
+the inner host and never tick the clock.  A plan therefore fires at the
 same boundary-op ordinal whether the coprocessor batches or not.
 
 The wrapper consults a compiled fault plan (see :mod:`repro.faults.plan`) by
@@ -80,21 +81,8 @@ class FaultyHost(ForwardingHost):
                     f"{self.ops_attempted} ({op} on {region!r})"
                 )
 
-    # -- faultable storage operations ----------------------------------------
-    def read_slot(self, name: str, index: int) -> bytes:
-        self._consult("read", name)
-        return self.inner.read_slot(name, index)
-
-    def write_slot(self, name: str, index: int, ciphertext: bytes) -> None:
-        self._consult("write", name)
-        self.inner.write_slot(name, index, ciphertext)
-
-    def append_slot(self, name: str, ciphertext: bytes) -> int:
-        self._consult("append", name)
-        return self.inner.append_slot(name, ciphertext)
-
-    # -- batches: the window is admitted first; the ranged calls are inner's --
     def admit(self, window: Iterable[tuple[str, str]]) -> None:
-        """Present a batch's declared ``(op class, region)`` ops to the plan."""
+        """Present a batch's declared ``(op class, region)`` ops to the plan:
+        the fault clock's only entry, one tick per op."""
         for op, region in window:
             self._consult(op, region)

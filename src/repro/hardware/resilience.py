@@ -16,13 +16,15 @@ can use them without importing the higher-level recovery machinery:
   trace declares plus, for a ``get``, the plaintext T consumed.  A vectorized
   section journals what it physically read as ``GATHER`` rows (no boundary
   op) and its settlement as one ``CHARGE`` row counting the ops it declared.
-  The tape grows a batch at a time (a scalar op is a batch of one); together
-  with the algorithm's determinism it reconstructs all in-enclave state.
+  The tape grows a batch at a time — the coprocessor journals nothing but
+  batches, ``get``/``put`` being batches of one — and together with the
+  algorithm's determinism it reconstructs all in-enclave state.
 * :class:`ReplayCursor` — serves the tape back during resume, one whole
-  batch per call.  Every replayed row is verified against the re-issued
-  (op, region, index); a mismatch means the "deterministic" re-execution
-  diverged and raises :class:`~repro.errors.CheckpointError` rather than
-  silently corrupting the join.
+  batch per :meth:`~ReplayCursor.take_batch` call.  Every replayed row is
+  verified against the re-issued (op, region, index); a mismatch means the
+  "deterministic" re-execution diverged and raises
+  :class:`~repro.errors.CheckpointError` rather than silently corrupting the
+  join.
 """
 
 from __future__ import annotations
@@ -159,7 +161,3 @@ class ReplayCursor:
         entries = self.peek_batch(events)
         self._position += len(entries)
         return entries
-
-    def take(self, op: str, region: str, index: int | None) -> JournalEntry:
-        """Consume a batch of one."""
-        return self.take_batch(((op, region, index),))[0]

@@ -537,8 +537,9 @@ def merge_shard_result(host: HostMemory, result: ShardResult) -> int:
     """
     flushes = 0
     for region, blob in result.writes.items():
-        for index, ciphertext in unpack_writes(blob):
-            host.write_slot(region, index, ciphertext)
+        writes = list(unpack_writes(blob))
+        host.write_slots([(region, index) for index, _ in writes],
+                         [ciphertext for _, ciphertext in writes])
         flushes += 1
     for region, blob in result.appends.items():
         if not blob:
@@ -550,7 +551,6 @@ def merge_shard_result(host: HostMemory, result: ShardResult) -> int:
                 f"append base mismatch for region {region!r}: task declared "
                 f"{expected} but the region holds {base} slots at merge time"
             )
-        for ciphertext in unpack_appends(blob):
-            host.append_slot(region, ciphertext)
+        host.append_slots(region, list(unpack_appends(blob)))
         flushes += 1
     return flushes

@@ -106,42 +106,42 @@ class TestFaultPlan:
 
 class TestFaultyHost:
     def test_transient_read_raises_before_serving(self):
-        host, _ = loaded_host(transient_plan(at_ops=(9,)))  # ops 1-8 were puts
+        host, t = loaded_host(transient_plan(at_ops=(9,)))  # ops 1-8 were puts
         with pytest.raises(TransientHostError):
-            host.read_slot("R", 0)
+            t.get("R", 0)
         assert host.transient_faults_injected == 1
         # The next attempt succeeds: transient means transient.
-        assert host.read_slot("R", 0) == host.inner.read_slot("R", 0)
+        assert t.get("R", 0) == bytes([0]) * 4
 
     def test_crash_raises_coprocessor_crash(self):
-        host, _ = loaded_host(crash_plan(at_ops=(9,)))
+        host, t = loaded_host(crash_plan(at_ops=(9,)))
         with pytest.raises(CoprocessorCrashError):
-            host.read_slot("R", 0)
+            t.get("R", 0)
         assert host.crashes_injected == 1
 
     def test_slow_fault_burns_cycles_and_serves(self):
         clock = VirtualClock()
         plan = FaultPlan(seed=0, specs=(
             FaultSpec(kind="slow", at_ops=(9,), delay_cycles=123),))
-        host, _ = loaded_host(plan, clock=clock)
+        host, t = loaded_host(plan, clock=clock)
         before = clock.cycles
-        assert host.read_slot("R", 1) == host.inner.read_slot("R", 1)
+        assert t.get("R", 1) == bytes([1]) * 4
         assert clock.cycles - before == 123
         assert host.slow_events == 1
 
     def test_write_fault_fires_before_mutation(self):
-        host, _ = loaded_host(transient_plan(at_ops=(9,),
+        host, t = loaded_host(transient_plan(at_ops=(9,),
                                              kind="transient-write"))
         before = host.inner.read_slot("R", 0)
         with pytest.raises(TransientHostError):
-            host.write_slot("R", 0, b"new!")
+            t.put("R", 0, b"new!")
         assert host.inner.read_slot("R", 0) == before  # unchanged
 
     def test_counts_attempts_across_faults(self):
-        host, _ = loaded_host(transient_plan(at_ops=(9,)))
+        host, t = loaded_host(transient_plan(at_ops=(9,)))
         with pytest.raises(TransientHostError):
-            host.read_slot("R", 0)
-        host.read_slot("R", 0)
+            t.get("R", 0)
+        t.get("R", 0)
         assert host.ops_attempted == 10  # 8 puts + faulted attempt + retry
 
 

@@ -58,7 +58,7 @@ def own_segments():
 def crash_via_chaos(coprocessor, region, index):
     """Reuse the repro.faults chaos harness to kill the worker's first op."""
     faulty = FaultyHost(coprocessor.host, crash_plan([1]))
-    faulty.read_slot(region, index)
+    faulty.admit([("read", region)])
 
 
 def hard_exit(coprocessor, region, index):

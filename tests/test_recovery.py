@@ -280,17 +280,17 @@ class TestReplayCursor:
     def test_divergence_raises(self):
         cursor = ReplayCursor([JournalEntry(GET, "data", 0, b"x")])
         with pytest.raises(CheckpointError, match="diverged"):
-            cursor.take(GET, "data", 1)
+            cursor.take_batch([(GET, "data", 1)])
 
     def test_exhaustion_raises(self):
         cursor = ReplayCursor([])
         assert not cursor.active
         with pytest.raises(CheckpointError):
-            cursor.take(GET, "data", 0)
+            cursor.take_batch([(GET, "data", 0)])
 
     def test_append_index_is_journal_authoritative(self):
         cursor = ReplayCursor([JournalEntry(PUT, "out", 7)])
-        assert cursor.take(PUT, "out", None).index == 7
+        assert cursor.take_batch([(PUT, "out", None)])[0].index == 7
         assert not cursor.active
 
 
