@@ -21,10 +21,11 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
-from repro.errors import EnclaveMemoryError
+from repro.errors import EnclaveMemoryError, HostMemoryError
 from repro.hardware.events import GET, PUT, Pairs, Trace, run_counts
 from repro.hardware.host import HostMemory
 from repro.hardware.resilience import (
+    APPENDED,
     CHARGE,
     GATHER,
     JournalEntry,
@@ -184,8 +185,9 @@ class SecureCoprocessor:
         self.batched_ops = 0
         self.batch_rows = 0
         self._batch_physical_pending = 0
-        #: A section's encrypted writes, staged until ``charge_boundary``.
-        self._staged: list[tuple[list[tuple[str, int]], list[bytes]]] = []
+        #: A section's encrypted writes and appends (``(append, targets,
+        #: ciphertexts)``), staged until ``charge_boundary``.
+        self._staged: list[tuple[bool, list[tuple[str, int]], list[bytes]]] = []
         #: Fault tolerance: bounded transient-fault retry and, when recovery
         #: is wired up, the sealed checkpoint store and replay cursor.
         self.retry = retry
@@ -480,22 +482,24 @@ class SecureCoprocessor:
 
     # -- vectorized physical execution (tier 2) --------------------------------
     #
-    # The comparator-network primitives below split the logical ledger from
-    # physical execution: ``gather_slots`` reads a whole slot set across the
-    # boundary and ``scatter_slots`` stages a whole slot set for writing
-    # *without* recording anything, and ``charge_boundary`` then settles the
-    # section: it presents the scalar network's declared ops to the host's
-    # fault clock, flushes the staged writes, and records the per-slot events
-    # and modeled counts in their original order.  Legal only under
-    # ``batched_io`` and only for sections whose scalar equivalent is a
-    # sequence of wire-disjoint read-modify-write steps over the gathered
-    # slots (a comparator network): the final host state, the declared trace
-    # and every modeled counter match the scalar execution exactly, while the
-    # physical crypto collapses to one decrypt pass and one encrypt pass.
+    # The section primitives below split the logical ledger from physical
+    # execution: ``gather_slots`` reads a whole slot set across the boundary,
+    # ``scatter_slots`` stages a whole slot set for writing and
+    # ``stage_append`` a whole append, *without* recording anything, and
+    # ``charge_boundary`` then settles the section: it presents the scalar
+    # equivalent's declared ops to the host's fault clock, flushes the staged
+    # cells, and records the per-slot events and modeled counts in their
+    # original order.  Legal only under ``batched_io`` and only for sections
+    # whose scalar equivalent is a sequence of wire-disjoint read-modify-write
+    # steps over the gathered slots (a comparator network, a linear pass, an
+    # emit): the final host state, the declared trace and every modeled
+    # counter match the scalar execution exactly, while the physical crypto
+    # collapses to one decrypt pass and one encrypt pass.
     #
     # A section is one batch for fault tolerance: a fault fires before its
-    # first storage mutation, its tape rows are what it gathered plus one
-    # CHARGE row, and a checkpoint can only commit once it has settled.
+    # first storage mutation, its tape rows are what it gathered, the slots
+    # its staged appends were assigned, and one CHARGE row, and a checkpoint
+    # can only commit once it has settled.
 
     def gather_slots(self, region: str, indices: Sequence[int]) -> list[bytes]:
         """Physically read a slot set for a vectorized section (unrecorded).
@@ -531,10 +535,35 @@ class SecureCoprocessor:
         """
         if self.replaying:
             return
+        self._stage(False, [(region, index) for index in indices], plaintexts)
+
+    def stage_append(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
+        """Stage an append to a growable region for a vectorized section.
+
+        Returns the slot indices the host will assign — the region's size
+        onwards, so a section stages at most one append per region — and the
+        section declares its PUTs at them before :meth:`charge_boundary`
+        flushes the cells with one ranged append (checking the host assigned
+        exactly those).  On replay the tape's ``APPENDED`` rows are
+        authoritative and nothing is staged.
+        """
+        if not plaintexts:
+            return []
+        if self.replaying:
+            return [entry.index for entry in self._replay.take_batch(
+                [(APPENDED, region, None)] * len(plaintexts))]
+        base = self.host.size(region)
+        indices = list(range(base, base + len(plaintexts)))
+        self._stage(True, [(region, index) for index in indices], plaintexts)
+        if self._journaling:
+            self._journal.extend(JournalEntry(APPENDED, region, index) for index in indices)
+        return indices
+
+    def _stage(self, append: bool, targets: list[tuple[str, int]],
+               plaintexts: Sequence[bytes]) -> None:
         ciphertexts = encrypt_batch(self.provider, plaintexts)
-        targets = [(region, index) for index in indices]
         self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
-        self._staged.append((targets, ciphertexts))
+        self._staged.append((append, targets, ciphertexts))
         self.batched_ops += 1
         self.batch_rows += len(targets)
 
@@ -544,7 +573,8 @@ class SecureCoprocessor:
         The declaration is one run (:mod:`repro.hardware.events`): event ``k``
         is ``(*table[codes[k]], indices[k])``, the exact sequence the scalar
         execution would have emitted.  Presents the declared ops to the
-        host's fault clock (if it has one), writes the staged cells, then
+        host's fault clock (if it has one; a PUT to a region with a staged
+        append is presented as an append), writes the staged cells, then
         appends the run to the trace once and charges the modeled counters
         from the code column.  GETs beyond the physical decrypts pending from
         :meth:`gather_slots` were served from enclave-resident batch
@@ -554,15 +584,23 @@ class SecureCoprocessor:
         """
         replayed = self.replaying
         if not replayed:
+            staged, self._staged = self._staged, []
             window = None
             if self._admit is not None:
-                classes = [(_OP_CLASS[op], region) for op, region in table]
+                appended = {targets[0][0] for append, targets, _ in staged if append}
+                classes = [("append" if op == PUT and region in appended
+                            else _OP_CLASS[op], region) for op, region in table]
                 window = list(map(classes.__getitem__, codes))
-            staged, self._staged = self._staged, []
 
             def flush() -> None:
-                for targets, ciphertexts in staged:
-                    self.host.write_slots(targets, ciphertexts)
+                for append, targets, ciphertexts in staged:
+                    if not append:
+                        self.host.write_slots(targets, ciphertexts)
+                    elif self.host.append_slots(targets[0][0], ciphertexts) != [
+                            index for _, index in targets]:
+                        raise HostMemoryError(
+                            f"host assigned {targets[0][0]!r} other append slots "
+                            "than the section declared")
 
             self._host_call(flush, window)
         self.trace.record_run(table, codes, indices)

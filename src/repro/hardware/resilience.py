@@ -14,8 +14,10 @@ can use them without importing the higher-level recovery machinery:
 * :class:`JournalEntry` — one row of the enclave's input tape.  A ``GET`` /
   ``PUT`` row is one declared boundary op — the (op, region, index) the
   trace declares plus, for a ``get``, the plaintext T consumed.  A vectorized
-  section journals what it physically read as ``GATHER`` rows (no boundary
-  op) and its settlement as one ``CHARGE`` row counting the ops it declared.
+  section journals what it physically read as ``GATHER`` rows and the slots
+  its staged appends were assigned as ``APPENDED`` rows (neither is a
+  boundary op), and its settlement as one ``CHARGE`` row counting the ops it
+  declared.
   The tape grows a batch at a time — the coprocessor journals nothing but
   batches, ``get``/``put`` being batches of one — and together with the
   algorithm's determinism it reconstructs all in-enclave state.
@@ -37,6 +39,7 @@ from repro.hardware.timing import VirtualClock
 
 #: Tape-only row kinds (``GET``/``PUT`` rows reuse the trace's op names).
 GATHER = "gather"  # a section's physical read: payload, no boundary op
+APPENDED = "appended"  # a section's staged append: the slot H assigned, no op
 CHARGE = "charge"  # a section's settlement: ``index`` boundary ops declared
 
 
@@ -105,7 +108,7 @@ class JournalEntry(NamedTuple):
 def journalled_ops(entries: Sequence[JournalEntry]) -> int:
     """The number of declared boundary ops a run of tape rows stands for."""
     return sum(e.index if e.op == CHARGE else 1
-               for e in entries if e.op != GATHER)
+               for e in entries if e.op not in (GATHER, APPENDED))
 
 
 class ReplayCursor:

@@ -16,15 +16,13 @@ Each primitive has two physical executions with identical observables:
 * **vectorized** — one :meth:`~repro.hardware.coprocessor.SecureCoprocessor.
   gather_slots` batch decrypt, the pass on resident plaintexts, one
   :meth:`scatter_slots` batch encrypt, and a :meth:`charge_boundary`
-  settlement declaring the scalar event sequence.  Legal for the same reason
-  as :func:`repro.oblivious.sort.run_network_vectorized`: a linear pass is a
+  settlement declaring the scalar event sequence.  A linear pass is a
   sequence of wire-disjoint read-modify-write steps, so collapsing the
   physical crypto cannot change the declared trace, the modeled counters, or
   the final host state.
 
 Callers never choose: each primitive checks ``coprocessor.batched_io``
-itself, so retry/checkpoint/replay/adversarial hosts automatically take the
-scalar path.
+itself.
 """
 
 from __future__ import annotations

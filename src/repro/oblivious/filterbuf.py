@@ -29,8 +29,11 @@ comparisons (Section 5.2.2) whose optimal ``delta*`` is computed in
 
 from __future__ import annotations
 
+from array import array
+
 from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.events import GET, PUT
 from repro.oblivious.sort import KeyFunction, oblivious_sort
 
 
@@ -96,12 +99,38 @@ def emit_kept(
     output size S, which Definition 3 treats as public.  ``strip`` bytes are
     removed from the front of each emitted plaintext (flag bytes).
     Returns the number of real tuples emitted.
+
+    On the fast path this is one declared section: one gather of the top
+    ``keep`` slots, the real rows staged as one append, and one
+    ``charge_boundary`` declaring what the scalar loop records, in slot
+    order — ``GET buffer[i]``, then ``PUT output[j]`` if slot ``i`` is real.
+    After a reals-first filter that is ``(GET, PUT) * S + GET * (keep - S)``,
+    a function of the public S.
     """
-    emitted = 0
+    if not coprocessor.batched_io:
+        emitted = 0
+        with coprocessor.hold(1):
+            for i in range(keep):
+                plain = coprocessor.get(buffer_region, i)
+                if is_real(plain):
+                    coprocessor.put_append(output_region, plain[strip:])
+                    emitted += 1
+        return emitted
     with coprocessor.hold(1):
-        for i in range(keep):
-            plain = coprocessor.get(buffer_region, i)
-            if is_real(plain):
-                coprocessor.put_append(output_region, plain[strip:])
-                emitted += 1
-    return emitted
+        if keep <= 0:
+            return 0
+        plains = coprocessor.gather_slots(buffer_region, range(keep))
+        real = [bool(is_real(plain)) for plain in plains]
+        slots = iter(coprocessor.stage_append(
+            output_region, [plain[strip:] for plain, flag in zip(plains, real) if flag]))
+        codes, indices = bytearray(), array("q")
+        for i, flag in enumerate(real):
+            if flag:
+                codes += b"\0\1"
+                indices.extend((i, next(slots)))
+            else:
+                codes.append(0)
+                indices.append(i)
+        coprocessor.charge_boundary(
+            ((GET, buffer_region), (PUT, output_region)), bytes(codes), indices)
+    return sum(real)

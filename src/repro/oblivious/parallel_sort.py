@@ -61,9 +61,9 @@ def network_stages(n: int) -> list[list[Comparator]]:
     structure of Section 5.3.5.  For n = 2^k inputs this recovers the
     classical k(k+1)/2 stage depth.
 
-    The scheduling itself lives in :func:`repro.oblivious.networks.schedule_stages`
-    (shared with the vectorized compare-exchange executor); this wrapper keeps
-    the historical list-of-lists shape.
+    The scheduling itself lives in
+    :func:`repro.oblivious.networks.schedule_stages`; this wrapper keeps the
+    historical list-of-lists shape.
     """
     return [list(stage) for stage in bitonic_stages(n)]
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.base import decoy_priority, is_real, make_decoy, make_real
 from repro.costs.chapter5 import exact_filter_transfers
-from repro.crypto.provider import FastProvider
+from repro.crypto.provider import FastProvider, decrypt_batch, encrypt_batch
 from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.networks import (
@@ -220,6 +221,41 @@ class TestObliviousFilter:
         assert emitted == reals
         payloads = {t.get("out", i) for i in range(reals)}
         assert payloads == {struct.pack(">q", 0), struct.pack(">q", 2)}
+
+    @pytest.mark.parametrize("flags", [[1, 0, 1, 1, 0, 0, 1], [1, 1, 0], [0, 0], []])
+    def test_emit_section_is_the_per_row_loop(self, flags):
+        """The fast path's emit (one gather, one staged append, one declared
+        run) records, admits to the fault clock and leaves behind what the
+        per-row get/put_append loop does, over a buffer that need not be
+        reals-first and an output that already holds a row."""
+
+        class ClockLog:
+            def __init__(self):
+                self.ops = []
+
+            def consult(self, op_number, op, region):
+                self.ops.append((op, region))
+                return []
+
+        runs = []
+        for batched_io in (False, True):
+            clock = ClockLog()
+            host = FaultyHost(HostMemory(), clock)
+            provider = FastProvider(KEY)
+            t = SecureCoprocessor(host, provider, batched_io=batched_io)
+            host.allocate_from("buf", encrypt_batch(provider, [
+                make_real(struct.pack(">q", i)) if flag else make_decoy(8)
+                for i, flag in enumerate(flags)]))
+            host.allocate_from("out", encrypt_batch(provider, [b"earlier row"]))
+            emitted = emit_kept(t, "buf", len(flags), "out", is_real=is_real, strip=1)
+            runs.append((emitted, list(t.trace), clock.ops,
+                         decrypt_batch(provider, host.region_bytes("out")),
+                         (t.encryptions, t.decryptions, t.physical_decryptions,
+                          t.cache_hits, t.ops_completed)))
+            if batched_io:
+                assert t.batched_ops == (flags != []) + (sum(flags) > 0)
+        assert runs[0] == runs[1]
+        assert runs[1][0] == sum(flags)
 
     def test_invalid_keep_rejected(self):
         from repro.errors import ConfigurationError

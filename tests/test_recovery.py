@@ -533,3 +533,35 @@ def test_crash_inside_algorithm4s_scan_resumes_at_a_block_boundary():
     assert report.result.result.same_multiset(baseline.result)
     assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
     assert report.result.stats == baseline.stats
+
+
+def test_emit_section_replays_the_slots_its_appends_were_assigned():
+    """Algorithm 4's emit is one section whose staged append is journalled
+    as ``APPENDED`` rows.  With a checkpoint sealed after every batch, a
+    crash on the op after the join resumes against a host image whose output
+    already holds the emitted rows; the replayed section must still declare
+    the slots the original run was assigned, not the image's next ones."""
+    from repro.core.algorithm4 import algorithm4
+    from repro.core.base import OUTPUT_REGION
+    from repro.hardware.resilience import APPENDED
+
+    wl = workload()
+
+    def run(context):
+        result = algorithm4(context, [wl.left, wl.right],
+                            BinaryAsMulti(Equality("key")))
+        context.coprocessor.get(OUTPUT_REGION, 0)
+        return result
+
+    baseline = plain_result(run)
+    emitted = baseline.meta["S"]
+    assert emitted > 0
+    host = FaultyHost(HostMemory(), crash_plan([baseline.stats.total + 1]))
+    report = run_with_recovery(host, FastProvider(KEY), run, checkpoint_interval=1)
+    assert (report.crashes, report.attempts) == (1, 2)
+    assert report.replayed_transfers == baseline.stats.total
+    assert [entry.index for entry in CheckpointStore(base_host(host), FastProvider(KEY))
+            .load().entries if entry.op == APPENDED] == list(range(emitted))
+    assert report.result.result.same_multiset(baseline.result)
+    assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
+    assert report.result.stats == baseline.stats
