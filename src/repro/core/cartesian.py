@@ -183,7 +183,6 @@ def scan_blocks(
     reader: CartesianReader,
     logicals: Sequence[int],
     output: str | None = None,
-    room: Callable[[], int] | None = None,
 ) -> Iterator[ScanBlock]:
     """The cartesian pass: visit the iTuples at ``logicals``, in that order.
 
@@ -201,11 +200,8 @@ def scan_blocks(
     * **scalar** (``batched_io=False``) — the reference: one
       :meth:`CartesianReader.read`, and one ``put``, per row.
 
-    A pass that may stop on a data-dependent condition passes ``room``: how
-    many more matching rows the caller can take before it would stop.  A
-    block then holds at most ``max(1, room())`` rows, so no stop can fall
-    inside a block of more than one row: every slot a block gathers is one
-    the scalar pass reads too.
+    Block boundaries are a function of ``len(logicals)`` alone, never of
+    what the rows hold.
     """
     coprocessor = reader.coprocessor
     if not coprocessor.batched_io:
@@ -214,22 +210,17 @@ def scan_blocks(
                 (logical,), (reader.read(logical),).__iter__,
                 lambda otuples, logical=logical: coprocessor.put(output, logical, otuples[0]))
         return
-    position = 0
-    while position < len(logicals):
-        size = SCAN_BLOCK if room is None else max(1, min(SCAN_BLOCK, room()))
-        chunk = logicals[position:position + size]
-        position += len(chunk)
-        yield reader.gather(chunk, output)
+    for start in range(0, len(logicals), SCAN_BLOCK):
+        yield reader.gather(logicals[start:start + SCAN_BLOCK], output)
 
 
 def scan_matches(
     reader: CartesianReader,
     logicals: Sequence[int],
     predicate,
-    room: Callable[[], int] | None = None,
 ) -> Iterator[tuple[int, tuple[Record, ...]]]:
     """The ``(logical, records)`` rows of a read-only pass satisfying ``predicate``."""
-    for block in scan_blocks(reader, logicals, room=room):
+    for block in scan_blocks(reader, logicals):
         for row in block:
             if predicate.satisfies(row[1]):
                 yield row

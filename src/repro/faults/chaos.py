@@ -93,7 +93,9 @@ def _make_runner(name: str, workload) -> Runner:
         if name == "algorithm5":
             return algorithm5(context, relations, multi, memory=3)
         if name == "algorithm6":
-            return algorithm6(context, relations, multi, memory=100,
+            # M < S, so the sweep crashes inside the segmented random-order
+            # pass, the decoy filter and the emit, not the fit-in-memory exit.
+            return algorithm6(context, relations, multi, memory=2,
                               epsilon=1e-20, seed=3)
         if name == "algorithm7":
             return algorithm7(context, relations, multi)

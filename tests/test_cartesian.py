@@ -251,7 +251,7 @@ def test_tampered_input_slot_aborts_the_block_before_anything_is_emitted(provide
     assert context.coprocessor.encryptions == 0
 
 
-# --- a data-dependent stop never pre-reads -------------------------------------
+# --- the random-order pass reads fixed blocks -----------------------------------
 
 class ReadLoggingHost(HostMemory):
     """Honest ranged storage that logs every physical slot read, and every
@@ -281,14 +281,17 @@ class ReadLoggingHost(HostMemory):
 
 def blemishing_workload():
     """16 x 16 over four key values, about 64 results: at M = 1 the second
-    match of a segment blemishes it, a handful of rows in."""
+    match of a segment blemishes it, a handful of rows into its first block."""
     relations = tables((16, 16), seed=9)
     results = sum(a["key"] == b["key"] for a in relations[0] for b in relations[1])
     assert results > 32
     return relations, results
 
 
-class TestNoPreRead:
+class TestFixedBlocks:
+    """A forced blemish: both physical modes read the break's whole block,
+    declare it, and stop at its end — never at the break row."""
+
     def sequential(self, batched, salvage):
         relations, results = blemishing_workload()
         host = ReadLoggingHost()
@@ -298,27 +301,30 @@ class TestNoPreRead:
                 context, relations, BinaryAsMulti(Equality("key")), memory=1,
                 segment_size=256, salvage=salvage, known_result_size=results)
 
+        # One-pass mode has no screening scan: the random pass is everything
+        # between allocating the segment region and (salvage) the new output.
         if salvage == "raise":
             with pytest.raises(BlemishError):
                 run()
             trace = context.coprocessor.trace
+            random_gets = TransferStats.from_trace(trace).gets
         else:
             out = run()
             assert out.meta["blemish"] and len(out.result) == results
             trace = out.trace
-        # One-pass mode has no screening scan: the random pass is everything
-        # between allocating the segment region and (salvage) the new output.
-        return host.reads_between("segments", "output"), trace
+            random_gets = out.meta["phases"]["random_scan"]["gets"]
+        return host.reads_between("segments", "output"), trace, random_gets
 
     @pytest.mark.parametrize("salvage", ["raise", "algorithm5"])
-    def test_sequential_random_pass_reads_nothing_past_the_break(self, salvage):
-        scalar_reads, scalar_trace = self.sequential(False, salvage)
-        batched_reads, batched_trace = self.sequential(True, salvage)
+    def test_sequential_pass_reads_the_break_block(self, salvage):
+        scalar_reads, scalar_trace, scalar_gets = self.sequential(False, salvage)
+        batched_reads, batched_trace, batched_gets = self.sequential(True, salvage)
         assert batched_trace == scalar_trace
-        # The break came early: most input slots were never touched ...
-        assert len(scalar_reads) < 32 and sum(scalar_reads.values()) < 64
-        # ... and the batched pass read no slot the scalar pass did not, nor
-        # any slot more often.
+        # The one 256-row segment is one block: the break, a few rows in,
+        # still reads and declares all of it, two GETs a row, on both modes.
+        assert scalar_gets == batched_gets == 2 * 256
+        # The batched pass read no slot the scalar pass did not, nor any slot
+        # more often.
         assert batched_reads and not batched_reads - scalar_reads
 
     def share(self, batched):
@@ -335,25 +341,64 @@ class TestNoPreRead:
         # segment region is allocated.
         return host.reads_between("psegments", "output"), [t.trace for t in cluster]
 
-    def test_parallel_share_reads_nothing_past_the_break(self):
+    def test_parallel_share_reads_the_break_block(self):
         scalar_reads, scalar_traces = self.share(False)
         batched_reads, batched_traces = self.share(True)
         assert batched_traces == scalar_traces
-        assert len(scalar_reads) < 32
+        # Device 0 screens all 256 rows, then its first 128-row segment (one
+        # block) breaks and is read to its end; inline, device 1 never runs.
+        assert [TransferStats.from_trace(trace).gets for trace in scalar_traces] == [
+            2 * 256 + 2 * 128, 0]
         assert batched_reads and not batched_reads - scalar_reads
 
-    def test_room_bounds_every_block(self):
-        """A block never holds more rows than the caller has room for matches,
-        so the stop can only fall in a block of one row."""
-        context = context_on(HostMemory(), FastProvider(KEY), True)
-        reader = upload_tables(context, tables((17, 17)))
-        room = [5]
-        sizes = []
-        for block in scan_blocks(reader, range(289), room=lambda: room[0]):
-            sizes.append(len(block.logicals))
-            room[0] = max(0, room[0] - 2)
-        assert sizes[:4] == [5, 3, 1, 1] and set(sizes[2:]) == {1}
-        assert sum(sizes) == 289
+
+# --- golden pins for the segmented random-order pass ----------------------------
+#
+# Taken with ``equijoin_workload(n, n, n, rng=random.Random(5))``,
+# ``Equality("key")`` and epsilon = 1e-6: M < S, so the pass is segmented
+# (``test_trace_golden.py``'s Algorithm 6 pin takes the fit-in-memory exit).
+
+RANDOM_PASS_PINS = {
+    # n, M: (segments, n*, transfers, fingerprint)
+    (24, 4): (144, 4, 38216,
+              "86347f0d35493c5d5d342ba6436e335bf1d692e90c06b3a3dc1c1c4a82ba3461"),
+    (64, 8): (98, 42, 98916,
+              "b56cbc6ad46a18412adca6d73581548ca6a642aeed4afacae93dcf56bb67a050"),
+}
+
+PARALLEL_RANDOM_PASS_PINS = [
+    "92bf716171a052d76a5ed9b9f1aa138171fa556484619cd367a8ea6f349403ed",
+    "416e6ca13f348ababaf3564f90ab3aa0989626285fc7d26387c28729d1fe950d",
+]
+
+
+def pinned_instance(n):
+    wl = equijoin_workload(n, n, n, rng=random.Random(5))
+    return [wl.left, wl.right], BinaryAsMulti(Equality("key"))
+
+
+@pytest.mark.parametrize("n,memory", sorted(RANDOM_PASS_PINS), ids=str)
+def test_random_pass_trace_is_pinned(n, memory):
+    relations, predicate = pinned_instance(n)
+    out = algorithm6(JoinContext.fresh(provider=FastProvider(KEY)), relations,
+                     predicate, memory=memory, epsilon=1e-6)
+    segments, n_star, transfers, fingerprint = RANDOM_PASS_PINS[n, memory]
+    assert not out.meta["fit_in_memory"] and not out.meta["blemish"]
+    assert (out.meta["segments"], out.meta["segment_size"]) == (segments, n_star)
+    assert out.stats.total == transfers
+    assert out.trace.fingerprint() == fingerprint
+    assert len(out.result) == n
+
+
+def test_parallel_random_pass_traces_are_pinned():
+    relations, predicate = pinned_instance(64)
+    context = JoinContext.fresh(provider=FastProvider(KEY))
+    cluster = Cluster(context.host, context.provider, count=2)
+    out = parallel_algorithm6(context, cluster, relations, predicate,
+                              memory=8, epsilon=1e-6)
+    assert (out.meta["segments"], out.meta["segment_size"]) == (98, 42)
+    assert [t.trace.fingerprint() for t in cluster] == PARALLEL_RANDOM_PASS_PINS
+    assert len(out.result) == 64
 
 
 # --- regression guards: the saving, without reading a clock ---------------------
