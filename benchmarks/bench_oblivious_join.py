@@ -9,8 +9,9 @@ the SHAKE fast provider:
 
 * Algorithm 4 (sorted cartesian scan, O(n^2 log^2 n^2)) wall-clock and
   transfers;
-* Algorithm 7 (expansion sort-merge join, O((n+S) log^2 (n+S))) wall-clock
-  and transfers, plus Algorithm 8's foreign-key fast path for context;
+* Algorithm 7 (expansion sort-merge join, O(n log^2 n + S log^2 S))
+  wall-clock and transfers, plus Algorithm 8's foreign-key fast path for
+  context;
 * the runtime ratio t(alg4) / t(alg7), which the asymptotics say must
   improve as n grows and exceed 1 at the top of the ladder.
 

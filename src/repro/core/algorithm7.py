@@ -18,27 +18,31 @@ tuples plus the ``S`` output rows:
    group's running output offset ``off_g = sum over earlier groups of
    alpha1 * alpha2``; the enclave learns the exact join size
    ``S = sum alpha1 * alpha2`` on the way through.
-4. **partition** — oblivious sort by table flag splits the union back into
-   its left half and right half (metadata now attached).
-5. **expand/align** (per table) — a distribute-and-fill expansion in a region
-   of ``n_t + S`` slots: each real tuple is keyed by the first output
-   position it must occupy (left tuple i of a group: ``off_g + i*alpha2``;
-   right tuple j: ``off_g + j*alpha1``), ``S`` filler tuples are keyed by
-   their output position, an oblivious sort interleaves fillers after their
-   covering real tuple, a linear fill pass copies the last-seen real tuple
-   into each filler and computes the filler's final *extraction key* (for the
-   right table this folds in the stride alignment ``off_g + k*alpha2 + j``,
-   pairing copy k of right j with left k), and a second oblivious sort by
-   extraction key leaves the expanded table's rows in output order in the
-   first ``S`` slots.
+4. **partition** — oblivious sort by (table flag, unmatched) splits the
+   union back into its left half and right half (metadata now attached),
+   each half's matched tuples (``alpha1 * alpha2 > 0``) first and still in
+   (key, index) order.
+5. **expand** (per table) — a distribute-and-fill expansion into the first
+   ``S`` slots of a region of ``max(n_t, S)``: every matched tuple is copied
+   in keyed by the first output position it must occupy (left tuple i of a
+   group: ``off_g + i*alpha2``; right tuple j: ``off_g + j*alpha1``), every
+   unmatched tuple and ``max(0, S - n_t)`` fillers become one identical null
+   plaintext, an oblivious *distribution* network (Krastnikov et al.'s
+   O(S log S) hop passes, not a sort) moves each matched tuple to its first
+   position, and a linear fill pass copies the last-seen real tuple into each
+   null and computes every copy's *extraction key*.  The left table is then
+   in output order.  The right table's key folds in the stride alignment
+   ``off_g + k*alpha2 + j``, pairing copy k of right j with left k, and one
+   oblivious sort over ``S`` slots by it puts the right table in output
+   order too.
 6. **emit** — slot r of both expanded regions is read and the concatenated
    join row written to ``output[r]``: exactly ``S`` tuples, filter-free, no
    decoys.
 
-Every phase is an oblivious sort or a fixed-order rewrite-every-slot pass,
-so the trace is a function of the public parameters ``(n1, n2, S)`` alone —
-the same Definition 3 statement as Algorithms 4-6, at
-``O((n + S) log^2 (n + S))`` transfers instead of ``O(n1 * n2)``.
+Every phase is an oblivious network or a fixed-order rewrite-every-slot
+pass, so the trace is a function of the public parameters ``(n1, n2, S)``
+alone — the same Definition 3 statement as Algorithms 4-6, at
+``O(n log^2 n + S log^2 S)`` transfers instead of ``O(n1 * n2)``.
 
 The enclave footprint stays constant: two slots in the sorts and passes,
 three during the final zip."""
@@ -65,7 +69,7 @@ from repro.oblivious.expand import (
     oblivious_transform_copy,
     oblivious_zip_write,
 )
-from repro.oblivious.sort import oblivious_sort
+from repro.oblivious.sort import oblivious_distribute, oblivious_sort
 from repro.relational.predicates import (
     BinaryAsMulti,
     Equality,
@@ -82,16 +86,14 @@ RIGHT_EXPAND_REGION = "smj_right"
 
 LEFT_SIDE = 0
 RIGHT_SIDE = 1
-REAL_KIND = 0
-FILLER_KIND = 1
 
 #: idx (within group/side), alpha1 (group lefts), alpha2 (group rights),
 #: off (group output offset) — the union tuple's metadata registers.
 _UNION_META = struct.Struct(">qqqq")
-#: d (distribution key), e placeholder is packed separately.
+#: d (destination: first output position), then the extraction key.
 _INT64 = struct.Struct(">q")
-#: e, idx, off, alpha1, alpha2 — the expansion tuple's metadata registers.
-_EXPAND_META = struct.Struct(">qqqqq")
+#: idx, off, alpha2 — the expansion tuple's metadata registers.
+_EXPAND_META = struct.Struct(">qqq")
 
 
 def equality_of(predicate: MultiPredicate | Predicate) -> Equality:
@@ -154,7 +156,7 @@ class SortMergeEngine:
     the two independent expansion stages onto different cluster devices and
     swaps ``union_sort`` for the parallel bitonic sort.  ``union_sort`` is
     called for the two sorts over the whole union region (phase 2 and 4);
-    the expansion-region sorts always run on that table's device.
+    each expansion's networks always run on that table's device.
     """
 
     build: Any
@@ -342,95 +344,77 @@ def sort_merge_equijoin(
     # public parameter under Definition 3 (the experiment fixes S).
     s = result_count
 
-    # Phase 4 — oblivious partition sort by table flag: left tuples land in
-    # slots [0, n1), right tuples in [n1, n).
+    # Phase 4 — oblivious partition sort by (table flag, unmatched): left
+    # tuples land in slots [0, n1), right tuples in [n1, n), each table's
+    # matched tuples first.  The sort is stable, so those stay in (key,
+    # index) order, which is the order of their output positions.
+    def partition_key(plain):
+        _, a1, a2, _ = _UNION_META.unpack(plain[meta_off:payload_off])
+        return plain[key_width], a1 * a2 == 0
+
     with profile.span("partition"):
-        engine.union_sort(UNION_REGION, n, lambda p: p[key_width])
+        engine.union_sort(UNION_REGION, n, partition_key)
 
-    # Phase 5 — per-table distribute/fill/align expansion.
-    host.allocate(LEFT_EXPAND_REGION, n1 + s)
-    host.allocate(RIGHT_EXPAND_REGION, n2 + s)
+    # Phase 5 — per-table distribute/fill expansion into S output slots.
+    host.allocate(LEFT_EXPAND_REGION, max(n1, s))
+    host.allocate(RIGHT_EXPAND_REGION, max(n2, s))
 
-    expand_meta_off = _INT64.size + 1
-    expand_payload_off = expand_meta_off + _EXPAND_META.size
+    expand_payload_off = _INT64.size + _EXPAND_META.size
 
-    def pack_expand(d, kind, e, idx, off, a1, a2, payload):
-        return (
-            _INT64.pack(d)
-            + bytes([kind])
-            + _EXPAND_META.pack(e, idx, off, a1, a2)
-            + payload
-        )
+    def pack_expand(d, idx, off, a2, payload):
+        return _INT64.pack(d) + _EXPAND_META.pack(idx, off, a2) + payload
 
     def unpack_expand(plain):
         d = _INT64.unpack(plain[:_INT64.size])[0]
-        kind = plain[_INT64.size]
-        e, idx, off, a1, a2 = _EXPAND_META.unpack(
-            plain[expand_meta_off:expand_payload_off]
-        )
-        return d, kind, e, idx, off, a1, a2, plain[expand_payload_off:]
+        idx, off, a2 = _EXPAND_META.unpack(plain[_INT64.size:expand_payload_off])
+        return d, idx, off, a2, plain[expand_payload_off:]
+
+    def destination(plain):
+        d = _INT64.unpack(plain[:_INT64.size])[0]
+        return None if d == INFINITY else d
 
     def expand_table(device, span, region, union_start, size, record_size,
                      stride_align):
-        """Distribute-and-fill one table into output order.
+        """Distribute-and-fill one table into output order in slots [0, S).
 
-        ``stride_align`` selects the filler's extraction key: the left table
-        copies contiguously (key = fill position p), the right table aligns
-        its copies by stride (key = off + k*alpha2 + idx for copy k).
+        ``stride_align`` selects each copy's extraction key: the left table
+        copies contiguously (key = output position p, already in order), the
+        right table aligns its copies by stride (key = off + k*alpha2 + idx
+        for copy k) and sorts by it.
         """
         with profile.span(span):
+            # The null: an unmatched tuple and every filler.  One identical
+            # plaintext, so the distribution's closed form is its image.
+            null = pack_expand(INFINITY, 0, 0, 0, bytes(record_size))
+
             def to_expand(_k, plain):
-                key, side, idx, a1, a2, off, payload = unpack_union(plain)
-                del key, side
+                _, _, idx, a1, a2, off, payload = unpack_union(plain)
+                if a1 * a2 == 0:
+                    return null
                 copies = a2 if stride_align is None else a1
-                other = a1 if stride_align is None else a2
-                d = off + idx * copies if copies > 0 and other > 0 else INFINITY
-                return pack_expand(
-                    d, REAL_KIND, INFINITY, idx, off, a1, a2,
-                    payload[:record_size],
-                )
+                return pack_expand(off + idx * copies, idx, off, a2,
+                                   payload[:record_size])
 
             oblivious_transform_copy(
                 device, UNION_REGION, union_start, region, 0, size,
                 to_expand,
             )
-            # S filler tuples, keyed by output position.  Fillers carry no
-            # table data, so T generates them one register at a time.
-            def filler(p):
-                return pack_expand(p, FILLER_KIND, INFINITY, 0, 0, 0, 0,
-                                   bytes(record_size))
+            # Fillers carry no table data, so T generates them.
+            device.put_range(region, size, [null] * (s - size))
 
-            if s and device.batched_io:
-                device.put_range(region, size, [filler(p) for p in range(s)])
-            elif s:
-                with device.hold(2):
-                    for p in range(s):
-                        device.put(region, size + p, filler(p))
-
-            # Distribution sort: (d, real-before-filler).  Real tuples sit at
-            # their run starts; each filler p lands after the real tuple
-            # whose copy run covers position p.
-            oblivious_sort(
-                device, region, size + s,
-                key=lambda p: p[:expand_meta_off],
-            )
+            # The matched tuples are a prefix sorted by first output
+            # position; the distribution moves each to that position.
+            oblivious_distribute(device, region, s, destination)
 
             # Fill pass: a one-slot register carries the last-seen real
-            # tuple; every filler becomes a copy with its extraction key.
+            # tuple; every slot becomes a copy with its extraction key.
             register = {"payload": bytes(record_size), "d": 0, "idx": 0,
                         "off": 0, "a2": 0}
 
-            def fill(_i, plain):
-                d, kind, e, idx, off, a1, a2, payload = unpack_expand(plain)
-                del e, a1
-                if kind == REAL_KIND:
-                    register["payload"] = payload
-                    register["d"] = d
-                    register["idx"] = idx
-                    register["off"] = off
-                    register["a2"] = a2
-                    return _INT64.pack(INFINITY) + payload
-                p = d  # a filler's distribution key is its fill position
+            def fill(p, plain):
+                d, idx, off, a2, payload = unpack_expand(plain)
+                if d != INFINITY:
+                    register.update(payload=payload, d=d, idx=idx, off=off, a2=a2)
                 if stride_align is None:
                     extraction = p
                 else:
@@ -440,14 +424,12 @@ def sort_merge_equijoin(
                     )
                 return _INT64.pack(extraction) + register["payload"]
 
-            oblivious_linear_pass(device, region, size + s, fill)
+            oblivious_linear_pass(device, region, s, fill)
 
-            # Alignment sort by extraction key: the S copies land in output
-            # order in slots [0, S); the spent real tuples sink to the end.
-            oblivious_sort(
-                device, region, size + s,
-                key=lambda p: p[:_INT64.size],
-            )
+            # Stride-alignment sort by extraction key: copy k of right
+            # tuple j lands next to copy j of left tuple k.
+            if stride_align is not None:
+                oblivious_sort(device, region, s, key=lambda p: p[:_INT64.size])
 
     expand_table(engine.left, "expand_left", LEFT_EXPAND_REGION, 0, n1,
                  left_payload, stride_align=None)

@@ -18,14 +18,17 @@ one-tuple register suffices:
    the semi-join, the bare left) row stamped with the next output position,
    and a non-matching left tuple becomes a decoy.  The enclave counts the
    matches ``S`` on the way through.
-4. **align** — oblivious sort by output position (decoys carry the infinite
-   key, so the ``S`` real rows land in slots ``[0, S)``).
+4. **align** — an order-preserving oblivious compaction (Arasu-Kaushik's
+   O(n log n) hop passes, not a sort): the merge stamped the real rows
+   ``0 .. S-1`` in slot order, so each moves forward by the binary digits of
+   its distance to its stamp, and the ``S`` real rows land in slots
+   ``[0, S)``.  Every decoy is one identical plaintext.
 5. **emit** — the first ``S`` slots are copied to the output with the
    bookkeeping stripped: filter-free, exactly ``S`` tuples.
 
 Each phase's pattern depends only on ``(n1, n2, S)`` — the same Definition 3
-statement as Algorithm 7, at two sorts of ``n = n1 + n2`` instead of the
-expansion's four larger ones.
+statement as Algorithm 7, at one sort and one compaction of
+``n = n1 + n2``.
 
 In ``mode="join"`` the right table's join keys must be unique (the
 foreign-key contract): this is validated on the plaintext relation before
@@ -54,7 +57,7 @@ from repro.oblivious.expand import (
     oblivious_linear_pass,
     oblivious_transform_copy,
 )
-from repro.oblivious.sort import oblivious_sort
+from repro.oblivious.sort import oblivious_compact, oblivious_sort
 from repro.core.algorithm7 import check_key_compatibility, equality_of
 from repro.relational.predicates import MultiPredicate, Predicate
 from repro.relational.relation import Relation
@@ -189,12 +192,15 @@ def algorithm8(
         oblivious_linear_pass(coprocessor, UNION_REGION, n, merge)
     result_count = state["count"]
 
-    # Phase 4 — alignment sort by output position: the S real rows surface
-    # in slots [0, S), the decoys (position = infinity) sink to the end.
+    # Phase 4 — compaction by output position: the S real rows, stamped in
+    # slot order, move forward into slots [0, S); the identical decoys fill
+    # the rest.
+    def target(plain):
+        position = _INT64.unpack(plain[:_INT64.size])[0]
+        return None if position == INFINITY else position
+
     with profile.span("align"):
-        oblivious_sort(
-            coprocessor, UNION_REGION, n, key=lambda p: p[:_INT64.size]
-        )
+        oblivious_compact(coprocessor, UNION_REGION, n, target)
 
     # Phase 5 — emit the first S slots, bookkeeping stripped: filter-free.
     if host.has_region(OUTPUT_REGION):

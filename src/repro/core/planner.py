@@ -93,7 +93,7 @@ def plan_join(
         ).total
     if predicate_class == "equality":
         # The oblivious sort-merge join replaces the L = |A|*|B| scan with
-        # O((n + S) log^2 (n + S)) sorts — admissible for equi-joins only.
+        # O(n log^2 n + S log^2 S) networks — admissible for equi-joins only.
         candidates["algorithm7"] = paper_algorithm7(
             left_size, right_size, result_size
         ).total

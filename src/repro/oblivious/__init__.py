@@ -1,4 +1,5 @@
-"""Data-oblivious primitives: bitonic networks, sort, shuffle, decoy filter."""
+"""Data-oblivious primitives: bitonic and routing networks, sort, distribute,
+compact, shuffle, decoy filter."""
 
 from repro.oblivious.expand import (
     INFINITY,
@@ -10,8 +11,10 @@ from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.networks import (
     Comparator,
     bitonic_network,
+    compaction_network,
     comparator_count,
     comparators,
+    distribution_network,
     exact_transfers,
     is_sorting_network,
     paper_comparisons,
@@ -28,18 +31,28 @@ from repro.oblivious.parallel_sort import (
     parallel_sort_makespan,
 )
 from repro.oblivious.shuffle import oblivious_shuffle
-from repro.oblivious.sort import KeyFunction, oblivious_sort, oblivious_sort_indices
+from repro.oblivious.sort import (
+    KeyFunction,
+    oblivious_compact,
+    oblivious_distribute,
+    oblivious_sort,
+    oblivious_sort_indices,
+)
 
 __all__ = [
     "Comparator",
     "INFINITY",
     "KeyFunction",
     "bitonic_network",
+    "compaction_network",
     "comparator_count",
     "comparators",
+    "distribution_network",
     "emit_kept",
     "exact_transfers",
     "is_sorting_network",
+    "oblivious_compact",
+    "oblivious_distribute",
     "oblivious_filter",
     "oblivious_linear_pass",
     "oblivious_shuffle",

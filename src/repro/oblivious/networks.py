@@ -1,4 +1,4 @@
-"""Bitonic sorting networks for arbitrary input sizes.
+"""Bitonic sorting networks, and the two routing networks, for any size.
 
 Oblivious sorting (Sections 4.4.1 and 5.2.2) is performed with Batcher's
 bitonic network [7]: a fixed sequence of compare-exchange operations whose
@@ -6,6 +6,12 @@ positions depend only on the input *size*, never on the data — which is
 exactly what makes the sort oblivious.  We use the standard arbitrary-n
 variant (merge compares ``i`` with ``i + m`` where ``m`` is the greatest power
 of two below ``n``), so buffers need not be padded to powers of two.
+
+Two cheaper networks move rows whose final slots are already known: the
+distribution network (Algorithm 7's expansion) and the compaction network
+(Algorithm 8's align).  Each is ``log2 m`` passes of conditional swaps at a
+fixed hop, ``O(m log m)`` comparators, positions again a function of the
+size alone.
 
 The module also provides the two cost views used throughout the library:
 
@@ -24,7 +30,7 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -98,15 +104,64 @@ def bitonic_merge_network(n: int) -> tuple[Comparator, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def wired_network(n: int, merge: bool = False) -> tuple[tuple[Comparator, ...], array]:
-    """The size-``n`` sort (or merge) network and its wire column.
+def _steps(m: int) -> list[int]:
+    """The hop lengths ``2^j < m`` of a routing network, shortest first."""
+    steps = []
+    step = 1
+    while step < m:
+        steps.append(step)
+        step <<= 1
+    return steps
 
-    The column holds ``low, high, low, high`` per comparator — the wires its
-    two gets and two puts touch — so mapping it through a slot list gives a
-    section's declared indices.  Shared by every caller: read it, never write.
+
+@lru_cache(maxsize=256)
+def distribution_network(m: int) -> tuple[Comparator, ...]:
+    """Conditional swaps that spread rows to their destinations (Krastnikov
+    et al., arXiv 2003.09481).
+
+    For each hop ``2^j < m``, longest first, and each ``i`` descending,
+    slot ``i`` swaps with slot ``i + 2^j`` when it holds a row whose
+    destination is at least ``i + 2^j``.  Rows that start as a prefix,
+    sorted by distinct destinations below ``m``, end at their destinations
+    without ever landing on one another.  ``sum(m - 2^j)`` comparators.
     """
-    network = bitonic_merge_network(n) if merge else bitonic_network(n)
+    if m < 0:
+        raise ConfigurationError("network size must be non-negative")
+    return tuple(Comparator(i, i + step, True)
+                 for step in reversed(_steps(m))
+                 for i in range(m - step - 1, -1, -1))
+
+
+@lru_cache(maxsize=256)
+def compaction_network(n: int) -> tuple[Comparator, ...]:
+    """Conditional swaps that pull stamped rows forward to their targets,
+    order preserved (Arasu-Kaushik, arXiv 1312.4012).
+
+    For each hop ``2^j < n``, shortest first, and each ``i`` ascending, slot
+    ``i + 2^j`` moves into slot ``i`` when it holds a row and bit ``j`` of
+    that row's remaining distance (its slot minus its target) is set.  Rows
+    stamped ``0, 1, ...`` in slot order reach their targets without ever
+    landing on one another.  The same comparator count as the distribution.
+    """
+    if n < 0:
+        raise ConfigurationError("network size must be non-negative")
+    return tuple(Comparator(i, i + step, True)
+                 for step in _steps(n) for i in range(n - step))
+
+
+@lru_cache(maxsize=256)
+def wired_network(
+    n: int, build: Callable[[int], tuple[Comparator, ...]] = bitonic_network,
+) -> tuple[tuple[Comparator, ...], array]:
+    """The size-``n`` network made by ``build`` and its wire column.
+
+    ``build`` is one of the network constructors of this module (the sort
+    by default).  The column holds ``low, high, low, high`` per comparator —
+    the wires its two gets and two puts touch — so mapping it through a slot
+    list gives a section's declared indices.  Shared by every caller: read
+    it, never write.
+    """
+    network = build(n)
     return network, array("q", chain.from_iterable(
         (comp.low, comp.high, comp.low, comp.high) for comp in network))
 

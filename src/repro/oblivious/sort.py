@@ -26,6 +26,15 @@ The tie-break order of a full sort is the slot list itself, so equal keys
 keep their input order.  A merge (the parallel sort's block exchange) runs
 over two sorted halves, the first laid out descending, so its tie-break order
 is the slot list with the first half reversed: the halves read ascending.
+
+Rows whose final slots are already known need no sort.  The distribution
+network (:func:`oblivious_distribute`) and the compaction network
+(:func:`oblivious_compact`) route them in ``O(n log n)`` conditional swaps,
+declared and executed the same two ways: the fast path writes the closed-form
+image (every row at its slot, one identical filler plaintext everywhere
+else), the reference walks the network with the sort's comparator walker
+under the network's swap rule.  One function, ``_run_network``, holds both
+paths for all three.
 """
 
 from __future__ import annotations
@@ -36,13 +45,23 @@ from typing import Callable, Sequence
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
 from repro.oblivious.networks import (
+    Comparator,
     bitonic_merge_network,
     bitonic_network,
+    compaction_network,
+    distribution_network,
     wired_network,
 )
 
 #: Extracts a sort key from a plaintext tuple.  Keys must be comparable.
 KeyFunction = Callable[[bytes], object]
+
+#: Decides one comparator on its two plaintexts (low wire, high wire):
+#: whether they trade places.
+SwapRule = Callable[[Comparator, bytes, bytes], bool]
+
+#: A row's final slot in a routing network, or ``None`` for a filler.
+SlotFunction = Callable[[bytes], int | None]
 
 
 def _tiebreak_order(n: int, merge: bool) -> Sequence[int]:
@@ -81,43 +100,69 @@ def oblivious_sort_indices(
     same plaintext in every slot.
     """
     order = _tiebreak_order(len(indices), merge)
+    # The tie-break order is its own inverse, so it doubles as the rank list.
+    rank = list(order)
+
+    def image(plains: list[bytes]) -> list[bytes]:
+        keys = [key(plain) for plain in plains]
+        return [plains[i] for i in sorted(order, key=keys.__getitem__)]
+
+    def swaps(comp: Comparator, low_plain: bytes, high_plain: bytes) -> bool:
+        low, high = comp.low, comp.high
+        if ((key(low_plain), rank[low]) > (key(high_plain), rank[high])) != comp.ascending:
+            return False
+        rank[low], rank[high] = rank[high], rank[low]
+        return True
+
+    _run_network(coprocessor, region, indices,
+                 bitonic_merge_network if merge else bitonic_network, image, swaps)
+
+
+def _run_network(
+    coprocessor: SecureCoprocessor,
+    region: str,
+    indices: list[int],
+    build: Callable[[int], tuple[Comparator, ...]],
+    image: Callable[[list[bytes]], list[bytes]],
+    swaps: SwapRule,
+) -> None:
+    """Execute the size-``len(indices)`` network made by ``build`` over the
+    slots at ``indices``, whichever physical mode the coprocessor is in.
+
+    The fast path never walks the network: it scatters ``image`` of the
+    gathered slots (the network's output, computed in the enclave) and
+    declares the network's cached wire column with one ``charge_boundary``.
+    The reference walks it comparator by comparator: each reads both of its
+    slots, lets ``swaps`` decide on the two plaintexts whether they trade
+    places, and writes both back under fresh nonces, so the host cannot tell
+    whether they did.
+    """
     if coprocessor.batched_io:
-        network, wires = wired_network(len(indices), merge)
+        network, wires = wired_network(len(indices), build)
         with coprocessor.hold(2):
             if not network:
                 return
-            plains = coprocessor.gather_slots(region, indices)
-            keys = [key(plain) for plain in plains]
             coprocessor.scatter_slots(
-                region, indices, [plains[i] for i in sorted(order, key=keys.__getitem__)])
+                region, indices, image(coprocessor.gather_slots(region, indices)))
             if indices != list(range(len(indices))):  # else the wire column is the answer
                 wires = array("q", [indices[wire] for wire in wires])
             coprocessor.charge_boundary(
                 ((GET, region), (PUT, region)), b"\0\0\1\1" * len(network), wires)
         return
-    network = (bitonic_merge_network if merge else bitonic_network)(len(indices))
-    rank = [0] * len(indices)
-    for position, wire in enumerate(order):
-        rank[wire] = position
     get_many = coprocessor.get_many
     put_many = coprocessor.put_many
     with coprocessor.hold(2):
-        for comp in network:
-            low, high = comp.low, comp.high
-            low_index = indices[low]
-            high_index = indices[high]
+        for comp in build(len(indices)):
+            low_index = indices[comp.low]
+            high_index = indices[comp.high]
             # One boundary call per comparator pair in each direction; the
             # write-back slot cache serves the re-reads of just-rewritten
             # slots without a physical decrypt.
             low_plain, high_plain = get_many(
                 ((region, low_index), (region, high_index))
             )
-            out_of_order = (
-                (key(low_plain), rank[low]) > (key(high_plain), rank[high])
-            ) == comp.ascending
-            if out_of_order:
+            if swaps(comp, low_plain, high_plain):
                 low_plain, high_plain = high_plain, low_plain
-                rank[low], rank[high] = rank[high], rank[low]
             put_many(
                 ((region, low_index, low_plain), (region, high_index, high_plain))
             )
@@ -142,3 +187,68 @@ def oblivious_sort(
     oblivious_sort_indices(
         coprocessor, region, list(range(start, start + size)), key
     )
+
+
+def _routed_image(slot_of: SlotFunction) -> Callable[[list[bytes]], list[bytes]]:
+    """The closed-form image of a routing network: every row at its final
+    slot and the filler in every other slot.
+
+    Exact because the fillers are one identical plaintext and the network
+    only ever swaps a row with a filler, so which filler ends where cannot
+    show.
+    """
+    def image(plains: list[bytes]) -> list[bytes]:
+        slots = [slot_of(plain) for plain in plains]
+        filler = next((plain for plain, slot in zip(plains, slots) if slot is None), None)
+        out = [filler] * len(plains)
+        for plain, slot in zip(plains, slots):
+            if slot is not None:
+                out[slot] = plain
+        return out
+    return image
+
+
+def oblivious_distribute(
+    coprocessor: SecureCoprocessor,
+    region: str,
+    size: int,
+    destination: SlotFunction,
+) -> None:
+    """Spread the rows at the front of ``region[0:size]`` to their
+    destinations, obliviously (Algorithm 7's expansion).
+
+    A row is a slot whose ``destination`` is not ``None``.  The rows must
+    form a prefix, sorted by distinct destinations below ``size``, and every
+    other slot must hold one identical filler plaintext.  The declaration is
+    :func:`~repro.oblivious.networks.distribution_network`; the fast path
+    writes its closed-form image, the reference walks it.
+    """
+    def swaps(comp: Comparator, low_plain: bytes, _high_plain: bytes) -> bool:
+        slot = destination(low_plain)
+        return slot is not None and slot >= comp.high
+
+    _run_network(coprocessor, region, list(range(size)), distribution_network,
+                 _routed_image(destination), swaps)
+
+
+def oblivious_compact(
+    coprocessor: SecureCoprocessor,
+    region: str,
+    size: int,
+    target: SlotFunction,
+) -> None:
+    """Pull the rows of ``region[0:size]`` forward to their targets, order
+    preserved, obliviously (Algorithm 8's align).
+
+    A row is a slot whose ``target`` is not ``None``.  Rows must be stamped
+    ``0, 1, ...`` in slot order, and every other slot must hold one identical
+    filler plaintext.  The declaration is
+    :func:`~repro.oblivious.networks.compaction_network`; the fast path
+    writes its closed-form image, the reference walks it.
+    """
+    def swaps(comp: Comparator, _low_plain: bytes, high_plain: bytes) -> bool:
+        slot = target(high_plain)
+        return slot is not None and bool((comp.high - slot) & (comp.high - comp.low))
+
+    _run_network(coprocessor, region, list(range(size)), compaction_network,
+                 _routed_image(target), swaps)

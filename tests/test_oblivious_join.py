@@ -21,6 +21,12 @@ from repro.core.algorithm8 import algorithm8, validate_foreign_key
 from repro.core.base import JoinContext
 from repro.core.parallel import parallel_algorithm7
 from repro.core.planner import execute_plan, plan_join
+from repro.costs.bitonic import (
+    exact_route_transfers,
+    exact_sort_transfers,
+    paper_route_transfers,
+    paper_sort_transfers,
+)
 from repro.costs.oblivious_join import (
     exact_algorithm7,
     exact_algorithm8,
@@ -58,6 +64,12 @@ def semi_reference(left, right):
     """The matching left tuples, multiset semantics (any witness serves)."""
     right_keys = {record["key"] for record in right}
     return left.filter(lambda record: record["key"] in right_keys)
+
+
+def one_key(n1, n2, key=7):
+    """Two tables whose every row shares one join key: S = n1 * n2."""
+    return (Relation.from_values(keyed_schema("A"), [(key, p) for p in range(n1)]),
+            Relation.from_values(keyed_schema("B"), [(key, 100 + p) for p in range(n2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +224,52 @@ class TestAlgorithm8Differential:
 
 
 # ---------------------------------------------------------------------------
+# edge battery: both physical modes, Fast and OCB, plaintext reference
+# ---------------------------------------------------------------------------
+
+#: case -> (n1, n2, S, max_matches, Algorithm 8 mode); FK joins where valid.
+EDGE_CASES = {
+    "S=0": (6, 5, 0, 1, "join"),
+    "S=1": (6, 5, 1, 1, "join"),
+    "all-duplicate": (5, 3, 15, None, "semi"),     # S > n_t: fillers on both sides
+    "mostly-unmatched": (13, 11, 3, 1, "join"),    # n_t > S
+    "n1=1": (1, 6, 4, None, "semi"),
+    "non-power-of-two": (7, 11, 9, 3, "semi"),
+}
+
+
+@pytest.mark.parametrize("provider_cls", [FastProvider, OcbProvider],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_in_both_modes(case, provider_cls):
+    n1, n2, s, matches, mode = EDGE_CASES[case]
+    if case == "all-duplicate":
+        left, right = one_key(n1, n2)
+    else:
+        wl = equijoin_workload(n1, n2, s, rng=random.Random(case),
+                               max_matches=matches)
+        left, right = wl.left, wl.right
+    joined = nested_loop_join(left, right, Equality("key"))
+    assert len(joined) == s
+    cases = {
+        "algorithm7": (lambda c: algorithm7(c, [left, right], PRED),
+                       joined, exact_algorithm7),
+        "algorithm8": (lambda c: algorithm8(c, [left, right], PRED, mode=mode),
+                       joined if mode == "join" else semi_reference(left, right),
+                       exact_algorithm8),
+    }
+    for name, (run, reference, model) in cases.items():
+        runs = []
+        for batched_io in (True, False):
+            out = run(JoinContext.fresh(provider=provider_cls(KEY),
+                                        batched_io=batched_io))
+            assert out.result.same_multiset(reference), (name, batched_io)
+            assert out.transfers == model(n1, n2, len(reference)).total, name
+            runs.append((list(out.result), out.trace.fingerprint()))
+        assert runs[0] == runs[1], name
+
+
+# ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
 
@@ -255,20 +313,48 @@ def run7_with_predicate(left, right, predicate):
 
 class TestCostModels:
     @pytest.mark.parametrize("sizes", [(4, 5, 3), (8, 10, 6), (9, 7, 0),
-                                       (6, 6, 6)])
+                                       (6, 6, 6), (4, 4, 16), (5, 3, 15),
+                                       (12, 4, 2), (1, 7, 7)])
     def test_exact_algorithm7_equals_traced_transfers(self, sizes):
         n1, n2, s = sizes
-        wl = equijoin_workload(n1, n2, s, rng=random.Random(sum(sizes)))
-        out = run7(wl.left, wl.right)
+        if n1 > 1 and s == n1 * n2 > n2:  # every pair joins: one shared key
+            left, right = one_key(n1, n2)
+        else:
+            wl = equijoin_workload(n1, n2, s, rng=random.Random(sum(sizes)))
+            left, right = wl.left, wl.right
+        out = run7(left, right)
+        assert len(out.result) == s
         assert out.transfers == exact_algorithm7(n1, n2, s).total
 
-    @pytest.mark.parametrize("sizes", [(4, 5, 3), (8, 10, 5), (7, 9, 0)])
+    @pytest.mark.parametrize("sizes", [(4, 5, 3), (8, 10, 5), (7, 9, 0),
+                                       (12, 4, 2)])
     def test_exact_algorithm8_equals_traced_transfers(self, sizes):
         n1, n2, s = sizes
         wl = equijoin_workload(n1, n2, s, rng=random.Random(sum(sizes)),
                                max_matches=1)
         out = run8(wl.left, wl.right)
         assert out.transfers == exact_algorithm8(n1, n2, s).total
+
+    @pytest.mark.parametrize("sizes", [(4, 5, 3), (9, 7, 0), (4, 4, 16),
+                                       (1, 7, 7), (12, 4, 2), (100, 30, 100),
+                                       (512, 512, 512), (1024, 1024, 1024)])
+    def test_paper_is_exact_with_every_network_swapped(self, sizes):
+        """``paper - exact`` is exactly the sum of the network swaps:
+        ``n log2^2 n`` for each sort, ``4 m log2 m`` for each route."""
+        n1, n2, s = sizes
+        n = n1 + n2
+
+        def sort(m):
+            return paper_sort_transfers(m) - exact_sort_transfers(m)
+
+        def route(m):
+            return paper_route_transfers(m) - exact_route_transfers(m)
+
+        assert (paper_algorithm7(n1, n2, s).total - exact_algorithm7(n1, n2, s).total
+                == pytest.approx(2 * sort(n) + 2 * route(s) + sort(s)))
+        if s <= n1:
+            assert (paper_algorithm8(n1, n2, s).total - exact_algorithm8(n1, n2, s).total
+                    == pytest.approx(sort(n) + route(n)))
 
     def test_paper_models_validate_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -352,14 +438,15 @@ class TestParallelAlgorithm7:
         assert out.result.same_multiset(serial.result)
 
     @pytest.mark.parametrize("processors,transfers,prints", [
-        (2, [1240, 922], ["78f433fe1e5b63d2", "c3461ef72340fe91"]),
-        (3, [1124, 986, 104],
-         ["4d19d43daa02c0c2", "7b09e73b89cb81f0", "4a6f077498360c5e"]),
+        (2, [774, 352], ["ab5b25358c24032a", "d2adb7e991ae9cbe"]),
+        (3, [658, 416, 104],
+         ["c10b6089293ca489", "a856325366f03f67", "4a6f077498360c5e"]),
     ])
     def test_per_device_traces_pinned(self, processors, transfers, prints):
-        """Golden pins taken before the parallel sort became task rounds: its
-        union sorts (closure key, no executor) leave every device's trace as
-        it was."""
+        """Golden pins, taken when the expansions became distribution
+        networks from two fresh contexts that agree and reproduced with
+        ``batched_io=False``.  The union sorts (closure key, no executor)
+        run as task rounds."""
         wl = equijoin_workload(8, 10, 6, rng=random.Random(62))
         context, cluster = self._rig(processors)
         out = parallel_algorithm7(context, cluster, [wl.left, wl.right], PRED)

@@ -357,13 +357,14 @@ class TestRunWithRecovery:
         if crash_at > 8:
             assert report.replayed_transfers > 0
 
-    @pytest.mark.parametrize("crash_at", [5000, 9000])
+    @pytest.mark.parametrize("crash_at", [5000, 7000])
     def test_fault_clock_counts_boundary_ops_not_host_calls(self, crash_at):
-        """Batched Algorithm 7 at 32x32 declares 17 184 boundary ops over far
+        """Batched Algorithm 7 at 32x32 declares 8 232 boundary ops over far
         fewer physical host calls; a crash planned at op 5000 must still fire
         — exactly once.  Op 5000 falls inside the partition sort, a single
         batch that ends past the first interval multiple, so that crash
-        restarts from checkpoint zero; op 9000 resumes off sealed batches."""
+        restarts from checkpoint zero; op 7000 (inside the expansions)
+        resumes off the checkpoint sealed where that batch ends."""
         wl = equijoin_workload(32, 32, 32, rng=random.Random(7))
 
         def run(context):
@@ -376,7 +377,7 @@ class TestRunWithRecovery:
                                    checkpoint_interval=4096)
         assert host.crashes_injected == 1
         assert (report.crashes, report.attempts) == (1, 2)
-        if crash_at == 9000:
+        if crash_at == 7000:
             assert report.replayed_transfers >= 4096
         assert all(device.batched_ops > 0 for device in report.devices)
         # The clock advanced once per declared op: the crashed attempt's

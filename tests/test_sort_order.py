@@ -197,8 +197,8 @@ class Unwalkable(tuple):
 def test_fast_path_declares_the_network_without_walking_it(monkeypatch):
     real = sort_module.wired_network
 
-    def declared_only(n, merge=False):
-        network, wires = real(n, merge)
+    def declared_only(n, build):
+        network, wires = real(n, build)
         return Unwalkable(network), wires
 
     monkeypatch.setattr(sort_module, "wired_network", declared_only)

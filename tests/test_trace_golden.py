@@ -48,8 +48,8 @@ GOLDEN_FINGERPRINTS = {
     "algorithm4": "c01860a367afbbbe505d8c7885e17daafd062c2df95a45ed68a07100ad475f31",
     "algorithm5": "80541dd973fe874312ca7b91ef1b40406d85ef8d134b33c46b3a35a897b2b4a7",
     "algorithm6": "9a352559fab47f08a5391876fb1e7e7b724e274e3d90d1f795257f097d6f2c1f",
-    "algorithm7": "e2d23ef28b0863c4feecb8b5dcb3bc76285fbe83d2503bd493cc3c46baae1e8b",
-    "algorithm8": "dc54e569113cb58b0a20518253a86e2a2dc7c18526cad5b8044951c55fda6b29",
+    "algorithm7": "c1a5af4302e07d7d639be43ff554b9d24bed5f54c258f0f953d51c0466daafe7",
+    "algorithm8": "8464fb02f51a5d81cd6d99166e211b575bcb2eefa638c59d9b4df480dc50c68a",
 }
 
 #: Total T/H transfers per algorithm on the same workload — a coarser pin
@@ -62,8 +62,8 @@ GOLDEN_TRANSFERS = {
     "algorithm4": 2692,
     "algorithm5": 486,
     "algorithm6": 166,
-    "algorithm7": 2126,
-    "algorithm8": 812,
+    "algorithm7": 1090,
+    "algorithm8": 684,
 }
 
 
