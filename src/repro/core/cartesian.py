@@ -6,8 +6,9 @@ index of each of the J tuples and D need not be materialized".
 :class:`CartesianSpace` is that conversion: a mixed-radix codec between a
 logical index in {0, ..., L-1} and a J-tuple of per-table indices.
 
-:class:`CartesianReader` fetches the component tuples of an iTuple through
-the coprocessor (J gets per iTuple).  The paper's cost formulas charge one
+:class:`CartesianReader` fetches the component tuples of iTuples through
+the coprocessor, a block at a time (:func:`scan_blocks`; J gets declared
+per iTuple).  The paper's cost formulas charge one
 transfer per iTuple; our exact models charge J per iTuple — a constant-factor
 difference recorded in EXPERIMENTS.md.
 """
@@ -92,22 +93,6 @@ class CartesianReader:
         self._records: tuple[dict[bytes, Record], ...] = tuple({} for _ in regions)
         self.space = space
 
-    def read(self, logical: int) -> tuple[Record, ...]:
-        """Fetch and decode the component records of one iTuple.
-
-        One batched boundary call of J gets (per-slot trace events preserved);
-        the coprocessor's slot cache serves the heavy re-reads a cartesian
-        scan performs — each component tuple is fetched once per product row
-        but only physically decrypted on first touch.
-        """
-        components = self.space.decompose(logical)
-        plains = self.coprocessor.get_many(
-            tuple(zip(self.regions, components))
-        )
-        return tuple(
-            codec.decode(plain) for codec, plain in zip(self.codecs, plains)
-        )
-
     def gather(self, logicals: Sequence[int], output: str | None) -> "ScanBlock":
         """One vectorized block of :func:`scan_blocks`.
 
@@ -191,25 +176,13 @@ def scan_blocks(
     of the LFSR order.  With ``output``, row k also writes
     ``output[logicals[k]]`` from the oTuples the caller hands to
     :attr:`ScanBlock.write` before asking for the next block.  The declared
-    events are ``G(X0) .. G(XJ-1) [P(output)]`` per row either way:
-
-    * **vectorized** (``batched_io``) — up to :data:`SCAN_BLOCK` rows
-      are one gather per table, one scatter when the pass writes, and one
-      ``charge_boundary`` whose interleaved index column is the scalar event
-      sequence;
-    * **scalar** (``batched_io=False``) — the reference: one
-      :meth:`CartesianReader.read`, and one ``put``, per row.
-
-    Block boundaries are a function of ``len(logicals)`` alone, never of
-    what the rows hold.
+    events are ``G(X0) .. G(XJ-1) [P(output)]`` per row: up to
+    :data:`SCAN_BLOCK` rows are one gather per table, one scatter when the
+    pass writes, and one ``charge_boundary`` whose interleaved index column
+    is that per-row sequence (which the coprocessor's reference mode walks
+    op by op).  Block boundaries are a function of ``len(logicals)`` alone,
+    never of what the rows hold.
     """
-    coprocessor = reader.coprocessor
-    if not coprocessor.batched_io:
-        for logical in logicals:
-            yield ScanBlock(
-                (logical,), (reader.read(logical),).__iter__,
-                lambda otuples, logical=logical: coprocessor.put(output, logical, otuples[0]))
-        return
     for start in range(0, len(logicals), SCAN_BLOCK):
         yield reader.gather(logicals[start:start + SCAN_BLOCK], output)
 

@@ -42,6 +42,12 @@ TraceFactory = Callable[[], "Trace"]
 _OP_CLASS = {GET: "read", PUT: "write"}
 
 
+def _check_appended(region: str, assigned: list[int], declared: list[int]) -> None:
+    if assigned != declared:
+        raise HostMemoryError(
+            f"host assigned {region!r} other append slots than the section declared")
+
+
 class EnclaveBuffer:
     """A bounded in-enclave list of plaintext tuples (e.g. Algorithm 5's store).
 
@@ -117,7 +123,8 @@ class SecureCoprocessor:
     Neither the cache nor ``batched_io``, the one physical switch, changes
     anything observable: ``True`` moves whole batches (one ranged host call,
     one crypto pass, vectorized sections), ``False`` is the reference that
-    issues every row as its own batch of one, and traces, modeled counters,
+    issues every row as its own batch of one and walks every section's
+    declared run op by op, and traces, modeled counters,
     ``TransferStats`` and phase breakdowns are identical in both
     (``tests/test_fastpath.py``, ``tests/test_batch.py``).  The physical work
     actually performed is surfaced separately as ``physical_decryptions``,
@@ -480,43 +487,53 @@ class SecureCoprocessor:
         """Write contiguous slots starting at ``start`` in one pass."""
         self.put_many((region, start + i, p) for i, p in enumerate(plaintexts))
 
-    # -- vectorized physical execution (tier 2) --------------------------------
+    # -- sections: the declaration is the reference ----------------------------
     #
-    # The section primitives below split the logical ledger from physical
-    # execution: ``gather_slots`` reads a whole slot set across the boundary,
-    # ``scatter_slots`` stages a whole slot set for writing and
-    # ``stage_append`` a whole append, *without* recording anything, and
-    # ``charge_boundary`` then settles the section: it presents the scalar
-    # equivalent's declared ops to the host's fault clock, flushes the staged
-    # cells, and records the per-slot events and modeled counts in their
-    # original order.  Legal only under ``batched_io`` and only for sections
-    # whose scalar equivalent is a sequence of wire-disjoint read-modify-write
-    # steps over the gathered slots (a comparator network, a linear pass, an
-    # emit): the final host state, the declared trace and every modeled
-    # counter match the scalar execution exactly, while the physical crypto
-    # collapses to one decrypt pass and one encrypt pass.
+    # A section splits the logical ledger from physical execution:
+    # ``gather_slots`` reads a slot set across the boundary, ``scatter_slots``
+    # stages a slot set's final plaintexts and ``stage_append`` a whole
+    # append, *without* recording anything, and ``charge_boundary`` settles
+    # the section from its declared run — the ops a comparator network, a
+    # linear pass or an emit issues, whose GETs read gathered slots and whose
+    # PUTs land staged ones.  The final host state, the declared trace and
+    # every modeled counter are the declaration's, in both modes:
     #
-    # A section is one batch for fault tolerance: a fault fires before its
-    # first storage mutation, its tape rows are what it gathered, the slots
-    # its staged appends were assigned, and one CHARGE row, and a checkpoint
-    # can only commit once it has settled.
+    # * ``batched_io`` presents the run to the host's fault clock, flushes
+    #   the staged cells in one ranged call per slot set and records the run
+    #   once: one decrypt pass, one encrypt pass.  The section is one batch
+    #   for fault tolerance — a fault fires before its first storage
+    #   mutation, its tape rows are what it gathered, the slots its staged
+    #   appends were assigned and one CHARGE row, and a checkpoint can only
+    #   commit once it has settled;
+    # * the reference gathers one slot per host call and walks the run op
+    #   by op through ``_read``/``_write``/``_append``, each PUT writing its
+    #   slot's final plaintext (fresh nonces hide that the intermediate
+    #   values are skipped).  Every op is its own batch, so a checkpoint can
+    #   commit mid-section; the staged plaintexts are kept on replay, so a
+    #   resume whose tape ends there has values for its live writes.
 
     def gather_slots(self, region: str, indices: Sequence[int]) -> list[bytes]:
-        """Physically read a slot set for a vectorized section (unrecorded).
+        """Physically read a slot set for a section (unrecorded, unadmitted).
 
-        Decrypts cache misses in one batch; the physical decrypts performed
-        here are remembered in a pending ledger that the next
-        :meth:`charge_boundary` settles against the section's modeled GETs.
+        Decrypts cache misses in one batch — the reference reads one slot per
+        host call and authenticates it before the next; the physical
+        decrypts performed here are remembered in a pending ledger that the
+        next :meth:`charge_boundary` settles against the section's modeled
+        GETs.
         """
         if self.replaying:
             return [entry.payload for entry in self._replay.take_batch(
                 [(GATHER, region, index) for index in indices])]
         slots = [(region, index) for index in indices]
-        ciphertexts = self._host_call(lambda: self.host.read_slots(slots))
-        plaintexts, misses = self._resolve(slots, ciphertexts)
-        self._batch_physical_pending += misses
-        self.batched_ops += 1
-        self.batch_rows += len(slots)
+        plaintexts: list[bytes] = []
+        for batch in [slots] if self.batched_io else [[slot] for slot in slots]:
+            ciphertexts = self._host_call(lambda: self.host.read_slots(batch))
+            plains, misses = self._resolve(batch, ciphertexts)
+            plaintexts += plains
+            self._batch_physical_pending += misses
+        if self.batched_io:
+            self.batched_ops += 1
+            self.batch_rows += len(slots)
         if self._journaling:
             self._journal.extend(JournalEntry(GATHER, region, index, plaintext)
                                  for index, plaintext in zip(indices, plaintexts))
@@ -525,63 +542,70 @@ class SecureCoprocessor:
     def scatter_slots(
         self, region: str, indices: Sequence[int], plaintexts: Sequence[bytes]
     ) -> None:
-        """Stage a slot set's write for a vectorized section (unrecorded).
+        """Stage a slot set's final plaintexts for a section (unrecorded).
 
-        One batch encrypt under fresh nonces; the section's
-        :meth:`charge_boundary` call flushes the staged cells to the host —
-        after the fault clock has admitted the section — and charges the
-        modeled PUTs.  During replay nothing is staged: the restored host
-        image already holds the section's writes.
+        The section's :meth:`charge_boundary` writes them to the host — after
+        the fault clock has admitted the section — and charges the modeled
+        PUTs.
         """
-        if self.replaying:
-            return
         self._stage(False, [(region, index) for index in indices], plaintexts)
 
     def stage_append(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
-        """Stage an append to a growable region for a vectorized section.
+        """Stage an append to a growable region for a section.
 
         Returns the slot indices the host will assign — the region's size
         onwards, so a section stages at most one append per region — and the
         section declares its PUTs at them before :meth:`charge_boundary`
-        flushes the cells with one ranged append (checking the host assigned
-        exactly those).  On replay the tape's ``APPENDED`` rows are
-        authoritative and nothing is staged.
+        appends the cells (checking the host assigned exactly those).  On
+        replay the tape's ``APPENDED`` rows are authoritative.
         """
         if not plaintexts:
             return []
         if self.replaying:
-            return [entry.index for entry in self._replay.take_batch(
+            indices = [entry.index for entry in self._replay.take_batch(
                 [(APPENDED, region, None)] * len(plaintexts))]
-        base = self.host.size(region)
-        indices = list(range(base, base + len(plaintexts)))
+        else:
+            base = self.host.size(region)
+            indices = list(range(base, base + len(plaintexts)))
+            if self._journaling:
+                self._journal.extend(JournalEntry(APPENDED, region, index)
+                                     for index in indices)
         self._stage(True, [(region, index) for index in indices], plaintexts)
-        if self._journaling:
-            self._journal.extend(JournalEntry(APPENDED, region, index) for index in indices)
         return indices
 
     def _stage(self, append: bool, targets: list[tuple[str, int]],
                plaintexts: Sequence[bytes]) -> None:
-        ciphertexts = encrypt_batch(self.provider, plaintexts)
-        self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
-        self._staged.append((append, targets, ciphertexts))
-        self.batched_ops += 1
-        self.batch_rows += len(targets)
+        """Keep a section's cells for :meth:`charge_boundary`: plaintexts for
+        the reference, which encrypts op by op, live or replayed; one batch
+        encrypt on the fast path, which stages nothing on replay (the
+        restored host image already holds the section's writes)."""
+        if not self.batched_io:
+            self._staged.append((append, targets, list(plaintexts)))
+        elif not self.replaying:
+            ciphertexts = encrypt_batch(self.provider, plaintexts)
+            self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+            self._staged.append((append, targets, ciphertexts))
+            self.batched_ops += 1
+            self.batch_rows += len(targets)
 
     def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
-        """Settle a completed vectorized section: flush it, then its ledger.
+        """Settle a completed section: flush it, then its ledger.
 
         The declaration is one run (:mod:`repro.hardware.events`): event ``k``
-        is ``(*table[codes[k]], indices[k])``, the exact sequence the scalar
-        execution would have emitted.  Presents the declared ops to the
-        host's fault clock (if it has one; a PUT to a region with a staged
-        append is presented as an append), writes the staged cells, then
-        appends the run to the trace once and charges the modeled counters
-        from the code column.  GETs beyond the physical decrypts pending from
-        :meth:`gather_slots` were served from enclave-resident batch
-        plaintexts, the vectorized analogue of a slot-cache hit, and are
-        charged as ``cache_hits`` so the ``physical + hits == decryptions``
-        ledger keeps balancing.
+        is ``(*table[codes[k]], indices[k])``.  The reference walks it op by
+        op (:meth:`_walk_run`).  The fast path presents the declared ops
+        to the host's fault clock (if it has one; a PUT to a region with a
+        staged append is presented as an append), writes the staged cells,
+        then appends the run to the trace once and charges the modeled
+        counters from the code column.  GETs beyond the physical decrypts
+        pending from :meth:`gather_slots` were served from enclave-resident
+        batch plaintexts, the vectorized analogue of a slot-cache hit, and
+        are charged as ``cache_hits`` so the ``physical + hits ==
+        decryptions`` ledger keeps balancing.
         """
+        if not self.batched_io:
+            self._walk_run(table, codes, indices)
+            return
         replayed = self.replaying
         if not replayed:
             staged, self._staged = self._staged, []
@@ -596,11 +620,10 @@ class SecureCoprocessor:
                 for append, targets, ciphertexts in staged:
                     if not append:
                         self.host.write_slots(targets, ciphertexts)
-                    elif self.host.append_slots(targets[0][0], ciphertexts) != [
-                            index for _, index in targets]:
-                        raise HostMemoryError(
-                            f"host assigned {targets[0][0]!r} other append slots "
-                            "than the section declared")
+                    else:
+                        region = targets[0][0]
+                        _check_appended(region, self.host.append_slots(region, ciphertexts),
+                                        [index for _, index in targets])
 
             self._host_call(flush, window)
         self.trace.record_run(table, codes, indices)
@@ -616,6 +639,32 @@ class SecureCoprocessor:
         self.encryptions += puts
         self.cache_hits += gets - pending
         self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
+
+    def _walk_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        """The reference settlement: the declared run, one op per batch.
+
+        A GET re-reads its slot, served by the slot cache the gather filled
+        (so the gather's pending decrypts are credited against these hits);
+        a PUT writes its slot's staged final plaintext, or appends it where
+        the section staged an append.
+        """
+        staged, self._staged = self._staged, []
+        self.cache_hits -= self._batch_physical_pending
+        self._batch_physical_pending = 0
+        final: dict[tuple[str, int], bytes] = {}
+        appended = set()
+        for append, targets, plaintexts in staged:
+            final.update(zip(targets, plaintexts))
+            if append:
+                appended.add(targets[0][0])
+        for code, index in zip(codes, indices):
+            op, region = table[code]
+            if op == GET:
+                self._read([(region, index)])
+            elif region in appended:
+                _check_appended(region, self._append(region, [final[region, index]]), [index])
+            else:
+                self._write([(region, index, final[region, index])])
 
     # -- cache management ------------------------------------------------------
     @property

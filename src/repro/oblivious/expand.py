@@ -10,19 +10,13 @@ always rewritten under a fresh nonce, the host observes the same
 ``G(r,i) P(r,i)`` sequence whatever the data — the access pattern depends
 only on the region size.
 
-Each primitive has two physical executions with identical observables:
-
-* **scalar** — one ``get``/``put`` pair per slot through the traced boundary;
-* **vectorized** — one :meth:`~repro.hardware.coprocessor.SecureCoprocessor.
-  gather_slots` batch decrypt, the pass on resident plaintexts, one
-  :meth:`scatter_slots` batch encrypt, and a :meth:`charge_boundary`
-  settlement declaring the scalar event sequence.  A linear pass is a
-  sequence of wire-disjoint read-modify-write steps, so collapsing the
-  physical crypto cannot change the declared trace, the modeled counters, or
-  the final host state.
-
-Callers never choose: each primitive checks ``coprocessor.batched_io``
-itself.
+Each primitive is one section: one
+:meth:`~repro.hardware.coprocessor.SecureCoprocessor.gather_slots` per input
+region, the pass on resident plaintexts, one :meth:`scatter_slots`, and a
+:meth:`charge_boundary` declaring the per-slot ``G P`` sequence (which the
+coprocessor's reference mode walks op by op).  A linear pass is a sequence
+of wire-disjoint read-modify-write steps, so the declaration fixes the
+trace, the modeled counters and the final host state.
 """
 
 from __future__ import annotations
@@ -70,20 +64,13 @@ def oblivious_linear_pass(
         indices = list(range(start + size - 1, start - 1, -1))
     else:
         indices = list(range(start, start + size))
-    if coprocessor.batched_io:
-        with coprocessor.hold(2):
-            plains = coprocessor.gather_slots(region, indices)
-            outs = [step(i, plain) for i, plain in zip(indices, plains)]
-            coprocessor.scatter_slots(region, indices, outs)
-            coprocessor.charge_boundary(
-                ((GET, region), (PUT, region)), b"\0\1" * size,
-                array("q", chain.from_iterable(zip(indices, indices))))
-        return
-    get = coprocessor.get
-    put = coprocessor.put
     with coprocessor.hold(2):
-        for i in indices:
-            put(region, i, step(i, get(region, i)))
+        plains = coprocessor.gather_slots(region, indices)
+        outs = [step(i, plain) for i, plain in zip(indices, plains)]
+        coprocessor.scatter_slots(region, indices, outs)
+        coprocessor.charge_boundary(
+            ((GET, region), (PUT, region)), b"\0\1" * size,
+            array("q", chain.from_iterable(zip(indices, indices))))
 
 
 def oblivious_transform_copy(
@@ -103,23 +90,15 @@ def oblivious_transform_copy(
     """
     if count <= 0:
         return
-    if coprocessor.batched_io:
-        src_indices = list(range(source_start, source_start + count))
-        dst_indices = list(range(dest_start, dest_start + count))
-        with coprocessor.hold(2):
-            plains = coprocessor.gather_slots(source_region, src_indices)
-            outs = [transform(k, plain) for k, plain in enumerate(plains)]
-            coprocessor.scatter_slots(dest_region, dst_indices, outs)
-            coprocessor.charge_boundary(
-                ((GET, source_region), (PUT, dest_region)), b"\0\1" * count,
-                array("q", chain.from_iterable(zip(src_indices, dst_indices))))
-        return
-    get = coprocessor.get
-    put = coprocessor.put
+    src_indices = list(range(source_start, source_start + count))
+    dst_indices = list(range(dest_start, dest_start + count))
     with coprocessor.hold(2):
-        for k in range(count):
-            plain = get(source_region, source_start + k)
-            put(dest_region, dest_start + k, transform(k, plain))
+        plains = coprocessor.gather_slots(source_region, src_indices)
+        outs = [transform(k, plain) for k, plain in enumerate(plains)]
+        coprocessor.scatter_slots(dest_region, dst_indices, outs)
+        coprocessor.charge_boundary(
+            ((GET, source_region), (PUT, dest_region)), b"\0\1" * count,
+            array("q", chain.from_iterable(zip(src_indices, dst_indices))))
 
 
 def oblivious_zip_write(
@@ -139,25 +118,16 @@ def oblivious_zip_write(
     """
     if count <= 0:
         return
-    if coprocessor.batched_io:
-        indices = list(range(count))
-        with coprocessor.hold(3):
-            left_plains = coprocessor.gather_slots(left_region, indices)
-            right_plains = coprocessor.gather_slots(right_region, indices)
-            outs = [
-                combine(r, a, b)
-                for r, (a, b) in enumerate(zip(left_plains, right_plains))
-            ]
-            coprocessor.scatter_slots(output_region, indices, outs)
-            coprocessor.charge_boundary(
-                ((GET, left_region), (GET, right_region), (PUT, output_region)),
-                b"\0\1\2" * count,
-                array("q", chain.from_iterable(zip(indices, indices, indices))))
-        return
-    get = coprocessor.get
-    put = coprocessor.put
+    indices = list(range(count))
     with coprocessor.hold(3):
-        for r in range(count):
-            a = get(left_region, r)
-            b = get(right_region, r)
-            put(output_region, r, combine(r, a, b))
+        left_plains = coprocessor.gather_slots(left_region, indices)
+        right_plains = coprocessor.gather_slots(right_region, indices)
+        outs = [
+            combine(r, a, b)
+            for r, (a, b) in enumerate(zip(left_plains, right_plains))
+        ]
+        coprocessor.scatter_slots(output_region, indices, outs)
+        coprocessor.charge_boundary(
+            ((GET, left_region), (GET, right_region), (PUT, output_region)),
+            b"\0\1\2" * count,
+            array("q", chain.from_iterable(zip(indices, indices, indices))))

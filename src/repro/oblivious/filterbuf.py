@@ -100,22 +100,12 @@ def emit_kept(
     removed from the front of each emitted plaintext (flag bytes).
     Returns the number of real tuples emitted.
 
-    On the fast path this is one declared section: one gather of the top
-    ``keep`` slots, the real rows staged as one append, and one
-    ``charge_boundary`` declaring what the scalar loop records, in slot
-    order — ``GET buffer[i]``, then ``PUT output[j]`` if slot ``i`` is real.
-    After a reals-first filter that is ``(GET, PUT) * S + GET * (keep - S)``,
-    a function of the public S.
+    This is one declared section: one gather of the top ``keep`` slots, the
+    real rows staged as one append, and one ``charge_boundary`` declaring,
+    in slot order, ``GET buffer[i]``, then ``PUT output[j]`` if slot ``i``
+    is real.  After a reals-first filter that is ``(GET, PUT) * S + GET *
+    (keep - S)``, a function of the public S.
     """
-    if not coprocessor.batched_io:
-        emitted = 0
-        with coprocessor.hold(1):
-            for i in range(keep):
-                plain = coprocessor.get(buffer_region, i)
-                if is_real(plain):
-                    coprocessor.put_append(output_region, plain[strip:])
-                    emitted += 1
-        return emitted
     with coprocessor.hold(1):
         if keep <= 0:
             return 0

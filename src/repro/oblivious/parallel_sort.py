@@ -100,35 +100,20 @@ def _normalize_chunk(
     coprocessor, region: str, base: int, chunk: int
 ) -> None:
     """Physically reverse a chunk left descending (data-independent pass)."""
-    if chunk >= 2 and coprocessor.batched_io:
-        indices = list(range(base, base + chunk))
-        with coprocessor.hold(2):
-            plains = coprocessor.gather_slots(region, indices)
-            coprocessor.scatter_slots(region, indices, plains[::-1])
-            # Swap the ends inwards; an odd chunk re-encrypts its middle.
-            half = chunk // 2
-            fronts, backs = indices[:half], indices[:-half - 1:-1]
-            middle = [indices[half]] * 2 * (chunk % 2)
-            coprocessor.charge_boundary(
-                ((GET, region), (PUT, region)),
-                b"\0\0\1\1" * half + b"\0\1" * (chunk % 2),
-                array("q", [*chain.from_iterable(zip(fronts, backs, fronts, backs)),
-                            *middle]))
-        return
+    indices = list(range(base, base + chunk))
     with coprocessor.hold(2):
-        for offset in range(chunk // 2):
-            front, back = coprocessor.get_many(
-                ((region, base + offset), (region, base + chunk - 1 - offset))
-            )
-            coprocessor.put_many(
-                (
-                    (region, base + offset, back),
-                    (region, base + chunk - 1 - offset, front),
-                )
-            )
-        if chunk % 2:  # re-encrypt the untouched middle for uniformity
-            middle = coprocessor.get(region, base + chunk // 2)
-            coprocessor.put(region, base + chunk // 2, middle)
+        plains = coprocessor.gather_slots(region, indices)
+        coprocessor.scatter_slots(region, indices, plains[::-1])
+        # Swap the ends inwards; an odd chunk (a chunk of one included)
+        # re-encrypts its middle.
+        half = chunk // 2
+        fronts, backs = indices[:half], indices[:-half - 1:-1]
+        middle = [indices[half]] * 2 * (chunk % 2)
+        coprocessor.charge_boundary(
+            ((GET, region), (PUT, region)),
+            b"\0\0\1\1" * half + b"\0\1" * (chunk % 2),
+            array("q", [*chain.from_iterable(zip(fronts, backs, fronts, backs)),
+                        *middle]))
 
 
 def plan_global_phase(

@@ -9,18 +9,14 @@ the relationship between input and output positions.
 
 H sees two things of a sort: the declared wire column and the re-encrypted
 final image.  How T computes the permutation inside the enclave is not
-observable, so the network is the declaration and T sorts however it likes.
-So that every way of sorting agrees, each sort key is made total:
-``(key, rank)``, where a slot's rank is its position in tie-break order.
-With no two keys equal a comparator network has exactly one output, the
-sorted order, and both physical modes produce it:
-
-* the fast path (``batched_io``) gathers the slots, computes the order with
-  one stable ``sorted`` over the tie-break order, scatters, and declares the
-  network's events with one ``charge_boundary``;
-* the reference (``batched_io=False``) walks the network comparator by
-  comparator, comparing ``(key, rank)`` and swapping ranks alongside the
-  plaintexts.
+observable, so the network is the declaration and T sorts however it likes:
+it gathers the slots, computes the order with one stable ``sorted`` over the
+tie-break order, scatters, and declares the network's events with one
+``charge_boundary`` — which, in the coprocessor's reference mode, walks them
+op by op.  Each sort key is made total, ``(key, rank)``, where a slot's rank
+is its position in tie-break order; with no two keys equal a comparator
+network has exactly one output, the sorted order, so the network run on the
+total key agrees with ``sorted`` (``tests/test_sort_order.py``).
 
 The tie-break order of a full sort is the slot list itself, so equal keys
 keep their input order.  A merge (the parallel sort's block exchange) runs
@@ -30,11 +26,9 @@ is the slot list with the first half reversed: the halves read ascending.
 Rows whose final slots are already known need no sort.  The distribution
 network (:func:`oblivious_distribute`) and the compaction network
 (:func:`oblivious_compact`) route them in ``O(n log n)`` conditional swaps,
-declared and executed the same two ways: the fast path writes the closed-form
-image (every row at its slot, one identical filler plaintext everywhere
-else), the reference walks the network with the sort's comparator walker
-under the network's swap rule.  One function, ``_run_network``, holds both
-paths for all three.
+declared the same way, with the closed-form image (every row at its slot,
+one identical filler plaintext everywhere else) as what T writes.  One
+function, ``_run_network``, runs all three.
 """
 
 from __future__ import annotations
@@ -55,10 +49,6 @@ from repro.oblivious.networks import (
 
 #: Extracts a sort key from a plaintext tuple.  Keys must be comparable.
 KeyFunction = Callable[[bytes], object]
-
-#: Decides one comparator on its two plaintexts (low wire, high wire):
-#: whether they trade places.
-SwapRule = Callable[[Comparator, bytes, bytes], bool]
 
 #: A row's final slot in a routing network, or ``None`` for a filler.
 SlotFunction = Callable[[bytes], int | None]
@@ -93,29 +83,18 @@ def oblivious_sort_indices(
     comparator positions depend only on ``len(indices)``, so obliviousness is
     preserved.
 
-    On the fast path the permutation is one ``sorted`` call (Timsort turns a
-    merge's two runs into one linear pass) and the declared index column is
-    the network's cached wire column mapped through ``indices``; the scalar
-    reference executes every comparator on the total key.  Both leave the
-    same plaintext in every slot.
+    The permutation is one ``sorted`` call (Timsort turns a merge's two runs
+    into one linear pass) and the declared index column is the network's
+    cached wire column mapped through ``indices``.
     """
     order = _tiebreak_order(len(indices), merge)
-    # The tie-break order is its own inverse, so it doubles as the rank list.
-    rank = list(order)
 
     def image(plains: list[bytes]) -> list[bytes]:
         keys = [key(plain) for plain in plains]
         return [plains[i] for i in sorted(order, key=keys.__getitem__)]
 
-    def swaps(comp: Comparator, low_plain: bytes, high_plain: bytes) -> bool:
-        low, high = comp.low, comp.high
-        if ((key(low_plain), rank[low]) > (key(high_plain), rank[high])) != comp.ascending:
-            return False
-        rank[low], rank[high] = rank[high], rank[low]
-        return True
-
     _run_network(coprocessor, region, indices,
-                 bitonic_merge_network if merge else bitonic_network, image, swaps)
+                 bitonic_merge_network if merge else bitonic_network, image)
 
 
 def _run_network(
@@ -124,48 +103,26 @@ def _run_network(
     indices: list[int],
     build: Callable[[int], tuple[Comparator, ...]],
     image: Callable[[list[bytes]], list[bytes]],
-    swaps: SwapRule,
 ) -> None:
-    """Execute the size-``len(indices)`` network made by ``build`` over the
-    slots at ``indices``, whichever physical mode the coprocessor is in.
+    """Run the size-``len(indices)`` network made by ``build`` over the slots
+    at ``indices`` as one section.
 
-    The fast path never walks the network: it scatters ``image`` of the
-    gathered slots (the network's output, computed in the enclave) and
-    declares the network's cached wire column with one ``charge_boundary``.
-    The reference walks it comparator by comparator: each reads both of its
-    slots, lets ``swaps`` decide on the two plaintexts whether they trade
-    places, and writes both back under fresh nonces, so the host cannot tell
-    whether they did.
+    The network is never walked: T scatters ``image`` of the gathered slots
+    (the network's output, computed in the enclave) and declares the
+    network's cached wire column with one ``charge_boundary``.  Every
+    comparator reads both of its slots and writes both back under fresh
+    nonces, so the host cannot tell whether they traded places.
     """
-    if coprocessor.batched_io:
-        network, wires = wired_network(len(indices), build)
-        with coprocessor.hold(2):
-            if not network:
-                return
-            coprocessor.scatter_slots(
-                region, indices, image(coprocessor.gather_slots(region, indices)))
-            if indices != list(range(len(indices))):  # else the wire column is the answer
-                wires = array("q", [indices[wire] for wire in wires])
-            coprocessor.charge_boundary(
-                ((GET, region), (PUT, region)), b"\0\0\1\1" * len(network), wires)
-        return
-    get_many = coprocessor.get_many
-    put_many = coprocessor.put_many
+    network, wires = wired_network(len(indices), build)
     with coprocessor.hold(2):
-        for comp in build(len(indices)):
-            low_index = indices[comp.low]
-            high_index = indices[comp.high]
-            # One boundary call per comparator pair in each direction; the
-            # write-back slot cache serves the re-reads of just-rewritten
-            # slots without a physical decrypt.
-            low_plain, high_plain = get_many(
-                ((region, low_index), (region, high_index))
-            )
-            if swaps(comp, low_plain, high_plain):
-                low_plain, high_plain = high_plain, low_plain
-            put_many(
-                ((region, low_index, low_plain), (region, high_index, high_plain))
-            )
+        if not network:
+            return
+        coprocessor.scatter_slots(
+            region, indices, image(coprocessor.gather_slots(region, indices)))
+        if indices != list(range(len(indices))):  # else the wire column is the answer
+            wires = array("q", [indices[wire] for wire in wires])
+        coprocessor.charge_boundary(
+            ((GET, region), (PUT, region)), b"\0\0\1\1" * len(network), wires)
 
 
 def oblivious_sort(
@@ -220,15 +177,11 @@ def oblivious_distribute(
     A row is a slot whose ``destination`` is not ``None``.  The rows must
     form a prefix, sorted by distinct destinations below ``size``, and every
     other slot must hold one identical filler plaintext.  The declaration is
-    :func:`~repro.oblivious.networks.distribution_network`; the fast path
-    writes its closed-form image, the reference walks it.
+    :func:`~repro.oblivious.networks.distribution_network`; T writes its
+    closed-form image.
     """
-    def swaps(comp: Comparator, low_plain: bytes, _high_plain: bytes) -> bool:
-        slot = destination(low_plain)
-        return slot is not None and slot >= comp.high
-
     _run_network(coprocessor, region, list(range(size)), distribution_network,
-                 _routed_image(destination), swaps)
+                 _routed_image(destination))
 
 
 def oblivious_compact(
@@ -243,12 +196,8 @@ def oblivious_compact(
     A row is a slot whose ``target`` is not ``None``.  Rows must be stamped
     ``0, 1, ...`` in slot order, and every other slot must hold one identical
     filler plaintext.  The declaration is
-    :func:`~repro.oblivious.networks.compaction_network`; the fast path
-    writes its closed-form image, the reference walks it.
+    :func:`~repro.oblivious.networks.compaction_network`; T writes its
+    closed-form image.
     """
-    def swaps(comp: Comparator, _low_plain: bytes, high_plain: bytes) -> bool:
-        slot = target(high_plain)
-        return slot is not None and bool((comp.high - slot) & (comp.high - comp.low))
-
     _run_network(coprocessor, region, list(range(size)), compaction_network,
-                 _routed_image(target), swaps)
+                 _routed_image(target))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import fresh_context, keyed
 
-from repro.core.cartesian import CartesianSpace, joined_values, upload_tables
+from repro.core.cartesian import CartesianSpace, joined_values, scan_blocks, upload_tables
 from repro.errors import ConfigurationError
 
 sizes = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
@@ -59,13 +59,20 @@ class TestCartesianSpace:
             CartesianSpace([3, 0])
 
 
+def read_one(reader, logical):
+    """The component records of one iTuple, read as a one-row pass."""
+    (block,) = scan_blocks(reader, [logical])
+    ((_, records),) = block
+    return records
+
+
 class TestCartesianReader:
     def test_reads_the_right_component_records(self):
         a = keyed("A", [(10, 0), (11, 0)])
         b = keyed("B", [(20, 0), (21, 0), (22, 0)])
         context = fresh_context()
         reader = upload_tables(context, [a, b])
-        records = reader.read(4)  # logical 4 -> (1, 1)
+        records = read_one(reader, 4)  # logical 4 -> (1, 1)
         assert records[0]["key"] == 11
         assert records[1]["key"] == 21
 
@@ -76,7 +83,7 @@ class TestCartesianReader:
         context = fresh_context()
         reader = upload_tables(context, [a, b, c])
         before = context.coprocessor.trace.transfer_count()
-        reader.read(1)
+        read_one(reader, 1)
         assert context.coprocessor.trace.transfer_count() - before == 3
 
     def test_joined_values_concatenates(self):
@@ -84,16 +91,16 @@ class TestCartesianReader:
         b = keyed("B", [(3, 4)])
         context = fresh_context()
         reader = upload_tables(context, [a, b])
-        assert joined_values(reader.read(0)) == (1, 2, 3, 4)
+        assert joined_values(read_one(reader, 0)) == (1, 2, 3, 4)
 
 
-# --- the cartesian pass: vectorized blocks against the scalar reference -------
+# --- the cartesian pass: the fast path against the reference ------------------
 #
-# ``scan_blocks`` is the one scan body of Algorithms 4/5/6.  On the batched
-# hot path a block is one gather per table, an optional scatter and one
-# declared section; with ``batched_io=False`` it is the scalar reference, one
-# ``reader.read`` (and one ``put``) per row.  Nothing observable may tell the
-# two apart.
+# ``scan_blocks`` is the one scan body of Algorithms 4/5/6: a block is one
+# gather per table, an optional scatter and one declared section.  On the
+# fast path the section is one ranged call per slot set; with
+# ``batched_io=False`` the coprocessor gathers one slot per call and walks
+# the declared run op by op.  Nothing observable may tell the two apart.
 
 import random
 from collections import Counter

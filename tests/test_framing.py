@@ -5,7 +5,8 @@ host receives ranged calls (``read_slots``/``write_slots``/``append_slots``),
 and the fast path chooses their slot lists and framing.  ``FramingHost``
 logs one entry per call; Definition-3 siblings — instances agreeing on the
 public parameters, differing in content — must produce identical logs, and
-identical checkpoint commit points.
+identical checkpoint commit points, under either provider and in either
+physical mode; in the reference mode every call carries one slot.
 """
 
 import random
@@ -15,13 +16,15 @@ import pytest
 from repro.core.algorithm6 import algorithm6
 from repro.core.base import JoinContext
 from repro.core.parallel import parallel_algorithm6
-from repro.crypto.provider import FastProvider
+from repro.crypto.provider import FastProvider, OcbProvider
 from repro.faults.chaos import KEY, SAFE_ALGORITHMS, _runners
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.recovery import run_with_recovery
 from repro.hardware.cluster import Cluster
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.host import HostMemory
+from repro.parallel import executor as executor_module
+from repro.parallel.executor import ClusterExecutor
 from repro.relational.generate import equijoin_workload
 from repro.relational.predicates import BinaryAsMulti, Equality
 
@@ -30,14 +33,17 @@ class FramingHost(HostMemory):
     """Honest storage that logs every ranged call as the host receives it:
     ``(op, regions, indices)`` per read or write — one region per slot, a
     call may name several tables — and ``(append, region, assigned
-    indices)`` per append."""
+    indices)`` per append.  While ``merging`` (a process pool writing a
+    shard's results back, host-side) the op is logged as ``merge-<op>``."""
 
     def __init__(self):
         super().__init__()
         self.log = []
+        self.merging = False
 
     def _record(self, op, slots):
-        self.log.append((op, tuple(name for name, _ in slots),
+        self.log.append((f"merge-{op}" if self.merging else op,
+                         tuple(name for name, _ in slots),
                          tuple(index for _, index in slots)))
 
     def read_slots(self, slots):
@@ -50,19 +56,32 @@ class FramingHost(HostMemory):
 
     def append_slots(self, name, ciphertexts):
         assigned = super().append_slots(name, ciphertexts)
-        self.log.append(("append", name, tuple(assigned)))
+        self.log.append(("merge-append" if self.merging else "append", name,
+                         tuple(assigned)))
         return assigned
 
 
-def framing(run):
-    """The host's call log of one batched run; ``run`` takes the context."""
+def framing(run, provider=FastProvider, batched_io=True):
+    """The host's call log of one run; ``run`` takes the context.  Every
+    call T makes in the reference mode carries exactly one slot."""
     host = FramingHost()
-    provider = FastProvider(KEY)
-    coprocessor = SecureCoprocessor(host, provider, batched_io=True)
-    out = run(JoinContext(host=host, coprocessor=coprocessor, provider=provider,
+    keyed = provider(KEY)
+    coprocessor = SecureCoprocessor(host, keyed, batched_io=batched_io)
+    out = run(JoinContext(host=host, coprocessor=coprocessor, provider=keyed,
                           rng=random.Random(0)))
     assert host.log
+    if not batched_io:
+        assert {len(entry[2]) for entry in host.log
+                if not entry[0].startswith("merge-")} == {1}
     return out, host.log
+
+
+#: ``(provider, batched_io)`` besides the default Fast/batched one.
+OTHER_MODES = [
+    pytest.param(FastProvider, False, id="Fast-reference"),
+    pytest.param(OcbProvider, True, id="OCB-batched"),
+    pytest.param(OcbProvider, False, id="OCB-reference"),
+]
 
 
 # --- (a) the chaos sweep's sibling pairs ----------------------------------------
@@ -71,6 +90,14 @@ def framing(run):
 @pytest.mark.parametrize("name", SAFE_ALGORITHMS)
 def test_chaos_siblings_frame_identically(name, small):
     (_, log_a), (_, log_b) = (framing(run) for run in _runners(name, small))
+    assert log_a == log_b
+
+
+@pytest.mark.parametrize("provider,batched_io", OTHER_MODES)
+@pytest.mark.parametrize("name", SAFE_ALGORITHMS)
+def test_chaos_siblings_frame_identically_in_every_mode(name, provider, batched_io):
+    (_, log_a), (_, log_b) = (framing(run, provider, batched_io)
+                              for run in _runners(name, True))
     assert log_a == log_b
 
 
@@ -95,12 +122,13 @@ def sequential(workload, memory, seed):
     return run
 
 
-def parallel(workload, memory, seed):
+def parallel(workload, memory, seed, executor=None):
     def run(context):
-        cluster = Cluster(context.host, context.provider, count=2)
+        cluster = Cluster(context.host, context.provider, count=2,
+                          batched_io=context.coprocessor.batched_io)
         return parallel_algorithm6(context, cluster, [workload.left, workload.right],
                                    BinaryAsMulti(Equality("key")), memory=memory,
-                                   epsilon=1e-6, seed=seed)
+                                   epsilon=1e-6, seed=seed, executor=executor)
     return run
 
 
@@ -114,6 +142,49 @@ def test_algorithm6_siblings_frame_identically(n, memory, seed, driver):
         assert out.meta["S"] == n and out.meta["segments"] > 1
         assert not out.meta.get("blemish")
     assert out_a.result != out_b.result
+    assert log_a == log_b
+
+
+@pytest.mark.parametrize("provider,batched_io", OTHER_MODES)
+@pytest.mark.parametrize("driver", [sequential, parallel])
+def test_algorithm6_siblings_frame_identically_in_every_mode(driver, provider, batched_io):
+    n, memory = SHAPES[0]
+    (out_a, log_a), (out_b, log_b) = (
+        framing(driver(workload, memory, SEEDS[0]), provider, batched_io)
+        for workload in siblings(n))
+    assert out_a.meta["segments"] > 1 and out_a.result != out_b.result
+    assert log_a == log_b
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ClusterExecutor(workers=2) as executor:
+        yield executor
+
+
+@pytest.mark.parametrize("provider,batched_io", [
+    pytest.param(FastProvider, True, id="Fast-batched"), *OTHER_MODES])
+def test_pooled_algorithm6_siblings_frame_identically(pool, monkeypatch,
+                                                      provider, batched_io):
+    """The P = 2 shares on two worker processes: the parent host receives
+    the coordinator's calls and each task's write-back merge."""
+    merge = executor_module.merge_shard_result
+
+    def tagged(host, result):
+        host.merging = True
+        try:
+            return merge(host, result)
+        finally:
+            host.merging = False
+
+    monkeypatch.setattr(executor_module, "merge_shard_result", tagged)
+    n, memory = SHAPES[0]
+    (out_a, log_a), (out_b, log_b) = (
+        framing(parallel(workload, memory, SEEDS[0], executor=pool), provider, batched_io)
+        for workload in siblings(n))
+    assert pool.tasks_pooled > 0
+    assert any(entry[0].startswith("merge-") for entry in log_a)
+    assert out_a.meta["segments"] > 1 and out_a.result != out_b.result
     assert log_a == log_b
 
 

@@ -43,6 +43,15 @@ def key(plaintext):
     return struct.unpack(">q", plaintext)[0]
 
 
+#: P -> (per-device trace fingerprints, sorted image) of a size-P sort of
+#: ``7P, 7(P-1), ..., 7``; the last device runs nothing (the empty trace).
+CHUNK_OF_ONE_PINS = {
+    2: (["35ec1b8813d70b3c", "e3b0c44298fc1c14"], [7, 14]),
+    4: (["f244fa9322d9f79d", "37777b33f0e78f1b", "9a545d91cfed34dc",
+         "e3b0c44298fc1c14"], [7, 14, 21, 28]),
+}
+
+
 class TestNetworkStages:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 16])
     def test_stages_preserve_per_wire_order(self, n):
@@ -114,6 +123,21 @@ class TestParallelSort:
         report = parallel_oblivious_sort(cluster, "R", 16, key)
         assert report.total == sum(t.trace.transfer_count() for t in cluster)
         assert report.makespan <= parallel_sort_makespan(16, 4)
+
+    @pytest.mark.parametrize("batched_io", [True, False], ids=["batched", "reference"])
+    @pytest.mark.parametrize("processors", sorted(CHUNK_OF_ONE_PINS))
+    def test_a_chunk_of_one_is_pinned(self, processors, batched_io):
+        """size == P: every chunk is one slot, and a chunk left descending is
+        normalized by a section of one slot (one GET, one PUT).  Pinned
+        before that normalization was a section, in both modes."""
+        host = HostMemory()
+        cluster = Cluster(host, FastProvider(KEY), count=processors,
+                          batched_io=batched_io)
+        load(host, cluster, [7 * (processors - i) for i in range(processors)])
+        parallel_oblivious_sort(cluster, "R", processors, key)
+        fingerprints, image = CHUNK_OF_ONE_PINS[processors]
+        assert [t.trace.fingerprint()[:16] for t in cluster] == fingerprints
+        assert read(cluster, processors) == image
 
     @settings(max_examples=25, deadline=None)
     @given(

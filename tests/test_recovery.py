@@ -566,3 +566,82 @@ def test_emit_section_replays_the_slots_its_appends_were_assigned():
     assert report.result.result.same_multiset(baseline.result)
     assert report.result.trace.fingerprint() == baseline.trace.fingerprint()
     assert report.result.stats == baseline.stats
+
+
+# --- a resume inside a reference-mode section --------------------------------
+#
+# The reference walks a section's declared run op by op, each op its own
+# batch, so at ``checkpoint_interval=1`` a checkpoint commits after every op
+# of a sort or an emit and a crash can resume with a tape that ends inside
+# one: the gather replays, and the live rest of the walk writes the staged
+# final plaintexts.
+
+import struct
+from types import SimpleNamespace
+
+from repro.core.base import decoy_priority, is_real, make_decoy, make_real
+from repro.crypto.provider import decrypt_batch, encrypt_batch
+from repro.oblivious.filterbuf import emit_kept
+from repro.oblivious.sort import oblivious_sort
+
+#: Which of the 16 buffer slots hold real rows (6 of them); the emit reads 8.
+FLAGS = [i % 3 == 0 for i in range(16)]
+
+
+def sort_then_emit(context):
+    """A 16-slot oblivious sort, reals first, then the emit of its top 8."""
+    context.host.allocate_from("buf", encrypt_batch(context.provider, [
+        make_real(struct.pack(">q", i)) if real else make_decoy(8)
+        for i, real in enumerate(FLAGS)]))
+    context.host.allocate("out", 0)
+    oblivious_sort(context.coprocessor, "buf", len(FLAGS), key=decoy_priority)
+    emit_kept(context.coprocessor, "buf", 8, "out", is_real=is_real, strip=1)
+    return SimpleNamespace(meta={}, trace=context.coprocessor.trace)
+
+
+def observed(host, provider, trace):
+    """Fingerprint, decrypted host image and appended slot indices."""
+    storage = base_host(host)
+    image = {name: decrypt_batch(provider, storage.region_bytes(name))
+             for name in storage.region_names() if name != CHECKPOINT_REGION}
+    appended = [event.index for event in trace if event.region == "out"]
+    return trace.fingerprint(), image, appended
+
+
+def resume_at(crash_points):
+    """Crash a reference-mode run at each op ordinal and resume it; each
+    must match the uninterrupted runs of both modes."""
+    provider = FastProvider(KEY)
+    uninterrupted = []
+    for batched_io in (True, False):
+        context = JoinContext.fresh(provider=provider, batched_io=batched_io)
+        trace = sort_then_emit(context).trace
+        uninterrupted.append(observed(context.host, provider, trace))
+    assert uninterrupted[0] == uninterrupted[1]
+    total = len(trace)
+    assert total == SORT_OPS + 2 * sum(FLAGS) + (8 - sum(FLAGS))
+    assert uninterrupted[0][2] == list(range(sum(FLAGS)))
+    for crash_at in crash_points(total):
+        host = FaultyHost(HostMemory(), crash_plan([crash_at]))
+        report = run_with_recovery(host, provider, sort_then_emit,
+                                   checkpoint_interval=1, batched_io=False)
+        assert (report.crashes, report.attempts) == (1, 2), crash_at
+        # Sealed after every op: the resume replays everything before the crash.
+        assert report.replayed_transfers == crash_at - 1
+        assert observed(host, provider, report.result.trace) == uninterrupted[0], crash_at
+
+
+#: The 16-slot sort's declared ops: 80 comparators of four.
+SORT_OPS = 320
+
+
+def test_reference_resumes_inside_a_section():
+    """Every op of the sort's first and last two comparators and of the
+    emit, and every eleventh op between (all of them under ``--runslow``)."""
+    resume_at(lambda total: [k for k in range(1, total + 1)
+                             if k <= 8 or k > SORT_OPS - 8 or k % 11 == 0])
+
+
+@pytest.mark.slow
+def test_reference_resumes_inside_a_section_at_every_op():
+    resume_at(lambda total: range(1, total + 1))

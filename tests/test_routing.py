@@ -1,14 +1,14 @@
 """The two routing networks: distribution (Algorithm 7's expansion) and
 compaction (Algorithm 8's align).
 
-Each network is the declaration; the fast path writes its closed-form image
-(every row at its slot, one identical filler plaintext everywhere else) and
-the ``batched_io=False`` reference walks it under the network's swap rule.
-For every size up to 130 (1100 under ``--runslow``), with hypothesis drawing
+Each network is the declaration; T writes its closed-form image (every row
+at its slot, one identical filler plaintext everywhere else), and the
+``batched_io=False`` reference walks the declared column op by op.  For
+every size up to 130 (1100 under ``--runslow``), with hypothesis drawing
 which slots hold rows, these tests pin that
 
-* the network, walked under the rule the networks document, never swaps a
-  row onto a row and leaves every row at its slot;
+* the network, walked on plaintexts under the rule the networks document,
+  never swaps a row onto a row and leaves every row at its slot;
 * that walk's image is the fast path's host image, and the reference's host
   image and trace are the fast path's;
 * the network has ``route(m) / 4`` comparators, ``route`` being the exact
