@@ -2,7 +2,7 @@
 
 Measures real traced executions across 1/2/4 coprocessors for Algorithm 2
 (A partitioned), Algorithm 4's scan phase (iTuples partitioned), and the
-parallel bitonic sort (local sorts + staged block merges), publishing the
+parallel sort (local sorts + staged block merge-splits), publishing the
 speedup table and asserting near-linear scaling where the paper claims it.
 """
 
@@ -73,6 +73,6 @@ def test_parallel_scaling(benchmark):
     assert by_p[4]["alg2 speedup"] > 3.8
     # Algorithm 4's scan phase partitions evenly.
     assert by_p[4]["alg4 scan speedup"] > 3.5
-    # The parallel bitonic sort beats a single device once P >= 2.
+    # The parallel sort beats a single device once P >= 2.
     assert by_p[2]["sort vs 1 coprocessor"] > 1.0
     assert by_p[4]["sort vs 1 coprocessor"] > by_p[2]["sort vs 1 coprocessor"]

@@ -4,7 +4,7 @@ Standalone (not a pytest-benchmark module) so CI can run it as a smoke step::
 
     PYTHONPATH=src python benchmarks/bench_parallel_wallclock.py --smoke --check
 
-Measures, for the parallel bitonic sort and Algorithms 2-6, the wall-clock
+Measures, for the parallel sort and Algorithms 2-6, the wall-clock
 time of the sequential cluster simulation against the multiprocess
 :class:`~repro.parallel.executor.ClusterExecutor` at several worker counts,
 verifying on every run that the executor is *observationally identical* to

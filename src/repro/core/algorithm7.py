@@ -154,7 +154,7 @@ class SortMergeEngine:
     The serial executor points every field at the one coprocessor; the
     parallel variant (:func:`repro.core.parallel.parallel_algorithm7`) maps
     the two independent expansion stages onto different cluster devices and
-    swaps ``union_sort`` for the parallel bitonic sort.  ``union_sort`` is
+    swaps ``union_sort`` for the parallel oblivious sort.  ``union_sort`` is
     called for the two sorts over the whole union region (phase 2 and 4);
     each expansion's networks always run on that table's device.
     """

@@ -23,7 +23,7 @@ executors:
   share reports no phase rows of its own: a profile cannot cross a process
   boundary, so what a share flushes is booked to the round's row.
 
-Oblivious decoy filtering in parallel needs a parallel bitonic sort, which
+Oblivious decoy filtering in parallel needs a parallel oblivious sort, which
 the paper lists as future work ("implementing a parallel bitonic sort is
 tricky due to synchronization"); Algorithm 4's filter phase uses the
 implementation in :mod:`repro.oblivious.parallel_filter` (same ``executor``),
@@ -432,7 +432,7 @@ def parallel_algorithm4(
     result_count = sum(counts)
     scan_stats = [TransferStats.from_trace(t.trace) for t in cluster]
 
-    # Filter phase: all coprocessors cooperate via the parallel bitonic sort
+    # Filter phase: all coprocessors cooperate via the parallel sort
     # (Section 5.3.5's "oblivious filtering out decoys in parallel").
     with profile.span("filter"):
         filter_report = parallel_oblivious_filter(
@@ -614,7 +614,7 @@ def parallel_algorithm7(
     """Algorithm 7 with its phases mapped onto a cluster.
 
     The sort-merge join parallelizes along two seams: the big sorts over the
-    union region run as the parallel bitonic sort (every coprocessor owns a
+    union region run as the parallel oblivious sort (every coprocessor owns a
     contiguous slice of the network's wires whenever ``n`` divides evenly
     across the cluster), and the two expansion stages — independent by
     construction, one per table — run on different coprocessors, so the

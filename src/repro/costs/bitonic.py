@@ -2,11 +2,13 @@
 
 Two views of the same operation:
 
-* ``exact_sort_transfers(n)`` — the comparator count of the actual network
-  our executor runs, times 4 (two gets + two puts per comparator).  Tests
-  assert the traced executor performs exactly this many transfers.
-* ``paper_sort_transfers(n)`` — the paper's approximation ``n (log2 n)^2``
-  used when regenerating its tables and figures.
+* ``exact_sort_transfers(n)`` — the comparator count of the network our
+  executor declares (Batcher's merge-exchange,
+  :func:`repro.oblivious.networks.sorting_network`), times 4 (two gets + two
+  puts per comparator).  Tests assert the traced executor performs exactly
+  this many transfers.
+* ``paper_sort_transfers(n)`` — the paper's bitonic approximation
+  ``n (log2 n)^2``, used when regenerating its tables and figures.
 
 and the same two for a *route*, the distribution or compaction network of
 :mod:`repro.oblivious.networks` (one conditional swap per slot pair ``i,
@@ -24,7 +26,7 @@ from repro.oblivious.networks import exact_transfers, paper_comparisons, paper_t
 
 
 def exact_sort_transfers(n: int) -> int:
-    """Exact T/H transfers of one oblivious bitonic sort of n elements."""
+    """Exact T/H transfers of one oblivious sort of n elements."""
     return exact_transfers(n)
 
 

@@ -3,7 +3,7 @@
 Every function returns tuple-transfer counts between the secure coprocessor
 and the host.  ``paper_*`` functions are the formulas printed in the paper;
 ``exact_*`` functions mirror the executors in :mod:`repro.core` exactly
-(ceilings kept, real bitonic network sizes) and are what the
+(ceilings kept, real sorting-network sizes) and are what the
 model-vs-execution tests assert against.
 
 The ``normalized_*`` family restates the costs under |A| = |B| in terms of

@@ -4,7 +4,7 @@
 filter form and the delta <= omega - mu cap that reproduce the Table 5.3
 numbers — see DESIGN.md errata).  ``exact_*`` functions mirror the executors:
 they charge J gets per iTuple (J = number of participating tables), keep the
-ceilings, and count the real bitonic networks.
+ceilings, and count the real sorting networks.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Each join has one cost body, written over its networks; the two views differ
 only in how a network is charged.  ``exact_*`` mirrors the executors
-transfer for transfer — real bitonic sort sizes, the real distribution and
+transfer for transfer — real sorting-network sizes, the real distribution and
 compaction networks (``4 * sum(m - 2^j for 2^j < m)``), every linear pass one
 get plus one put per slot — and is what the model-vs-trace tests assert.
 ``paper_*`` is the same body with every network swapped for its asymptotic

@@ -1,5 +1,5 @@
-"""Data-oblivious primitives: bitonic and routing networks, sort, distribute,
-compact, shuffle, decoy filter."""
+"""Data-oblivious primitives: sorting, merging and routing networks, sort,
+distribute, compact, shuffle, decoy filter."""
 
 from repro.oblivious.expand import (
     INFINITY,
@@ -10,15 +10,17 @@ from repro.oblivious.expand import (
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.networks import (
     Comparator,
-    bitonic_network,
     compaction_network,
     comparator_count,
-    comparators,
     distribution_network,
     exact_transfers,
+    is_merging_network,
     is_sorting_network,
+    merging_network,
+    network_stages,
     paper_comparisons,
     paper_transfers,
+    sorting_network,
 )
 from repro.oblivious.parallel_filter import (
     ParallelFilterReport,
@@ -26,7 +28,6 @@ from repro.oblivious.parallel_filter import (
 )
 from repro.oblivious.parallel_sort import (
     ParallelSortReport,
-    network_stages,
     parallel_oblivious_sort,
     parallel_sort_makespan,
 )
@@ -43,14 +44,14 @@ __all__ = [
     "Comparator",
     "INFINITY",
     "KeyFunction",
-    "bitonic_network",
     "compaction_network",
     "comparator_count",
-    "comparators",
     "distribution_network",
     "emit_kept",
     "exact_transfers",
+    "is_merging_network",
     "is_sorting_network",
+    "merging_network",
     "oblivious_compact",
     "oblivious_distribute",
     "oblivious_filter",
@@ -68,4 +69,5 @@ __all__ = [
     "parallel_sort_makespan",
     "paper_comparisons",
     "paper_transfers",
+    "sorting_network",
 ]

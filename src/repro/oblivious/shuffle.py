@@ -3,7 +3,7 @@
 The standard construction [24]: tag every element with a random key inside
 the enclave, obliviously sort by the key, then strip the keys.  Because the
 sort is oblivious and the keys are secret, no observer learns the permutation.
-Costs 2n transfers for tagging, the bitonic sort, and 2n for stripping.
+Costs 2n transfers for tagging, the sort, and 2n for stripping.
 """
 
 from __future__ import annotations

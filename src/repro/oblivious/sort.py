@@ -1,7 +1,8 @@
 """Oblivious sorting of host regions through the secure coprocessor.
 
-What the host observes of a sort is fixed by a bitonic comparator network:
-each comparator brings two encrypted elements into T and writes both back,
+What the host observes of a sort is fixed by a comparator network (Batcher's
+merge-exchange, :func:`~repro.oblivious.networks.sorting_network`): each
+comparator brings two encrypted elements into T and writes both back,
 re-encrypted under fresh nonces, possibly swapped (Section 4.4.1).  Because
 the comparator positions depend only on the region size, the declared access
 pattern is identical for every input of the same size — no observer learns
@@ -10,40 +11,37 @@ the relationship between input and output positions.
 H sees two things of a sort: the declared wire column and the re-encrypted
 final image.  How T computes the permutation inside the enclave is not
 observable, so the network is the declaration and T sorts however it likes:
-it gathers the slots, computes the order with one stable ``sorted`` over the
-tie-break order, scatters, and declares the network's events with one
-``charge_boundary`` — which, in the coprocessor's reference mode, walks them
-op by op.  Each sort key is made total, ``(key, rank)``, where a slot's rank
-is its position in tie-break order; with no two keys equal a comparator
-network has exactly one output, the sorted order, so the network run on the
-total key agrees with ``sorted`` (``tests/test_sort_order.py``).
-
-The tie-break order of a full sort is the slot list itself, so equal keys
-keep their input order.  A merge (the parallel sort's block exchange) runs
-over two sorted halves, the first laid out descending, so its tie-break order
-is the slot list with the first half reversed: the halves read ascending.
+it gathers the slots, computes the order with one stable ``sorted``,
+scatters, and declares the network's events with one ``charge_boundary`` —
+which, in the coprocessor's reference mode, walks them op by op.  Each sort
+key is made total, ``(key, rank)``, where a slot's rank is its place in the
+slot list; with no two keys equal a comparator network has exactly one
+output, the sorted order, so the network run on the total key agrees with
+``sorted`` (``tests/test_sort_order.py``), and equal keys keep their input
+order.  A merge (the parallel sort's block exchange) runs over two ascending
+halves; each is sorted on the total key too, since ranks rise along it.
 
 Rows whose final slots are already known need no sort.  The distribution
 network (:func:`oblivious_distribute`) and the compaction network
 (:func:`oblivious_compact`) route them in ``O(n log n)`` conditional swaps,
 declared the same way, with the closed-form image (every row at its slot,
 one identical filler plaintext everywhere else) as what T writes.  One
-function, ``_run_network``, runs all three.
+function, ``_run_network``, runs every network.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
 from repro.oblivious.networks import (
     Comparator,
-    bitonic_merge_network,
-    bitonic_network,
     compaction_network,
     distribution_network,
+    merging_network,
+    sorting_network,
     wired_network,
 )
 
@@ -52,18 +50,6 @@ KeyFunction = Callable[[bytes], object]
 
 #: A row's final slot in a routing network, or ``None`` for a filler.
 SlotFunction = Callable[[bytes], int | None]
-
-
-def _tiebreak_order(n: int, merge: bool) -> Sequence[int]:
-    """The ``n`` wire positions in tie-break order: a wire's rank is its place.
-
-    A full sort breaks ties by position; a merge by position with the first
-    half (``n // 2`` wires, laid out descending) reversed.
-    """
-    if not merge:
-        return range(n)
-    half = n // 2
-    return [*range(half - 1, -1, -1), *range(half, n)]
 
 
 def oblivious_sort_indices(
@@ -76,25 +62,23 @@ def oblivious_sort_indices(
     """Obliviously sort the slots at ``indices`` (in index-list order) by
     ``(key, rank)``.
 
-    The generalization used by the parallel bitonic sort of Section 5.3.5:
-    a block compare-exchange works on the union of two coprocessors' chunks,
-    whose slots need not be contiguous — with ``merge`` it declares only the
-    merge network, which sorts a sequence that is already bitonic.  The
-    comparator positions depend only on ``len(indices)``, so obliviousness is
-    preserved.
+    The generalization used by the parallel sort of Section 5.3.5: a block
+    compare-exchange works on the union of two coprocessors' chunks, whose
+    slots need not be contiguous — with ``merge`` each half of ``indices``
+    already lists its slots in key order and only the merging network is
+    declared.  The comparator positions depend only on ``len(indices)``, so
+    obliviousness is preserved.
 
     The permutation is one ``sorted`` call (Timsort turns a merge's two runs
     into one linear pass) and the declared index column is the network's
     cached wire column mapped through ``indices``.
     """
-    order = _tiebreak_order(len(indices), merge)
-
     def image(plains: list[bytes]) -> list[bytes]:
         keys = [key(plain) for plain in plains]
-        return [plains[i] for i in sorted(order, key=keys.__getitem__)]
+        return [plains[i] for i in sorted(range(len(plains)), key=keys.__getitem__)]
 
     _run_network(coprocessor, region, indices,
-                 bitonic_merge_network if merge else bitonic_network, image)
+                 merging_network if merge else sorting_network, image)
 
 
 def _run_network(

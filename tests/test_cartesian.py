@@ -367,14 +367,14 @@ class TestFixedBlocks:
 
 RANDOM_PASS_PINS = {
     # n, M: (segments, n*, transfers, fingerprint)
-    (24, 4): (144, 4, 38216,
-              "86347f0d35493c5d5d342ba6436e335bf1d692e90c06b3a3dc1c1c4a82ba3461"),
-    (64, 8): (98, 42, 98916,
-              "b56cbc6ad46a18412adca6d73581548ca6a642aeed4afacae93dcf56bb67a050"),
+    (24, 4): (144, 4, 35180,
+              "ad6c7c038c54479632f3d3a7394223cf44673c7517fb415f3fa99cc90ad437f0"),
+    (64, 8): (98, 42, 88436,
+              "7ce6148b0a9f2f16e3615bcbff8d970420f6eb9e28267d69a31611077144b3c6"),
 }
 
 PARALLEL_RANDOM_PASS_PINS = [
-    "92bf716171a052d76a5ed9b9f1aa138171fa556484619cd367a8ea6f349403ed",
+    "a86a7bd17c3085ea7b0c516293250344ccb3bc1fdaac0e195afb440575c6075e",
     "416e6ca13f348ababaf3564f90ab3aa0989626285fc7d26387c28729d1fe950d",
 ]
 

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from repro.core.base import decoy_priority, is_real, make_decoy, make_real
 from repro.costs.chapter5 import exact_filter_transfers
 from repro.crypto.provider import FastProvider, decrypt_batch, encrypt_batch
+from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.networks import (
-    bitonic_network,
     comparator_count,
     exact_transfers,
+    is_merging_network,
     is_sorting_network,
+    merge_comparator_count,
+    merging_network,
     paper_transfers,
+    sorting_network,
 )
 from repro.oblivious.shuffle import oblivious_shuffle
 from repro.oblivious.sort import oblivious_sort
@@ -34,7 +38,7 @@ def rig(limit=8):
 
 
 class TestNetworks:
-    @pytest.mark.parametrize("n", list(range(0, 13)))
+    @pytest.mark.parametrize("n", list(range(0, 21)))
     def test_zero_one_principle_exhaustive(self, n):
         assert is_sorting_network(n)
 
@@ -42,15 +46,45 @@ class TestNetworks:
     def test_zero_one_principle_sampled(self, n):
         assert is_sorting_network(n, trials=300)
 
+    @pytest.mark.parametrize("n", list(range(0, 41, 2)))
+    def test_merging_network_merges_every_sorted_halves_input(self, n):
+        assert is_merging_network(n)
+
+    @pytest.mark.slow
+    def test_zero_one_principle_exhaustive_large(self):
+        assert all(is_sorting_network(n) for n in range(21, 25))
+        assert all(is_merging_network(n) for n in range(42, 129, 2))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 13, 20])
+    def test_check_rejects_a_network_missing_an_end_comparator(self, n):
+        network = sorting_network(n)
+        assert not is_sorting_network(n, network=network[1:])
+        assert not is_sorting_network(n, network=network[:-1])
+        merge = merging_network(2 * n)
+        assert not is_merging_network(2 * n, network=merge[1:])
+        assert not is_merging_network(2 * n, network=merge[:-1])
+
+    def test_odd_merging_network_rejected(self):
+        with pytest.raises(ConfigurationError):
+            merging_network(5)
+
     def test_comparators_are_in_bounds_and_ordered(self):
-        for comp in bitonic_network(37):
-            assert 0 <= comp.low < comp.high < 37
+        for n in (37, 64):
+            for size, network in ((n, sorting_network(n)),
+                                  (2 * n, merging_network(2 * n))):
+                assert all(0 <= comp.low < comp.high < size for comp in network)
 
     def test_power_of_two_comparator_count_is_classical(self):
-        # Batcher's bitonic network on 2^k inputs has (n/4) k (k+1) comparators.
-        for k in range(1, 8):
+        # Merge-exchange on 2^k inputs has (k^2 - k + 4) 2^(k-2) - 1
+        # comparators; merging two halves of 2^(k-1), (k - 1) 2^(k-1) + 1.
+        for k in range(1, 9):
             n = 1 << k
-            assert comparator_count(n) == n * k * (k + 1) // 4
+            assert comparator_count(n) == (k * k - k + 4) * n // 4 - 1
+            assert merge_comparator_count(n) == (k - 1) * n // 2 + 1
+
+    def test_counts_at_the_benchmark_sizes(self):
+        assert [comparator_count(n) for n in (48, 512, 1024, 2048)] == [
+            367, 9727, 24063, 58367]
 
     def test_exact_transfers_is_four_per_comparator(self):
         assert exact_transfers(16) == 4 * comparator_count(16)

@@ -438,14 +438,14 @@ class TestParallelAlgorithm7:
         assert out.result.same_multiset(serial.result)
 
     @pytest.mark.parametrize("processors,transfers,prints", [
-        (2, [774, 352], ["ab5b25358c24032a", "d2adb7e991ae9cbe"]),
-        (3, [658, 416, 104],
-         ["c10b6089293ca489", "a856325366f03f67", "4a6f077498360c5e"]),
+        (2, [682, 332], ["cd068a87b096481f", "a7c628a0c439700b"]),
+        (3, [602, 356, 96],
+         ["91015b0dd4aff3c2", "5369ceb92edbeab7", "889d67d25f91e597"]),
     ])
     def test_per_device_traces_pinned(self, processors, transfers, prints):
-        """Golden pins, taken when the expansions became distribution
-        networks from two fresh contexts that agree and reproduced with
-        ``batched_io=False``.  The union sorts (closure key, no executor)
+        """Golden pins, taken when the sorts' declaration became Batcher's
+        merge-exchange from two fresh contexts that agree and reproduced
+        with ``batched_io=False``.  The union sorts (closure key, no executor)
         run as task rounds."""
         wl = equijoin_workload(8, 10, 6, rng=random.Random(62))
         context, cluster = self._rig(processors)

@@ -126,13 +126,12 @@ class TestStagedArray:
 
 
 class TestOverheadClaim:
-    def test_bitonic_stage_overhead_near_paper_estimate(self):
+    def test_sort_stage_overhead_near_paper_estimate(self):
         """Section 4.4.1: sorting n elements costs ~ (n/4)(log2 n)^2 extra f
         applications versus sequential encryption at each stage.  Replaying
         the real network's access pattern through the offset cache lands
         within 2x of the estimate (the paper's stage count is approximate)."""
-        from repro.oblivious.networks import bitonic_network
-        from repro.oblivious.parallel_sort import network_stages
+        from repro.oblivious.networks import network_stages
 
         n = 64
         extra_total = 0

@@ -1,4 +1,4 @@
-"""Tests for the parallel oblivious bitonic sort (Section 5.3.5 / Chapter 6)."""
+"""Tests for the parallel oblivious sort (Section 5.3.5 / Chapter 6)."""
 
 import struct
 
@@ -12,7 +12,7 @@ from repro.crypto.provider import FastProvider
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
 from repro.hardware.host import HostMemory
-from repro.oblivious.networks import bitonic_network
+from repro.oblivious.networks import comparator_count, sorting_network
 from repro.oblivious.parallel_sort import (
     network_stages,
     parallel_oblivious_sort,
@@ -46,8 +46,8 @@ def key(plaintext):
 #: P -> (per-device trace fingerprints, sorted image) of a size-P sort of
 #: ``7P, 7(P-1), ..., 7``; the last device runs nothing (the empty trace).
 CHUNK_OF_ONE_PINS = {
-    2: (["35ec1b8813d70b3c", "e3b0c44298fc1c14"], [7, 14]),
-    4: (["f244fa9322d9f79d", "37777b33f0e78f1b", "9a545d91cfed34dc",
+    2: (["63f804780dc2344d", "e3b0c44298fc1c14"], [7, 14]),
+    4: (["960646603f75f323", "91b74627b75cb939", "d3dcceb26c2e58bd",
          "e3b0c44298fc1c14"], [7, 14, 21, 28]),
 }
 
@@ -60,7 +60,7 @@ class TestNetworkStages:
         preserved."""
         stages = network_stages(n)
         flattened = [c for stage in stages for c in stage]
-        assert sorted(flattened) == sorted(bitonic_network(n))
+        assert sorted(flattened) == sorted(sorting_network(n))
 
         def wire_sequence(comps):
             per_wire = {}
@@ -69,7 +69,7 @@ class TestNetworkStages:
                 per_wire.setdefault(c.high, []).append(c)
             return per_wire
 
-        assert wire_sequence(flattened) == wire_sequence(bitonic_network(n))
+        assert wire_sequence(flattened) == wire_sequence(sorting_network(n))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_stage_comparators_are_disjoint(self, n):
@@ -78,7 +78,7 @@ class TestNetworkStages:
             assert len(touched) == len(set(touched))
 
     def test_power_of_two_stage_count(self):
-        # Bitonic sort on 2^k inputs has k(k+1)/2 stages.
+        # Merge-exchange on 2^k inputs has k(k+1)/2 stages.
         for k in range(1, 6):
             assert len(network_stages(1 << k)) == k * (k + 1) // 2
 
@@ -118,18 +118,28 @@ class TestParallelSort:
             assert makespan < exact_transfers(size)
 
     def test_report_accounting_matches_traces(self):
-        host, cluster = rig(4)
-        load(host, cluster, list(range(16, 0, -1)))
-        report = parallel_oblivious_sort(cluster, "R", 16, key)
-        assert report.total == sum(t.trace.transfer_count() for t in cluster)
-        assert report.makespan <= parallel_sort_makespan(16, 4)
+        """P in {2, 3, 4}, odd chunks included: the report's total is the
+        traced sum, and no device is busier than the modelled makespan (its
+        local sort plus at most one merge per stage)."""
+        for processors, chunk in [(2, 3), (2, 5), (3, 3), (3, 7), (4, 1), (4, 4), (4, 5)]:
+            size = processors * chunk
+            host, cluster = rig(processors)
+            load(host, cluster, list(range(size, 0, -1)))
+            report = parallel_oblivious_sort(cluster, "R", size, key)
+            traced = [t.trace.transfer_count() for t in cluster]
+            assert report.total == sum(traced)
+            assert report.total == (processors * report.local_transfers
+                                    + comparator_count(processors)
+                                    * report.exchange_transfers)
+            assert report.makespan == parallel_sort_makespan(size, processors)
+            assert max(traced) <= report.makespan
+            assert read(cluster, size) == list(range(1, size + 1))
 
     @pytest.mark.parametrize("batched_io", [True, False], ids=["batched", "reference"])
     @pytest.mark.parametrize("processors", sorted(CHUNK_OF_ONE_PINS))
     def test_a_chunk_of_one_is_pinned(self, processors, batched_io):
-        """size == P: every chunk is one slot, and a chunk left descending is
-        normalized by a section of one slot (one GET, one PUT).  Pinned
-        before that normalization was a section, in both modes."""
+        """size == P: every chunk is one slot and every block merge is one
+        comparator of the chunk-level network.  Pinned in both modes."""
         host = HostMemory()
         cluster = Cluster(host, FastProvider(KEY), count=processors,
                           batched_io=batched_io)

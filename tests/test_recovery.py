@@ -17,6 +17,8 @@ from repro.core.algorithm5 import algorithm5
 from repro.core.algorithm7 import algorithm7
 from repro.core.base import JoinContext
 from repro.core.service import Contract, JoinService, Party
+from repro.costs.bitonic import exact_sort_transfers
+from repro.costs.oblivious_join import exact_algorithm7
 from repro.crypto.provider import FastProvider
 from repro.errors import (
     AuthenticationError,
@@ -357,14 +359,15 @@ class TestRunWithRecovery:
         if crash_at > 8:
             assert report.replayed_transfers > 0
 
-    @pytest.mark.parametrize("crash_at", [5000, 7000])
-    def test_fault_clock_counts_boundary_ops_not_host_calls(self, crash_at):
-        """Batched Algorithm 7 at 32x32 declares 8 232 boundary ops over far
-        fewer physical host calls; a crash planned at op 5000 must still fire
-        — exactly once.  Op 5000 falls inside the partition sort, a single
-        batch that ends past the first interval multiple, so that crash
-        restarts from checkpoint zero; op 7000 (inside the expansions)
-        resumes off the checkpoint sealed where that batch ends."""
+    @pytest.mark.parametrize("phase", ["partition", "expansions"])
+    def test_fault_clock_counts_boundary_ops_not_host_calls(self, phase):
+        """Batched Algorithm 7 at 32x32 declares its exact-model count of
+        boundary ops over far fewer physical host calls; a crash planned
+        halfway through a phase must still fire — exactly once.  The
+        partition sort is a single batch that ends past the first interval
+        multiple, so a crash inside it restarts from checkpoint zero; a crash
+        inside the expansions resumes off the checkpoint sealed where that
+        batch ends."""
         wl = equijoin_workload(32, 32, 32, rng=random.Random(7))
 
         def run(context):
@@ -372,13 +375,28 @@ class TestRunWithRecovery:
                               BinaryAsMulti(Equality("key")))
 
         baseline = plain_result(run)
+        cost = exact_algorithm7(32, 32, len(baseline.result))
+        assert baseline.stats.total == cost.total
+        # Ops [start, end) of each phase, in run order: build, sort, count,
+        # partition, the two expansions, emit.
+        sort = exact_sort_transfers(64)
+        partition = cost.terms["build"] + sort + cost.terms["count"]
+        start, end = {
+            "partition": (partition, partition + sort),
+            "expansions": (partition + sort,
+                           partition + sort + cost.terms["expansion"]),
+        }[phase]
+        assert partition < 4096 < partition + sort
+        crash_at = (start + end) // 2
         host = FaultyHost(HostMemory(), crash_plan([crash_at]))
         report = run_with_recovery(host, FastProvider(KEY), run,
                                    checkpoint_interval=4096)
         assert host.crashes_injected == 1
         assert (report.crashes, report.attempts) == (1, 2)
-        if crash_at == 7000:
-            assert report.replayed_transfers >= 4096
+        if phase == "partition":
+            assert report.replayed_transfers == 0
+        else:
+            assert report.replayed_transfers == start
         assert all(device.batched_ops > 0 for device in report.devices)
         # The clock advanced once per declared op: the crashed attempt's
         # admitted prefix plus everything the second attempt ran live.
@@ -582,6 +600,7 @@ from types import SimpleNamespace
 from repro.core.base import decoy_priority, is_real, make_decoy, make_real
 from repro.crypto.provider import decrypt_batch, encrypt_batch
 from repro.oblivious.filterbuf import emit_kept
+from repro.oblivious.networks import comparator_count
 from repro.oblivious.sort import oblivious_sort
 
 #: Which of the 16 buffer slots hold real rows (6 of them); the emit reads 8.
@@ -631,8 +650,8 @@ def resume_at(crash_points):
         assert observed(host, provider, report.result.trace) == uninterrupted[0], crash_at
 
 
-#: The 16-slot sort's declared ops: 80 comparators of four.
-SORT_OPS = 320
+#: The 16-slot sort's declared ops: four per comparator.
+SORT_OPS = 4 * comparator_count(16)
 
 
 def test_reference_resumes_inside_a_section():

@@ -1,7 +1,7 @@
 """Which permutation an oblivious sort applies, and that both modes agree.
 
-The bitonic network is a sort's declaration; the fast path computes the
-permutation with one stable ``sorted`` on the total key ``(key, rank)``.
+The merge-exchange network is a sort's declaration; the fast path computes
+the permutation with one stable ``sorted`` on the total key ``(key, rank)``.
 These tests pin that the network, run on that total key, yields exactly the
 fast path's permutation (full sorts and merges, duplicate-heavy keys), that
 equal keys keep their input order, that the fast path never walks the
@@ -34,9 +34,9 @@ from repro.hardware.counters import TransferStats
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import oblivious_filter
 from repro.oblivious.networks import (
-    bitonic_merge_network,
-    bitonic_network,
     exact_transfers,
+    merging_network,
+    sorting_network,
     wired_network,
 )
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
@@ -54,26 +54,21 @@ KEYS = {
 
 
 def merge_layout(n):
-    """The slot list a block merge runs over: the first chunk laid out
-    reversed, then the second (``plan_global_phase``'s shape for chunks
-    ``[0, n/2)`` and ``[n/2, n)``)."""
+    """The slot list a block merge runs over: two ascending chunks, the first
+    on the even slots and the second on the odd ones, so neither is
+    contiguous (the parallel sort's chunks need not be adjacent)."""
     half = n // 2
-    return [*range(half - 1, -1, -1), *range(half, n)]
+    return [*range(0, 2 * half, 2), *range(1, 2 * half, 2)]
 
 
 def network_image(slot_keys, indices, merge):
     """Slot -> source slot after the comparator network runs on the total
-    key.  A wire's rank is its place in tie-break order: the wire order for
-    a full sort, the order in which a merge's two halves read ascending."""
+    key.  A wire's rank is its place in the slot list."""
     n = len(indices)
-    tiebreak = merge_layout(n) if merge else range(n)
-    rank = [0] * n
-    for position, wire in enumerate(tiebreak):
-        rank[wire] = position
-    wires = [(slot_keys[slot], rank[w], slot) for w, slot in enumerate(indices)]
-    for comp in (bitonic_merge_network if merge else bitonic_network)(n):
+    wires = [(slot_keys[slot], w, slot) for w, slot in enumerate(indices)]
+    for comp in (merging_network if merge else sorting_network)(n):
         low, high = wires[comp.low], wires[comp.high]
-        if (low[:2] > high[:2]) == comp.ascending:
+        if low[:2] > high[:2]:
             wires[comp.low], wires[comp.high] = high, low
     image = list(range(len(slot_keys)))
     for slot, (_, _, source) in zip(indices, wires):
@@ -104,8 +99,10 @@ def check_full_sort(slot_keys):
 
 def check_merge(slot_keys):
     half = len(slot_keys) // 2
-    slot_keys = sorted(slot_keys[:half]) + sorted(slot_keys[half:])
     indices = merge_layout(len(slot_keys))
+    chunks = sorted(slot_keys[:half]) + sorted(slot_keys[half:])
+    for slot, key in zip(indices, chunks):
+        slot_keys[slot] = key
     image = fast_path_image(slot_keys, indices, merge=True)
     assert image == network_image(slot_keys, indices, merge=True)
     assert [slot_keys[image[slot]] for slot in indices] == sorted(slot_keys)
@@ -144,7 +141,7 @@ def test_network_on_the_total_key_exhaustively(family):
                 check_merge([draw() for _ in range(n)])
         # A size is never revisited; 256 cached networks of ~1000 wires would
         # hold about a gigabyte.
-        for cached in (bitonic_network, bitonic_merge_network, wired_network):
+        for cached in (sorting_network, merging_network, wired_network):
             cached.cache_clear()
 
 

@@ -39,31 +39,34 @@ N_MAX = 2
 
 #: Pinned SHA-256 fingerprints of each algorithm's access trace on the
 #: fixed workload below.  Derived once with two independent fresh contexts
-#: agreeing; see the module docstring before changing any value.
+#: agreeing; see the module docstring before changing any value.  The
+#: sorting algorithms (1, 1v, 3, 4, 7, 8) were re-pinned when the sort's
+#: declaration became Batcher's merge-exchange, reproduced with
+#: ``batched_io=False``.
 GOLDEN_FINGERPRINTS = {
-    "algorithm1": "4e5bd64371a66168595c6d89da141937f0f67a3b18870f34b8a9050c8c179c93",
-    "algorithm1v": "abcb3f80da34b10bb0ae6d535abf736fbedb4d62d58d1f9925119d57e95e781e",
+    "algorithm1": "cf02aa445472ea02828d23f3ea1d3cc3de8e639c1490e6bf48ed9f1026ff50a2",
+    "algorithm1v": "26711e8a76d807de2e8a4a26334297e2b03c177562d502ba77430e4ee1779a2a",
     "algorithm2": "fb0547242b758730ba21a7bc8acf29f79a05a2b875c5aa3b2445605f169e85d0",
-    "algorithm3": "a34b071a89836244b7a039d8b52cc85396b84676ed334da25855a053c10dd8f7",
-    "algorithm4": "c01860a367afbbbe505d8c7885e17daafd062c2df95a45ed68a07100ad475f31",
+    "algorithm3": "9f45d767fc10b2bf957934b68256f5505bbc9f9a2acb760b69ef8aba54698585",
+    "algorithm4": "39dc54e13c48c8f52c4578e1df790ab9d6c4efc0cb15721612903410304b0a87",
     "algorithm5": "80541dd973fe874312ca7b91ef1b40406d85ef8d134b33c46b3a35a897b2b4a7",
     "algorithm6": "9a352559fab47f08a5391876fb1e7e7b724e274e3d90d1f795257f097d6f2c1f",
-    "algorithm7": "c1a5af4302e07d7d639be43ff554b9d24bed5f54c258f0f953d51c0466daafe7",
-    "algorithm8": "8464fb02f51a5d81cd6d99166e211b575bcb2eefa638c59d9b4df480dc50c68a",
+    "algorithm7": "ecd09ce6877df45b1ff0d7c7813b6d414a451e99b800b790242b7d4d03f369a2",
+    "algorithm8": "9dff817762b44b6f72d1af37cf232f01299420b678a48bb6b1166c667779c4bb",
 }
 
 #: Total T/H transfers per algorithm on the same workload — a coarser pin
 #: that gives a readable first diagnostic when a fingerprint moves.
 GOLDEN_TRANSFERS = {
-    "algorithm1": 1160,
-    "algorithm1v": 1224,
+    "algorithm1": 1000,
+    "algorithm1v": 1160,
     "algorithm2": 104,
-    "algorithm3": 396,
-    "algorithm4": 2692,
+    "algorithm3": 388,
+    "algorithm4": 2372,
     "algorithm5": 486,
     "algorithm6": 166,
-    "algorithm7": 1090,
-    "algorithm8": 684,
+    "algorithm7": 1014,
+    "algorithm8": 648,
 }
 
 
@@ -151,10 +154,10 @@ GOLDEN_SCENARIO = "watchlist_screening"
 
 GOLDEN_SCENARIO_FINGERPRINTS = {
     "screen": "f74c63f59d8b7994b116aaf76ad23e40c0b756897fef8b4077a6e7a4b41dfa22",
-    "audit": "6b87848544e3061f1c604f9be832e0b6bab8e1e0d01c9000c94a97c90828f956",
+    "audit": "1f0ebd90db1ea8676ba84792cb168c508653752ad87ae82b0d347d2cb62c871e",
 }
 
-GOLDEN_SCENARIO_TRANSFERS = {"screen": 165, "audit": 2278}
+GOLDEN_SCENARIO_TRANSFERS = {"screen": 165, "audit": 2174}
 
 GOLDEN_SCENARIO_RESULT_SIZE = 5
 
