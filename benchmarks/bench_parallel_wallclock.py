@@ -11,8 +11,8 @@ verifying on every run that the executor is *observationally identical* to
 the simulation: same per-coprocessor trace fingerprints, same results, and a
 data-independent (privacy-accepted) access pattern.
 
-Every section also measures the sequential simulation with batched I/O
-disabled (``batched_io=False`` on every coprocessor): the vectorized hot
+Every section also measures the sequential simulation on the reference
+device (a ``ReferenceCoprocessor`` for every coprocessor): the vectorized hot
 path must be trace-identical to the scalar one, and its wall-clock win is
 reported as ``batched_vs_scalar``.  The worker runs use the production
 configuration (batching on, in the parent and in every pool worker).
@@ -51,6 +51,7 @@ from repro.core.parallel import (
 )
 from repro.crypto.provider import FastProvider, OcbProvider
 from repro.hardware.cluster import Cluster
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.parallel import ClusterExecutor
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.relational.generate import equijoin_workload
@@ -69,7 +70,7 @@ def rig(processors: int, provider_name: str, batched: bool = True):
     provider = make_provider(provider_name)
     context = JoinContext.fresh(provider=provider, batched_io=batched)
     cluster = Cluster(context.host, provider, count=processors,
-                      batched_io=batched)
+                      device=SecureCoprocessor if batched else ReferenceCoprocessor)
     return context, cluster
 
 

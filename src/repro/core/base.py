@@ -31,7 +31,7 @@ from repro.crypto.provider import (
     encrypt_batch,
 )
 from repro.errors import ConfigurationError
-from repro.hardware.coprocessor import SecureCoprocessor, TraceFactory
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor, TraceFactory
 from repro.hardware.counters import TransferStats
 from repro.hardware.events import Trace
 from repro.obs.spans import PhaseProfile
@@ -94,14 +94,14 @@ class JoinContext:
         ``trace_factory`` selects how the coprocessor captures its access
         stream — the default materialized :class:`Trace`, or one of the
         bounded-memory sinks from :mod:`repro.obs.sinks`.
-        ``batched_io=False`` selects the scalar reference path for
+        ``batched_io=False`` selects :class:`ReferenceCoprocessor` for
         differential tests and benchmarks (observable behaviour is identical
         either way).
         """
         host = HostMemory()
         provider = provider if provider is not None else OcbProvider(key)
-        coprocessor = SecureCoprocessor(host, provider, memory_limit=memory_limit,
-                                        trace_factory=trace_factory, batched_io=batched_io)
+        coprocessor = (SecureCoprocessor if batched_io else ReferenceCoprocessor)(
+            host, provider, memory_limit=memory_limit, trace_factory=trace_factory)
         return cls(host=host, coprocessor=coprocessor, provider=provider,
                    rng=random.Random(seed))
 

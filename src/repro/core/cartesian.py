@@ -179,8 +179,8 @@ def scan_blocks(
     events are ``G(X0) .. G(XJ-1) [P(output)]`` per row: up to
     :data:`SCAN_BLOCK` rows are one gather per table, one scatter when the
     pass writes, and one ``charge_boundary`` whose interleaved index column
-    is that per-row sequence (which the coprocessor's reference mode walks
-    op by op).  Block boundaries are a function of ``len(logicals)`` alone,
+    is that per-row sequence (which ``ReferenceCoprocessor`` walks op by
+    op).  Block boundaries are a function of ``len(logicals)`` alone,
     never of what the rows hold.
     """
     for start in range(0, len(logicals), SCAN_BLOCK):

@@ -17,7 +17,7 @@ For each safe algorithm (1, 1v, 2, 3, 4, 5, 6, 7, 8) the sweep:
    privacy checker's event-for-event comparison — recovery must be accepted
    by the same machinery that certifies the algorithms;
 5. wraps a :class:`~repro.hardware.adversary.TamperingHost` in the fault
-   layer and asserts, on the batched path and on the scalar reference, that
+   layer and asserts, on both device types (batched and reference), that
    tampering still aborts with :class:`~repro.errors.AuthenticationError`
    on the batch that carried the tampered read — the retry loop must never
    re-issue an authentication failure, and nothing is written after it.
@@ -46,7 +46,7 @@ from repro.errors import AuthenticationError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.recovery import run_with_recovery
 from repro.hardware.adversary import TamperingHost
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.hardware.resilience import RetryPolicy
@@ -303,20 +303,19 @@ def _tamper_aborts_immediately(runner: Runner, provider=FastProvider,
     serves the whole ranged call before T authenticates any of it), so the
     batched statement is: the tampered slot is served once — a retried batch
     would re-read it — no host write follows it, and T counted no retry.
-    On the scalar reference the exact form holds too: the tampered read is
+    On ``ReferenceCoprocessor`` the exact form holds too: the tampered read is
     the last one the host ever serves.
     """
-    return all(_stops_at_tamper(runner, provider(KEY), tamper_at_read, batched_io)
-               for batched_io in (True, False))
+    return all(_stops_at_tamper(runner, provider(KEY), tamper_at_read, device)
+               for device in (SecureCoprocessor, ReferenceCoprocessor))
 
 
 def _stops_at_tamper(runner: Runner, provider, tamper_at_read: int,
-                     batched_io: bool) -> bool:
+                     device: type[SecureCoprocessor]) -> bool:
     tampering = TamperingHost(tamper_at_read)
     host = FaultyHost(tampering)
-    coprocessor = SecureCoprocessor(host, provider,
-                                    retry=RetryPolicy(max_retries=3),
-                                    clock=VirtualClock(), batched_io=batched_io)
+    coprocessor = device(host, provider, retry=RetryPolicy(max_retries=3),
+                         clock=VirtualClock())
     context = JoinContext(host=host, coprocessor=coprocessor,
                           provider=provider, rng=random.Random(0))
     try:
@@ -324,7 +323,8 @@ def _stops_at_tamper(runner: Runner, provider, tamper_at_read: int,
     except AuthenticationError:
         return (tampering.rereads == 0 and coprocessor.retries == 0
                 and tampering.snapshot_regions() == tampering.image_at_tamper
-                and (batched_io or tampering.reads_served == tamper_at_read))
+                and (device is SecureCoprocessor
+                     or tampering.reads_served == tamper_at_read))
     return False
 
 

@@ -161,7 +161,7 @@ def run_with_recovery(
     retry: RetryPolicy | None = None,
     clock: VirtualClock | None = None,
     trace_factory: TraceFactory | None = None,
-    batched_io: bool = True,
+    device: type[SecureCoprocessor] = SecureCoprocessor,
     name: str = "T0",
     resume: bool = False,
 ) -> RecoveryReport:
@@ -173,8 +173,8 @@ def run_with_recovery(
     repeat.  Non-crash exceptions (including
     :class:`~repro.errors.AuthenticationError` and retry-exhausted
     :class:`~repro.errors.TransientHostError`) propagate immediately —
-    tampering still terminates, never restarts.  ``batched_io=False`` runs
-    every attempt on the scalar reference path.
+    tampering still terminates, never restarts.  Each attempt builds a new
+    ``device`` (``ReferenceCoprocessor`` for the one-row-per-call twin).
 
     With ``resume=True`` a sealed checkpoint already on the host — left by
     an earlier *process* over the same host image and provider, e.g. a
@@ -202,9 +202,8 @@ def run_with_recovery(
             store.restore(state)
             cursor = ReplayCursor(state.entries)
         gate = RecoveryHost(host, cursor)
-        coprocessor = SecureCoprocessor(
-            gate, provider, memory_limit=memory_limit, name=name,
-            trace_factory=trace_factory, batched_io=batched_io,
+        coprocessor = device(
+            gate, provider, memory_limit=memory_limit, name=name, trace_factory=trace_factory,
             retry=retry, clock=clock, replay=cursor,
             checkpoint_store=store, checkpoint_interval=checkpoint_interval,
         )

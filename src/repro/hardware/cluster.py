@@ -94,7 +94,7 @@ class Cluster:
         count: int,
         memory_limit: int | None = None,
         trace_factory: TraceFactory | None = None,
-        batched_io: bool = True,
+        device: type[SecureCoprocessor] = SecureCoprocessor,
     ) -> None:
         if count < 1:
             raise ConfigurationError("a cluster needs at least one coprocessor")
@@ -103,8 +103,8 @@ class Cluster:
         # Slot caches are per-coprocessor: a slot rewritten by a sibling
         # device simply misses (byte-inequality) and takes the physical path.
         self.coprocessors = [
-            SecureCoprocessor(host, provider, memory_limit=memory_limit, name=f"T{i}",
-                              trace_factory=trace_factory, batched_io=batched_io)
+            device(host, provider, memory_limit=memory_limit, name=f"T{i}",
+                   trace_factory=trace_factory)
             for i in range(count)
         ]
 

@@ -119,17 +119,15 @@ class SecureCoprocessor:
     Section 3.3.1's detect-and-terminate behaviour bit-for-bit.
 
     Every crossing, scalar or not, runs through one body per op kind over a
-    list of slots: ``get``/``put``/``put_append`` are batches of one.
-    Neither the cache nor ``batched_io``, the one physical switch, changes
-    anything observable: ``True`` moves whole batches (one ranged host call,
-    one crypto pass, vectorized sections), ``False`` is the reference that
-    issues every row as its own batch of one and walks every section's
-    declared run op by op, and traces, modeled counters,
-    ``TransferStats`` and phase breakdowns are identical in both
-    (``tests/test_fastpath.py``, ``tests/test_batch.py``).  The physical work
-    actually performed is surfaced separately as ``physical_decryptions``,
-    ``cache_hits`` and ``batched_ops``/``batch_rows`` (calls that moved more
-    than one row, and the rows they moved).
+    list of slots: ``get``/``put``/``put_append`` are batches of one.  This
+    class moves whole batches (one ranged host call, one crypto pass,
+    vectorized sections), :class:`ReferenceCoprocessor` one row per batch;
+    traces, modeled counters, ``TransferStats`` and phase breakdowns are
+    identical on both, cache or not (``tests/test_fastpath.py``,
+    ``tests/test_batch.py``).  Physical work shows only in
+    ``physical_decryptions``, ``cache_hits`` and ``batched_ops``/
+    ``batch_rows``: one batch per ``*_many`` call that moved more than one
+    row and one per section gather or stage of any size, with its rows.
 
     Fault tolerance
     ---------------
@@ -165,7 +163,6 @@ class SecureCoprocessor:
         replay: ReplayCursor | None = None,
         checkpoint_store: Any | None = None,
         checkpoint_interval: int | None = None,
-        batched_io: bool = True,
     ) -> None:
         self.host = host
         self.provider = provider
@@ -184,11 +181,8 @@ class SecureCoprocessor:
         self.physical_decryptions = 0
         self.cache_hits = 0
         self._cache: dict[tuple[str, int], tuple[bytes, bytes]] = {}
-        #: Vectorized physical execution: number of batched boundary calls and
-        #: total rows they moved.  Like ``physical_decryptions``/``cache_hits``
-        #: these describe the physical path only — modeled counters and traces
-        #: are identical whether batching is on or off.
-        self.batched_io = batched_io
+        #: Batched boundary calls and the rows they moved (see the class
+        #: docstring): physical only, like ``physical_decryptions``.
         self.batched_ops = 0
         self.batch_rows = 0
         self._batch_physical_pending = 0
@@ -334,7 +328,7 @@ class SecureCoprocessor:
 
     # -- the traced T/H boundary ----------------------------------------------
     # One body per op kind (``_read``/``_write``/``_append``) over a list of
-    # slots; ``*_many`` is the one place outside sections reading the switch.
+    # slots; the reference device splits every ``*_many`` into batches of one.
     def get(self, region: str, index: int) -> bytes:
         """Read one host slot into the enclave: decrypt + authenticate.
 
@@ -363,23 +357,15 @@ class SecureCoprocessor:
         of one roundtrip per slot).  The caller must hold enough enclave slots
         for every plaintext returned.
         """
-        slots = list(slots)
-        if self.batched_io:
-            return self._read(slots)
-        return [self._read([slot])[0] for slot in slots]
+        return self._read(list(slots))
 
     def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
         """Write several plaintexts out in one boundary call (fresh nonces each)."""
-        slots = list(slots)
-        for batch in [slots] if self.batched_io else [[slot] for slot in slots]:
-            self._write(batch)
+        self._write(list(slots))
 
     def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
         """Append several encrypted tuples to a growable region in one call."""
-        plaintexts = list(plaintexts)
-        if self.batched_io:
-            return self._append(region, plaintexts)
-        return [self._append(region, [plaintext])[0] for plaintext in plaintexts]
+        return self._append(region, list(plaintexts))
 
     def _read(self, slots: list[tuple[str, int]]) -> list[bytes]:
         """One read batch: replayed from the tape, or read, resolved and settled."""
@@ -496,47 +482,42 @@ class SecureCoprocessor:
     # the section from its declared run — the ops a comparator network, a
     # linear pass or an emit issues, whose GETs read gathered slots and whose
     # PUTs land staged ones.  The final host state, the declared trace and
-    # every modeled counter are the declaration's, in both modes:
-    #
-    # * ``batched_io`` presents the run to the host's fault clock, flushes
-    #   the staged cells in one ranged call per slot set and records the run
-    #   once: one decrypt pass, one encrypt pass.  The section is one batch
-    #   for fault tolerance — a fault fires before its first storage
-    #   mutation, its tape rows are what it gathered, the slots its staged
-    #   appends were assigned and one CHARGE row, and a checkpoint can only
-    #   commit once it has settled;
-    # * the reference gathers one slot per host call and walks the run op
-    #   by op through ``_read``/``_write``/``_append``, each PUT writing its
-    #   slot's final plaintext (fresh nonces hide that the intermediate
-    #   values are skipped).  Every op is its own batch, so a checkpoint can
-    #   commit mid-section; the staged plaintexts are kept on replay, so a
-    #   resume whose tape ends there has values for its live writes.
+    # every modeled counter are the declaration's, on both device types.
+    # This one presents the run to the host's fault clock, flushes the staged
+    # cells in one ranged call per slot set and records the run once: one
+    # decrypt pass, one encrypt pass.  The section is one batch for fault
+    # tolerance — a fault fires before its first storage mutation, its tape
+    # rows are what it gathered, the slots its staged appends were assigned
+    # and one CHARGE row, and a checkpoint can only commit once it has
+    # settled.  :class:`ReferenceCoprocessor` walks the run op by op.
 
     def gather_slots(self, region: str, indices: Sequence[int]) -> list[bytes]:
         """Physically read a slot set for a section (unrecorded, unadmitted).
 
-        Decrypts cache misses in one batch — the reference reads one slot per
-        host call and authenticates it before the next; the physical
-        decrypts performed here are remembered in a pending ledger that the
-        next :meth:`charge_boundary` settles against the section's modeled
-        GETs.
+        Decrypts cache misses in one batch; the physical decrypts are left
+        pending for the next :meth:`charge_boundary` to settle against the
+        section's modeled GETs.
         """
         if self.replaying:
             return [entry.payload for entry in self._replay.take_batch(
                 [(GATHER, region, index) for index in indices])]
-        slots = [(region, index) for index in indices]
-        plaintexts: list[bytes] = []
-        for batch in [slots] if self.batched_io else [[slot] for slot in slots]:
-            ciphertexts = self._host_call(lambda: self.host.read_slots(batch))
-            plains, misses = self._resolve(batch, ciphertexts)
-            plaintexts += plains
-            self._batch_physical_pending += misses
-        if self.batched_io:
-            self.batched_ops += 1
-            self.batch_rows += len(slots)
+        plaintexts = self._gather([(region, index) for index in indices])
         if self._journaling:
             self._journal.extend(JournalEntry(GATHER, region, index, plaintext)
                                  for index, plaintext in zip(indices, plaintexts))
+        return plaintexts
+
+    def _gather(self, slots: list[tuple[str, int]]) -> list[bytes]:
+        """A gather's host read: one authenticated ranged call, one batch."""
+        plaintexts = self._fetch(slots)
+        self.batched_ops += 1
+        self.batch_rows += len(slots)
+        return plaintexts
+
+    def _fetch(self, slots: list[tuple[str, int]]) -> list[bytes]:
+        ciphertexts = self._host_call(lambda: self.host.read_slots(slots))
+        plaintexts, misses = self._resolve(slots, ciphertexts)
+        self._batch_physical_pending += misses
         return plaintexts
 
     def scatter_slots(
@@ -575,13 +556,10 @@ class SecureCoprocessor:
 
     def _stage(self, append: bool, targets: list[tuple[str, int]],
                plaintexts: Sequence[bytes]) -> None:
-        """Keep a section's cells for :meth:`charge_boundary`: plaintexts for
-        the reference, which encrypts op by op, live or replayed; one batch
-        encrypt on the fast path, which stages nothing on replay (the
-        restored host image already holds the section's writes)."""
-        if not self.batched_io:
-            self._staged.append((append, targets, list(plaintexts)))
-        elif not self.replaying:
+        """Keep a section's cells for :meth:`charge_boundary`: one batch
+        encrypt, and nothing on replay (the restored host image already
+        holds the section's writes)."""
+        if not self.replaying:
             ciphertexts = encrypt_batch(self.provider, plaintexts)
             self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
             self._staged.append((append, targets, ciphertexts))
@@ -592,20 +570,16 @@ class SecureCoprocessor:
         """Settle a completed section: flush it, then its ledger.
 
         The declaration is one run (:mod:`repro.hardware.events`): event ``k``
-        is ``(*table[codes[k]], indices[k])``.  The reference walks it op by
-        op (:meth:`_walk_run`).  The fast path presents the declared ops
-        to the host's fault clock (if it has one; a PUT to a region with a
-        staged append is presented as an append), writes the staged cells,
-        then appends the run to the trace once and charges the modeled
-        counters from the code column.  GETs beyond the physical decrypts
-        pending from :meth:`gather_slots` were served from enclave-resident
-        batch plaintexts, the vectorized analogue of a slot-cache hit, and
-        are charged as ``cache_hits`` so the ``physical + hits ==
-        decryptions`` ledger keeps balancing.
+        is ``(*table[codes[k]], indices[k])``.  The declared ops are
+        presented to the host's fault clock (if it has one; a PUT to a
+        region with a staged append is presented as an append), the staged
+        cells are written, then the run is appended to the trace once and
+        the modeled counters are charged from the code column.  GETs beyond
+        the physical decrypts pending from :meth:`gather_slots` were served
+        from enclave-resident batch plaintexts, the vectorized analogue of a
+        slot-cache hit, and are charged as ``cache_hits`` so the ``physical
+        + hits == decryptions`` ledger keeps balancing.
         """
-        if not self.batched_io:
-            self._walk_run(table, codes, indices)
-            return
         replayed = self.replaying
         if not replayed:
             staged, self._staged = self._staged, []
@@ -640,32 +614,6 @@ class SecureCoprocessor:
         self.cache_hits += gets - pending
         self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
 
-    def _walk_run(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
-        """The reference settlement: the declared run, one op per batch.
-
-        A GET re-reads its slot, served by the slot cache the gather filled
-        (so the gather's pending decrypts are credited against these hits);
-        a PUT writes its slot's staged final plaintext, or appends it where
-        the section staged an append.
-        """
-        staged, self._staged = self._staged, []
-        self.cache_hits -= self._batch_physical_pending
-        self._batch_physical_pending = 0
-        final: dict[tuple[str, int], bytes] = {}
-        appended = set()
-        for append, targets, plaintexts in staged:
-            final.update(zip(targets, plaintexts))
-            if append:
-                appended.add(targets[0][0])
-        for code, index in zip(codes, indices):
-            op, region = table[code]
-            if op == GET:
-                self._read([(region, index)])
-            elif region in appended:
-                _check_appended(region, self._append(region, [final[region, index]]), [index])
-            else:
-                self._write([(region, index, final[region, index])])
-
     # -- cache management ------------------------------------------------------
     @property
     def cache_entries(self) -> int:
@@ -685,3 +633,58 @@ class SecureCoprocessor:
         """Swap in a fresh trace (from the configured factory), returning the old one."""
         old, self.trace = self.trace, self.trace_factory()
         return old
+
+
+class ReferenceCoprocessor(SecureCoprocessor):
+    """The same device with every row crossing as its own batch of one.
+
+    ``*_many`` calls split into single-slot batches, a gather reads one slot
+    per host call (authenticating it before the next) and a section settles
+    op by op, so a checkpoint can commit mid-section.  Traces, modeled
+    counters, ``physical_decryptions``/``cache_hits`` and the host image
+    equal :class:`SecureCoprocessor`'s; ``batched_ops``/``batch_rows`` stay
+    0.  The differential tests and ``faults.scalar_penalty_ratio`` run it.
+    """
+
+    def get_many(self, slots: Iterable[tuple[str, int]]) -> list[bytes]:
+        return [self._read([slot])[0] for slot in slots]
+
+    def put_many(self, slots: Iterable[tuple[str, int, bytes]]) -> None:
+        for slot in slots:
+            self._write([slot])
+
+    def append_many(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
+        return [self._append(region, [plaintext])[0] for plaintext in plaintexts]
+
+    def _gather(self, slots: list[tuple[str, int]]) -> list[bytes]:
+        return [self._fetch([slot])[0] for slot in slots]
+
+    def _stage(self, append: bool, targets: list[tuple[str, int]],
+               plaintexts: Sequence[bytes]) -> None:
+        """Keep the plaintexts, on replay too: a resume whose tape ends
+        mid-section has values for its live writes."""
+        self._staged.append((append, targets, list(plaintexts)))
+
+    def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
+        """Settle a section by walking its declared run, one op per batch.
+
+        A GET re-reads its slot, served by the slot cache the gather filled
+        (so the gather's pending decrypts are credited against these hits);
+        a PUT writes its slot's staged final plaintext (fresh nonces hide
+        that intermediate values are skipped), or appends it where the
+        section staged an append.
+        """
+        staged, self._staged = self._staged, []
+        self.cache_hits -= self._batch_physical_pending
+        self._batch_physical_pending = 0
+        final = {slot: plain for _, targets, plains in staged
+                 for slot, plain in zip(targets, plains)}
+        appended = {targets[0][0] for append, targets, _ in staged if append}
+        for code, index in zip(codes, indices):
+            op, region = table[code]
+            if op == GET:
+                self._read([(region, index)])
+            elif region in appended:
+                _check_appended(region, self._append(region, [final[region, index]]), [index])
+            else:
+                self._write([(region, index, final[region, index])])

@@ -14,7 +14,7 @@ Each primitive is one section: one
 :meth:`~repro.hardware.coprocessor.SecureCoprocessor.gather_slots` per input
 region, the pass on resident plaintexts, one :meth:`scatter_slots`, and a
 :meth:`charge_boundary` declaring the per-slot ``G P`` sequence (which the
-coprocessor's reference mode walks op by op).  A linear pass is a sequence
+``ReferenceCoprocessor`` walks op by op).  A linear pass is a sequence
 of wire-disjoint read-modify-write steps, so the declaration fixes the
 trace, the modeled counters and the final host state.
 """

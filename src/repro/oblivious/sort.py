@@ -13,7 +13,7 @@ final image.  How T computes the permutation inside the enclave is not
 observable, so the network is the declaration and T sorts however it likes:
 it gathers the slots, computes the order with one stable ``sorted``,
 scatters, and declares the network's events with one ``charge_boundary`` —
-which, in the coprocessor's reference mode, walks them op by op.  Each sort
+which ``ReferenceCoprocessor`` walks op by op.  Each sort
 key is made total, ``(key, rank)``, where a slot's rank is its place in the
 slot list; with no two keys equal a comparator network has exactly one
 output, the sorted order, so the network run on the total key agrees with

@@ -116,7 +116,7 @@ def _run_shard_task(
     provider: CryptoProvider,
     name: str,
     memory_limit: int | None,
-    batched_io: bool,
+    device: type[SecureCoprocessor],
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
@@ -128,9 +128,7 @@ def _run_shard_task(
     fallback transport), through :func:`_execute_arena_task` with arena ones.
     """
     host = ShardHostMemory(shards)
-    coprocessor = SecureCoprocessor(
-        host, provider, memory_limit=memory_limit, name=name, batched_io=batched_io,
-    )
+    coprocessor = device(host, provider, memory_limit=memory_limit, name=name)
     value = attempt_task(fn, coprocessor, args, kwargs, transient_retries)
     return ShardResult(
         value=value,
@@ -152,7 +150,7 @@ def _execute_arena_task(
     provider: CryptoProvider,
     name: str,
     memory_limit: int | None,
-    batched_io: bool,
+    device: type[SecureCoprocessor],
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
@@ -163,7 +161,7 @@ def _execute_arena_task(
     try:
         worker_provider = _worker_provider(provider_token, provider)
         return _run_shard_task(
-            shards, worker_provider, name, memory_limit, batched_io,
+            shards, worker_provider, name, memory_limit, device,
             fn, args, kwargs, transient_retries,
         )
     finally:
@@ -329,7 +327,7 @@ class ClusterExecutor:
             shards = build_shards(cluster.host, task.io)
             results.append(self._guarded(task, cluster, lambda: _run_shard_task(
                 shards, provider, device.name, device.memory_limit,
-                device.batched_io, task.fn, task.args, task.kwargs, transient_retries,
+                type(device), task.fn, task.args, task.kwargs, transient_retries,
             )))
         return results
 
@@ -354,7 +352,7 @@ class ClusterExecutor:
             for task in tasks:
                 device = cluster[task.device]
                 tail = (
-                    device.name, device.memory_limit, device.batched_io,
+                    device.name, device.memory_limit, type(device),
                     task.fn, task.args, task.kwargs, transient_retries,
                 )
                 if arena is not None:

@@ -503,7 +503,6 @@ def faulty_coprocessor(plan, storage=None):
     host = FaultyHost(storage, plan)
     coprocessor = SecureCoprocessor(host, FastProvider(KEY),
                                     retry=RetryPolicy(max_retries=2))
-    assert coprocessor.batched_io  # retry + FaultyHost keep batching on
     return storage, host, coprocessor
 
 

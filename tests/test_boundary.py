@@ -4,8 +4,9 @@ A read, a write and an append each have one body over a list of slots, and
 ``get``/``put``/``put_append`` are batches of one; ``FaultyHost.admit`` is the
 fault clock's only entry.  These tests pin what follows from that: the clock
 counts exactly the declared boundary ops (and nothing host-side), an empty
-batch touches nothing, a batch of one is not counted as a batch, and the
-reference mode reaches the host one slot per ranged call.
+batch touches nothing, a one-row call is not counted as a batch (a section's
+one-slot gather and stage are), and ``ReferenceCoprocessor`` reaches the
+host one slot per ranged call.
 """
 
 import random
@@ -16,19 +17,21 @@ from repro.core.base import JoinContext
 from repro.crypto.provider import FastProvider
 from repro.faults.chaos import KEY, SAFE_ALGORITHMS, _runners
 from repro.faults.checkpoint import CHECKPOINT_REGION, CheckpointStore
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
+from repro.hardware.events import GET, PUT
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 
-MODES = [pytest.param(True, id="batched"), pytest.param(False, id="reference")]
+MODES = [pytest.param(SecureCoprocessor, id="batched"),
+         pytest.param(ReferenceCoprocessor, id="reference")]
 
 
-@pytest.mark.parametrize("batched_io", MODES)
+@pytest.mark.parametrize("device", MODES)
 @pytest.mark.parametrize("name", SAFE_ALGORITHMS)
-def test_fault_clock_counts_exactly_the_declared_boundary_ops(name, batched_io):
+def test_fault_clock_counts_exactly_the_declared_boundary_ops(name, device):
     host = FaultyHost(HostMemory())
     provider = FastProvider(KEY)
-    coprocessor = SecureCoprocessor(host, provider, batched_io=batched_io)
+    coprocessor = device(host, provider)
     runner, _ = _runners(name, small=True)
     result = runner(JoinContext(host=host, coprocessor=coprocessor,
                                 provider=provider, rng=random.Random(0)))
@@ -75,7 +78,7 @@ class SpyHost(HostMemory):
         return super().append_slots(name, ciphertexts)
 
 
-def rig(batched_io):
+def rig(device):
     """A journalling coprocessor (commit after every op) on a faulty spy host."""
     spy = SpyHost()
     host = FaultyHost(spy)
@@ -86,8 +89,7 @@ def rig(batched_io):
     seed.put_many(("r", i, bytes([i]) * 4) for i in range(4))
     store = CheckpointStore(host, provider)
     store.initialize()
-    t = SecureCoprocessor(host, provider, batched_io=batched_io,
-                          checkpoint_store=store, checkpoint_interval=1)
+    t = device(host, provider, checkpoint_store=store, checkpoint_interval=1)
     spy.calls.clear()
     return spy, host, store, t
 
@@ -98,9 +100,9 @@ def counters(t):
             t.cache_entries, t.checkpoints_sealed)
 
 
-@pytest.mark.parametrize("batched_io", MODES)
-def test_empty_batches_record_journal_admit_write_and_count_nothing(batched_io):
-    spy, host, store, t = rig(batched_io)
+@pytest.mark.parametrize("device", MODES)
+def test_empty_batches_record_journal_admit_write_and_count_nothing(device):
+    spy, host, store, t = rig(device)
     image = spy.snapshot_regions()
     assert t.get_many([]) == []
     assert t.put_many([]) is None
@@ -115,9 +117,9 @@ def test_empty_batches_record_journal_admit_write_and_count_nothing(batched_io):
     assert counters(t) == (0,) * 9
 
 
-@pytest.mark.parametrize("batched_io", MODES)
-def test_one_row_batches_are_batches_of_one(batched_io):
-    spy, host, store, t = rig(batched_io)
+@pytest.mark.parametrize("device", MODES)
+def test_one_row_batches_are_batches_of_one(device):
+    spy, host, store, t = rig(device)
     with t.hold(4):
         assert t.get_many([("r", 0)]) == [bytes([0]) * 4]
         assert t.get_range("r", 1, 1) == [bytes([1]) * 4]
@@ -132,15 +134,28 @@ def test_one_row_batches_are_batches_of_one(batched_io):
     assert host.ops_attempted == t.ops_completed == t.trace.transfer_count() == 8
     assert store.commits == t.checkpoints_sealed == 8  # one commit per op
     assert CheckpointStore(spy, t.provider).load().ops == 8
+    # A section's one-slot gather and stage are each one batch of one row on
+    # the fast path; the reference device counts no batch at all.
+    batched = device is SecureCoprocessor
+    assert t.gather_slots("r", [3]) == [bytes([3]) * 4]
+    assert (t.batched_ops, t.batch_rows) == ((1, 1) if batched else (0, 0))
+    t.scatter_slots("r", [3], [b"p3"])
+    assert (t.batched_ops, t.batch_rows) == ((2, 2) if batched else (0, 0))
+    t.charge_boundary([(GET, "r"), (PUT, "r")], bytes([0, 1]), [3, 3])
+    assert (t.batched_ops, t.batch_rows) == ((2, 2) if batched else (0, 0))
+    assert host.ops_attempted == t.ops_completed == t.trace.transfer_count() == 10
+    with t.hold(1):
+        assert t.get("r", 3) == b"p3"
 
 
-@pytest.mark.parametrize("batched_io", MODES)
-def test_a_batch_reaches_the_host_whole_or_one_slot_per_call(batched_io):
-    spy, host, _, t = rig(batched_io)
+@pytest.mark.parametrize("device", MODES)
+def test_a_batch_reaches_the_host_whole_or_one_slot_per_call(device):
+    spy, host, _, t = rig(device)
+    batched = device is SecureCoprocessor
     slots = [("r", i) for i in range(4)]
     with t.hold(4):
         assert t.get_many(slots) == [bytes([i]) * 4 for i in range(4)]
     reads = [call for call in spy.calls if call[0] == "read"]
-    assert reads == ([("read", 4)] if batched_io else [("read", 1)] * 4)
-    assert (t.batched_ops, t.batch_rows) == ((1, 4) if batched_io else (0, 0))
+    assert reads == ([("read", 4)] if batched else [("read", 1)] * 4)
+    assert (t.batched_ops, t.batch_rows) == ((1, 4) if batched else (0, 0))
     assert host.ops_attempted == 4

@@ -98,9 +98,9 @@ class TestCartesianReader:
 #
 # ``scan_blocks`` is the one scan body of Algorithms 4/5/6: a block is one
 # gather per table, an optional scatter and one declared section.  On the
-# fast path the section is one ranged call per slot set; with
-# ``batched_io=False`` the coprocessor gathers one slot per call and walks
-# the declared run op by op.  Nothing observable may tell the two apart.
+# fast path the section is one ranged call per slot set; a
+# ``ReferenceCoprocessor`` gathers one slot per call and walks the declared
+# run op by op.  Nothing observable may tell the two apart.
 
 import random
 from collections import Counter
@@ -115,7 +115,7 @@ from repro.crypto.mlfsr import RandomOrder
 from repro.crypto.provider import FastProvider, NullProvider, OcbProvider
 from repro.errors import AuthenticationError, BlemishError
 from repro.hardware.cluster import Cluster
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.counters import TransferStats
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import oblivious_filter
@@ -140,10 +140,8 @@ def tables(sizes, seed=0):
             for t, n in enumerate(sizes)]
 
 
-def context_on(host, provider, batched, coprocessor_class=SecureCoprocessor,
-               trace_factory=None):
-    coprocessor = coprocessor_class(host, provider, batched_io=batched,
-                                    trace_factory=trace_factory)
+def context_on(host, provider, device=SecureCoprocessor, trace_factory=None):
+    coprocessor = device(host, provider, trace_factory=trace_factory)
     return JoinContext(host=host, coprocessor=coprocessor, provider=provider)
 
 
@@ -155,9 +153,9 @@ def plain_image(context):
             for name in host.region_names()}
 
 
-def run_pass(sizes, provider, batched, order, output):
+def run_pass(sizes, provider, device, order, output):
     """One pass over ``order`` (None = every index in turn), marking matches."""
-    context = context_on(HostMemory(), provider(KEY), batched)
+    context = context_on(HostMemory(), provider(KEY), device)
     reader = upload_tables(context, tables(sizes))
     total = len(reader.space)
     logicals = range(total) if order is None else order(total)
@@ -186,8 +184,8 @@ def lfsr_slice(total):
 @pytest.mark.parametrize("sizes", SHAPES, ids=str)
 def test_vectorized_pass_is_the_scalar_pass(sizes, order, output, provider):
     (scalar, rows_scalar), (batched, rows_batched) = (
-        run_pass(sizes, provider, flag, order, output) for flag in (False, True))
-    assert batched.coprocessor.batched_io and not scalar.coprocessor.batched_io
+        run_pass(sizes, provider, device, order, output)
+        for device in (ReferenceCoprocessor, SecureCoprocessor))
     assert rows_batched == rows_scalar
     s, b = scalar.coprocessor, batched.coprocessor
     assert b.trace == s.trace
@@ -204,7 +202,7 @@ def test_vectorized_pass_is_the_scalar_pass(sizes, order, output, provider):
 def test_blocks_follow_scan_block_and_the_row_layout():
     """289 rows of 17 x 17: one full block, then the 33-row remainder; the
     first block crosses fifteen left-row changes and stops inside a left row."""
-    context = context_on(HostMemory(), FastProvider(KEY), True)
+    context = context_on(HostMemory(), FastProvider(KEY))
     reader = upload_tables(context, tables((17, 17)))
     blocks = [block.logicals for block in scan_blocks(reader, range(289))]
     assert [len(b) for b in blocks] == [SCAN_BLOCK, 289 - SCAN_BLOCK]
@@ -244,7 +242,7 @@ def test_algorithms_at_the_edges_agree_with_the_scalar_reference(name, kwargs, s
 
 @pytest.mark.parametrize("provider", PROVIDERS, ids=lambda p: p.__name__)
 def test_tampered_input_slot_aborts_the_block_before_anything_is_emitted(provider):
-    context = context_on(HostMemory(), provider(KEY), True)
+    context = context_on(HostMemory(), provider(KEY))
     reader = upload_tables(context, tables((17, 17)))
     context.host.allocate("marks", 289)
     cell = bytearray(context.host.read_slot("X1", 11))
@@ -299,10 +297,10 @@ class TestFixedBlocks:
     """A forced blemish: both physical modes read the break's whole block,
     declare it, and stop at its end — never at the break row."""
 
-    def sequential(self, batched, salvage):
+    def sequential(self, device, salvage):
         relations, results = blemishing_workload()
         host = ReadLoggingHost()
-        context = context_on(host, FastProvider(KEY), batched)
+        context = context_on(host, FastProvider(KEY), device)
         def run():
             return algorithm6(
                 context, relations, BinaryAsMulti(Equality("key")), memory=1,
@@ -324,8 +322,8 @@ class TestFixedBlocks:
 
     @pytest.mark.parametrize("salvage", ["raise", "algorithm5"])
     def test_sequential_pass_reads_the_break_block(self, salvage):
-        scalar_reads, scalar_trace, scalar_gets = self.sequential(False, salvage)
-        batched_reads, batched_trace, batched_gets = self.sequential(True, salvage)
+        scalar_reads, scalar_trace, scalar_gets = self.sequential(ReferenceCoprocessor, salvage)
+        batched_reads, batched_trace, batched_gets = self.sequential(SecureCoprocessor, salvage)
         assert batched_trace == scalar_trace
         # The one 256-row segment is one block: the break, a few rows in,
         # still reads and declares all of it, two GETs a row, on both modes.
@@ -334,12 +332,12 @@ class TestFixedBlocks:
         # more often.
         assert batched_reads and not batched_reads - scalar_reads
 
-    def share(self, batched):
+    def share(self, device):
         relations, _ = blemishing_workload()
         host = ReadLoggingHost()
         provider = FastProvider(KEY)
-        context = context_on(host, provider, batched)
-        cluster = Cluster(host, provider, count=2, batched_io=batched)
+        context = context_on(host, provider, device)
+        cluster = Cluster(host, provider, count=2, device=device)
         with pytest.raises(BlemishError):
             parallel_algorithm6(context, cluster, relations,
                                 BinaryAsMulti(Equality("key")), memory=1,
@@ -349,8 +347,8 @@ class TestFixedBlocks:
         return host.reads_between("psegments", "output"), [t.trace for t in cluster]
 
     def test_parallel_share_reads_the_break_block(self):
-        scalar_reads, scalar_traces = self.share(False)
-        batched_reads, batched_traces = self.share(True)
+        scalar_reads, scalar_traces = self.share(ReferenceCoprocessor)
+        batched_reads, batched_traces = self.share(SecureCoprocessor)
         assert batched_traces == scalar_traces
         # Device 0 screens all 256 rows, then its first 128-row segment (one
         # block) breaks and is read to its end; inline, device 1 never runs.
@@ -439,7 +437,7 @@ class TestTheScanIsOneSectionPerBlock:
     def test_algorithm4_scan_is_nine_runs_and_nine_batch_encrypts(self):
         wl = equijoin_workload(48, 48, 48, rng=random.Random(5))
         provider = CountingProvider(KEY)
-        context = context_on(HostMemory(), provider, True, trace_factory=CountingTrace)
+        context = context_on(HostMemory(), provider, trace_factory=CountingTrace)
         relations = [wl.left, wl.right]
         reader = upload_tables(context, relations)
         total = len(reader.space)
@@ -463,8 +461,7 @@ class TestTheScanIsOneSectionPerBlock:
 
     def test_algorithm5_scan_gathers_each_distinct_slot_once_per_block(self):
         wl = equijoin_workload(128, 128, 128, rng=random.Random(5))
-        context = context_on(HostMemory(), FastProvider(KEY), True,
-                             coprocessor_class=GatherCountingCoprocessor)
+        context = context_on(HostMemory(), FastProvider(KEY), GatherCountingCoprocessor)
         reader = upload_tables(context, [wl.left, wl.right])
         total = len(reader.space)
         matches = sum(1 for _ in scan_matches(

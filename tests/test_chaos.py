@@ -47,9 +47,9 @@ def test_chaos_report_aggregates():
 # --- scalar vs batched under faults -------------------------------------------
 #
 # The fast path is the path under faults: the same recovery code runs a join
-# through ranged batches and slot by slot (``batched_io=False``, the scalar
-# reference), and every observable of the recovered runs must agree with each
-# other and with the uninterrupted run.
+# through ranged batches and slot by slot (``ReferenceCoprocessor``), and
+# every observable of the recovered runs must agree with each other and with
+# the uninterrupted run.
 
 import random
 
@@ -58,6 +58,7 @@ from repro.errors import CheckpointError
 from repro.faults.chaos import KEY, _plain_run, _runners
 from repro.faults.plan import FaultPlan, FaultSpec, crash_plan
 from repro.faults.recovery import run_with_recovery
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.hardware.resilience import RetryPolicy
@@ -65,17 +66,17 @@ from repro.hardware.timing import VirtualClock
 from repro.obs.sinks import StreamingTrace
 
 
-#: mode -> ``batched_io``: the scalar reference and the fast path.
-MODES = {"scalar": False, "batched": True}
+#: mode -> device type: the scalar reference and the fast path.
+MODES = {"scalar": ReferenceCoprocessor, "batched": SecureCoprocessor}
 PROVIDERS = [FastProvider, OcbProvider, NullProvider]
 
 
-def recover(runner, provider, plan, batched_io, *, retry=None, max_attempts=4):
+def recover(runner, provider, plan, device, *, retry=None, max_attempts=4):
     host = FaultyHost(HostMemory(), plan, clock=VirtualClock())
     report = run_with_recovery(
         host, provider(KEY), runner, seed=0, checkpoint_interval=8,
         max_attempts=max_attempts, retry=retry, clock=host.clock,
-        trace_factory=StreamingTrace, batched_io=batched_io)
+        trace_factory=StreamingTrace, device=device)
     return host, report
 
 
@@ -103,8 +104,8 @@ class TestScalarVsBatchedUnderFaults:
     def test_single_crash_at_sampled_points(self, name, provider):
         run_a, baseline, points = self.sampled(name, provider)
         for point in points:
-            for mode, batched_io in MODES.items():
-                host, report = recover(run_a, provider, crash_plan([point]), batched_io)
+            for mode, device in MODES.items():
+                host, report = recover(run_a, provider, crash_plan([point]), device)
                 assert (report.crashes, report.attempts) == (1, 2), (mode, point)
                 assert host.crashes_injected == 1
                 assert_matches(report, baseline)
@@ -116,8 +117,8 @@ class TestScalarVsBatchedUnderFaults:
             FaultSpec(kind="crash", at_ops=tuple(points)),
             FaultSpec(kind="transient-read", probability=0.05, times=4),
         ))
-        for mode, batched_io in MODES.items():
-            host, report = recover(run_a, provider, storm, batched_io,
+        for mode, device in MODES.items():
+            host, report = recover(run_a, provider, storm, device,
                                    retry=RetryPolicy(max_retries=4),
                                    max_attempts=len(points) + 2)
             assert report.crashes == len(points), mode
@@ -127,7 +128,7 @@ class TestScalarVsBatchedUnderFaults:
 
     def test_resume_across_a_dead_process(self, name, provider):
         run_a, baseline, points = self.sampled(name, provider)
-        for mode, batched_io in MODES.items():
+        for mode, device in MODES.items():
             sealing = provider(KEY)
             inner = HostMemory()
             first_life = FaultyHost(inner, crash_plan([points[-1]]))
@@ -135,11 +136,11 @@ class TestScalarVsBatchedUnderFaults:
                 run_with_recovery(first_life, sealing, run_a,
                                   checkpoint_interval=8, max_attempts=1,
                                   trace_factory=StreamingTrace,
-                                  batched_io=batched_io)
+                                  device=device)
             report = run_with_recovery(inner, sealing, run_a,
                                        checkpoint_interval=8, resume=True,
                                        trace_factory=StreamingTrace,
-                                       batched_io=batched_io)
+                                       device=device)
             # Crashed on its final op, so this life is almost all replay —
             # served from whole journalled batches, whatever is left runs live.
             assert report.attempts == 1 and report.replayed_transfers > 0, mode
@@ -168,15 +169,15 @@ def test_fault_clock_presents_the_same_ops_batched_or_not(name):
     transfers = _plain_run(run_a).stats.total
     crash_at = transfers // 2
     streams = {}
-    for mode, batched_io in MODES.items():
+    for mode, device in MODES.items():
         plan = RecordingPlan(FaultPlan())
         run_with_recovery(FaultyHost(HostMemory(), plan), FastProvider(KEY), run_a,
-                          checkpoint_interval=8, batched_io=batched_io)
+                          checkpoint_interval=8, device=device)
         assert len(plan.seen) == transfers
         crashing = RecordingPlan(crash_plan([crash_at]))
         host = FaultyHost(HostMemory(), crashing)
         report = run_with_recovery(host, FastProvider(KEY), run_a,
-                                   checkpoint_interval=8, batched_io=batched_io)
+                                   checkpoint_interval=8, device=device)
         assert report.crashes == 1
         streams[mode] = (plan.seen, crashing.seen[:crash_at])
     assert streams["scalar"] == streams["batched"]
@@ -221,13 +222,13 @@ def test_crash_inside_a_scan_fires_at_the_same_declared_op(name):
     inside = sum(baseline.meta["phases"][phase]["transfers"] for phase in phases)
     assert before < crash_at <= before + inside
     streams = {}
-    for mode, batched_io in MODES.items():
+    for mode, device in MODES.items():
         crashing = RecordingPlan(crash_plan([crash_at]))
         host = FaultyHost(HostMemory(), crashing)
         report = run_with_recovery(host, FastProvider(KEY), run,
                                    checkpoint_interval=1024,
                                    trace_factory=StreamingTrace,
-                                   batched_io=batched_io)
+                                   device=device)
         assert host.crashes_injected == 1, mode
         assert (report.crashes, report.attempts) == (1, 2), mode
         assert host.ops_attempted == crash_at + (

@@ -3,7 +3,7 @@
 The fast path must be *invisible* in every observable the privacy analysis
 and the cost model read: traces, fingerprints, TransferStats, modeled
 encryption/decryption counters, and of course the join output.  Each case
-runs the same workload twice — on the scalar reference (``batched_io=False``)
+runs the same workload twice — on the scalar reference (``ReferenceCoprocessor``)
 and on the fast path — from identically seeded contexts and asserts those
 observables are bit-identical, then checks the physical-counter invariants
 (``decryptions == physical + hits``) and that tamper detection still fires
@@ -28,7 +28,7 @@ from repro.core.base import JoinContext
 from repro.crypto.provider import FastProvider, OcbProvider, encrypt_batch
 from repro.errors import AuthenticationError
 from repro.hardware.adversary import TamperingHost
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.events import Trace
 from repro.hardware.host import HostMemory
 from repro.relational.generate import equijoin_workload
@@ -263,11 +263,10 @@ def job(name):
     return drive
 
 
-def rig(tampering, stack, provider, batched_io=True):
+def rig(tampering, stack, provider, device=SecureCoprocessor):
     host = STACKS[stack](tampering)
     keyed = provider(KEY)
-    t = SecureCoprocessor(host, keyed, retry=RetryPolicy(max_retries=3),
-                          clock=VirtualClock(), batched_io=batched_io)
+    t = device(host, keyed, retry=RetryPolicy(max_retries=3), clock=VirtualClock())
     return t, JoinContext(host=host, coprocessor=t, provider=keyed,
                           rng=random.Random(0))
 
@@ -342,7 +341,7 @@ def test_tamper_inside_a_batch_aborts_with_nothing_of_it_left(
 
     # The scalar reference aborts on the tampered read itself.
     tampering = TamperingHost(tamper_at_read=tamper_at)
-    t, context = rig(tampering, stack, provider, batched_io=False)
+    t, context = rig(tampering, stack, provider, ReferenceCoprocessor)
     with pytest.raises(AuthenticationError):
         job(name)(context)
     assert tampering.reads_served == tamper_at

@@ -5,8 +5,8 @@ host receives ranged calls (``read_slots``/``write_slots``/``append_slots``),
 and the fast path chooses their slot lists and framing.  ``FramingHost``
 logs one entry per call; Definition-3 siblings — instances agreeing on the
 public parameters, differing in content — must produce identical logs, and
-identical checkpoint commit points, under either provider and in either
-physical mode; in the reference mode every call carries one slot.
+identical checkpoint commit points, under either provider and on either
+device type; every call ``ReferenceCoprocessor`` makes carries one slot.
 """
 
 import random
@@ -21,7 +21,7 @@ from repro.faults.chaos import KEY, SAFE_ALGORITHMS, _runners
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.recovery import run_with_recovery
 from repro.hardware.cluster import Cluster
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.host import HostMemory
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import ClusterExecutor
@@ -61,26 +61,26 @@ class FramingHost(HostMemory):
         return assigned
 
 
-def framing(run, provider=FastProvider, batched_io=True):
+def framing(run, provider=FastProvider, device=SecureCoprocessor):
     """The host's call log of one run; ``run`` takes the context.  Every
-    call T makes in the reference mode carries exactly one slot."""
+    call a ``ReferenceCoprocessor`` makes carries exactly one slot."""
     host = FramingHost()
     keyed = provider(KEY)
-    coprocessor = SecureCoprocessor(host, keyed, batched_io=batched_io)
+    coprocessor = device(host, keyed)
     out = run(JoinContext(host=host, coprocessor=coprocessor, provider=keyed,
                           rng=random.Random(0)))
     assert host.log
-    if not batched_io:
+    if device is ReferenceCoprocessor:
         assert {len(entry[2]) for entry in host.log
                 if not entry[0].startswith("merge-")} == {1}
     return out, host.log
 
 
-#: ``(provider, batched_io)`` besides the default Fast/batched one.
+#: ``(provider, device)`` besides the default Fast/batched one.
 OTHER_MODES = [
-    pytest.param(FastProvider, False, id="Fast-reference"),
-    pytest.param(OcbProvider, True, id="OCB-batched"),
-    pytest.param(OcbProvider, False, id="OCB-reference"),
+    pytest.param(FastProvider, ReferenceCoprocessor, id="Fast-reference"),
+    pytest.param(OcbProvider, SecureCoprocessor, id="OCB-batched"),
+    pytest.param(OcbProvider, ReferenceCoprocessor, id="OCB-reference"),
 ]
 
 
@@ -93,10 +93,10 @@ def test_chaos_siblings_frame_identically(name, small):
     assert log_a == log_b
 
 
-@pytest.mark.parametrize("provider,batched_io", OTHER_MODES)
+@pytest.mark.parametrize("provider,device", OTHER_MODES)
 @pytest.mark.parametrize("name", SAFE_ALGORITHMS)
-def test_chaos_siblings_frame_identically_in_every_mode(name, provider, batched_io):
-    (_, log_a), (_, log_b) = (framing(run, provider, batched_io)
+def test_chaos_siblings_frame_identically_in_every_mode(name, provider, device):
+    (_, log_a), (_, log_b) = (framing(run, provider, device)
                               for run in _runners(name, True))
     assert log_a == log_b
 
@@ -125,7 +125,7 @@ def sequential(workload, memory, seed):
 def parallel(workload, memory, seed, executor=None):
     def run(context):
         cluster = Cluster(context.host, context.provider, count=2,
-                          batched_io=context.coprocessor.batched_io)
+                          device=type(context.coprocessor))
         return parallel_algorithm6(context, cluster, [workload.left, workload.right],
                                    BinaryAsMulti(Equality("key")), memory=memory,
                                    epsilon=1e-6, seed=seed, executor=executor)
@@ -145,12 +145,12 @@ def test_algorithm6_siblings_frame_identically(n, memory, seed, driver):
     assert log_a == log_b
 
 
-@pytest.mark.parametrize("provider,batched_io", OTHER_MODES)
+@pytest.mark.parametrize("provider,device", OTHER_MODES)
 @pytest.mark.parametrize("driver", [sequential, parallel])
-def test_algorithm6_siblings_frame_identically_in_every_mode(driver, provider, batched_io):
+def test_algorithm6_siblings_frame_identically_in_every_mode(driver, provider, device):
     n, memory = SHAPES[0]
     (out_a, log_a), (out_b, log_b) = (
-        framing(driver(workload, memory, SEEDS[0]), provider, batched_io)
+        framing(driver(workload, memory, SEEDS[0]), provider, device)
         for workload in siblings(n))
     assert out_a.meta["segments"] > 1 and out_a.result != out_b.result
     assert log_a == log_b
@@ -162,10 +162,10 @@ def pool():
         yield executor
 
 
-@pytest.mark.parametrize("provider,batched_io", [
-    pytest.param(FastProvider, True, id="Fast-batched"), *OTHER_MODES])
+@pytest.mark.parametrize("provider,device", [
+    pytest.param(FastProvider, SecureCoprocessor, id="Fast-batched"), *OTHER_MODES])
 def test_pooled_algorithm6_siblings_frame_identically(pool, monkeypatch,
-                                                      provider, batched_io):
+                                                      provider, device):
     """The P = 2 shares on two worker processes: the parent host receives
     the coordinator's calls and each task's write-back merge."""
     merge = executor_module.merge_shard_result
@@ -180,7 +180,7 @@ def test_pooled_algorithm6_siblings_frame_identically(pool, monkeypatch,
     monkeypatch.setattr(executor_module, "merge_shard_result", tagged)
     n, memory = SHAPES[0]
     (out_a, log_a), (out_b, log_b) = (
-        framing(parallel(workload, memory, SEEDS[0], executor=pool), provider, batched_io)
+        framing(parallel(workload, memory, SEEDS[0], executor=pool), provider, device)
         for workload in siblings(n))
     assert pool.tasks_pooled > 0
     assert any(entry[0].startswith("merge-") for entry in log_a)

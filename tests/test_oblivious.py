@@ -11,7 +11,7 @@ from repro.core.base import decoy_priority, is_real, make_decoy, make_real
 from repro.costs.chapter5 import exact_filter_transfers
 from repro.crypto.provider import FastProvider, decrypt_batch, encrypt_batch
 from repro.errors import ConfigurationError
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
@@ -272,11 +272,11 @@ class TestObliviousFilter:
                 return []
 
         runs = []
-        for batched_io in (False, True):
+        for device in (ReferenceCoprocessor, SecureCoprocessor):
             clock = ClockLog()
             host = FaultyHost(HostMemory(), clock)
             provider = FastProvider(KEY)
-            t = SecureCoprocessor(host, provider, batched_io=batched_io)
+            t = device(host, provider)
             host.allocate_from("buf", encrypt_batch(provider, [
                 make_real(struct.pack(">q", i)) if flag else make_decoy(8)
                 for i, flag in enumerate(flags)]))
@@ -286,7 +286,7 @@ class TestObliviousFilter:
                          decrypt_batch(provider, host.region_bytes("out")),
                          (t.encryptions, t.decryptions, t.physical_decryptions,
                           t.cache_hits, t.ops_completed)))
-            if batched_io:
+            if device is SecureCoprocessor:
                 assert t.batched_ops == (flags != []) + (sum(flags) > 0)
         assert runs[0] == runs[1]
         assert runs[1][0] == sum(flags)

@@ -11,6 +11,7 @@ from tests.conftest import KEY
 from repro.crypto.provider import FastProvider
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.host import HostMemory
 from repro.oblivious.networks import comparator_count, sorting_network
 from repro.oblivious.parallel_sort import (
@@ -135,14 +136,14 @@ class TestParallelSort:
             assert max(traced) <= report.makespan
             assert read(cluster, size) == list(range(1, size + 1))
 
-    @pytest.mark.parametrize("batched_io", [True, False], ids=["batched", "reference"])
+    @pytest.mark.parametrize("device", [SecureCoprocessor, ReferenceCoprocessor],
+                             ids=["batched", "reference"])
     @pytest.mark.parametrize("processors", sorted(CHUNK_OF_ONE_PINS))
-    def test_a_chunk_of_one_is_pinned(self, processors, batched_io):
+    def test_a_chunk_of_one_is_pinned(self, processors, device):
         """size == P: every chunk is one slot and every block merge is one
         comparator of the chunk-level network.  Pinned in both modes."""
         host = HostMemory()
-        cluster = Cluster(host, FastProvider(KEY), count=processors,
-                          batched_io=batched_io)
+        cluster = Cluster(host, FastProvider(KEY), count=processors, device=device)
         load(host, cluster, [7 * (processors - i) for i in range(processors)])
         parallel_oblivious_sort(cluster, "R", processors, key)
         fingerprints, image = CHUNK_OF_ONE_PINS[processors]

@@ -33,6 +33,7 @@ from repro.faults.checkpoint import (
 )
 from repro.faults.plan import crash_plan
 from repro.faults.recovery import RecoveryHost, run_with_recovery
+from repro.hardware.coprocessor import ReferenceCoprocessor
 from repro.hardware.events import GET, PUT
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
@@ -628,8 +629,8 @@ def observed(host, provider, trace):
 
 
 def resume_at(crash_points):
-    """Crash a reference-mode run at each op ordinal and resume it; each
-    must match the uninterrupted runs of both modes."""
+    """Crash a reference-device run at each op ordinal and resume it; each
+    must match the uninterrupted runs of both device types."""
     provider = FastProvider(KEY)
     uninterrupted = []
     for batched_io in (True, False):
@@ -643,7 +644,7 @@ def resume_at(crash_points):
     for crash_at in crash_points(total):
         host = FaultyHost(HostMemory(), crash_plan([crash_at]))
         report = run_with_recovery(host, provider, sort_then_emit,
-                                   checkpoint_interval=1, batched_io=False)
+                                   checkpoint_interval=1, device=ReferenceCoprocessor)
         assert (report.crashes, report.attempts) == (1, 2), crash_at
         # Sealed after every op: the resume replays everything before the crash.
         assert report.replayed_transfers == crash_at - 1

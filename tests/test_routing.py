@@ -2,8 +2,8 @@
 compaction (Algorithm 8's align).
 
 Each network is the declaration; T writes its closed-form image (every row
-at its slot, one identical filler plaintext everywhere else), and the
-``batched_io=False`` reference walks the declared column op by op.  For
+at its slot, one identical filler plaintext everywhere else), and
+``ReferenceCoprocessor`` walks the declared column op by op.  For
 every size up to 130 (1100 under ``--runslow``), with hypothesis drawing
 which slots hold rows, these tests pin that
 
@@ -31,7 +31,7 @@ from tests.conftest import KEY
 import repro.oblivious.sort as sort_module
 from repro.costs.bitonic import exact_route_transfers
 from repro.crypto.provider import FastProvider, OcbProvider, decrypt_batch, encrypt_batch
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.host import HostMemory
 from repro.oblivious.networks import (
     compaction_network,
@@ -107,12 +107,12 @@ def expected_image(plains):
     return image
 
 
-def run_route(name, plains, batched_io, provider_cls=FastProvider):
+def run_route(name, plains, device, provider_cls=FastProvider):
     """The host image and trace after routing ``plains`` through T."""
     provider = provider_cls(KEY)
     host = HostMemory()
     host.allocate_from("R", encrypt_batch(provider, plains))
-    t = SecureCoprocessor(host, provider, batched_io=batched_io)
+    t = device(host, provider)
     NETWORKS[name][3](t, "R", len(plains), slot_of)
     return decrypt_batch(provider, host.region_bytes("R")), t.trace
 
@@ -121,11 +121,11 @@ def check(name, mask, reference=True):
     plains = NETWORKS[name][1](mask)
     image = walked_image(name, plains)
     assert image == expected_image(plains)
-    fast, fast_trace = run_route(name, plains, batched_io=True)
+    fast, fast_trace = run_route(name, plains, SecureCoprocessor)
     assert fast == image
     assert fast_trace.transfer_count() == exact_route_transfers(len(mask))
     if reference:
-        slow, slow_trace = run_route(name, plains, batched_io=False)
+        slow, slow_trace = run_route(name, plains, ReferenceCoprocessor)
         assert slow == image
         assert slow_trace.fingerprint() == fast_trace.fingerprint()
 
@@ -157,8 +157,8 @@ def test_edge_sizes(name, size):
                          ids=lambda cls: cls.__name__)
 def test_reference_and_fast_path_agree_under_each_provider(name, provider_cls):
     plains = NETWORKS[name][1]([i % 3 != 1 for i in range(37)])
-    fast = run_route(name, plains, True, provider_cls)
-    slow = run_route(name, plains, False, provider_cls)
+    fast = run_route(name, plains, SecureCoprocessor, provider_cls)
+    slow = run_route(name, plains, ReferenceCoprocessor, provider_cls)
     assert fast[0] == slow[0] == expected_image(plains)
     assert fast[1].fingerprint() == slow[1].fingerprint()
 
@@ -223,6 +223,6 @@ def test_fast_path_declares_the_network_without_walking_it(name, monkeypatch):
 
     monkeypatch.setattr(sort_module, "wired_network", declared_only)
     plains = NETWORKS[name][1]([i % 5 != 0 for i in range(1024)])
-    image, trace = run_route(name, plains, batched_io=True)
+    image, trace = run_route(name, plains, SecureCoprocessor)
     assert image == expected_image(plains)
     assert trace.transfer_count() == exact_route_transfers(1024)

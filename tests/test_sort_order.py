@@ -29,7 +29,7 @@ from repro.core.algorithm8 import algorithm8
 from repro.core.base import JoinContext, decoy_priority, make_decoy, make_real
 from repro.crypto.provider import FastProvider, OcbProvider, decrypt_batch, encrypt_batch
 from repro.hardware.cluster import Cluster
-from repro.hardware.coprocessor import SecureCoprocessor
+from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.counters import TransferStats
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import oblivious_filter
@@ -41,6 +41,7 @@ from repro.oblivious.networks import (
 )
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.oblivious.sort import oblivious_sort, oblivious_sort_indices
+from repro.parallel import ClusterExecutor
 from repro.relational.predicates import BinaryAsMulti, Equality
 
 # --- (a) the network on (key, rank) is the fast path's permutation ----------
@@ -158,26 +159,31 @@ def same_key(plain):
     return plain[:1]
 
 
-@pytest.mark.parametrize("batched_io", [False, True], ids=["reference", "fast"])
+#: The two device types, as the differentials below name them.
+DEVICES = pytest.mark.parametrize("device", [ReferenceCoprocessor, SecureCoprocessor],
+                                  ids=["reference", "fast"])
+
+
+@DEVICES
 @pytest.mark.parametrize("provider_cls", [FastProvider, OcbProvider],
                          ids=lambda cls: cls.__name__)
-def test_a_sort_over_equal_keys_moves_nothing(provider_cls, batched_io):
+def test_a_sort_over_equal_keys_moves_nothing(provider_cls, device):
     provider = provider_cls(KEY)
     host, plains = equal_keyed_host(provider, 37)
-    t = SecureCoprocessor(host, provider, batched_io=batched_io)
+    t = device(host, provider)
     oblivious_sort(t, "R", 37, key=same_key)
     assert decrypt_batch(provider, host.region_bytes("R")) == plains
     assert t.trace.transfer_count() == exact_transfers(37)
 
 
-@pytest.mark.parametrize("batched_io", [False, True], ids=["reference", "fast"])
+@DEVICES
 @pytest.mark.parametrize("provider_cls", [FastProvider, OcbProvider],
                          ids=lambda cls: cls.__name__)
 def test_a_two_chunk_parallel_sort_over_equal_keys_moves_nothing(
-        provider_cls, batched_io):
+        provider_cls, device):
     provider = provider_cls(KEY)
     host, plains = equal_keyed_host(provider, 24)
-    cluster = Cluster(host, provider, count=2, batched_io=batched_io)
+    cluster = Cluster(host, provider, count=2, device=device)
     parallel_oblivious_sort(cluster, "R", 24, key=same_key)
     assert decrypt_batch(provider, host.region_bytes("R")) == plains
 
@@ -273,13 +279,13 @@ def duplicate_heavy(n, pattern):
 def test_parallel_sort_on_duplicate_keys_is_the_same_in_both_modes(
         processors, pattern):
     runs = []
-    for batched_io in (False, True):
+    for device in (ReferenceCoprocessor, SecureCoprocessor):
         provider = FastProvider(KEY)
         host = HostMemory()
         host.allocate_from("R", encrypt_batch(provider, [
             key + struct.pack(">q", i)
             for i, key in enumerate(duplicate_heavy(24, pattern))]))
-        cluster = Cluster(host, provider, count=processors, batched_io=batched_io)
+        cluster = Cluster(host, provider, count=processors, device=device)
         report = parallel_oblivious_sort(cluster, "R", 24, key=same_key)
         runs.append((image(host, provider), report,
                      [t.trace.fingerprint() for t in cluster],
@@ -288,16 +294,38 @@ def test_parallel_sort_on_duplicate_keys_is_the_same_in_both_modes(
     assert runs[0] == runs[1]
 
 
+def test_pooled_reference_sort_runs_the_reference_in_the_workers():
+    """The device type crosses the process boundary: every task, run inline
+    (one worker) or on the pool, builds a ``ReferenceCoprocessor``, so the
+    two runs agree and no device ever counts a batch."""
+    runs = []
+    for workers in (1, 2):
+        provider = FastProvider(KEY)
+        host = HostMemory()
+        host.allocate_from("R", encrypt_batch(provider, [
+            key + struct.pack(">q", i)
+            for i, key in enumerate(duplicate_heavy(24, "two-valued"))]))
+        cluster = Cluster(host, provider, count=2, device=ReferenceCoprocessor)
+        with ClusterExecutor(workers=workers) as executor:
+            parallel_oblivious_sort(cluster, "R", 24, key=same_key, executor=executor)
+        assert (executor.tasks_pooled > 0) == (workers > 1)
+        assert all(t.batched_ops == t.batch_rows == 0 for t in cluster)
+        runs.append((image(host, provider),
+                     [t.trace.fingerprint() for t in cluster],
+                     [counters(t) for t in cluster]))
+    assert runs[0] == runs[1]
+
+
 def test_filter_on_duplicate_keys_is_the_same_in_both_modes():
     flags = [i % 5 == 0 for i in range(40)]
     runs = []
-    for batched_io in (False, True):
+    for device in (ReferenceCoprocessor, SecureCoprocessor):
         provider = FastProvider(KEY)
         host = HostMemory()
         host.allocate_from("src", encrypt_batch(provider, [
             make_real(struct.pack(">q", i)) if real else make_decoy(8)
             for i, real in enumerate(flags)]))
-        t = SecureCoprocessor(host, provider, batched_io=batched_io)
+        t = device(host, provider)
         oblivious_filter(t, "src", len(flags), keep=sum(flags), delta=3,
                          priority=decoy_priority)
         runs.append((image(host, provider), t.trace.fingerprint(),

@@ -23,6 +23,7 @@ from tests.conftest import KEY, fresh_context
 
 from repro.crypto.provider import FastProvider
 from repro.hardware.cluster import Cluster
+from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import (
     GET,
     PUT,
@@ -314,7 +315,7 @@ class TestTheLedgerIsOneAppend:
         size = 1024
         context = loaded_context([(v * 7919) % size for v in range(size)])
         coprocessor = context.coprocessor
-        assert coprocessor.batched_io
+        assert type(coprocessor) is SecureCoprocessor
         before = coprocessor.decryptions + coprocessor.encryptions
         oblivious_sort(coprocessor, "R", size, int_key)
         trace = coprocessor.trace
