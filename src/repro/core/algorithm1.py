@@ -33,7 +33,6 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
-from repro.errors import ConfigurationError
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Predicate
@@ -55,9 +54,7 @@ def algorithm1(
     ``n_max`` is N: the maximum number of B tuples matching any single A
     tuple.  Under Definition 1, N is a public parameter of the computation.
     """
-    validate_two_party_inputs(left, right)
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
 
     coprocessor = context.coprocessor
     host = context.host

@@ -22,7 +22,6 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
-from repro.errors import ConfigurationError
 from repro.oblivious.sort import oblivious_sort
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
@@ -39,9 +38,7 @@ def algorithm1_variant(
     n_max: int,
 ) -> JoinResult:
     """Run the Section 4.4.2 variant of Algorithm 1."""
-    validate_two_party_inputs(left, right)
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
 
     coprocessor = context.coprocessor
     host = context.host

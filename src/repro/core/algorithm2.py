@@ -45,6 +45,52 @@ def gamma_for(n_max: int, memory: int, delta: int = 0) -> int:
     return max(1, math.ceil(n_max / usable))
 
 
+def scan_passes(
+    coprocessor,
+    index_range: range,
+    worker: int,
+    *,
+    left_codec: TupleCodec,
+    right_codec: TupleCodec,
+    right_size: int,
+    predicate: Predicate,
+    gamma: int,
+    blk: int,
+    out_codec: TupleCodec,
+    profile: PhaseProfile | None = None,
+) -> None:
+    """Algorithm 2's scan for the A tuples in ``index_range`` against all of B.
+
+    The sequential algorithm runs it once over all of A and books each
+    pass's flush to ``profile``; the parallel variant runs one share per
+    coprocessor (``worker``) and passes no profile, since a profile cannot
+    cross a process boundary.
+    """
+    profile = profile if profile is not None else PhaseProfile()
+    payload_size = out_codec.record_size
+    for a_index in index_range:
+        with coprocessor.hold(1):
+            a = left_codec.decode(coprocessor.get("A", a_index))
+            last = -1  # position of the last matched B tuple (paper erratum fixed)
+            for _ in range(gamma):
+                joined = coprocessor.buffer(blk)
+                matches = 0
+                for current in range(right_size):
+                    with coprocessor.hold(1):
+                        b = right_codec.decode(coprocessor.get("B", current))
+                        if current > last and matches < blk and predicate.matches(a, b):
+                            joined.append(make_real(
+                                joined_payload(a, b, out_codec.schema, out_codec)))
+                            matches += 1
+                            last = current
+                # Pad the pass output to exactly blk oTuples with decoys.
+                while len(joined) < blk:
+                    joined.append(make_decoy(payload_size))
+                with profile.span("flush"):
+                    coprocessor.append_many(OUTPUT_REGION, joined.drain())
+                joined.release()
+
+
 def algorithm2(
     context: JoinContext,
     left: Relation,
@@ -55,17 +101,13 @@ def algorithm2(
     delta: int = 0,
 ) -> JoinResult:
     """Run Algorithm 2 with result-buffer capacity ``memory`` (= M) tuples."""
-    validate_two_party_inputs(left, right)
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
 
     gamma = gamma_for(n_max, memory, delta)
     blk = math.ceil(n_max / gamma)
 
     coprocessor = context.coprocessor
     out_schema = two_party_output_schema(left, right)
-    out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
 
     left_codec = context.upload_relation("A", left)
     right_codec = context.upload_relation("B", right)
@@ -73,29 +115,12 @@ def algorithm2(
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
     with profile.span("scan"):
-        for a_index in range(len(left)):
-            with coprocessor.hold(1):
-                a = left_codec.decode(coprocessor.get("A", a_index))
-                last = -1  # position of the last matched B tuple (paper erratum fixed)
-                for _ in range(gamma):
-                    joined = coprocessor.buffer(blk)
-                    matches = 0
-                    for current in range(len(right)):
-                        with coprocessor.hold(1):
-                            b = right_codec.decode(coprocessor.get("B", current))
-                            if current > last and matches < blk:
-                                if predicate.matches(a, b):
-                                    joined.append(
-                                        make_real(joined_payload(a, b, out_schema, out_codec))
-                                    )
-                                    matches += 1
-                                    last = current
-                    # Pad the pass output to exactly blk oTuples with decoys.
-                    while len(joined) < blk:
-                        joined.append(make_decoy(payload_size))
-                    with profile.span("flush"):
-                        coprocessor.append_many(OUTPUT_REGION, joined.drain())
-                    joined.release()
+        scan_passes(
+            coprocessor, range(len(left)), 0,
+            left_codec=left_codec, right_codec=right_codec, right_size=len(right),
+            predicate=predicate, gamma=gamma, blk=blk, out_codec=TupleCodec(out_schema),
+            profile=profile,
+        )
 
     return finish(
         context,

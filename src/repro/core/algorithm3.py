@@ -27,7 +27,6 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
-from repro.errors import ConfigurationError
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Equality
@@ -35,6 +34,72 @@ from repro.relational.relation import Relation
 from repro.relational.tuples import TupleCodec
 
 SCRATCH_REGION = "scratch3"
+
+
+def scan_ring(
+    coprocessor,
+    index_range: range,
+    worker: int,
+    *,
+    left_codec: TupleCodec,
+    right_codec: TupleCodec,
+    right_size: int,
+    eq: Equality,
+    n_max: int,
+    out_codec: TupleCodec,
+    scratch: str,
+    profile: PhaseProfile | None = None,
+) -> None:
+    """Algorithm 3's scan for the A tuples in ``index_range`` over sorted B.
+
+    Each A tuple rings through the N-slot ``scratch`` region, whose image
+    then moves to the output host-side (untraced — Algorithm 1's "request H
+    to write scratch[] to disk").  The sequential algorithm books each
+    scratch reset to its ``profile``; the parallel variant gives every
+    ``worker`` its own scratch region and passes no profile.
+    """
+    profile = profile if profile is not None else PhaseProfile()
+    decoy = make_decoy(out_codec.record_size)
+    for a_index in index_range:
+        with coprocessor.hold(1):
+            a = left_codec.decode(coprocessor.get("A", a_index))
+            with profile.span("init"):
+                coprocessor.put_many((scratch, slot, decoy) for slot in range(n_max))
+            for i in range(right_size):
+                with coprocessor.hold(2):
+                    b_plain, previous = coprocessor.get_many(
+                        (("B", i), (scratch, i % n_max))
+                    )
+                    b = right_codec.decode(b_plain)
+                    if eq.matches(a, b):
+                        plain = make_real(
+                            joined_payload(a, b, out_codec.schema, out_codec))
+                    else:
+                        plain = previous  # re-encrypted under a fresh nonce below
+                    coprocessor.put(scratch, i % n_max, plain)
+        coprocessor.host.host_copy(scratch, 0, n_max, OUTPUT_REGION)
+
+
+def upload_sorted(
+    context: JoinContext,
+    sorter,
+    left: Relation,
+    right: Relation,
+    eq: Equality,
+    presorted: bool,
+    profile: PhaseProfile,
+) -> tuple[TupleCodec, TupleCodec]:
+    """Upload A and B, then obliviously sort B on the join attribute on
+    ``sorter`` unless the providers shipped it sorted; returns both codecs."""
+    left_codec = context.upload_relation("A", left)
+    right_codec = context.upload_relation(
+        "B", right.sorted_by(eq.right_attr) if presorted else right)
+    if not presorted:
+        position = right.schema.position(eq.right_attr)
+        with profile.span("sort"):
+            oblivious_sort(sorter, "B", len(right),
+                           key=lambda plain: right_codec.decode(plain).values[position])
+    return left_codec, right_codec
 
 
 def algorithm3(
@@ -50,56 +115,28 @@ def algorithm3(
     ``presorted=True`` models data providers sending sorted data, skipping
     the initial oblivious sort (last paragraph of Section 4.5.2).
     """
-    validate_two_party_inputs(left, right)
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
     eq = on if isinstance(on, Equality) else Equality(on)
 
     coprocessor = context.coprocessor
     host = context.host
     out_schema = two_party_output_schema(left, right)
-    out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
-
-    left_codec = context.upload_relation("A", left)
-    upload_right = right.sorted_by(eq.right_attr) if presorted else right
-    right_codec = context.upload_relation("B", upload_right)
-    right_position = right.schema.position(eq.right_attr)
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
-    if not presorted:
-        def sort_key(plaintext: bytes):
-            return right_codec.decode(plaintext).values[right_position]
-
-        with profile.span("sort"):
-            oblivious_sort(coprocessor, "B", len(right), key=sort_key)
-
+    left_codec, right_codec = upload_sorted(
+        context, coprocessor, left, right, eq, presorted, profile)
     if host.has_region(SCRATCH_REGION):
         host.free(SCRATCH_REGION)
     host.allocate(SCRATCH_REGION, n_max)
     context.allocate_output()
 
     with profile.span("scan"):
-        for a_index in range(len(left)):
-            with coprocessor.hold(1):
-                a = left_codec.decode(coprocessor.get("A", a_index))
-                with profile.span("init"):
-                    decoy = make_decoy(payload_size)
-                    coprocessor.put_many(
-                        (SCRATCH_REGION, slot, decoy) for slot in range(n_max)
-                    )
-                for i in range(len(right)):
-                    with coprocessor.hold(2):
-                        b_plain, previous = coprocessor.get_many(
-                            (("B", i), (SCRATCH_REGION, i % n_max))
-                        )
-                        b = right_codec.decode(b_plain)
-                        if eq.matches(a, b):
-                            plain = make_real(joined_payload(a, b, out_schema, out_codec))
-                        else:
-                            plain = previous  # re-encrypted under a fresh nonce below
-                        coprocessor.put(SCRATCH_REGION, i % n_max, plain)
-            host.host_copy(SCRATCH_REGION, 0, n_max, OUTPUT_REGION)
+        scan_ring(
+            coprocessor, range(len(left)), 0,
+            left_codec=left_codec, right_codec=right_codec, right_size=len(right),
+            eq=eq, n_max=n_max, out_codec=TupleCodec(out_schema),
+            scratch=SCRATCH_REGION, profile=profile,
+        )
 
     return finish(
         context,

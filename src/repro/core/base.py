@@ -228,9 +228,14 @@ def compute_n_exactly(
     return best
 
 
-def validate_two_party_inputs(left: Relation, right: Relation) -> None:
+def validate_two_party_inputs(
+    left: Relation, right: Relation, n_max: int | None = None
+) -> None:
+    """Both relations non-empty and, when given, ``N`` in ``[1, |B|]``."""
     if len(left) == 0 or len(right) == 0:
         raise ConfigurationError("both input relations must be non-empty")
+    if n_max is not None and not 1 <= n_max <= len(right):
+        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
 
 
 def joined_payload(

@@ -23,6 +23,10 @@ executors:
   share reports no phase rows of its own: a profile cannot cross a process
   boundary, so what a share flushes is booked to the round's row.
 
+Algorithms 2 and 3 have no share of their own here: each round runs the
+sequential algorithm's scan (:func:`repro.core.algorithm2.scan_passes`,
+:func:`repro.core.algorithm3.scan_ring`) over a slice of A, passing no profile.
+
 Oblivious decoy filtering in parallel needs a parallel oblivious sort, which
 the paper lists as future work ("implementing a parallel bitonic sort is
 tricky due to synchronization"); Algorithm 4's filter phase uses the
@@ -38,18 +42,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Sequence
 
-from repro.core.algorithm2 import gamma_for
+from repro.core.algorithm2 import gamma_for, scan_passes
+from repro.core.algorithm3 import scan_ring, upload_sorted
 from repro.core.algorithm4 import scan_otuples
 from repro.core.algorithm6 import pad_segment, scan_segment
 from repro.core.base import (
     JoinContext,
     decoy_priority,
     is_real,
-    joined_payload,
-    make_decoy,
-    make_real,
     multi_party_output_schema,
     two_party_output_schema,
+    validate_two_party_inputs,
 )
 from repro.core.cartesian import (
     CartesianReader,
@@ -69,7 +72,7 @@ from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Equality, MultiPredicate, Predicate
 from repro.relational.relation import Relation
-from repro.relational.tuples import Record, TupleCodec
+from repro.relational.tuples import TupleCodec
 
 
 @dataclass
@@ -117,90 +120,6 @@ def _join_result(result: Relation, cluster: Cluster, profile: PhaseProfile,
 
 
 # -- per-coprocessor work (module-level, hence picklable) --------------------
-
-def _alg2_scan_share(
-    coprocessor,
-    index_range: range,
-    worker: int,
-    *,
-    left_codec: TupleCodec,
-    right_codec: TupleCodec,
-    right_size: int,
-    predicate: Predicate,
-    gamma: int,
-    blk: int,
-    out_schema,
-    out_codec: TupleCodec,
-    payload_size: int,
-) -> None:
-    """One coprocessor's Algorithm 2 share: its slice of A against all of B."""
-    for a_index in index_range:
-        with coprocessor.hold(1):
-            a = left_codec.decode(coprocessor.get("A", a_index))
-            last = -1
-            for _ in range(gamma):
-                joined = coprocessor.buffer(blk)
-                matches = 0
-                for current in range(right_size):
-                    with coprocessor.hold(1):
-                        b = right_codec.decode(coprocessor.get("B", current))
-                        if current > last and matches < blk and predicate.matches(a, b):
-                            joined.append(
-                                make_real(
-                                    out_codec.encode(
-                                        Record(out_schema, a.values + b.values)
-                                    )
-                                )
-                            )
-                            matches += 1
-                            last = current
-                while len(joined) < blk:
-                    joined.append(make_decoy(payload_size))
-                coprocessor.append_many("output", joined.drain())
-                joined.release()
-
-
-def _alg3_scan_share(
-    coprocessor,
-    index_range: range,
-    worker: int,
-    *,
-    left_codec: TupleCodec,
-    right_codec: TupleCodec,
-    eq: Equality,
-    n_max: int,
-    right_size: int,
-    out_schema,
-    out_codec: TupleCodec,
-    payload_size: int,
-    output_region: str,
-) -> None:
-    """One coprocessor's Algorithm 3 share: its slice of A over sorted B.
-
-    Each worker rings through its *own* scratch region (disjoint writes, and
-    the per-device trace stays data-independent); the scratch image moves to
-    the shared output host-side, which is untraced — exactly Algorithm 1's
-    "request H to write scratch[] to disk" accounting.
-    """
-    scratch = f"scratch3w{worker}"
-    for a_index in index_range:
-        with coprocessor.hold(1):
-            a = left_codec.decode(coprocessor.get("A", a_index))
-            decoy = make_decoy(payload_size)
-            coprocessor.put_many((scratch, slot, decoy) for slot in range(n_max))
-            for i in range(right_size):
-                with coprocessor.hold(2):
-                    b_plain, previous = coprocessor.get_many(
-                        (("B", i), (scratch, i % n_max))
-                    )
-                    b = right_codec.decode(b_plain)
-                    if eq.matches(a, b):
-                        plain = make_real(joined_payload(a, b, out_schema, out_codec))
-                    else:
-                        plain = previous  # re-encrypted under a fresh nonce below
-                    coprocessor.put(scratch, i % n_max, plain)
-        coprocessor.host.host_copy(scratch, 0, n_max, output_region)
-
 
 def _alg4_scan_share(
     coprocessor,
@@ -291,23 +210,19 @@ def parallel_algorithm2(
     executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 2 with A partitioned across the cluster (Section 4.4.4)."""
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
     gamma = gamma_for(n_max, memory)
     blk = math.ceil(n_max / gamma)
-    out_schema = left.schema.joined_with(right.schema)
-    out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
+    out_schema = two_party_output_schema(left, right)
     left_codec = context.upload_relation("A", left)
     right_codec = context.upload_relation("B", right)
     context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
     work = partial(
-        _alg2_scan_share,
+        scan_passes,
         left_codec=left_codec, right_codec=right_codec, right_size=len(right),
-        predicate=predicate, gamma=gamma, blk=blk, out_schema=out_schema,
-        out_codec=out_codec, payload_size=payload_size,
+        predicate=predicate, gamma=gamma, blk=blk, out_codec=TupleCodec(out_schema),
     )
     per_a_outputs = gamma * blk
     tasks = cluster.partition_tasks(
@@ -343,42 +258,27 @@ def parallel_algorithm3(
     applied to the sort-based equijoin: the sort is a one-off serial prefix,
     the 3·|A|·|B| scan — the dominant term — splits P ways.
     """
-    if len(left) == 0 or len(right) == 0:
-        raise ConfigurationError("both input relations must be non-empty")
-    if not 1 <= n_max <= len(right):
-        raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    validate_two_party_inputs(left, right, n_max)
     eq = on if isinstance(on, Equality) else Equality(on)
 
     host = context.host
     out_schema = two_party_output_schema(left, right)
-    out_codec = TupleCodec(out_schema)
-    payload_size = out_codec.record_size
-
-    left_codec = context.upload_relation("A", left)
-    upload_right = right.sorted_by(eq.right_attr) if presorted else right
-    right_codec = context.upload_relation("B", upload_right)
-    right_position = right.schema.position(eq.right_attr)
 
     profile = PhaseProfile.for_cluster(cluster)
-    if not presorted:
-        def sort_key(plaintext: bytes):
-            return right_codec.decode(plaintext).values[right_position]
+    left_codec, right_codec = upload_sorted(
+        context, cluster[0], left, right, eq, presorted, profile)
 
-        with profile.span("sort"):
-            oblivious_sort(cluster[0], "B", len(right), key=sort_key)
-
-    for worker in range(len(cluster)):
-        scratch = f"scratch3w{worker}"
+    scratches = [f"scratch3w{worker}" for worker in range(len(cluster))]
+    for scratch in scratches:
         if host.has_region(scratch):
             host.free(scratch)
         host.allocate(scratch, n_max)
     output = context.allocate_output()
 
     work = partial(
-        _alg3_scan_share,
-        left_codec=left_codec, right_codec=right_codec, eq=eq, n_max=n_max,
-        right_size=len(right), out_schema=out_schema, out_codec=out_codec,
-        payload_size=payload_size, output_region=output,
+        scan_ring,
+        left_codec=left_codec, right_codec=right_codec, right_size=len(right),
+        eq=eq, n_max=n_max, out_codec=TupleCodec(out_schema),
     )
     tasks = cluster.partition_tasks(
         len(left), work,
@@ -386,12 +286,14 @@ def parallel_algorithm3(
             reads={
                 "A": [(index_range.start, index_range.stop)],
                 "B": None,
-                f"scratch3w{worker}": None,
+                scratches[worker]: None,
             },
             appends={output: index_range.start * n_max},
         ),
         label="algorithm3 scan",
     )
+    for task in tasks:
+        task.kwargs["scratch"] = scratches[task.device]
     with profile.span("scan"):
         cluster.run_tasks(tasks, executor)
     return _join_result(
@@ -528,9 +430,10 @@ def parallel_algorithm6(
     generated."  We partition the shared random order into contiguous
     position ranges aligned to whole segments, so every segment is owned by
     exactly one coprocessor; segment flushes land in per-segment slots of a
-    shared host region and one coprocessor runs the final decoy filter (the
-    parallel-filter construction lives in
-    :mod:`repro.oblivious.parallel_sort`).
+    shared host region.  The decoy filter then runs serially on the
+    coordinator (T0) with :func:`repro.oblivious.filterbuf.oblivious_filter`:
+    omega is small next to the scans, so unlike Algorithm 4 this variant does
+    not use :mod:`repro.oblivious.parallel_filter`.
     """
     from repro.costs.segments import optimal_segment_size, segment_count
     from repro.crypto.mlfsr import RandomOrder

@@ -30,10 +30,13 @@ comparisons (Section 5.2.2) whose optimal ``delta*`` is computed in
 from __future__ import annotations
 
 from array import array
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
+from repro.hardware.host import HostMemory
 from repro.oblivious.sort import KeyFunction, oblivious_sort
 
 
@@ -53,11 +56,31 @@ def oblivious_filter(
     Returns the buffer region name; its first ``keep`` slots contain every
     real element (padded with decoys when there are fewer than ``keep``).
     """
+    _condense(coprocessor.host, source_region, source_size, keep, delta,
+              buffer_region, partial(oblivious_sort, coprocessor, key=priority))
+    return buffer_region
+
+
+def _condense(
+    host: HostMemory,
+    source_region: str,
+    source_size: int,
+    keep: int,
+    delta: int,
+    buffer_region: str,
+    sort: Callable[[str, int], Any],
+) -> list[Any]:
+    """The copy/sort/refill loop of :func:`oblivious_filter`.
+
+    ``sort(region, size)`` sorts the buffer, reals first: one coprocessor's
+    :func:`~repro.oblivious.sort.oblivious_sort`, or the cluster's parallel
+    sort in :mod:`repro.oblivious.parallel_filter`.  Returns what each sort
+    returned, in order (so its length is the number of sorts).
+    """
     if keep < 0 or source_size < 0:
         raise ConfigurationError("sizes must be non-negative")
     if keep > source_size:
         raise ConfigurationError("cannot keep more elements than the source holds")
-    host = coprocessor.host
     if host.has_region(buffer_region):
         host.free(buffer_region)
 
@@ -65,13 +88,13 @@ def oblivious_filter(
         # Nothing to remove; the source is the answer.
         host.allocate(buffer_region, source_size)
         host.host_copy_into(source_region, 0, source_size, buffer_region, 0)
-        return buffer_region
+        return []
 
     delta = max(1, min(delta, source_size - keep))
     buffer_size = min(keep + delta, source_size)
     host.allocate(buffer_region, buffer_size)
     host.host_copy_into(source_region, 0, buffer_size, buffer_region, 0)
-    oblivious_sort(coprocessor, buffer_region, buffer_size, key=priority)
+    sorts = [sort(buffer_region, buffer_size)]
     position = buffer_size
     while position < source_size:
         take = min(delta, source_size - position)
@@ -79,8 +102,8 @@ def oblivious_filter(
         # ciphertexts move host-side, so this is transfer-free.
         host.host_copy_into(source_region, position, take, buffer_region, buffer_size - take)
         position += take
-        oblivious_sort(coprocessor, buffer_region, buffer_size, key=priority)
-    return buffer_region
+        sorts.append(sort(buffer_region, buffer_size))
+    return sorts
 
 
 def emit_kept(

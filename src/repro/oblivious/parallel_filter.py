@@ -16,12 +16,12 @@ the serial implementation and says so in its report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster, TaskExecutor
-from repro.oblivious.filterbuf import oblivious_filter
+from repro.oblivious.filterbuf import _condense
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
-from repro.oblivious.sort import KeyFunction
+from repro.oblivious.sort import KeyFunction, oblivious_sort
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ParallelFilterReport:
     delta: int
     sorts: int
     parallel: bool  # False when the serial fallback ran
-    makespan: int   # modelled parallel transfers (sum of per-sort makespans)
+    makespan: int   # sum of per-sort makespans; T0's filter transfers when serial
 
 
 def _round_up_delta(keep: int, delta: int, processors: int, source_size: int) -> int | None:
@@ -61,65 +61,39 @@ def parallel_oblivious_filter(
 ) -> ParallelFilterReport:
     """Condense ``source_region`` to its ``keep`` real elements, in parallel.
 
-    Semantics match :func:`repro.oblivious.filterbuf.oblivious_filter`; the
-    buffer's repeated sorts run on all coprocessors (through ``executor``
-    when one is given; refills and the serial fallback stay host-side).
+    Semantics match :func:`repro.oblivious.filterbuf.oblivious_filter` and
+    so does the refill loop; only the buffer's sorts differ: they run on all
+    coprocessors (through ``executor`` when one is given), or on T0 alone in
+    the serial fallback.  The refills are host-side copies either way.
     """
-    if keep < 0 or source_size < 0:
-        raise ConfigurationError("sizes must be non-negative")
-    if keep > source_size:
-        raise ConfigurationError("cannot keep more elements than the source holds")
-    processors = len(cluster)
-    host = cluster.host
     coordinator = cluster[0]
-
     adjusted = (
         None
         if keep == source_size
-        else _round_up_delta(keep, delta, processors, source_size)
+        else _round_up_delta(keep, delta, len(cluster), source_size)
     )
-    if processors == 1 or adjusted is None:
-        region = oblivious_filter(
-            coordinator, source_region, source_size, keep,
-            max(1, delta), priority, buffer_region=buffer_region,
-        )
+    if len(cluster) == 1 or adjusted is None:
+        before = coordinator.trace.transfer_count()
+        sorts = _condense(
+            cluster.host, source_region, source_size, keep, delta, buffer_region,
+            partial(oblivious_sort, coordinator, key=priority))
         return ParallelFilterReport(
-            buffer_region=region,
-            buffer_size=host.size(region),
+            buffer_region=buffer_region,
+            buffer_size=cluster.host.size(buffer_region),
             delta=max(1, delta),
-            sorts=0,
+            sorts=len(sorts),
             parallel=False,
-            makespan=coordinator.trace.transfer_count(),
+            makespan=coordinator.trace.transfer_count() - before,
         )
 
-    delta = adjusted
-    buffer_size = keep + delta
-    if host.has_region(buffer_region):
-        host.free(buffer_region)
-    host.allocate(buffer_region, buffer_size)
-    host.host_copy_into(source_region, 0, buffer_size, buffer_region, 0)
-
-    sorts = 0
-    makespan = 0
-    report = parallel_oblivious_sort(
-        cluster, buffer_region, buffer_size, priority, executor)
-    sorts += 1
-    makespan += report.makespan
-    position = buffer_size
-    while position < source_size:
-        take = min(delta, source_size - position)
-        host.host_copy_into(source_region, position, take, buffer_region,
-                            buffer_size - take)
-        position += take
-        report = parallel_oblivious_sort(
-            cluster, buffer_region, buffer_size, priority, executor)
-        sorts += 1
-        makespan += report.makespan
+    reports = _condense(
+        cluster.host, source_region, source_size, keep, adjusted, buffer_region,
+        partial(parallel_oblivious_sort, cluster, key=priority, executor=executor))
     return ParallelFilterReport(
         buffer_region=buffer_region,
-        buffer_size=buffer_size,
-        delta=delta,
-        sorts=sorts,
+        buffer_size=keep + adjusted,
+        delta=adjusted,
+        sorts=len(reports),
         parallel=True,
-        makespan=makespan,
+        makespan=sum(report.makespan for report in reports),
     )

@@ -6,9 +6,12 @@ import pytest
 
 from tests.conftest import KEY
 
+from repro.core.algorithm2 import algorithm2
+from repro.core.algorithm3 import algorithm3
 from repro.core.base import JoinContext
 from repro.core.parallel import (
     parallel_algorithm2,
+    parallel_algorithm3,
     parallel_algorithm4,
     parallel_algorithm5,
     parallel_algorithm6,
@@ -19,6 +22,7 @@ from repro.hardware.cluster import Cluster
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import nested_loop_join
 from repro.relational.predicates import BinaryAsMulti, Equality
+from repro.relational.relation import Relation
 
 
 def rig(processors: int):
@@ -61,6 +65,8 @@ class TestParallelAlgorithm4:
                                   BinaryAsMulti(Equality("key")))
         assert out.result.same_multiset(reference)
         assert out.meta["S"] == len(reference)
+        if processors == 1:  # the serial filter: its makespan is its phase row
+            assert out.meta["filter_makespan"] == out.meta["phases"]["filter"]["transfers"]
 
     def test_scan_phase_balanced(self):
         wl, _ = workload(seed=52, left=8, right=8)
@@ -102,24 +108,68 @@ class TestValidationBeforeUpload:
     """The parallel variants reject what their sequential twins reject, and
     do so before anything reaches the host."""
 
-    @pytest.mark.parametrize("memory", [0, -1])
-    @pytest.mark.parametrize("algorithm", [2, 5, 6])
-    def test_memory_below_one_is_a_configuration_error(self, algorithm, memory):
+    @pytest.mark.parametrize("algorithm, memory, empty", [
+        *(pytest.param(algorithm, memory, None, id=f"{algorithm}-{memory}")
+          for algorithm in (2, 5, 6) for memory in (0, -1)),
+        # An empty input is refused too (memory is valid here).
+        *(pytest.param(algorithm, 2, side, id=f"{algorithm}-empty{side}")
+          for algorithm in (2, 3) for side in "AB"),
+    ])
+    def test_memory_below_one_is_a_configuration_error(self, algorithm, memory, empty):
         wl, _ = workload()
+        left = Relation(wl.left.schema) if empty == "A" else wl.left
+        right = Relation(wl.right.schema) if empty == "B" else wl.right
         context, cluster = rig(2)
         multi = BinaryAsMulti(Equality("key"))
         with pytest.raises(ConfigurationError):
             if algorithm == 2:
-                parallel_algorithm2(context, cluster, wl.left, wl.right,
+                parallel_algorithm2(context, cluster, left, right,
                                     Equality("key"), wl.max_matches, memory)
+            elif algorithm == 3:
+                parallel_algorithm3(context, cluster, left, right, "key",
+                                    wl.max_matches)
             elif algorithm == 5:
-                parallel_algorithm5(context, cluster, [wl.left, wl.right],
+                parallel_algorithm5(context, cluster, [left, right],
                                     multi, memory)
             else:
-                parallel_algorithm6(context, cluster, [wl.left, wl.right],
+                parallel_algorithm6(context, cluster, [left, right],
                                     multi, memory)
         assert context.host.region_names() == []
         assert cluster.total_transfers() == 0
+
+
+@pytest.mark.parametrize("algorithm, memory, n_max, presorted", [
+    pytest.param(2, 1, 3, False, id="alg2-gamma=3"),
+    pytest.param(2, 20, 10, False, id="alg2-N=|B|"),
+    pytest.param(3, None, 3, False, id="alg3"),
+    pytest.param(3, None, 10, False, id="alg3-N=|B|"),
+    pytest.param(3, None, 3, True, id="alg3-presorted"),
+])
+def test_one_device_cluster_runs_the_sequential_algorithm(
+        algorithm, memory, n_max, presorted):
+    """Section 4.4.4 parallelizes Algorithms 2 and 3 by partitioning A, so
+    with P = 1 the parallel variant *is* the sequential algorithm: the same
+    trace event for event (Algorithm 3's per-worker scratch region renamed)
+    and the same result rows in the same order."""
+    wl, _ = workload()
+    sequential_context = JoinContext.fresh(provider=FastProvider(KEY))
+    context, cluster = rig(1)
+    if algorithm == 2:
+        sequential = algorithm2(sequential_context, wl.left, wl.right,
+                                Equality("key"), n_max, memory)
+        parallel = parallel_algorithm2(context, cluster, wl.left, wl.right,
+                                       Equality("key"), n_max, memory)
+    else:
+        sequential = algorithm3(sequential_context, wl.left, wl.right, "key",
+                                n_max, presorted=presorted)
+        parallel = parallel_algorithm3(context, cluster, wl.left, wl.right,
+                                       "key", n_max, presorted=presorted)
+    events = [
+        event._replace(region="scratch3") if event.region == "scratch3w0" else event
+        for event in cluster[0].trace.events
+    ]
+    assert events == list(sequential.trace.events)
+    assert parallel.result.records() == sequential.result.records()
 
 
 def test_every_parallel_algorithm_is_exported_from_repro_core():

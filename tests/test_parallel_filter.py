@@ -79,6 +79,9 @@ class TestParallelFilter:
             cluster, "src", 3, keep=reals, delta=1, priority=decoy_priority,
         )
         assert not report.parallel
+        # Buffer of 2, one refill: two sorts of one comparator (4 transfers).
+        assert report.sorts == 2
+        assert report.makespan == cluster[0].trace.transfer_count() == 8
         assert kept_payloads(cluster, report.buffer_region, reals) == {
             struct.pack(">q", 0)
         }
