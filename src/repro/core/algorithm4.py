@@ -56,12 +56,13 @@ def scan_otuples(
     result on a match, a decoy otherwise — and returns the number of real
     results.  The caller holds the two enclave slots.
     """
+    test = predicate.bind(reader.schemas)
     decoy = make_decoy(out_codec.record_size)
     result_count = 0
     for block in scan_blocks(reader, logicals, output=OTUPLE_REGION):
         otuples = []
         for _, records in block:
-            if predicate.satisfies(records):
+            if test(records):
                 otuples.append(make_real(encode_joined(out_codec, records)))
                 result_count += 1
             else:
@@ -88,6 +89,8 @@ def algorithm4(
 
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
+    # A predicate that cannot apply is refused before anything is uploaded.
+    predicate.bind([relation.schema for relation in relations])
 
     reader = upload_tables(context, relations)
     total = len(reader.space)

@@ -62,6 +62,7 @@ def rescan_output(
     store and is not decoded.
     """
     coprocessor = reader.coprocessor
+    test = predicate.bind(reader.schemas)
     flushed = 0
     scans = 0
     pindex = -1  # index of the last iTuple whose result has been flushed
@@ -73,7 +74,7 @@ def rescan_output(
                 if buffer.full or block.logicals[-1] <= pindex:
                     continue
                 for logical, records in block:
-                    if logical > pindex and not buffer.full and predicate.satisfies(records):
+                    if logical > pindex and not buffer.full and test(records):
                         buffer.append(encode_joined(out_codec, records))
                         lindex = logical
         scans += 1
@@ -105,6 +106,8 @@ def algorithm5(
     coprocessor = context.coprocessor
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
+    # A predicate that cannot apply is refused before anything is uploaded.
+    predicate.bind([relation.schema for relation in relations])
 
     reader = upload_tables(context, relations)
     total = len(reader.space)

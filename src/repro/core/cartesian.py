@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
 from repro.relational.batch import BatchCodec
+from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
 from repro.relational.tuples import Record, TupleCodec
 
@@ -71,6 +71,25 @@ class CartesianSpace:
         return logical
 
 
+#: Most rows of block plans one :class:`CartesianReader` keeps (about 40
+#: bytes a row at J = 2): a 128 x 128 pass, read-only and writing.  Range
+#: blocks past it are planned on every call.
+PLAN_ROWS = 1 << 15
+
+
+@dataclass(slots=True, frozen=True)
+class BlockPlan:
+    """What a block's logical indices decide alone, whatever the rows hold:
+    per table the slot column and its distinct slots (in first-use order),
+    and the declared run — ``G(X0) .. G(XJ-1) [P(output)]`` per row."""
+
+    columns: tuple[array, ...]
+    distinct: tuple[array, ...]
+    table: tuple[tuple[str, str], ...]
+    codes: bytes
+    indices: array
+
+
 class CartesianReader:
     """Reads iTuples of the (virtual) product table through the coprocessor."""
 
@@ -86,12 +105,57 @@ class CartesianReader:
         self.coprocessor = coprocessor
         self.regions = tuple(regions)
         self.codecs = tuple(codecs)
+        self.schemas = tuple(codec.schema for codec in codecs)
         self._batch_codecs = tuple(BatchCodec(codec.schema) for codec in codecs)
         #: Per table, plaintext -> decoded record: a component tuple is decoded
         #: once per reader however many product rows repeat it.  The inputs
         #: are never rewritten during a join, so table i holds at most |Xi|.
         self._records: tuple[dict[bytes, Record], ...] = tuple({} for _ in regions)
         self.space = space
+        #: ``(range, output)`` -> plan, for at most :data:`PLAN_ROWS` rows:
+        #: every rescan of a pass reuses its blocks' plans.
+        self._plans: dict[tuple[range, str | None], BlockPlan] = {}
+        self._planned_rows = 0
+
+    def plan(self, logicals: Sequence[int], output: str | None) -> BlockPlan:
+        """A block's plan: built once per ``range`` block (up to the cap),
+        per call for any other sequence (an LFSR segment)."""
+        if type(logicals) is not range:
+            return self._build_plan(logicals, output)
+        key = (logicals, output)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._build_plan(logicals, output)
+            if self._planned_rows + len(logicals) <= PLAN_ROWS:
+                self._plans[key] = plan
+                self._planned_rows += len(logicals)
+        return plan
+
+    def _build_plan(self, logicals: Sequence[int], output: str | None) -> BlockPlan:
+        if min(logicals) < 0 or max(logicals) >= self.space.total:
+            raise ConfigurationError(
+                f"logical indices must lie in [0, {self.space.total})")
+        columns = tuple(
+            array("q", [(logical // stride) % size for logical in logicals])
+            for stride, size in zip(self.space.strides, self.space.sizes)
+        )
+        table = [(GET, region) for region in self.regions]
+        declared = list(columns)
+        if output is not None:
+            table.append((PUT, output))
+            declared.append(array("q", logicals))
+        # The run interleaves the declared columns: row k's J (+1) events.
+        width = len(table)
+        indices = array("q", bytes(8 * width * len(logicals)))
+        for position, column in enumerate(declared):
+            indices[position::width] = column
+        return BlockPlan(
+            columns=columns,
+            distinct=tuple(array("q", dict.fromkeys(column)) for column in columns),
+            table=tuple(table),
+            codes=bytes(range(width)) * len(logicals),
+            indices=indices,
+        )
 
     def gather(self, logicals: Sequence[int], output: str | None) -> "ScanBlock":
         """One vectorized block of :func:`scan_blocks`.
@@ -100,39 +164,24 @@ class CartesianReader:
         each table's *distinct* slots are gathered once.  A read-only block is
         settled here, a writing one by its ``write``, after the scatter.
         """
-        if min(logicals) < 0 or max(logicals) >= self.space.total:
-            raise ConfigurationError(
-                f"logical indices must lie in [0, {self.space.total})")
+        plan = self.plan(logicals, output)
         coprocessor = self.coprocessor
-        columns = [
-            [(logical // stride) % size for logical in logicals]
-            for stride, size in zip(self.space.strides, self.space.sizes)
-        ]
-        gathered = []
-        for region, column in zip(self.regions, columns):
-            distinct = list(dict.fromkeys(column))
-            gathered.append((distinct, coprocessor.gather_slots(region, distinct)))
+        gathered = [coprocessor.gather_slots(region, distinct)
+                    for region, distinct in zip(self.regions, plan.distinct)]
 
         def rows():
             components = []
-            for memo, codec, column, (distinct, plains) in zip(
-                    self._records, self._batch_codecs, columns, gathered):
+            for memo, codec, column, distinct, plains in zip(
+                    self._records, self._batch_codecs, plan.columns, plan.distinct,
+                    gathered):
                 memo.update(codec.decode_unique(
                     plain for plain in plains if plain not in memo))
                 by_slot = dict(zip(distinct, map(memo.__getitem__, plains)))
                 components.append(map(by_slot.__getitem__, column))
             return zip(*components)
 
-        table = [(GET, region) for region in self.regions]
-        declared = list(columns)
-        if output is not None:
-            table.append((PUT, output))
-            declared.append(logicals)
-
         def settle() -> None:
-            coprocessor.charge_boundary(
-                table, bytes(range(len(table))) * len(logicals),
-                array("q", chain.from_iterable(zip(*declared))))
+            coprocessor.charge_boundary(plan.table, plan.codes, plan.indices)
 
         if output is None:
             settle()
@@ -190,12 +239,13 @@ def scan_blocks(
 def scan_matches(
     reader: CartesianReader,
     logicals: Sequence[int],
-    predicate,
+    predicate: MultiPredicate,
 ) -> Iterator[tuple[int, tuple[Record, ...]]]:
     """The ``(logical, records)`` rows of a read-only pass satisfying ``predicate``."""
+    test = predicate.bind(reader.schemas)
     for block in scan_blocks(reader, logicals):
         for row in block:
-            if predicate.satisfies(row[1]):
+            if test(row[1]):
                 yield row
 
 

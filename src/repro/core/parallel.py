@@ -148,6 +148,7 @@ def _alg5_scan_share(
 ) -> None:
     """One coprocessor's Algorithm 5 share: emit result ordinals [lo, hi)."""
     reader = CartesianReader(coprocessor, *tables)
+    test = predicate.bind(reader.schemas)
     total = len(reader.space)
     scans = max(1, math.ceil((hi - lo) / memory))
     emitted = lo
@@ -159,7 +160,7 @@ def _alg5_scan_share(
                 if pending.full or ordinal >= hi:
                     continue  # nothing left to store this scan: read, not decoded
                 for _logical, records in block:
-                    if predicate.satisfies(records):
+                    if test(records):
                         if emitted <= ordinal < hi and not pending.full:
                             pending.append(encode_joined(out_codec, records))
                         ordinal += 1
@@ -312,6 +313,8 @@ def parallel_algorithm4(
     """Algorithm 4 with the iTuples partitioned across the cluster."""
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
+    # A predicate that cannot apply is refused before anything is uploaded.
+    predicate.bind([relation.schema for relation in relations])
     reader = upload_tables(context, relations)
     tables = reader.regions, reader.codecs, reader.space
     total = len(reader.space)
@@ -378,6 +381,8 @@ def parallel_algorithm5(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
+    # A predicate that cannot apply is refused before anything is uploaded.
+    predicate.bind([relation.schema for relation in relations])
     reader = upload_tables(context, relations)
     tables = reader.regions, reader.codecs, reader.space
     context.allocate_output()
@@ -442,6 +447,8 @@ def parallel_algorithm6(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
+    # A predicate that cannot apply is refused before anything is uploaded.
+    predicate.bind([relation.schema for relation in relations])
     reader = upload_tables(context, relations)
     tables = reader.regions, reader.codecs, reader.space
     total = len(reader.space)

@@ -58,6 +58,8 @@ class Mlfsr:
         self.width = width
         self.period = (1 << width) - 1
         self._taps = MAXIMAL_TAPS[width]
+        #: The tap bits as one mask: the feedback bit is its parity.
+        self._mask = sum(1 << (width - tap) for tap in self._taps)
         state = seed % self.period
         self._state = state + 1  # map into the nonzero state space
         self._initial = self._state
@@ -75,10 +77,17 @@ class Mlfsr:
         return self._state
 
     def cycle(self) -> Iterator[int]:
-        """Yield one full period: every value in {1, ..., 2^width - 1} once."""
-        yield self._state
+        """Yield one full period: every value in {1, ..., 2^width - 1} once.
+
+        The same states :meth:`step` walks, stepped inline (the feedback bit
+        is the parity of the tapped bits); :attr:`state` follows along.
+        """
+        state, mask, top = self._state, self._mask, self.width - 1
+        yield state
         for _ in range(self.period - 1):
-            yield self.step()
+            state = (state >> 1) | (((state & mask).bit_count() & 1) << top)
+            self._state = state
+            yield state
 
 
 class RandomOrder:

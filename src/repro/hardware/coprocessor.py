@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
 from repro.errors import EnclaveMemoryError, HostMemoryError
-from repro.hardware.events import GET, PUT, Pairs, Trace, run_counts
+from repro.hardware.events import GET, PUT, Pairs, Trace
 from repro.hardware.host import HostMemory
 from repro.hardware.resilience import (
     APPENDED,
@@ -180,7 +180,10 @@ class SecureCoprocessor:
         #: served from the slot cache (decryptions == physical + hits).
         self.physical_decryptions = 0
         self.cache_hits = 0
-        self._cache: dict[tuple[str, int], tuple[bytes, bytes]] = {}
+        #: The slot cache, per ``(region, index)``: the ciphertext T last
+        #: wrote to or authenticated from that slot, and its plaintext.
+        self._ciphers: dict[tuple[str, int], bytes] = {}
+        self._plains: dict[tuple[str, int], bytes] = {}
         #: Batched boundary calls and the rows they moved (see the class
         #: docstring): physical only, like ``physical_decryptions``.
         self.batched_ops = 0
@@ -389,9 +392,13 @@ class SecureCoprocessor:
 
         Hits come from the slot cache; the misses are decrypted in one pass,
         and nothing is cached or counted until all of it has authenticated —
-        a tampered cell aborts the batch with none of it released.
+        a tampered cell aborts the batch with none of it released.  A batch
+        of hits only is checked as one list comparison: still byte equality,
+        cell by cell, with the ciphertexts T itself holds.
         """
-        cache = self._cache
+        ciphers, plains = self._ciphers, self._plains
+        if list(map(ciphers.get, slots)) == ciphertexts:
+            return list(map(plains.__getitem__, slots)), 0
         results: list[bytes | None] = [None] * len(slots)
         #: slot -> (ciphertext, miss position) for misses resolved in this
         #: batch; later equal-byte occurrences are cache hits.
@@ -399,9 +406,9 @@ class SecureCoprocessor:
         misses: list[int] = []
         duplicates: list[tuple[int, int]] = []
         for k, (key, ciphertext) in enumerate(zip(slots, ciphertexts)):
-            entry = cache.get(key)
-            if entry is not None and entry[0] == ciphertext:
-                results[k] = entry[1]
+            cached = ciphers.get(key)
+            if cached is not None and cached == ciphertext:
+                results[k] = plains[key]
                 continue
             earlier = pending.get(key)
             if earlier is not None and earlier[0] == ciphertext:
@@ -414,7 +421,8 @@ class SecureCoprocessor:
                                       [ciphertexts[k] for k in misses])
             for k, plaintext in zip(misses, decrypted):
                 results[k] = plaintext
-                cache[slots[k]] = (ciphertexts[k], plaintext)
+                ciphers[slots[k]] = ciphertexts[k]
+                plains[slots[k]] = plaintext
         for k, source in duplicates:
             results[k] = results[source]
         self.physical_decryptions += len(misses)
@@ -449,7 +457,7 @@ class SecureCoprocessor:
 
     def _written(self, targets: list[tuple[str, int]],
                  ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
-        self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+        self._remember(targets, ciphertexts, plaintexts)
         self.encryptions += len(targets)
         self._settle(PUT, targets, (JournalEntry(PUT, region, index)
                                     for region, index in targets))
@@ -561,7 +569,7 @@ class SecureCoprocessor:
         holds the section's writes)."""
         if not self.replaying:
             ciphertexts = encrypt_batch(self.provider, plaintexts)
-            self._cache.update(zip(targets, zip(ciphertexts, plaintexts)))
+            self._remember(targets, ciphertexts, plaintexts)
             self._staged.append((append, targets, ciphertexts))
             self.batched_ops += 1
             self.batch_rows += len(targets)
@@ -601,7 +609,7 @@ class SecureCoprocessor:
 
             self._host_call(flush, window)
         self.trace.record_run(table, codes, indices)
-        gets = sum(n for (op, _), n in run_counts(table, codes).items() if op == GET)
+        gets = sum(codes.count(code) for code, (op, _) in enumerate(table) if op == GET)
         puts = len(codes) - gets
         if replayed:
             self._replay.take_batch(((CHARGE, "", gets + puts),))
@@ -615,9 +623,14 @@ class SecureCoprocessor:
         self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
 
     # -- cache management ------------------------------------------------------
+    def _remember(self, targets: list[tuple[str, int]], ciphertexts: Sequence[bytes],
+                  plaintexts: Sequence[bytes]) -> None:
+        self._ciphers.update(zip(targets, ciphertexts))
+        self._plains.update(zip(targets, plaintexts))
+
     @property
     def cache_entries(self) -> int:
-        return len(self._cache)
+        return len(self._ciphers)
 
     def clear_cache(self) -> None:
         """Drop every cached (ciphertext, plaintext) slot pair.
@@ -626,7 +639,8 @@ class SecureCoprocessor:
         fresh nonces make every ciphertext T emits byte-distinct — but callers
         retiring regions can use it to bound simulation memory.
         """
-        self._cache.clear()
+        self._ciphers.clear()
+        self._plains.clear()
 
     # -- statistics -----------------------------------------------------------
     def reset_trace(self) -> Trace:

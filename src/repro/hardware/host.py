@@ -105,6 +105,27 @@ class HostMemory(RangedSlots):
             raise HostMemoryError(f"region {name!r} does not exist") from None
 
     # -- slot access (used by the coprocessor and by host-side ops) ---------
+    def read_slots(self, slots: Sequence[tuple[str, int]]) -> list[bytes]:
+        """Serve a batch in one pass, without a call per slot.
+
+        A slot :meth:`read_slot` would refuse (unknown region, index out of
+        range or negative, never written) sends the batch through the
+        per-slot loop, which raises that error for the first such slot.  A
+        subclass that overrides :meth:`read_slot` always gets the loop.
+        """
+        if type(self).read_slot is HostMemory.read_slot:
+            regions = self._regions
+            try:
+                cells = [regions[name][index] if index >= 0 else None
+                         for name, index in slots]
+            except (KeyError, IndexError, TypeError):
+                cells = None
+            # None marks a negative index (a list index would wrap) or a
+            # never-written slot: the loop raises read_slot's error for it.
+            if cells is not None and all(cells):
+                return cells
+        return super().read_slots(slots)
+
     def read_slot(self, name: str, index: int) -> bytes:
         region = self._region(name)
         if not 0 <= index < len(region):

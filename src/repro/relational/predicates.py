@@ -16,10 +16,15 @@ participating table, as required by the m-way join function of Definition 3.
 from __future__ import annotations
 
 import operator
+from itertools import pairwise
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.relational.schema import Schema
 from repro.relational.tuples import Record
+
+#: A predicate bound to its input schemas: the row test a pass calls.
+RowTest = Callable[..., bool]
 
 
 class Predicate:
@@ -30,6 +35,15 @@ class Predicate:
 
     def matches(self, left: Record, right: Record) -> bool:
         raise NotImplementedError
+
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        """The test over records of these schemas, attributes resolved once.
+
+        Agrees with :meth:`matches` on every such pair, and raises
+        :class:`~repro.errors.SchemaError` here for an attribute a schema
+        lacks.  The default is :meth:`matches` itself.
+        """
+        return self.matches
 
     def __call__(self, left: Record, right: Record) -> bool:
         return self.matches(left, right)
@@ -51,6 +65,10 @@ class Equality(Predicate):
 
     def matches(self, left: Record, right: Record) -> bool:
         return left[self.left_attr] == right[self.right_attr]
+
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        i, j = left_schema.position(self.left_attr), right_schema.position(self.right_attr)
+        return lambda left, right: left.values[i] == right.values[j]
 
 
 _THETA_OPS: dict[str, Callable] = {
@@ -78,6 +96,11 @@ class Theta(Predicate):
     def matches(self, left: Record, right: Record) -> bool:
         return self._fn(left[self.left_attr], right[self.right_attr])
 
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        i, j = left_schema.position(self.left_attr), right_schema.position(self.right_attr)
+        fn = self._fn
+        return lambda left, right: fn(left.values[i], right.values[j])
+
 
 class BandJoin(Predicate):
     """Proximity predicate ``|left.attr - right.attr| <= width`` on numeric attributes."""
@@ -92,6 +115,11 @@ class BandJoin(Predicate):
 
     def matches(self, left: Record, right: Record) -> bool:
         return abs(left[self.left_attr] - right[self.right_attr]) <= self.width
+
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        i, j = left_schema.position(self.left_attr), right_schema.position(self.right_attr)
+        width = self.width
+        return lambda left, right: abs(left.values[i] - right.values[j]) <= width
 
 
 def jaccard(left: frozenset, right: frozenset) -> float:
@@ -121,6 +149,11 @@ class JaccardSimilarity(Predicate):
     def matches(self, left: Record, right: Record) -> bool:
         return jaccard(left[self.left_attr], right[self.right_attr]) > self.threshold
 
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        i, j = left_schema.position(self.left_attr), right_schema.position(self.right_attr)
+        threshold = self.threshold
+        return lambda left, right: jaccard(left.values[i], right.values[j]) > threshold
+
 
 class L1Proximity(Predicate):
     """Match when the L1 norm of the attribute-wise difference is below a threshold.
@@ -139,6 +172,12 @@ class L1Proximity(Predicate):
     def matches(self, left: Record, right: Record) -> bool:
         distance = sum(abs(left[a] - right[a]) for a in self.attrs)
         return distance < self.threshold
+
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        positions = [(left_schema.position(a), right_schema.position(a)) for a in self.attrs]
+        threshold = self.threshold
+        return lambda left, right: sum(
+            abs(left.values[i] - right.values[j]) for i, j in positions) < threshold
 
 
 class Custom(Predicate):
@@ -163,6 +202,11 @@ class Conjunction(Predicate):
     def matches(self, left: Record, right: Record) -> bool:
         return self.left.matches(left, right) and self.right.matches(left, right)
 
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        first = self.left.bind(left_schema, right_schema)
+        second = self.right.bind(left_schema, right_schema)
+        return lambda left, right: first(left, right) and second(left, right)
+
 
 class Disjunction(Predicate):
     """Logical OR of two predicates."""
@@ -174,6 +218,11 @@ class Disjunction(Predicate):
 
     def matches(self, left: Record, right: Record) -> bool:
         return self.left.matches(left, right) or self.right.matches(left, right)
+
+    def bind(self, left_schema: Schema, right_schema: Schema) -> RowTest:
+        first = self.left.bind(left_schema, right_schema)
+        second = self.right.bind(left_schema, right_schema)
+        return lambda left, right: first(left, right) or second(left, right)
 
 
 class MultiPredicate:
@@ -187,6 +236,17 @@ class MultiPredicate:
 
     def satisfies(self, records: Sequence[Record]) -> bool:
         raise NotImplementedError
+
+    def bind(self, schemas: Sequence[Schema]) -> RowTest:
+        """The test over one record per schema, attributes resolved once.
+
+        Agrees with :meth:`satisfies` on every such row; a predicate that
+        cannot apply to these tables raises here (:class:`ConfigurationError`
+        for the wrong table count, :class:`~repro.errors.SchemaError` for a
+        missing attribute), before a join uploads anything.  The default is
+        :meth:`satisfies` itself.
+        """
+        return self.satisfies
 
     def __call__(self, records: Sequence[Record]) -> bool:
         return self.satisfies(records)
@@ -205,6 +265,11 @@ class PairwiseAll(MultiPredicate):
             for i in range(len(records) - 1)
         )
 
+    def bind(self, schemas: Sequence[Schema]) -> RowTest:
+        tests = [self.predicate.bind(a, b) for a, b in pairwise(schemas)]
+        return lambda records: all(
+            test(a, b) for test, (a, b) in zip(tests, pairwise(records)))
+
 
 class BinaryAsMulti(MultiPredicate):
     """Adapt a binary predicate to the two-table multi-way interface."""
@@ -217,6 +282,12 @@ class BinaryAsMulti(MultiPredicate):
         if len(records) != 2:
             raise ConfigurationError("BinaryAsMulti expects exactly two records")
         return self.predicate.matches(records[0], records[1])
+
+    def bind(self, schemas: Sequence[Schema]) -> RowTest:
+        if len(schemas) != 2:
+            raise ConfigurationError("BinaryAsMulti expects exactly two records")
+        test = self.predicate.bind(*schemas)
+        return lambda records: test(*records)
 
 
 class CustomMulti(MultiPredicate):

@@ -9,7 +9,7 @@ from tests.conftest import fresh_context, keyed
 from repro.core.algorithm4 import algorithm4
 from repro.core.algorithm5 import algorithm5
 from repro.core.algorithm6 import algorithm6
-from repro.errors import BlemishError, ConfigurationError
+from repro.errors import BlemishError, ConfigurationError, SchemaError
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import multiway_nested_loop_join, nested_loop_join
 from repro.relational.predicates import (
@@ -209,3 +209,23 @@ class TestMultiwayPredicates:
         out = algorithm4(fresh_context(), [a, b, c], pred)
         assert out.result.same_multiset(reference)
         assert len(reference) > 0
+
+
+CANNOT_APPLY = [
+    pytest.param(3, BinaryAsMulti(Equality("key")), ConfigurationError, id="binary-over-3"),
+    pytest.param(2, BinaryAsMulti(Equality("nokey")), SchemaError, id="missing-attribute"),
+]
+
+
+@pytest.mark.parametrize("count, predicate, error", CANNOT_APPLY)
+@pytest.mark.parametrize("algorithm, kwargs", [
+    (algorithm4, {}), (algorithm5, {"memory": 2}), (algorithm6, {"memory": 2}),
+], ids=["algorithm4", "algorithm5", "algorithm6"])
+def test_a_predicate_that_cannot_apply_is_refused_before_upload(
+        algorithm, kwargs, count, predicate, error):
+    tables = [keyed(f"T{t}", [(k, 0) for k in range(4)]) for t in range(count)]
+    context = fresh_context()
+    with pytest.raises(error):
+        algorithm(context, tables, predicate, **kwargs)
+    assert context.host.region_names() == []
+    assert len(context.coprocessor.trace) == 0

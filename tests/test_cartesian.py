@@ -476,3 +476,111 @@ class TestTheScanIsOneSectionPerBlock:
         t = context.coprocessor
         assert t.batch_rows == blocks * (2 + 128) and t.decryptions == 2 * total
         assert t.physical_decryptions == 128 + 128  # each input tuple, once
+
+
+# --- block plans: built once per reader, keyed by the block and its output ------
+
+from repro.core.cartesian import PLAN_ROWS, CartesianReader
+from repro.errors import HostMemoryError
+
+
+class TestBlockPlans:
+    """A range block's plan (slot columns, distinct slots, declared run) is
+    built once per reader and reused on every rescan, up to ``PLAN_ROWS``.
+    One reader running three passes — read-only, writing ``marks``, read-only
+    again — is indistinguishable from a fresh reader per pass and from the
+    reference device."""
+
+    OUTPUTS = (None, "marks", None)
+
+    def passes(self, sizes, device, fresh):
+        context = context_on(HostMemory(), FastProvider(KEY), device)
+        reader = upload_tables(context, tables(sizes))
+        total = len(reader.space)
+        context.host.allocate("marks", total)
+        seen = []
+        for output in self.OUTPUTS:
+            if fresh:
+                reader = CartesianReader(context.coprocessor, reader.regions,
+                                         reader.codecs, reader.space)
+            for block in scan_blocks(reader, range(total), output=output):
+                rows = list(block)
+                seen.extend((logical, tuple(r.values for r in records))
+                            for logical, records in rows)
+                if output is not None:
+                    block.write([bytes([EQUAL_KEYS.satisfies(records)]) * 3
+                                 for _, records in rows])
+        return context, reader, seen
+
+    @pytest.mark.parametrize("sizes", [(17, 17), (300,), (PLAN_ROWS + 100,)], ids=str)
+    def test_one_reader_over_three_passes_is_three_fresh_readers(self, sizes):
+        reused, reader, reused_rows = self.passes(sizes, SecureCoprocessor, fresh=False)
+        for device in (SecureCoprocessor, ReferenceCoprocessor):
+            other, _, other_rows = self.passes(sizes, device, fresh=True)
+            assert reused_rows == other_rows
+            r, o = reused.coprocessor, other.coprocessor
+            assert r.trace == o.trace
+            assert r.trace.fingerprint() == o.trace.fingerprint()
+            assert TransferStats.from_trace(r.trace) == TransferStats.from_trace(o.trace)
+            assert (r.decryptions, r.encryptions, r.ops_completed) == (
+                o.decryptions, o.encryptions, o.ops_completed)
+            assert (r.physical_decryptions, r.cache_hits) == (
+                o.physical_decryptions, o.cache_hits)
+            assert plain_image(reused) == plain_image(other)
+        # The first block's plan is kept; past the cap, blocks are re-planned.
+        first = range(SCAN_BLOCK)
+        assert reader.plan(first, None) is reader.plan(first, None)
+        assert reader.plan(first, None) is not reader.plan(first, "marks")
+        total = len(reader.space)
+        if total > PLAN_ROWS:
+            last = range(total - SCAN_BLOCK, total)
+            assert reader.plan(last, None) is not reader.plan(last, None)
+
+    def test_an_lfsr_block_is_planned_per_call(self):
+        context = context_on(HostMemory(), FastProvider(KEY))
+        reader = upload_tables(context, tables((17, 17)))
+        segment = lfsr_slice(len(reader.space))[:SCAN_BLOCK]
+        assert reader.plan(segment, None) is not reader.plan(segment, None)
+        assert reader.plan(segment, None) == reader.plan(segment, None)
+
+
+class TestHostReadSlots:
+    """The honest host serves a batch in one pass, and refuses exactly the
+    batches its per-slot ``read_slot`` refuses, with the same error."""
+
+    @staticmethod
+    def host():
+        host = HostMemory()
+        host.allocate_from("A", [b"a0", b"a1", b"a2"])
+        host.allocate("B", 3)
+        host.write_slot("B", 1, b"b1")
+        return host
+
+    @pytest.mark.parametrize("slots", [
+        [("A", 0), ("C", 0)],
+        [("A", 1), ("A", 3)],
+        [("A", 2), ("A", -1)],
+        [("B", -3)],
+        [("A", 0), ("B", 0)],
+        [("B", 1), ("B", 2), ("Z", 0)],
+    ], ids=["unknown-region", "past-the-end", "negative", "negative-in-range",
+            "never-written", "first-refusal-wins"])
+    def test_read_slots_refuses_where_read_slot_does(self, slots):
+        host = self.host()
+        with pytest.raises(HostMemoryError) as one_by_one:
+            [host.read_slot(*slot) for slot in slots]
+        with pytest.raises(HostMemoryError) as batch:
+            host.read_slots(slots)
+        assert str(batch.value) == str(one_by_one.value)
+
+    def test_read_slots_serves_what_read_slot_does(self):
+        host = self.host()
+        slots = [("A", 2), ("B", 1), ("A", 0), ("A", 2)]
+        assert host.read_slots(slots) == [host.read_slot(*slot) for slot in slots]
+        assert host.read_slots([]) == []
+
+    def test_a_host_that_overrides_read_slot_sees_every_slot(self):
+        host = ReadLoggingHost()
+        host.allocate_from("X0", [b"x0", b"x1"])
+        assert host.read_slots([("X0", 1), ("X0", 0), ("X0", 1)]) == [b"x1", b"x0", b"x1"]
+        assert host.log[-3:] == [("X0", 1), ("X0", 0), ("X0", 1)]

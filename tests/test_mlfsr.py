@@ -27,6 +27,10 @@ class TestMlfsr:
         values = list(lfsr.cycle())
         assert len(values) == (1 << width) - 1
         assert sorted(values) == list(range(1, 1 << width))
+        # The inline cycle walks the states step() does, and keeps state current.
+        stepped = Mlfsr(width, seed=1)
+        assert values == [stepped.state] + [stepped.step() for _ in values[1:]]
+        assert lfsr.state == stepped.state == values[-1]
 
     def test_zero_state_never_reached(self):
         lfsr = Mlfsr(8, seed=123)

@@ -17,7 +17,7 @@ from repro.core.parallel import (
     parallel_algorithm6,
 )
 from repro.crypto.provider import FastProvider
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
 from repro.hardware.cluster import Cluster
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import nested_loop_join
@@ -136,6 +136,29 @@ class TestValidationBeforeUpload:
                                     multi, memory)
         assert context.host.region_names() == []
         assert cluster.total_transfers() == 0
+
+    @pytest.mark.parametrize("count, predicate, error", [
+        pytest.param(3, BinaryAsMulti(Equality("key")), ConfigurationError,
+                     id="binary-over-3"),
+        pytest.param(2, BinaryAsMulti(Equality("nokey")), SchemaError,
+                     id="missing-attribute"),
+    ])
+    @pytest.mark.parametrize("algorithm", [4, 5, 6])
+    def test_a_predicate_that_cannot_apply_is_refused_before_upload(
+            self, algorithm, count, predicate, error):
+        wl, _ = workload()
+        tables = [wl.left, wl.right, wl.left][:count]
+        context, cluster = rig(2)
+        with pytest.raises(error):
+            if algorithm == 4:
+                parallel_algorithm4(context, cluster, tables, predicate)
+            elif algorithm == 5:
+                parallel_algorithm5(context, cluster, tables, predicate, 2)
+            else:
+                parallel_algorithm6(context, cluster, tables, predicate, 2)
+        assert context.host.region_names() == []
+        assert cluster.total_transfers() == 0
+        assert len(context.coprocessor.trace) == 0
 
 
 @pytest.mark.parametrize("algorithm, memory, n_max, presorted", [

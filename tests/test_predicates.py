@@ -1,8 +1,10 @@
 """Unit tests for the join predicates."""
 
+from itertools import product
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
 from repro.relational.predicates import (
     BandJoin,
     BinaryAsMulti,
@@ -136,3 +138,67 @@ class TestMultiPredicates:
     def test_custom_multi(self):
         pred = CustomMulti(lambda rs: sum(r["k"] for r in rs) == 6)
         assert pred.satisfies([num(1), num(2), num(3)])
+
+
+class TestBind:
+    """``bind`` resolves attribute positions once; the bound test agrees with
+    ``matches``/``satisfies`` on every row of the bound schemas."""
+
+    GRID = [num(k, v) for k in (1, 2, 3) for v in (0.0, 1.5, 2.0)]
+    BINARY = [
+        Equality("k"),
+        Equality("k", "v"),
+        *(Theta("v", op, "k") for op in ("<", "<=", ">", ">=", "==", "!=")),
+        BandJoin("v", 0.5),
+        BandJoin("k", 1, "v"),
+        L1Proximity(["k", "v"], 2.0),
+        Equality("k") & Theta("v", "<"),
+        Equality("k") | BandJoin("v", 0.5),
+        Custom(lambda a, b: a["k"] + b["k"] == 4),
+    ]
+
+    @pytest.mark.parametrize("pred", BINARY, ids=lambda p: p.description)
+    def test_bound_binary_test_agrees_with_matches(self, pred):
+        test = pred.bind(NUM, NUM)
+        for a in self.GRID:
+            for b in self.GRID:
+                assert test(a, b) == pred.matches(a, b)
+
+    def test_bound_jaccard_agrees_with_matches(self):
+        pred = JaccardSimilarity("s", 0.3)
+        test = pred.bind(SETS, SETS)
+        rows = [sets(0, set()), sets(1, {1, 2}), sets(2, {2, 3}), sets(3, {1, 2, 3})]
+        assert [test(a, b) for a in rows for b in rows] == [
+            pred.matches(a, b) for a in rows for b in rows]
+
+    @pytest.mark.parametrize("multi", [
+        BinaryAsMulti(BandJoin("v", 0.5)),
+        PairwiseAll(Theta("k", "<=")),
+        CustomMulti(lambda rs: sum(r["k"] for r in rs) == 6),
+    ], ids=["binary", "chain", "custom"])
+    def test_bound_multi_test_agrees_with_satisfies(self, multi):
+        arity = 2 if isinstance(multi, BinaryAsMulti) else 3
+        test = multi.bind([NUM] * arity)
+        for row in product(self.GRID, repeat=arity):
+            assert test(row) == multi.satisfies(row)
+
+    def test_missing_attribute_is_refused_at_bind(self):
+        for pred in (Equality("nokey"), Theta("k", "<", "nokey"), BandJoin("nokey", 1),
+                     L1Proximity(["k", "nokey"], 1), JaccardSimilarity("nokey", 0.5),
+                     Equality("k") & Equality("nokey")):
+            with pytest.raises(SchemaError):
+                pred.bind(NUM, NUM)
+        with pytest.raises(SchemaError):
+            PairwiseAll(Equality("nokey")).bind([NUM, NUM, NUM])
+
+    def test_binary_as_multi_binds_exactly_two_tables(self):
+        pred = BinaryAsMulti(Equality("k"))
+        for arity in (1, 3):
+            with pytest.raises(ConfigurationError):
+                pred.bind([NUM] * arity)
+
+    def test_default_bind_is_the_unbound_test(self):
+        custom = Custom(lambda a, b: True)
+        multi = CustomMulti(lambda rs: True)
+        assert custom.bind(NUM, NUM) == custom.matches
+        assert multi.bind([NUM]) == multi.satisfies
