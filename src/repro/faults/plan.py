@@ -11,14 +11,18 @@ on every run, so chaos sweeps are reproducible and failures bisectable.
 A plan is *compiled* before use: compilation binds each spec to its own
 seeded RNG stream (independent of the other specs and of anything the
 algorithms draw), producing a :class:`CompiledFaultPlan` that a
-:class:`~repro.hardware.faulty.FaultyHost` consults once per declared
-boundary operation (a batch presents one op per slot it moves).
+:class:`~repro.hardware.faulty.FaultyHost` drives with its fault clock.
+Ordinals still count every declared boundary operation (a batch presents one
+op per slot it moves), but the host asks the plan only at the ordinals its
+:meth:`~CompiledFaultPlan.candidates` names: a deterministic trigger depends
+on the ordinal alone, so no other ordinal can fire or change any state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -161,7 +165,7 @@ class _SpecState:
 
 
 class CompiledFaultPlan:
-    """A plan bound to per-spec RNG streams; consulted once per host op.
+    """A plan bound to per-spec RNG streams; consulted at candidate ordinals.
 
     Each spec draws from ``Random(seed * 1_000_003 + index)`` so adding or
     removing one spec never perturbs another's injection points — plans
@@ -178,6 +182,28 @@ class CompiledFaultPlan:
     def consult(self, op_number: int, op: str, region: str) -> list[FaultSpec]:
         """The specs firing on this host operation, in declaration order."""
         return [s.spec for s in self._states if s.fires(op_number, op, region)]
+
+    def candidates(self, start: int, count: int) -> Sequence[int]:
+        """The ordinals in ``(start, start + count]`` at which a spec may fire.
+
+        Consulting any other ordinal returns ``[]`` and changes nothing:
+        :meth:`_SpecState.fires` bumps ``fired`` only on a hit and draws no
+        RNG before its ``times`` cap or without a ``probability``.  A spec with
+        a ``probability`` draws once per eligible op, so it makes every
+        ordinal a candidate and its stream advances exactly as op-by-op.
+        """
+        stop = start + count
+        live = [state.spec for state in self._states
+                if state.spec.times is None or state.fired < state.spec.times]
+        if any(spec.probability for spec in live):
+            return range(start + 1, stop + 1)
+        ordinals = set()
+        for spec in live:
+            ordinals.update(op for op in spec.at_ops if start < op <= stop)
+            if spec.every:
+                first = (start // spec.every + 1) * spec.every
+                ordinals.update(range(first, stop + 1, spec.every))
+        return sorted(ordinals)
 
     @property
     def total_fired(self) -> int:

@@ -18,7 +18,9 @@ same boundary-op ordinal whether the coprocessor batches or not.
 
 The wrapper consults a compiled fault plan (see :mod:`repro.faults.plan`) by
 duck type — anything with ``consult(op_number, op, region) -> specs`` works —
-so the hardware layer does not import the higher-level faults package.  Spec
+so the hardware layer does not import the higher-level faults package.  A
+plan that also has ``candidates(start, count)`` is asked only at the ordinals
+it names; every op still takes its ordinal, so the counting is unchanged.  Spec
 kinds are the plan module's string contract: ``transient-read`` /
 ``transient-write`` raise :class:`~repro.errors.TransientHostError`,
 ``slow`` burns ``delay_cycles`` on the simulated clock and proceeds, and
@@ -31,7 +33,7 @@ recovery state survives the very faults it protects against.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from repro.errors import CoprocessorCrashError, TransientHostError
 from repro.hardware.host import ForwardingHost, HostMemory
@@ -61,8 +63,6 @@ class FaultyHost(ForwardingHost):
 
     def _consult(self, op: str, region: str) -> None:
         self.ops_attempted += 1
-        if self._plan is None:
-            return
         for spec in self._plan.consult(self.ops_attempted, op, region):
             if spec.kind == "slow":
                 self.slow_events += 1
@@ -81,8 +81,23 @@ class FaultyHost(ForwardingHost):
                     f"{self.ops_attempted} ({op} on {region!r})"
                 )
 
-    def admit(self, window: Iterable[tuple[str, str]]) -> None:
+    def admit(self, window: Sequence[tuple[str, str]]) -> None:
         """Present a batch's declared ``(op class, region)`` ops to the plan:
-        the fault clock's only entry, one tick per op."""
-        for op, region in window:
-            self._consult(op, region)
+        the fault clock's only entry.
+
+        The window's ops take the next ``len(window)`` ordinals, but the plan
+        is asked only at the ordinals its ``candidates(start, count)`` names
+        (every ordinal for a plan without one).  A fault leaves the counter
+        at the ordinal that fired and consults nothing after it.
+        """
+        start = self.ops_attempted
+        if self._plan is None:
+            ordinals = ()
+        elif hasattr(self._plan, "candidates"):
+            ordinals = self._plan.candidates(start, len(window))
+        else:
+            ordinals = range(start + 1, start + len(window) + 1)
+        for ordinal in ordinals:
+            self.ops_attempted = ordinal - 1
+            self._consult(*window[ordinal - start - 1])
+        self.ops_attempted = start + len(window)

@@ -338,6 +338,10 @@ class RemoteJob:
     #: delivered before a crash, or aged out of the retention budget).
     #: ``None`` for handles rebuilt via :meth:`JoinClient.attach`.
     submit_frame: SubmitJoin | None = field(default=None, repr=False)
+    #: The terminal ``done`` reply :meth:`wait` last saw for ``job_id``, so
+    #: :meth:`pages` after a caller's ``wait()`` needs no second poll.
+    _done: StatusReply | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def _recover_expired(self, exc: RemoteJoinError) -> None:
         """Resubmit after ``job_expired``; deterministic re-execution.
@@ -349,6 +353,7 @@ class RemoteJob:
         """
         if self.submit_frame is None:
             raise exc
+        self._done = None  # it described the expired job
         reply = self.client.request(self.submit_frame)
         if not isinstance(reply, Submitted):
             raise WireProtocolError(
@@ -388,6 +393,7 @@ class RemoteJob:
         while True:
             reply = self.status()
             if reply.state == "done":
+                self._done = reply
                 return reply
             if reply.state == "failed":
                 raise RemoteJoinError(
@@ -413,8 +419,9 @@ class RemoteJob:
         journalled, or retention eviction), the handle resubmits, waits for
         the bit-identical re-execution, and resumes at the same page index —
         deterministic results mean page ``i`` is byte-equal across runs.
+        After a ``wait()`` that saw the job done, no ``Status`` is re-polled.
         """
-        status = self.wait(timeout)
+        status = self._done or self.wait(timeout)
         index = 0
         while index < status.pages:
             try:

@@ -643,11 +643,10 @@ class JoinServer:
         if len(self._jobs) <= self.retain_jobs:
             return
         excess = len(self._jobs) - self.retain_jobs
-        evicted = [
-            job_id
-            for job_id, job in self._jobs.items()  # insertion == admission order
-            if job.future.done()
-        ][:excess]
+        # Stop at the excess-th finished job: insertion == admission order.
+        evicted = list(itertools.islice(
+            (job_id for job_id, job in self._jobs.items() if job.future.done()),
+            excess))
         for job_id in evicted:
             del self._jobs[job_id]
             self._evicted.add(job_id)

@@ -6,6 +6,8 @@ plans, the FaultyHost wrapper, bounded retry at the T/H boundary, and the
 immediate-abort guarantee for authentication failures.
 """
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -15,6 +17,8 @@ from repro.errors import (
     TransientHostError,
 )
 from repro.faults.plan import (
+    _KIND_OPS,
+    KINDS,
     CompiledFaultPlan,
     FaultPlan,
     FaultSpec,
@@ -143,6 +147,77 @@ class TestFaultyHost:
             t.get("R", 0)
         t.get("R", 0)
         assert host.ops_attempted == 10  # 8 puts + faulted attempt + retry
+
+
+class OpByOpHost(FaultyHost):
+    """The window clock's oracle: the plan consulted at every ordinal."""
+
+    def admit(self, window):
+        for op, region in window:
+            self._consult(op, region)
+
+
+_REGIONS = ("A", "B", "out")
+
+
+def random_plan(rng: random.Random) -> FaultPlan:
+    """1-3 specs of any kind; each trigger and filter drawn independently."""
+    specs = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(KINDS)
+        at_ops = (tuple(rng.sample(range(1, 400), rng.randint(1, 4)))
+                  if rng.random() < 0.6 else ())
+        every = rng.randint(1, 40) if rng.random() < 0.5 else 0
+        probability = rng.choice((0.02, 0.2, 1.0)) if rng.random() < 0.25 else 0.0
+        if not (at_ops or every or probability):
+            at_ops = (rng.randint(1, 400),)
+        eligible = _KIND_OPS[kind]
+        specs.append(FaultSpec(
+            kind=kind, at_ops=at_ops, every=every, probability=probability,
+            times=rng.choice((None, None, 1, 3)),
+            regions=(tuple(rng.sample(_REGIONS, rng.randint(1, 2)))
+                     if rng.random() < 0.3 else ()),
+            ops=(tuple(rng.sample(eligible, rng.randint(1, len(eligible))))
+                 if rng.random() < 0.3 else ()),
+            delay_cycles=rng.randint(0, 90),
+        ))
+    return FaultPlan(seed=rng.randrange(1 << 30), specs=specs)
+
+
+def clock_state(host: FaultyHost):
+    return (host.ops_attempted, host.slow_events, host.crashes_injected,
+            host.transient_faults_injected, host.clock.cycles,
+            [(state.fired, state.rng.getstate()) for state in host._plan._states])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_clock_matches_the_op_by_op_walk(seed):
+    """``admit`` asks the plan only at candidate ordinals; over random plans
+    and windows (a transient fault re-presents its window) it leaves exactly
+    the state a consult at every ordinal leaves: error, ordinal, per-spec
+    ``fired`` and RNG stream, fault counters and the virtual clock."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        plan = random_plan(rng)
+        window_host = FaultyHost(HostMemory(), plan, clock=VirtualClock())
+        oracle = OpByOpHost(HostMemory(), plan, clock=VirtualClock())
+        window = []
+        for _ in range(rng.randint(1, 25)):
+            if not window:
+                size = rng.choice((0, 1, 2, 7, 30, 64))
+                window = list(zip(rng.choices(("read", "write", "append"), k=size),
+                                  rng.choices(_REGIONS, k=size)))
+            outcomes = []
+            for host in (window_host, oracle):
+                try:
+                    host.admit(window)
+                    outcomes.append(None)
+                except (TransientHostError, CoprocessorCrashError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], plan
+            assert clock_state(window_host) == clock_state(oracle), plan
+            if outcomes[0] is None or outcomes[0][0] is not TransientHostError:
+                window = []  # only a transient fault re-presents the window
 
 
 class TestRetryPolicy:

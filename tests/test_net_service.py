@@ -133,6 +133,27 @@ class TestEndToEnd:
         assert sum(len(p.rows) for p in pages) == workload.result_size
         assert len(streamed) == workload.result_size
 
+    def test_pages_after_wait_polls_status_once(self, workload):
+        service = JoinService(pool_size=1)
+        server = JoinServer(service)
+        with ServerThread(server) as handle:
+            with make_client(handle.port) as client:
+                job = client.submit_join(
+                    "c-poll", {"alice": workload.left, "bob": workload.right},
+                    PredicateSpec.equality(workload.join_attr),
+                    recipient="carol", page_size=2,
+                )
+                server._jobs[job.job_id].future.result(timeout=60)
+                status = job.wait(timeout=60)
+                pages = list(job.pages())
+                polls = client.metrics.counter(
+                    "client_requests_total", type="Status").value
+        service.close()
+
+        assert len(pages) == status.pages
+        # wait() saw the job done at its first poll; pages() reuses that.
+        assert polls == 1
+
     def test_shared_contract_across_connections(self, workload):
         # Second client reuses the registered contract with identical terms.
         service = JoinService(pool_size=2, queue_depth=4)

@@ -10,7 +10,7 @@ job retention), and the CLI subcommand.
 
 import hashlib
 import random
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -23,7 +23,7 @@ from repro.core.algorithm7 import algorithm7
 from repro.core.service import Contract, JoinService, Party
 from repro.errors import ConfigurationError, ContractError, RemoteJoinError
 from repro.net.client import JoinClient
-from repro.net.server import JoinServer, ServerThread
+from repro.net.server import JoinServer, ServerThread, _Job
 from repro.net.wire import PredicateSpec, encode_relation
 from repro.obs.metrics import MetricsRegistry, instrument_workload
 from repro.relational.generate import uniform_keyed
@@ -464,6 +464,39 @@ class TestJobRetention:
                 # under the 1-deep budget — its handle resubmits too.
                 assert jobs[-1].wait(timeout=60).state == "done"
         assert service.metrics.counter("server_jobs_evicted_total").value >= 1
+        service.close()
+
+    def test_eviction_stops_at_the_oldest_finished_jobs(self):
+        class CountingFuture(Future):
+            asked = 0
+
+            def done(self):
+                self.asked += 1
+                return super().done()
+
+        def job(job_id, state):
+            future = CountingFuture()
+            if state == "running":
+                future.set_running_or_notify_cancel()
+            elif state == "done":
+                future.set_result(None)
+            return _Job(job_id, "contract", "carol", 8, future)
+
+        service = JoinService(pool_size=1, memory=8)
+        server = JoinServer(service, retain_jobs=2)
+        for job_id, state in [("done0", "done"), ("queued1", "queued"),
+                              ("done2", "done"), ("done3", "done")]:
+            server._jobs[job_id] = job(job_id, state)
+        server._evict_finished_locked()
+        assert list(server._jobs) == ["queued1", "done3"]
+        assert server._evicted == {"done0", "done2"}
+        # The scan stopped at the second finished job, the excess.
+        assert server._jobs["done3"].future.asked == 0
+        for job_id, state in [("running4", "running"), ("done5", "done")]:
+            server._jobs[job_id] = job(job_id, state)
+        server._evict_finished_locked()
+        assert list(server._jobs) == ["queued1", "running4"]
+        assert service.metrics.counter("server_jobs_evicted_total").value == 4
         service.close()
 
     def test_zero_retention_rejected(self):
