@@ -20,6 +20,11 @@ Supported aggregates: COUNT, SUM, AVG, MIN, MAX over an attribute of the
 universe (the group keys must be public for the output size — and hence the
 access pattern — to stay data-independent, mirroring how Definition 3 treats
 S as public).
+
+Inputs are validated before anything is uploaded: an aggregate or group
+attribute that names a table or attribute the join lacks, like a predicate
+that cannot apply, raises before the first transfer — never mid-scan, at a
+point that would depend on where the first match lies.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
 from repro.core.base import OUTPUT_REGION, JoinContext
-from repro.core.cartesian import scan_matches, upload_tables
+from repro.core.cartesian import scan_matches, upload_join
 from repro.errors import ConfigurationError
 from repro.hardware.counters import TransferStats
 from repro.hardware.events import Trace
 from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.relational.tuples import Record
 
 
@@ -84,11 +90,23 @@ def agg_max(table: int, attr: str) -> Aggregate:
     return Aggregate(AggregateKind.MAX, table, attr)
 
 
+def _locate(schemas: Sequence[Schema], table: int, attr: str) -> tuple[int, int]:
+    """``(table, position)`` of ``attr`` within an iTuple's component records,
+    resolved once: :class:`ConfigurationError` for a table the join lacks,
+    :class:`~repro.errors.SchemaError` for an attribute its schema lacks."""
+    if not 0 <= table < len(schemas):
+        raise ConfigurationError(
+            f"table X{table} is not one of the {len(schemas)} joined tables")
+    return table, schemas[table].position(attr)
+
+
 class _Accumulator:
     """In-enclave running state for one aggregate (O(1) memory)."""
 
-    def __init__(self, spec: Aggregate) -> None:
+    def __init__(self, spec: Aggregate, schemas: Sequence[Schema]) -> None:
         self.spec = spec
+        if spec.kind is not AggregateKind.COUNT:
+            self.table, self.position = _locate(schemas, spec.table, spec.attr)
         self.count = 0
         self.total = 0.0
         self.minimum: Any = None
@@ -98,7 +116,7 @@ class _Accumulator:
         self.count += 1
         if self.spec.kind is AggregateKind.COUNT:
             return
-        value = records[self.spec.table][self.spec.attr]
+        value = records[self.table].values[self.position]
         self.total += value
         if self.minimum is None or value < self.minimum:
             self.minimum = value
@@ -151,16 +169,15 @@ def aggregate_join(
     single fixed-size result tuple at the end — an access pattern that is a
     function of L alone, hence privacy preserving under Definition 3.
     """
-    if not relations:
-        raise ConfigurationError("at least one relation is required")
     if not aggregates:
         raise ConfigurationError("at least one aggregate is required")
+    schemas = [relation.schema for relation in relations]
+    accumulators = [_Accumulator(spec, schemas) for spec in aggregates]
     coprocessor = context.coprocessor
-    reader = upload_tables(context, relations)
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     context.allocate_output()
 
-    accumulators = [_Accumulator(spec) for spec in aggregates]
     with coprocessor.hold(2):  # one iTuple + the accumulator block
         for _, records in scan_matches(reader, range(total), predicate):
             for accumulator in accumulators:
@@ -203,15 +220,17 @@ def group_by_aggregate(
         raise ConfigurationError("the group universe must be declared and non-empty")
     if len(set(groups)) != len(groups):
         raise ConfigurationError("group keys must be distinct")
+    schemas = [relation.schema for relation in relations]
+    group_table, group_position = _locate(schemas, group_table, group_attr)
+    accumulators = {g: _Accumulator(aggregate, schemas) for g in groups}
     coprocessor = context.coprocessor
-    reader = upload_tables(context, relations)
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     context.allocate_output()
 
-    accumulators = {g: _Accumulator(aggregate) for g in groups}
     with coprocessor.hold(2 + len(groups)):
         for _, records in scan_matches(reader, range(total), predicate):
-            accumulator = accumulators.get(records[group_table][group_attr])
+            accumulator = accumulators.get(records[group_table].values[group_position])
             if accumulator is not None:
                 accumulator.feed(records)
         for group in groups:

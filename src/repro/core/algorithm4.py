@@ -31,10 +31,9 @@ from repro.core.cartesian import (
     CartesianReader,
     encode_joined,
     scan_blocks,
-    upload_tables,
+    upload_join,
 )
 from repro.costs.filter_opt import optimal_delta
-from repro.errors import ConfigurationError
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import MultiPredicate
@@ -45,29 +44,36 @@ OTUPLE_REGION = "otuples"
 
 
 def scan_otuples(
-    reader: CartesianReader,
-    logicals: Sequence[int],
+    coprocessor,
+    index_range: range,
+    worker: int,
+    *,
+    tables: tuple,
     predicate: MultiPredicate,
     out_codec: TupleCodec,
 ) -> int:
     """Algorithm 4's scan: one oTuple out per iTuple in, unconditionally.
 
-    Writes ``otuples[logical]`` for every logical index given — the join
-    result on a match, a decoy otherwise — and returns the number of real
-    results.  The caller holds the two enclave slots.
+    Writes ``otuples[logical]`` for every logical index in ``index_range`` —
+    the join result on a match, a decoy otherwise — holding the two enclave
+    slots, and returns the number of real results.  The sequential algorithm
+    runs it once over all L iTuples; the parallel variant runs one partition
+    per coprocessor (``worker``).
     """
+    reader = CartesianReader(coprocessor, *tables)
     test = predicate.bind(reader.schemas)
     decoy = make_decoy(out_codec.record_size)
     result_count = 0
-    for block in scan_blocks(reader, logicals, output=OTUPLE_REGION):
-        otuples = []
-        for _, records in block:
-            if test(records):
-                otuples.append(make_real(encode_joined(out_codec, records)))
-                result_count += 1
-            else:
-                otuples.append(decoy)
-        block.write(otuples)
+    with coprocessor.hold(2):
+        for block in scan_blocks(reader, index_range, output=OTUPLE_REGION):
+            otuples = []
+            for _, records in block:
+                if test(records):
+                    otuples.append(make_real(encode_joined(out_codec, records)))
+                    result_count += 1
+                else:
+                    otuples.append(decoy)
+            block.write(otuples)
     return result_count
 
 
@@ -82,17 +88,10 @@ def algorithm4(
     ``delta`` overrides the filter swap-area size (defaults to the Eq. 5.1
     optimum for the observed output size S).
     """
-    if not relations:
-        raise ConfigurationError("at least one relation is required")
     coprocessor = context.coprocessor
     host = context.host
-
     out_schema = multi_party_output_schema(relations)
-    out_codec = TupleCodec(out_schema)
-    # A predicate that cannot apply is refused before anything is uploaded.
-    predicate.bind([relation.schema for relation in relations])
-
-    reader = upload_tables(context, relations)
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     if host.has_region(OTUPLE_REGION):
         host.free(OTUPLE_REGION)
@@ -101,8 +100,10 @@ def algorithm4(
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
 
-    with profile.span("scan"), coprocessor.hold(2):
-        result_count = scan_otuples(reader, range(total), predicate, out_codec)
+    with profile.span("scan"):
+        result_count = scan_otuples(
+            coprocessor, range(total), 0,
+            tables=reader.tables, predicate=predicate, out_codec=TupleCodec(out_schema))
 
     # Oblivious decoy removal: keep the S real results.
     chosen_delta = delta if delta is not None else optimal_delta(result_count, total)

@@ -38,7 +38,7 @@ from repro.core.cartesian import (
     CartesianReader,
     encode_joined,
     scan_blocks,
-    upload_tables,
+    upload_join,
 )
 from repro.errors import ConfigurationError
 from repro.obs.spans import PhaseProfile
@@ -48,33 +48,50 @@ from repro.relational.tuples import TupleCodec
 
 
 def rescan_output(
-    reader: CartesianReader,
+    coprocessor,
+    *,
+    tables: tuple,
     predicate: MultiPredicate,
     out_codec: TupleCodec,
     memory: int,
-    known_result_size: int | None,
-    profile: PhaseProfile,
+    known_result_size: int | None = None,
+    first: int = 0,
+    profile: PhaseProfile | None = None,
 ) -> tuple[int, int]:
-    """Algorithm 5's scans (also Algorithm 6's salvage): ``(flushed, scans)``.
+    """Algorithm 5's scans: ``(flushed, scans)``.
 
-    Every scan reads every iTuple whatever the data; a block that lies at or
-    before ``pindex``, or that starts after the buffer filled, has nothing to
-    store and is not decoded.
+    Flushes the results whose ordinals start at ``first`` — M per scan, and
+    ``known_result_size`` of them when that is given — to the output region.
+    Every scan reads every iTuple whatever the data; a later scan resumes
+    after the last stored index, so a block that lies at or before it, or
+    that starts once the scan has stored all it may, is not decoded.
+
+    Algorithm 5 runs it from ordinal 0, booking each scan and flush to
+    ``profile``; Algorithm 6's salvage runs it from 0 with S known, and each
+    coprocessor of the parallel variant over its range of ordinals (no
+    profile: a profile cannot cross a process boundary).
     """
-    coprocessor = reader.coprocessor
+    profile = profile if profile is not None else PhaseProfile()
+    reader = CartesianReader(coprocessor, *tables)
     test = predicate.bind(reader.schemas)
     flushed = 0
     scans = 0
+    skip = first  # results still to pass over before the first stored one
     pindex = -1  # index of the last iTuple whose result has been flushed
     while True:
+        room = memory if known_result_size is None else min(
+            memory, known_result_size - flushed)
         buffer = coprocessor.buffer(memory)
         lindex = pindex  # last index stored THIS scan
         with profile.span("scan"), coprocessor.hold(1):
             for block in scan_blocks(reader, range(len(reader.space))):
-                if buffer.full or block.logicals[-1] <= pindex:
+                if len(buffer) >= room or block.logicals[-1] <= pindex:
                     continue
                 for logical, records in block:
-                    if logical > pindex and not buffer.full and test(records):
+                    if logical > pindex and len(buffer) < room and test(records):
+                        if skip:
+                            skip -= 1
+                            continue
                         buffer.append(encode_joined(out_codec, records))
                         lindex = logical
         scans += 1
@@ -98,24 +115,20 @@ def algorithm5(
     known_result_size: int | None = None,
 ) -> JoinResult:
     """Run Algorithm 5 with an M-result enclave buffer."""
-    if not relations:
-        raise ConfigurationError("at least one relation is required")
     if memory < 1:
         raise ConfigurationError("M must be at least 1")
 
     coprocessor = context.coprocessor
     out_schema = multi_party_output_schema(relations)
-    out_codec = TupleCodec(out_schema)
-    # A predicate that cannot apply is refused before anything is uploaded.
-    predicate.bind([relation.schema for relation in relations])
-
-    reader = upload_tables(context, relations)
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     context.allocate_output()
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
     flushed, scans = rescan_output(
-        reader, predicate, out_codec, memory, known_result_size, profile)
+        coprocessor, tables=reader.tables, predicate=predicate,
+        out_codec=TupleCodec(out_schema), memory=memory,
+        known_result_size=known_result_size, profile=profile)
 
     expected_scans = (
         max(1, math.ceil(known_result_size / memory))

@@ -117,6 +117,12 @@ class CartesianReader:
         self._plans: dict[tuple[range, str | None], BlockPlan] = {}
         self._planned_rows = 0
 
+    @property
+    def tables(self) -> tuple[tuple[str, ...], tuple[TupleCodec, ...], CartesianSpace]:
+        """``(regions, codecs, space)``: what a scan body builds its own
+        reader from, on whichever coprocessor (or process) runs it."""
+        return self.regions, self.codecs, self.space
+
     def plan(self, logicals: Sequence[int], output: str | None) -> BlockPlan:
         """A block's plan: built once per ``range`` block (up to the cap),
         per call for any other sequence (an LFSR segment)."""
@@ -220,7 +226,7 @@ def scan_blocks(
 ) -> Iterator[ScanBlock]:
     """The cartesian pass: visit the iTuples at ``logicals``, in that order.
 
-    The one scan body of Algorithms 4/5/6, their parallel shares and the
+    The one scan body of Algorithms 4/5/6 (sequential and parallel) and the
     aggregation scans.  ``logicals`` is any sequence — a ``range``, a slice
     of the LFSR order.  With ``output``, row k also writes
     ``output[logicals[k]]`` from the oTuples the caller hands to
@@ -259,6 +265,21 @@ def upload_tables(context, relations: Sequence[Relation]) -> CartesianReader:
         regions.append(region)
     space = CartesianSpace([len(r) for r in relations])
     return CartesianReader(context.coprocessor, regions, codecs, space)
+
+
+def upload_join(context, relations: Sequence[Relation],
+                predicate: MultiPredicate) -> CartesianReader:
+    """Upload a cartesian join's tables, refusing first what cannot run.
+
+    The refuse-before-upload point of every cartesian driver: an empty
+    relation list, or a predicate that cannot apply to the relations'
+    schemas (:meth:`MultiPredicate.bind`), raises before anything reaches
+    the host.
+    """
+    if not relations:
+        raise ConfigurationError("at least one relation is required")
+    predicate.bind([relation.schema for relation in relations])
+    return upload_tables(context, relations)
 
 
 def joined_values(records: Sequence[Record]) -> tuple:

@@ -7,7 +7,7 @@ ranges for Algorithm 5, and share an MLFSR seed for Algorithm 6.
 
 Every variant here is written once: it builds its coprocessors' shares as one
 barrier round of :class:`~repro.hardware.cluster.ShardTask` — module-level
-(picklable) share functions plus their declared host footprints — and hands
+(picklable) scan bodies plus their declared host footprints — and hands
 the round to :meth:`~repro.hardware.cluster.Cluster.run_tasks`, which has two
 executors:
 
@@ -23,9 +23,15 @@ executors:
   share reports no phase rows of its own: a profile cannot cross a process
   boundary, so what a share flushes is booked to the round's row.
 
-Algorithms 2 and 3 have no share of their own here: each round runs the
-sequential algorithm's scan (:func:`repro.core.algorithm2.scan_passes`,
-:func:`repro.core.algorithm3.scan_ring`) over a slice of A, passing no profile.
+No algorithm has a share of its own here: each round runs the sequential
+algorithm's scan body, passing no profile — :func:`repro.core.algorithm2.
+scan_passes` and :func:`repro.core.algorithm3.scan_ring` over a slice of A,
+:func:`repro.core.algorithm4.scan_otuples` over a partition of the iTuples,
+:func:`repro.core.algorithm5.rescan_output` over a range of result ordinals
+and :func:`repro.core.algorithm6.scan_segments` over a range of the shared
+MLFSR order's segments.  So on a one-device cluster parallel Algorithms
+2, 3, 4 and 6 trace as their sequential twins, event for event, and parallel
+Algorithm 5 emits its rows in Algorithm 5's order.
 
 Oblivious decoy filtering in parallel needs a parallel oblivious sort, which
 the paper lists as future work ("implementing a parallel bitonic sort is
@@ -45,7 +51,8 @@ from typing import Any, Sequence
 from repro.core.algorithm2 import gamma_for, scan_passes
 from repro.core.algorithm3 import scan_ring, upload_sorted
 from repro.core.algorithm4 import scan_otuples
-from repro.core.algorithm6 import pad_segment, scan_segment
+from repro.core.algorithm5 import rescan_output
+from repro.core.algorithm6 import scan_segments
 from repro.core.base import (
     JoinContext,
     decoy_priority,
@@ -54,13 +61,7 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
-from repro.core.cartesian import (
-    CartesianReader,
-    encode_joined,
-    scan_blocks,
-    scan_matches,
-    upload_tables,
-)
+from repro.core.cartesian import CartesianReader, scan_matches, upload_join
 from repro.costs.filter_opt import optimal_delta
 from repro.errors import BlemishError, ConfigurationError
 from repro.hardware.cluster import Cluster, ShardTask, TaskExecutor, TaskIO
@@ -117,85 +118,6 @@ def _join_result(result: Relation, cluster: Cluster, profile: PhaseProfile,
         per_coprocessor=stats or [TransferStats.from_trace(t.trace) for t in cluster],
         meta={**meta, "P": len(cluster), "phases": profile.breakdown()},
     )
-
-
-# -- per-coprocessor work (module-level, hence picklable) --------------------
-
-def _alg4_scan_share(
-    coprocessor,
-    index_range: range,
-    worker: int,
-    *,
-    tables: tuple,
-    predicate: MultiPredicate,
-    out_codec: TupleCodec,
-) -> int:
-    """One coprocessor's Algorithm 4 share; returns its real-result count."""
-    reader = CartesianReader(coprocessor, *tables)
-    with coprocessor.hold(2):
-        return scan_otuples(reader, index_range, predicate, out_codec)
-
-
-def _alg5_scan_share(
-    coprocessor,
-    *,
-    tables: tuple,
-    predicate: MultiPredicate,
-    out_codec: TupleCodec,
-    memory: int,
-    lo: int,
-    hi: int,
-) -> None:
-    """One coprocessor's Algorithm 5 share: emit result ordinals [lo, hi)."""
-    reader = CartesianReader(coprocessor, *tables)
-    test = predicate.bind(reader.schemas)
-    total = len(reader.space)
-    scans = max(1, math.ceil((hi - lo) / memory))
-    emitted = lo
-    pending = coprocessor.buffer(memory)
-    with coprocessor.hold(1):
-        for _ in range(scans):
-            ordinal = 0
-            for block in scan_blocks(reader, range(total)):
-                if pending.full or ordinal >= hi:
-                    continue  # nothing left to store this scan: read, not decoded
-                for _logical, records in block:
-                    if test(records):
-                        if emitted <= ordinal < hi and not pending.full:
-                            pending.append(encode_joined(out_codec, records))
-                        ordinal += 1
-            emitted += len(coprocessor.append_many("output", pending.drain()))
-    pending.release()
-
-
-def _alg6_scan_share(
-    coprocessor,
-    *,
-    tables: tuple,
-    predicate: MultiPredicate,
-    out_codec: TupleCodec,
-    positions: Sequence[int],
-    first_segment: int,
-    last_segment: int,
-    n_star: int,
-    memory: int,
-) -> bool:
-    """One coprocessor's Algorithm 6 share: its range of random-order
-    segments.  Returns True when a segment blemished (overflowed M)."""
-    reader = CartesianReader(coprocessor, *tables)
-    buffer = coprocessor.buffer(memory)
-    blemish = False
-    with coprocessor.hold(1):
-        for seg in range(first_segment, last_segment):
-            offset = (seg - first_segment) * n_star
-            blemish = scan_segment(
-                reader, positions[offset:offset + n_star], predicate, out_codec, buffer)
-            coprocessor.put_range("psegments", seg * memory, pad_segment(
-                buffer.drain(), memory, out_codec.record_size))
-            if blemish:
-                break
-    buffer.release()
-    return blemish
 
 
 # -- the parallel algorithms -------------------------------------------------
@@ -312,11 +234,7 @@ def parallel_algorithm4(
 ) -> ParallelJoinResult:
     """Algorithm 4 with the iTuples partitioned across the cluster."""
     out_schema = multi_party_output_schema(relations)
-    out_codec = TupleCodec(out_schema)
-    # A predicate that cannot apply is refused before anything is uploaded.
-    predicate.bind([relation.schema for relation in relations])
-    reader = upload_tables(context, relations)
-    tables = reader.regions, reader.codecs, reader.space
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     context.host.allocate("otuples", total)
     output = context.allocate_output()
@@ -324,8 +242,8 @@ def parallel_algorithm4(
 
     tasks = cluster.partition_tasks(
         total,
-        partial(_alg4_scan_share,
-                tables=tables, predicate=predicate, out_codec=out_codec),
+        partial(scan_otuples, tables=reader.tables, predicate=predicate,
+                out_codec=TupleCodec(out_schema)),
         io=lambda index_range, worker: TaskIO(reads={
             **{region: None for region in reader.regions},
             "otuples": [(index_range.start, index_range.stop)],
@@ -381,16 +299,13 @@ def parallel_algorithm5(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    # A predicate that cannot apply is refused before anything is uploaded.
-    predicate.bind([relation.schema for relation in relations])
-    reader = upload_tables(context, relations)
-    tables = reader.regions, reader.codecs, reader.space
+    reader = upload_join(context, relations, predicate)
     context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
 
     # Screening by the coordinator (T0).
-    result_count = _screen(cluster[0], tables, predicate, profile)
+    result_count = _screen(cluster[0], reader.tables, predicate, profile)
 
     share = math.ceil(result_count / len(cluster)) if result_count else 0
     tasks = []
@@ -399,14 +314,14 @@ def parallel_algorithm5(
         if lo < hi:
             tasks.append(ShardTask(
                 device=p,
-                fn=_alg5_scan_share,
+                fn=rescan_output,
                 io=TaskIO(
                     reads={region: None for region in reader.regions},
                     appends={"output": lo},
                 ),
                 kwargs=dict(
-                    tables=tables, predicate=predicate, out_codec=out_codec,
-                    memory=memory, lo=lo, hi=hi,
+                    tables=reader.tables, predicate=predicate, out_codec=out_codec,
+                    memory=memory, known_result_size=hi - lo, first=lo,
                 ),
                 label=f"algorithm5 ordinals [{lo}, {hi})",
             ))
@@ -447,17 +362,14 @@ def parallel_algorithm6(
         raise ConfigurationError("M must be at least 1")
     out_schema = multi_party_output_schema(relations)
     out_codec = TupleCodec(out_schema)
-    # A predicate that cannot apply is refused before anything is uploaded.
-    predicate.bind([relation.schema for relation in relations])
-    reader = upload_tables(context, relations)
-    tables = reader.regions, reader.codecs, reader.space
+    reader = upload_join(context, relations, predicate)
     total = len(reader.space)
     output = context.allocate_output()
 
     profile = PhaseProfile.for_cluster(cluster)
 
     # Screening by the coordinator to learn S (no writes).
-    result_count = _screen(cluster[0], tables, predicate, profile)
+    result_count = _screen(cluster[0], reader.tables, predicate, profile)
 
     n_star = segment_size if segment_size is not None else optimal_segment_size(
         total, result_count, memory, epsilon
@@ -476,16 +388,16 @@ def parallel_algorithm6(
         if first_segment < last_segment:
             tasks.append(ShardTask(
                 device=p,
-                fn=_alg6_scan_share,
+                fn=scan_segments,
                 io=TaskIO(reads={
                     **{region: None for region in reader.regions},
                     "psegments": [(first_segment * memory, last_segment * memory)],
                 }),
                 kwargs=dict(
-                    tables=tables, predicate=predicate, out_codec=out_codec,
-                    positions=order[first_segment * n_star:last_segment * n_star],
-                    first_segment=first_segment, last_segment=last_segment,
-                    n_star=n_star, memory=memory,
+                    tables=reader.tables, predicate=predicate, out_codec=out_codec,
+                    order=order[first_segment * n_star:last_segment * n_star],
+                    segments=range(first_segment, last_segment),
+                    n_star=n_star, memory=memory, region="psegments",
                 ),
                 label=f"algorithm6 segments [{first_segment}, {last_segment})",
             ))

@@ -16,7 +16,7 @@ from repro.core.aggregation import (
     group_by_aggregate,
     paper_aggregation_cost,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchemaError
 from repro.privacy.checker import check_runs
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import nested_loop_join
@@ -153,3 +153,42 @@ class TestGroupBy:
         with pytest.raises(ConfigurationError):
             group_by_aggregate(fresh_context(), [a, b], PRED, 0, "key", [1, 1],
                                count())
+
+
+class TestValidationBeforeUpload:
+    """Both aggregations refuse an aggregate, a group or a predicate that
+    cannot apply before anything reaches the host — not mid-scan, at a
+    point that depends on where the first match lies."""
+
+    CASES = {
+        # case: (relation count, predicate, aggregate, group, error)
+        "bad-table": (2, PRED, agg_sum(5, "key"), (5, "key"), ConfigurationError),
+        "bad-attribute": (2, PRED, agg_sum(1, "nokey"), (0, "nokey"), SchemaError),
+        "predicate-missing-attribute": (
+            2, BinaryAsMulti(Equality("nokey")), count(), (0, "key"), SchemaError),
+        "binary-over-3": (3, PRED, count(), (0, "key"), ConfigurationError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("function", ["aggregate_join", "group_by_aggregate"])
+    def test_refused_before_upload(self, function, case):
+        joined, predicate, aggregate, (group_table, group_attr), error = self.CASES[case]
+        tables, _ = workload()
+        tables = (tables + tables)[:joined]
+        context = fresh_context()
+        with pytest.raises(error):
+            if function == "aggregate_join":
+                aggregate_join(context, tables, predicate, [count(), aggregate])
+            else:
+                group_by_aggregate(context, tables, predicate, group_table,
+                                   group_attr, [1, 2], aggregate)
+        assert context.host.region_names() == []
+        assert len(context.coprocessor.trace) == 0
+
+    def test_group_by_checks_its_aggregate_too(self):
+        tables, _ = workload()
+        context = fresh_context()
+        with pytest.raises(ConfigurationError):
+            group_by_aggregate(context, tables, PRED, 0, "key", [1, 2],
+                               agg_max(7, "payload"))
+        assert context.host.region_names() == []

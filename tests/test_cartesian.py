@@ -446,8 +446,9 @@ class TestTheScanIsOneSectionPerBlock:
         blocks = -(-total // SCAN_BLOCK)
         assert blocks == 9
 
-        found = scan_otuples(reader, range(total), BinaryAsMulti(Equality("key")),
-                             TupleCodec(multi_party_output_schema(relations)))
+        found = scan_otuples(context.coprocessor, range(total), 0, tables=reader.tables,
+                             predicate=BinaryAsMulti(Equality("key")),
+                             out_codec=TupleCodec(multi_party_output_schema(relations)))
         assert found == 48
         trace = context.coprocessor.trace
         assert (trace.runs, trace.singles) == (blocks, 0)

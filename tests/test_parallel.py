@@ -5,9 +5,13 @@ import random
 import pytest
 
 from tests.conftest import KEY
+from tests.test_cartesian import blemishing_workload
 
 from repro.core.algorithm2 import algorithm2
 from repro.core.algorithm3 import algorithm3
+from repro.core.algorithm4 import algorithm4
+from repro.core.algorithm5 import algorithm5
+from repro.core.algorithm6 import algorithm6
 from repro.core.base import JoinContext
 from repro.core.parallel import (
     parallel_algorithm2,
@@ -17,7 +21,7 @@ from repro.core.parallel import (
     parallel_algorithm6,
 )
 from repro.crypto.provider import FastProvider
-from repro.errors import ConfigurationError, SchemaError
+from repro.errors import BlemishError, ConfigurationError, SchemaError
 from repro.hardware.cluster import Cluster
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import nested_loop_join
@@ -161,6 +165,13 @@ class TestValidationBeforeUpload:
         assert len(context.coprocessor.trace) == 0
 
 
+def renamed(trace, parallel_region, region):
+    """A parallel device's events with its own region named as the sequential
+    algorithm names it."""
+    return [event._replace(region=region) if event.region == parallel_region else event
+            for event in trace.events]
+
+
 @pytest.mark.parametrize("algorithm, memory, n_max, presorted", [
     pytest.param(2, 1, 3, False, id="alg2-gamma=3"),
     pytest.param(2, 20, 10, False, id="alg2-N=|B|"),
@@ -187,12 +198,67 @@ def test_one_device_cluster_runs_the_sequential_algorithm(
                                 n_max, presorted=presorted)
         parallel = parallel_algorithm3(context, cluster, wl.left, wl.right,
                                        "key", n_max, presorted=presorted)
-    events = [
-        event._replace(region="scratch3") if event.region == "scratch3w0" else event
-        for event in cluster[0].trace.events
-    ]
-    assert events == list(sequential.trace.events)
+    assert (renamed(cluster[0].trace, "scratch3w0", "scratch3")
+            == list(sequential.trace.events))
     assert parallel.result.records() == sequential.result.records()
+
+
+@pytest.mark.parametrize("case", ["alg4", "alg6", "alg6-blemish"])
+def test_one_device_cluster_runs_the_sequential_cartesian_join(case):
+    """Section 5.3.5 splits Algorithms 4 and 6 across devices, so with P = 1
+    the parallel variant is the sequential algorithm: the same trace event
+    for event (the parallel regions renamed) and the same result rows.  A
+    blemish ends both at the same event: neither writes the blemished
+    segment before it raises."""
+    multi = BinaryAsMulti(Equality("key"))
+    sequential_context = JoinContext.fresh(provider=FastProvider(KEY))
+    context, cluster = rig(1)
+    if case == "alg4":
+        wl, _ = workload()
+        sequential = algorithm4(sequential_context, [wl.left, wl.right], multi)
+        parallel = parallel_algorithm4(context, cluster, [wl.left, wl.right], multi)
+        parallel_region, region = "__pfilter", "__filter"
+    elif case == "alg6":
+        wl, _ = workload()
+        sequential = algorithm6(sequential_context, [wl.left, wl.right], multi,
+                                memory=2, epsilon=1e-6, seed=3)
+        parallel = parallel_algorithm6(context, cluster, [wl.left, wl.right], multi,
+                                       memory=2, epsilon=1e-6, seed=3)
+        assert sequential.meta["S"] > 2 and not sequential.meta["blemish"]
+        parallel_region, region = "psegments", "segments"
+    else:
+        relations, _ = blemishing_workload()
+        with pytest.raises(BlemishError):
+            algorithm6(sequential_context, relations, multi, memory=1,
+                       segment_size=64, salvage="raise")
+        with pytest.raises(BlemishError):
+            parallel_algorithm6(context, cluster, relations, multi, memory=1,
+                                segment_size=64)
+        assert (renamed(cluster[0].trace, "psegments", "segments")
+                == list(sequential_context.coprocessor.trace.events))
+        return
+    assert (renamed(cluster[0].trace, parallel_region, region)
+            == list(sequential.trace.events))
+    assert parallel.result.records() == sequential.result.records()
+
+
+@pytest.mark.parametrize("processors", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_parallel_algorithm5_keeps_the_sequential_order(seed, processors):
+    """Each device emits a contiguous range of result ordinals at its own
+    output offset, so the rows come out in Algorithm 5's order, for every
+    split of S into shares of M-result scans."""
+    multi = BinaryAsMulti(Equality("key"))
+    for memory in (1, 2, 3, 5):
+        for results in (0, 1, 2, 5, 7, 12):
+            wl = equijoin_workload(8, 12, results, rng=random.Random(seed))
+            relations = [wl.left, wl.right]
+            sequential = algorithm5(JoinContext.fresh(provider=FastProvider(KEY)),
+                                    relations, multi, memory)
+            context, cluster = rig(processors)
+            parallel = parallel_algorithm5(context, cluster, relations, multi, memory)
+            assert parallel.result.records() == sequential.result.records()
+            assert len(sequential.result) == results
 
 
 def test_every_parallel_algorithm_is_exported_from_repro_core():
