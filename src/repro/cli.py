@@ -169,7 +169,9 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     coprocessor = context.coprocessor
     print(f"crypto fast path: {coprocessor.physical_decryptions} physical "
           f"decryptions for {coprocessor.decryptions} modeled "
-          f"({coprocessor.cache_hits} cache hits)")
+          f"({coprocessor.cache_hits} cache hits), "
+          f"{coprocessor.physical_encryptions} physical encryptions for "
+          f"{coprocessor.encryptions} modeled")
     regions = sorted({region for (_, region) in out.stats.by_region})
     region_rows = [
         {

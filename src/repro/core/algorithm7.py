@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ContextManager, Sequence
 
 from repro.core.base import (
     OUTPUT_REGION,
@@ -65,6 +65,7 @@ from repro.errors import ConfigurationError
 from repro.obs.spans import PhaseProfile
 from repro.oblivious.expand import (
     INFINITY,
+    oblivious_fill,
     oblivious_linear_pass,
     oblivious_transform_copy,
     oblivious_zip_write,
@@ -78,7 +79,7 @@ from repro.relational.predicates import (
     Predicate,
 )
 from repro.relational.relation import Relation
-from repro.relational.tuples import Record, TupleCodec
+from repro.relational.tuples import TupleCodec
 
 UNION_REGION = "smj"
 LEFT_EXPAND_REGION = "smj_left"
@@ -156,7 +157,10 @@ class SortMergeEngine:
     the two independent expansion stages onto different cluster devices and
     swaps ``union_sort`` for the parallel oblivious sort.  ``union_sort`` is
     called for the two sorts over the whole union region (phase 2 and 4);
-    each expansion's networks always run on that table's device.
+    each expansion's networks always run on that table's device, as one
+    fused section.  ``union_section`` is the section phases 1-4 run in: the
+    build device's, or :func:`~repro.hardware.coprocessor.unfused` while the
+    union sort spans several devices.
     """
 
     build: Any
@@ -165,6 +169,7 @@ class SortMergeEngine:
     right: Any
     emit: Any
     union_sort: Callable[[str, int, Callable[[bytes], Any]], None]
+    union_section: Callable[[], ContextManager[Callable[[], None]]]
 
 
 def algorithm7(
@@ -184,6 +189,7 @@ def algorithm7(
         union_sort=lambda region, size, key: oblivious_sort(
             coprocessor, region, size, key=key
         ),
+        union_section=coprocessor.section,
     )
     out_schema, meta = sort_merge_equijoin(
         context, relations, predicate, profile, engine
@@ -217,7 +223,6 @@ def sort_merge_equijoin(
     host = context.host
 
     out_schema = two_party_output_schema(left, right)
-    out_codec = TupleCodec(out_schema)
     left_codec = context.upload_relation("X0", left)
     right_codec = context.upload_relation("X1", right)
     (left_key_off, key_width), (right_key_off, _) = check_key_compatibility(
@@ -258,102 +263,109 @@ def sort_merge_equijoin(
         if size:
             host.allocate(region, size)
 
-    # Phase 1 — build: rewrite both inputs into union working tuples.
-    with profile.span("build"):
-        def to_union(side, key_off):
-            def transform(_k, payload):
-                key = payload[key_off:key_off + key_width]
-                return pack_union(key, side, 0, 0, 0, 0, payload)
-            return transform
+    # Phases 1-4 rewrite only the union region: one fused section, whose
+    # close (inside the partition span) encrypts and writes each slot once.
+    with engine.union_section() as close_union:
+        # Phase 1 — build: rewrite both inputs into union working tuples.
+        with profile.span("build"):
+            def to_union(side, key_off):
+                def transform(_k, payload):
+                    key = payload[key_off:key_off + key_width]
+                    return pack_union(key, side, 0, 0, 0, 0, payload)
+                return transform
 
-        oblivious_transform_copy(
-            engine.build, "X0", 0, UNION_REGION, 0, n1,
-            to_union(LEFT_SIDE, left_key_off),
-        )
-        oblivious_transform_copy(
-            engine.build, "X1", 0, UNION_REGION, n1, n2,
-            to_union(RIGHT_SIDE, right_key_off),
-        )
-
-    # Phase 2 — oblivious sort by (key bytes, table flag): any total order
-    # groups equal keys; lefts precede rights within each group.
-    with profile.span("sort"):
-        engine.union_sort(UNION_REGION, n, lambda p: p[:meta_off])
-
-    # Phase 3 — three linear counting passes.  Registers live in the enclave;
-    # every slot is rewritten, so the pattern is n gets + n puts per pass.
-    with profile.span("count"):
-        # Pass A (forward): index within side; rights see the complete left
-        # count alpha1 (lefts sort before rights within a group).
-        state_a = {"key": None, "lefts": 0, "rights": 0}
-
-        def pass_a(_i, plain):
-            key, side, idx, a1, a2, off, payload = unpack_union(plain)
-            if key != state_a["key"]:
-                state_a["key"] = key
-                state_a["lefts"] = 0
-                state_a["rights"] = 0
-            if side == LEFT_SIDE:
-                idx = state_a["lefts"]
-                state_a["lefts"] += 1
-            else:
-                idx = state_a["rights"]
-                state_a["rights"] += 1
-                a1 = state_a["lefts"]
-            return pack_union(key, side, idx, a1, a2, off, payload)
-
-        oblivious_linear_pass(engine.count, UNION_REGION, n, pass_a)
-
-        # Pass B (backward): the first tuple met per group is its last — a
-        # right tuple knows alpha2 = idx + 1, a last left knows alpha1.
-        state_b = {"key": None, "a1": 0, "a2": 0}
-
-        def pass_b(_i, plain):
-            key, side, idx, a1, a2, off, payload = unpack_union(plain)
-            if key != state_b["key"]:
-                state_b["key"] = key
-                if side == RIGHT_SIDE:
-                    state_b["a1"] = a1
-                    state_b["a2"] = idx + 1
-                else:
-                    state_b["a1"] = idx + 1
-                    state_b["a2"] = 0
-            return pack_union(
-                key, side, idx, state_b["a1"], state_b["a2"], off, payload
+            oblivious_transform_copy(
+                engine.build, "X0", 0, UNION_REGION, 0, n1,
+                to_union(LEFT_SIDE, left_key_off),
+            )
+            oblivious_transform_copy(
+                engine.build, "X1", 0, UNION_REGION, n1, n2,
+                to_union(RIGHT_SIDE, right_key_off),
             )
 
-        oblivious_linear_pass(engine.count, UNION_REGION, n, pass_b,
-                              reverse=True)
+        # Phase 2 — oblivious sort by (key bytes, table flag): any total
+        # order groups equal keys; lefts precede rights within each group.
+        with profile.span("sort"):
+            engine.union_sort(UNION_REGION, n, lambda p: p[:meta_off])
 
-        # Pass C (forward): running group offsets; the enclave accumulates S.
-        state_c = {"key": None, "cum": 0, "a1": 0, "a2": 0}
+        # Phase 3 — three linear counting passes.  Registers live in the
+        # enclave; every slot is rewritten, so the pattern is n gets + n puts
+        # per pass.
+        with profile.span("count"):
+            # Pass A (forward): index within side; rights see the complete
+            # left count alpha1 (lefts sort before rights within a group).
+            state_a = {"key": None, "lefts": 0, "rights": 0}
 
-        def pass_c(_i, plain):
-            key, side, idx, a1, a2, off, payload = unpack_union(plain)
-            if key != state_c["key"]:
-                state_c["cum"] += state_c["a1"] * state_c["a2"]
-                state_c["key"] = key
-                state_c["a1"] = a1
-                state_c["a2"] = a2
-            return pack_union(key, side, idx, a1, a2, state_c["cum"], payload)
+            def pass_a(_i, plain):
+                key, side, idx, a1, a2, off, payload = unpack_union(plain)
+                if key != state_a["key"]:
+                    state_a["key"] = key
+                    state_a["lefts"] = 0
+                    state_a["rights"] = 0
+                if side == LEFT_SIDE:
+                    idx = state_a["lefts"]
+                    state_a["lefts"] += 1
+                else:
+                    idx = state_a["rights"]
+                    state_a["rights"] += 1
+                    a1 = state_a["lefts"]
+                return pack_union(key, side, idx, a1, a2, off, payload)
 
-        oblivious_linear_pass(engine.count, UNION_REGION, n, pass_c)
-        result_count = state_c["cum"] + state_c["a1"] * state_c["a2"]
+            oblivious_linear_pass(engine.count, UNION_REGION, n, pass_a)
 
-    # S shapes everything downstream — the paper's deliberate leakage, and a
-    # public parameter under Definition 3 (the experiment fixes S).
-    s = result_count
+            # Pass B (backward): the first tuple met per group is its last —
+            # a right tuple knows alpha2 = idx + 1, a last left knows alpha1.
+            state_b = {"key": None, "a1": 0, "a2": 0}
 
-    # Phase 4 — oblivious partition sort by (table flag, unmatched): left
-    # tuples land in slots [0, n1), right tuples in [n1, n), each table's
-    # matched tuples first.  The sort is stable, so those stay in (key,
-    # index) order, which is the order of their output positions.
-    def partition_key(plain):
-        _, a1, a2, _ = _UNION_META.unpack(plain[meta_off:payload_off])
-        return plain[key_width], a1 * a2 == 0
+            def pass_b(_i, plain):
+                key, side, idx, a1, a2, off, payload = unpack_union(plain)
+                if key != state_b["key"]:
+                    state_b["key"] = key
+                    if side == RIGHT_SIDE:
+                        state_b["a1"] = a1
+                        state_b["a2"] = idx + 1
+                    else:
+                        state_b["a1"] = idx + 1
+                        state_b["a2"] = 0
+                return pack_union(
+                    key, side, idx, state_b["a1"], state_b["a2"], off, payload
+                )
 
-    with profile.span("partition"):
-        engine.union_sort(UNION_REGION, n, partition_key)
+            oblivious_linear_pass(engine.count, UNION_REGION, n, pass_b,
+                                  reverse=True)
+
+            # Pass C (forward): running group offsets; the enclave
+            # accumulates S.
+            state_c = {"key": None, "cum": 0, "a1": 0, "a2": 0}
+
+            def pass_c(_i, plain):
+                key, side, idx, a1, a2, off, payload = unpack_union(plain)
+                if key != state_c["key"]:
+                    state_c["cum"] += state_c["a1"] * state_c["a2"]
+                    state_c["key"] = key
+                    state_c["a1"] = a1
+                    state_c["a2"] = a2
+                return pack_union(key, side, idx, a1, a2, state_c["cum"],
+                                  payload)
+
+            oblivious_linear_pass(engine.count, UNION_REGION, n, pass_c)
+            result_count = state_c["cum"] + state_c["a1"] * state_c["a2"]
+
+        # S shapes everything downstream — the paper's deliberate leakage,
+        # and a public parameter under Definition 3 (the experiment fixes S).
+        s = result_count
+
+        # Phase 4 — oblivious partition sort by (table flag, unmatched): left
+        # tuples land in slots [0, n1), right tuples in [n1, n), each table's
+        # matched tuples first.  The sort is stable, so those stay in (key,
+        # index) order, which is the order of their output positions.
+        def partition_key(plain):
+            _, a1, a2, _ = _UNION_META.unpack(plain[meta_off:payload_off])
+            return plain[key_width], a1 * a2 == 0
+
+        with profile.span("partition"):
+            engine.union_sort(UNION_REGION, n, partition_key)
+            close_union()
 
     # Phase 5 — per-table distribute/fill expansion into S output slots.
     host.allocate(LEFT_EXPAND_REGION, max(n1, s))
@@ -380,9 +392,10 @@ def sort_merge_equijoin(
         ``stride_align`` selects each copy's extraction key: the left table
         copies contiguously (key = output position p, already in order), the
         right table aligns its copies by stride (key = off + k*alpha2 + idx
-        for copy k) and sorts by it.
+        for copy k) and sorts by it.  The passes rewrite only ``region``:
+        one fused section on ``device``, closed inside ``span``.
         """
-        with profile.span(span):
+        with profile.span(span), device.section():
             # The null: an unmatched tuple and every filler.  One identical
             # plaintext, so the distribution's closed form is its image.
             null = pack_expand(INFINITY, 0, 0, 0, bytes(record_size))
@@ -400,7 +413,7 @@ def sort_merge_equijoin(
                 to_expand,
             )
             # Fillers carry no table data, so T generates them.
-            device.put_range(region, size, [null] * (s - size))
+            oblivious_fill(device, region, size, s - size, null)
 
             # The matched tuples are a prefix sorted by first output
             # position; the distribution moves each to that position.
@@ -443,14 +456,10 @@ def sort_merge_equijoin(
     host.allocate(output, s)
 
     with profile.span("emit"):
+        # The joined codec's encoding is the two payloads concatenated.
         def combine(_r, left_plain, right_plain):
-            a = left_codec.decode(
-                left_plain[_INT64.size:_INT64.size + left_payload]
-            )
-            b = right_codec.decode(
-                right_plain[_INT64.size:_INT64.size + right_payload]
-            )
-            return out_codec.encode(Record(out_schema, a.values + b.values))
+            return (left_plain[_INT64.size:_INT64.size + left_payload]
+                    + right_plain[_INT64.size:_INT64.size + right_payload])
 
         oblivious_zip_write(
             engine.emit, LEFT_EXPAND_REGION, RIGHT_EXPAND_REGION, s,

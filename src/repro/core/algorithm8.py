@@ -61,7 +61,7 @@ from repro.oblivious.sort import oblivious_compact, oblivious_sort
 from repro.core.algorithm7 import check_key_compatibility, equality_of
 from repro.relational.predicates import MultiPredicate, Predicate
 from repro.relational.relation import Relation
-from repro.relational.tuples import Record, TupleCodec
+from repro.relational.tuples import TupleCodec
 
 UNION_REGION = "fk"
 
@@ -138,69 +138,72 @@ def algorithm8(
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
 
-    # Phase 1 — build the union of working tuples.
-    with profile.span("build"):
-        def to_union(side, key_off):
-            def transform(_k, payload):
-                key = payload[key_off:key_off + key_width]
-                return pack_union(key, side, payload)
-            return transform
+    # Phases 1-4 rewrite only the union region: one fused section, whose
+    # close (inside the align span) encrypts and writes each slot once.
+    with coprocessor.section() as close_union:
+        # Phase 1 — build the union of working tuples.
+        with profile.span("build"):
+            def to_union(side, key_off):
+                def transform(_k, payload):
+                    key = payload[key_off:key_off + key_width]
+                    return pack_union(key, side, payload)
+                return transform
 
-        oblivious_transform_copy(
-            coprocessor, "X0", 0, UNION_REGION, 0, n1,
-            to_union(LEFT_SIDE, left_key_off),
-        )
-        oblivious_transform_copy(
-            coprocessor, "X1", 0, UNION_REGION, n1, n2,
-            to_union(RIGHT_SIDE, right_key_off),
-        )
+            oblivious_transform_copy(
+                coprocessor, "X0", 0, UNION_REGION, 0, n1,
+                to_union(LEFT_SIDE, left_key_off),
+            )
+            oblivious_transform_copy(
+                coprocessor, "X1", 0, UNION_REGION, n1, n2,
+                to_union(RIGHT_SIDE, right_key_off),
+            )
 
-    # Phase 2 — oblivious sort by (key, table flag): rights first per group.
-    with profile.span("sort"):
-        oblivious_sort(
-            coprocessor, UNION_REGION, n, key=lambda p: p[:payload_off]
-        )
+        # Phase 2 — oblivious sort by (key, table flag): rights first per group.
+        with profile.span("sort"):
+            oblivious_sort(
+                coprocessor, UNION_REGION, n, key=lambda p: p[:payload_off]
+            )
 
-    # Phase 3 — one forward merge pass with a one-tuple register.  Every
-    # slot is rewritten into the output wire format: position | flag |
-    # payload, so the write pattern is unconditional.
-    merged_width = _INT64.size + 1 + out_width
-    decoy = _INT64.pack(INFINITY) + bytes([1]) + bytes([_DECOY_FILL]) * out_width
-    state = {"key": None, "payload": None, "count": 0}
+        # Phase 3 — one forward merge pass with a one-tuple register.  Every
+        # slot is rewritten into the output wire format: position | flag |
+        # payload, so the write pattern is unconditional.
+        merged_width = _INT64.size + 1 + out_width
+        decoy = (_INT64.pack(INFINITY) + bytes([1])
+                 + bytes([_DECOY_FILL]) * out_width)
+        state = {"key": None, "payload": None, "count": 0}
 
-    with profile.span("merge"):
-        def merge(_i, plain):
-            key = plain[:key_width]
-            side = plain[side_off]
-            payload = plain[payload_off:]
-            if side == RIGHT_SIDE:
-                state["key"] = key
-                state["payload"] = payload[:right_payload]
-                return decoy
-            if key != state["key"]:
-                return decoy
-            position = state["count"]
-            state["count"] += 1
-            if mode == "join":
-                a = left_codec.decode(payload[:left_payload])
-                b = right_codec.decode(state["payload"])
-                row = out_codec.encode(Record(out_schema, a.values + b.values))
-            else:
+        with profile.span("merge"):
+            def merge(_i, plain):
+                key = plain[:key_width]
+                side = plain[side_off]
+                payload = plain[payload_off:]
+                if side == RIGHT_SIDE:
+                    state["key"] = key
+                    state["payload"] = payload[:right_payload]
+                    return decoy
+                if key != state["key"]:
+                    return decoy
+                position = state["count"]
+                state["count"] += 1
+                # The joined codec's encoding is the payloads concatenated.
                 row = payload[:left_payload]
-            return _INT64.pack(position) + bytes([0]) + row
+                if mode == "join":
+                    row += state["payload"]
+                return _INT64.pack(position) + bytes([0]) + row
 
-        oblivious_linear_pass(coprocessor, UNION_REGION, n, merge)
-    result_count = state["count"]
+            oblivious_linear_pass(coprocessor, UNION_REGION, n, merge)
+        result_count = state["count"]
 
-    # Phase 4 — compaction by output position: the S real rows, stamped in
-    # slot order, move forward into slots [0, S); the identical decoys fill
-    # the rest.
-    def target(plain):
-        position = _INT64.unpack(plain[:_INT64.size])[0]
-        return None if position == INFINITY else position
+        # Phase 4 — compaction by output position: the S real rows, stamped in
+        # slot order, move forward into slots [0, S); the identical decoys fill
+        # the rest.
+        def target(plain):
+            position = _INT64.unpack(plain[:_INT64.size])[0]
+            return None if position == INFINITY else position
 
-    with profile.span("align"):
-        oblivious_compact(coprocessor, UNION_REGION, n, target)
+        with profile.span("align"):
+            oblivious_compact(coprocessor, UNION_REGION, n, target)
+            close_union()
 
     # Phase 5 — emit the first S slots, bookkeeping stripped: filter-free.
     if host.has_region(OUTPUT_REGION):

@@ -65,6 +65,7 @@ from repro.core.cartesian import CartesianReader, scan_matches, upload_join
 from repro.costs.filter_opt import optimal_delta
 from repro.errors import BlemishError, ConfigurationError
 from repro.hardware.cluster import Cluster, ShardTask, TaskExecutor, TaskIO
+from repro.hardware.coprocessor import unfused
 from repro.hardware.counters import TransferStats
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.parallel_filter import parallel_oblivious_filter
@@ -442,17 +443,21 @@ def parallel_algorithm7(
     construction, one per table — run on different coprocessors, so the
     modelled makespan charges only the larger of the two.  The counting
     passes are inherently sequential (a running register crosses every
-    slot) and stay on the coordinator, as do build and emit.
+    slot) and stay on the coordinator, as do build and emit.  The union
+    phases fuse into one section on the coordinator unless the union sort
+    spans the cluster (other devices then read the union between passes);
+    each expansion fuses on its own device.
     """
     from repro.core.algorithm7 import SortMergeEngine, sort_merge_equijoin
 
     coordinator = cluster[0]
     profile = PhaseProfile.for_cluster(cluster)
     parallel_sorts = 0
+    spans_cluster = len(cluster) > 1 and sum(map(len, relations)) % len(cluster) == 0
 
     def union_sort(region, size, key):
         nonlocal parallel_sorts
-        if len(cluster) > 1 and size % len(cluster) == 0:
+        if spans_cluster:
             parallel_oblivious_sort(cluster, region, size, key)
             parallel_sorts += 1
         else:
@@ -465,6 +470,7 @@ def parallel_algorithm7(
         right=cluster[1 % len(cluster)],
         emit=coordinator,
         union_sort=union_sort,
+        union_section=unfused if spans_cluster else coordinator.section,
     )
     out_schema, meta = sort_merge_equijoin(
         context, relations, predicate, profile, engine

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.crypto.provider import CryptoProvider, decrypt_batch, encrypt_batch
@@ -46,6 +47,16 @@ def _check_appended(region: str, assigned: list[int], declared: list[int]) -> No
     if assigned != declared:
         raise HostMemoryError(
             f"host assigned {region!r} other append slots than the section declared")
+
+
+def _nothing() -> None:
+    """The early close of a section that fuses nothing."""
+
+
+@contextmanager
+def unfused() -> Iterator[Callable[[], None]]:
+    """A section that fuses nothing: every pass inside closes itself."""
+    yield _nothing
 
 
 class EnclaveBuffer:
@@ -125,9 +136,10 @@ class SecureCoprocessor:
     traces, modeled counters, ``TransferStats`` and phase breakdowns are
     identical on both, cache or not (``tests/test_fastpath.py``,
     ``tests/test_batch.py``).  Physical work shows only in
-    ``physical_decryptions``, ``cache_hits`` and ``batched_ops``/
-    ``batch_rows``: one batch per ``*_many`` call that moved more than one
-    row and one per section gather or stage of any size, with its rows.
+    ``physical_decryptions``, ``physical_encryptions``, ``cache_hits`` and
+    ``batched_ops``/``batch_rows``: one batch per ``*_many`` call that moved
+    more than one row, one per section gather that read the host and one per
+    section stage of any size, with their rows.
 
     Fault tolerance
     ---------------
@@ -177,9 +189,12 @@ class SecureCoprocessor:
         self.encryptions = 0
         self.decryptions = 0
         #: Physical crypto counts: decryptions actually executed and gets
-        #: served from the slot cache (decryptions == physical + hits).
+        #: served from the slot cache (decryptions == physical + hits), and
+        #: cells actually encrypted (a section encrypts each slot it wrote
+        #: once, at its close, however many passes rewrote it).
         self.physical_decryptions = 0
         self.cache_hits = 0
+        self.physical_encryptions = 0
         #: The slot cache, per ``(region, index)``: the ciphertext T last
         #: wrote to or authenticated from that slot, and its plaintext.
         self._ciphers: dict[tuple[str, int], bytes] = {}
@@ -189,9 +204,13 @@ class SecureCoprocessor:
         self.batched_ops = 0
         self.batch_rows = 0
         self._batch_physical_pending = 0
-        #: A section's encrypted writes and appends (``(append, targets,
-        #: ciphertexts)``), staged until ``charge_boundary``.
-        self._staged: list[tuple[bool, list[tuple[str, int]], list[bytes]]] = []
+        #: The open section's final plaintexts, per region and slot index,
+        #: and the regions among them it appends to; its close encrypts and
+        #: writes them (:meth:`section`).
+        self._staged: dict[str, dict[int, bytes]] = {}
+        self._appended: set[str] = set()
+        #: True while a :meth:`section` fuses several passes.
+        self._fusing = False
         #: Fault tolerance: bounded transient-fault retry and, when recovery
         #: is wired up, the sealed checkpoint store and replay cursor.
         self.retry = retry
@@ -240,16 +259,18 @@ class SecureCoprocessor:
         return None if self._admit is None else [(op, slot[0]) for slot in slots]
 
     def _finish(self, ops: int, rows: Iterable[JournalEntry] = ()) -> None:
-        """Count one completed live batch of ``ops`` boundary ops; journal it.
-
-        A checkpoint commits at the first batch boundary at or past each
-        ``checkpoint_interval`` multiple — never inside a batch, so the sealed
-        host image and the sealed tape always describe the same instant.
-        """
+        """Count one completed live batch of ``ops`` boundary ops; journal it."""
         self.ops_completed += ops
-        if not self._journaling:
-            return
-        self._journal.extend(rows)
+        if self._journaling:
+            self._journal.extend(rows)
+            if not self._fusing:
+                self._commit_due()
+
+    def _commit_due(self) -> None:
+        """Commit a checkpoint at the first batch boundary at or past each
+        ``checkpoint_interval`` multiple — never inside a batch or a fused
+        section, so the sealed host image and the sealed tape always describe
+        the same instant."""
         interval = self.checkpoint_interval
         if interval and self.ops_completed // interval > self._sealed_ops // interval:
             self.checkpoint_store.commit(self.ops_completed, self._journal)
@@ -370,10 +391,18 @@ class SecureCoprocessor:
         """Append several encrypted tuples to a growable region in one call."""
         return self._append(region, list(plaintexts))
 
+    def _refuse_in_fused_section(self) -> None:
+        """Refuse a row batch inside a fused section: the host does not yet
+        hold the section's writes, and a checkpoint cannot commit there."""
+        if self._fusing:
+            raise HostMemoryError(
+                f"{self.name}: a row batch cannot run inside a fused section")
+
     def _read(self, slots: list[tuple[str, int]]) -> list[bytes]:
         """One read batch: replayed from the tape, or read, resolved and settled."""
         if not slots:
             return []
+        self._refuse_in_fused_section()
         if self.replaying:
             return [entry.payload for entry in self._replay_batch(GET, slots)]
         ciphertexts = self._host_call(lambda: self.host.read_slots(slots),
@@ -432,12 +461,13 @@ class SecureCoprocessor:
         """One write batch: replayed from the tape, or encrypted, written, settled."""
         if not slots:
             return
+        self._refuse_in_fused_section()
         targets = [(region, index) for region, index, _ in slots]
         if self.replaying:
             self._replay_batch(PUT, targets)
             return
         plaintexts = [plaintext for _, _, plaintext in slots]
-        ciphertexts = encrypt_batch(self.provider, plaintexts)
+        ciphertexts = self._encrypt(plaintexts)
         self._host_call(lambda: self.host.write_slots(targets, ciphertexts),
                         self._window("write", targets))
         self._written(targets, ciphertexts, plaintexts)
@@ -446,14 +476,19 @@ class SecureCoprocessor:
         """One append batch; the host (or, on replay, the tape) assigns indices."""
         if not plaintexts:
             return []
+        self._refuse_in_fused_section()
         targets = [(region, None)] * len(plaintexts)
         if self.replaying:
             return [entry.index for entry in self._replay_batch(PUT, targets)]
-        ciphertexts = encrypt_batch(self.provider, plaintexts)
+        ciphertexts = self._encrypt(plaintexts)
         indices = self._host_call(lambda: self.host.append_slots(region, ciphertexts),
                                   self._window("append", targets))
         self._written([(region, index) for index in indices], ciphertexts, plaintexts)
         return indices
+
+    def _encrypt(self, plaintexts: list[bytes]) -> list[bytes]:
+        self.physical_encryptions += len(plaintexts)
+        return encrypt_batch(self.provider, plaintexts)
 
     def _written(self, targets: list[tuple[str, int]],
                  ciphertexts: list[bytes], plaintexts: list[bytes]) -> None:
@@ -487,29 +522,75 @@ class SecureCoprocessor:
     # ``gather_slots`` reads a slot set across the boundary, ``scatter_slots``
     # stages a slot set's final plaintexts and ``stage_append`` a whole
     # append, *without* recording anything, and ``charge_boundary`` settles
-    # the section from its declared run — the ops a comparator network, a
+    # the pass from its declared run — the ops a comparator network, a
     # linear pass or an emit issues, whose GETs read gathered slots and whose
     # PUTs land staged ones.  The final host state, the declared trace and
     # every modeled counter are the declaration's, on both device types.
-    # This one presents the run to the host's fault clock, flushes the staged
-    # cells in one ranged call per slot set and records the run once: one
-    # decrypt pass, one encrypt pass.  The section is one batch for fault
-    # tolerance — a fault fires before its first storage mutation, its tape
-    # rows are what it gathered, the slots its staged appends were assigned
-    # and one CHARGE row, and a checkpoint can only commit once it has
-    # settled.  :class:`ReferenceCoprocessor` walks the run op by op.
+    # Each pass's ``charge_boundary`` presents its run to the host's fault
+    # clock, records it once and charges it.  The physical work is the
+    # section's: a pass outside :meth:`section` is a section of its own, and
+    # inside one the passes share it — a gather of a slot the section
+    # already wrote is served from enclave memory, and the close encrypts
+    # each written slot's final plaintext once and writes it with one ranged
+    # call per region.  The section is one batch for fault tolerance — a
+    # fault fires at a pass's admission, before the section mutates the
+    # host; its tape rows are what its passes gathered, the slots its staged
+    # appends were assigned and one CHARGE row per pass; and a checkpoint can
+    # only commit at its close.  :class:`ReferenceCoprocessor` walks every
+    # pass op by op.
+
+    @contextmanager
+    def section(self) -> Iterator[Callable[[], None]]:
+        """Fuse the passes run inside the with-block into one physical section.
+
+        Yields ``close``, which closes the section early (a phase profile
+        books the close inside the last pass's span); leaving the block
+        closes it otherwise.  An exception discards the staged plaintexts,
+        so the host image stays what it was when the section opened.  Row
+        batches (``get``/``put``/``*_many``) are refused inside it.  A
+        section opened inside another, or while the replay tape is active,
+        fuses nothing: its passes replay, or run, one section each.
+        """
+        if self._fusing or self.replaying:
+            yield _nothing
+            return
+        self._fusing = True
+        try:
+            yield self._close_section
+        except BaseException:
+            self._staged, self._appended = {}, set()
+            self._fusing = False
+            raise
+        self._close_section()
+
+    def _close_section(self) -> None:
+        if self._fusing:
+            self._fusing = False
+            self._flush()
+            if self._journaling:
+                self._commit_due()
 
     def gather_slots(self, region: str, indices: Sequence[int]) -> list[bytes]:
         """Physically read a slot set for a section (unrecorded, unadmitted).
 
-        Decrypts cache misses in one batch; the physical decrypts are left
-        pending for the next :meth:`charge_boundary` to settle against the
-        section's modeled GETs.
+        Slots the open section already wrote are served from its staged
+        plaintexts; the rest are read in one ranged call, decrypting cache
+        misses in one batch, and the physical decrypts are left pending for
+        the next :meth:`charge_boundary` to settle against the pass's
+        modeled GETs.
         """
         if self.replaying:
             return [entry.payload for entry in self._replay.take_batch(
                 [(GATHER, region, index) for index in indices])]
-        plaintexts = self._gather([(region, index) for index in indices])
+        written = self._staged.get(region)
+        if written is None:
+            plaintexts = self._gather([(region, index) for index in indices])
+        else:
+            plaintexts = list(map(written.get, indices))
+            unwritten = [index for index, plain in zip(indices, plaintexts) if plain is None]
+            if unwritten:
+                read = iter(self._gather([(region, index) for index in unwritten]))
+                plaintexts = [next(read) if plain is None else plain for plain in plaintexts]
         if self._journaling:
             self._journal.extend(JournalEntry(GATHER, region, index, plaintext)
                                  for index, plaintext in zip(indices, plaintexts))
@@ -533,20 +614,20 @@ class SecureCoprocessor:
     ) -> None:
         """Stage a slot set's final plaintexts for a section (unrecorded).
 
-        The section's :meth:`charge_boundary` writes them to the host — after
-        the fault clock has admitted the section — and charges the modeled
-        PUTs.
+        The section's close writes them to the host — after the fault clock
+        has admitted the pass — and the pass's :meth:`charge_boundary`
+        charges the modeled PUTs.
         """
-        self._stage(False, [(region, index) for index in indices], plaintexts)
+        self._stage(False, region, indices, plaintexts)
 
     def stage_append(self, region: str, plaintexts: Sequence[bytes]) -> list[int]:
         """Stage an append to a growable region for a section.
 
         Returns the slot indices the host will assign — the region's size
         onwards, so a section stages at most one append per region — and the
-        section declares its PUTs at them before :meth:`charge_boundary`
-        appends the cells (checking the host assigned exactly those).  On
-        replay the tape's ``APPENDED`` rows are authoritative.
+        section declares its PUTs at them before its close appends the cells
+        (checking the host assigned exactly those).  On replay the tape's
+        ``APPENDED`` rows are authoritative.
         """
         if not plaintexts:
             return []
@@ -559,68 +640,86 @@ class SecureCoprocessor:
             if self._journaling:
                 self._journal.extend(JournalEntry(APPENDED, region, index)
                                      for index in indices)
-        self._stage(True, [(region, index) for index in indices], plaintexts)
+        self._stage(True, region, indices, plaintexts)
         return indices
 
-    def _stage(self, append: bool, targets: list[tuple[str, int]],
+    def _stage(self, append: bool, region: str, indices: Sequence[int],
                plaintexts: Sequence[bytes]) -> None:
-        """Keep a section's cells for :meth:`charge_boundary`: one batch
-        encrypt, and nothing on replay (the restored host image already
-        holds the section's writes)."""
+        """Keep a section's final plaintexts for its close, and nothing on
+        replay (the restored host image already holds the section's writes)."""
         if not self.replaying:
-            ciphertexts = encrypt_batch(self.provider, plaintexts)
-            self._remember(targets, ciphertexts, plaintexts)
-            self._staged.append((append, targets, ciphertexts))
+            self._keep(append, region, indices, plaintexts)
             self.batched_ops += 1
-            self.batch_rows += len(targets)
+            self.batch_rows += len(plaintexts)
+
+    def _keep(self, append: bool, region: str, indices: Sequence[int],
+              plaintexts: Sequence[bytes]) -> None:
+        self._staged.setdefault(region, {}).update(zip(indices, plaintexts))
+        if append:
+            self._appended.add(region)
 
     def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
-        """Settle a completed section: flush it, then its ledger.
+        """Settle a completed pass: admit it, then its ledger; outside a
+        fused section it is a section of its own, closed here.
 
         The declaration is one run (:mod:`repro.hardware.events`): event ``k``
         is ``(*table[codes[k]], indices[k])``.  The declared ops are
         presented to the host's fault clock (if it has one; a PUT to a
-        region with a staged append is presented as an append), the staged
-        cells are written, then the run is appended to the trace once and
-        the modeled counters are charged from the code column.  GETs beyond
-        the physical decrypts pending from :meth:`gather_slots` were served
-        from enclave-resident batch plaintexts, the vectorized analogue of a
-        slot-cache hit, and are charged as ``cache_hits`` so the ``physical
-        + hits == decryptions`` ledger keeps balancing.
+        region with a staged append is presented as an append), then the run
+        is appended to the trace once and the modeled counters are charged
+        from the code column.  GETs beyond the physical decrypts pending
+        from :meth:`gather_slots` were served from enclave-resident
+        plaintexts, the vectorized analogue of a slot-cache hit, and are
+        charged as ``cache_hits`` so the ``physical + hits == decryptions``
+        ledger keeps balancing.
         """
-        replayed = self.replaying
-        if not replayed:
-            staged, self._staged = self._staged, []
-            window = None
-            if self._admit is not None:
-                appended = {targets[0][0] for append, targets, _ in staged if append}
+        with self.section():
+            replayed = self.replaying
+            if not replayed and self._admit is not None:
+                appended = self._appended
                 classes = [("append" if op == PUT and region in appended
                             else _OP_CLASS[op], region) for op, region in table]
-                window = list(map(classes.__getitem__, codes))
+                self._host_call(partial(self._admit, list(map(classes.__getitem__, codes))))
+            self.trace.record_run(table, codes, indices)
+            gets = sum(codes.count(code) for code, (op, _) in enumerate(table) if op == GET)
+            puts = len(codes) - gets
+            if replayed:
+                self._replay.take_batch(((CHARGE, "", gets + puts),))
+                self._settle_replayed(gets, puts)
+                return
+            pending = self._batch_physical_pending
+            self._batch_physical_pending = 0
+            self.decryptions += gets
+            self.encryptions += puts
+            self.cache_hits += gets - pending
+            self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
 
-            def flush() -> None:
-                for append, targets, ciphertexts in staged:
-                    if not append:
-                        self.host.write_slots(targets, ciphertexts)
-                    else:
-                        region = targets[0][0]
-                        _check_appended(region, self.host.append_slots(region, ciphertexts),
-                                        [index for _, index in targets])
-
-            self._host_call(flush, window)
-        self.trace.record_run(table, codes, indices)
-        gets = sum(codes.count(code) for code, (op, _) in enumerate(table) if op == GET)
-        puts = len(codes) - gets
-        if replayed:
-            self._replay.take_batch(((CHARGE, "", gets + puts),))
-            self._settle_replayed(gets, puts)
+    def _flush(self) -> None:
+        """Write a section's cells: each staged slot's final plaintext
+        encrypted once, one ranged call per region (an append where the
+        section staged one), all in one retried host call."""
+        staged, appended = self._staged, self._appended
+        if not staged:
             return
-        pending = self._batch_physical_pending
-        self._batch_physical_pending = 0
-        self.decryptions += gets
-        self.encryptions += puts
-        self.cache_hits += gets - pending
-        self._finish(gets + puts, (JournalEntry(CHARGE, "", gets + puts),))
+        self._staged, self._appended = {}, set()
+        cells = []
+        for region, plains in staged.items():
+            plaintexts = list(plains.values())
+            cells.append(([(region, index) for index in plains],
+                          self._encrypt(plaintexts), plaintexts))
+
+        def flush() -> None:
+            for targets, ciphertexts, _ in cells:
+                region = targets[0][0]
+                if region not in appended:
+                    self.host.write_slots(targets, ciphertexts)
+                else:
+                    _check_appended(region, self.host.append_slots(region, ciphertexts),
+                                    [index for _, index in targets])
+
+        self._host_call(flush)
+        for targets, ciphertexts, plaintexts in cells:
+            self._remember(targets, ciphertexts, plaintexts)
 
     # -- cache management ------------------------------------------------------
     def _remember(self, targets: list[tuple[str, int]], ciphertexts: Sequence[bytes],
@@ -657,7 +756,9 @@ class ReferenceCoprocessor(SecureCoprocessor):
     op by op, so a checkpoint can commit mid-section.  Traces, modeled
     counters, ``physical_decryptions``/``cache_hits`` and the host image
     equal :class:`SecureCoprocessor`'s; ``batched_ops``/``batch_rows`` stay
-    0.  The differential tests and ``faults.scalar_penalty_ratio`` run it.
+    0, and since it fuses no section, ``physical_encryptions`` equals the
+    modeled ``encryptions``.  The differential tests and
+    ``faults.scalar_penalty_ratio`` run it.
     """
 
     def get_many(self, slots: Iterable[tuple[str, int]]) -> list[bytes]:
@@ -673,14 +774,18 @@ class ReferenceCoprocessor(SecureCoprocessor):
     def _gather(self, slots: list[tuple[str, int]]) -> list[bytes]:
         return [self._fetch([slot])[0] for slot in slots]
 
-    def _stage(self, append: bool, targets: list[tuple[str, int]],
+    def section(self):
+        """The reference fuses nothing: it walks every pass op by op."""
+        return unfused()
+
+    def _stage(self, append: bool, region: str, indices: Sequence[int],
                plaintexts: Sequence[bytes]) -> None:
         """Keep the plaintexts, on replay too: a resume whose tape ends
         mid-section has values for its live writes."""
-        self._staged.append((append, targets, list(plaintexts)))
+        self._keep(append, region, indices, plaintexts)
 
     def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
-        """Settle a section by walking its declared run, one op per batch.
+        """Settle a pass by walking its declared run, one op per batch.
 
         A GET re-reads its slot, served by the slot cache the gather filled
         (so the gather's pending decrypts are credited against these hits);
@@ -688,17 +793,15 @@ class ReferenceCoprocessor(SecureCoprocessor):
         that intermediate values are skipped), or appends it where the
         section staged an append.
         """
-        staged, self._staged = self._staged, []
+        staged, self._staged = self._staged, {}
+        appended, self._appended = self._appended, set()
         self.cache_hits -= self._batch_physical_pending
         self._batch_physical_pending = 0
-        final = {slot: plain for _, targets, plains in staged
-                 for slot, plain in zip(targets, plains)}
-        appended = {targets[0][0] for append, targets, _ in staged if append}
         for code, index in zip(codes, indices):
             op, region = table[code]
             if op == GET:
                 self._read([(region, index)])
             elif region in appended:
-                _check_appended(region, self._append(region, [final[region, index]]), [index])
+                _check_appended(region, self._append(region, [staged[region][index]]), [index])
             else:
-                self._write([(region, index, final[region, index])])
+                self._write([(region, index, staged[region][index])])

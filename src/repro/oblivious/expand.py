@@ -73,6 +73,25 @@ def oblivious_linear_pass(
             array("q", chain.from_iterable(zip(indices, indices))))
 
 
+def oblivious_fill(
+    coprocessor: SecureCoprocessor,
+    region: str,
+    start: int,
+    count: int,
+    plaintext: bytes,
+) -> None:
+    """Write ``plaintext`` into every slot of ``region[start:start+count]``.
+
+    T generates the cells, so the pass reads nothing: one put per slot in
+    slot order, a pattern of ``count`` alone.
+    """
+    if count <= 0:
+        return
+    indices = range(start, start + count)
+    coprocessor.scatter_slots(region, indices, [plaintext] * count)
+    coprocessor.charge_boundary(((PUT, region),), bytes(count), array("q", indices))
+
+
 def oblivious_transform_copy(
     coprocessor: SecureCoprocessor,
     source_region: str,

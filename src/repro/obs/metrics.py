@@ -362,7 +362,9 @@ def instrument_coprocessor(registry: MetricsRegistry, coprocessor,
     ``crypto_physical_decryptions_total`` and ``crypto_cache_hits_total``
     split the modeled decryptions into work actually executed vs. gets served
     by the write-back slot cache, so dashboards can watch the fast path's hit
-    rate without touching the cost model.  The fault-tolerance counters —
+    rate without touching the cost model; ``crypto_physical_encryptions_total``
+    counts the cells actually encrypted (a fused section encrypts each slot
+    it wrote once).  The fault-tolerance counters —
     ``fault_retries_total``, ``checkpoints_sealed_total``,
     ``replayed_transfers_total`` — expose how often the boundary re-issued a
     transient-faulted host call, sealed a recovery checkpoint, and served
@@ -381,6 +383,9 @@ def instrument_coprocessor(registry: MetricsRegistry, coprocessor,
          coprocessor.physical_decryptions),
         ("crypto_cache_hits_total", "gets served by the write-back slot cache",
          coprocessor.cache_hits),
+        ("crypto_physical_encryptions_total",
+         "cells physically encrypted (each slot once per section)",
+         getattr(coprocessor, "physical_encryptions", 0)),
         ("crypto_batched_ops_total",
          "batched boundary calls executed by the vectorized hot path",
          getattr(coprocessor, "batched_ops", 0)),

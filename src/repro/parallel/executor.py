@@ -66,6 +66,7 @@ _COUNTERS = (
     "encryptions",
     "decryptions",
     "physical_decryptions",
+    "physical_encryptions",
     "cache_hits",
     "batched_ops",
     "batch_rows",

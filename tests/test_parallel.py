@@ -12,6 +12,7 @@ from repro.core.algorithm3 import algorithm3
 from repro.core.algorithm4 import algorithm4
 from repro.core.algorithm5 import algorithm5
 from repro.core.algorithm6 import algorithm6
+from repro.core.algorithm7 import algorithm7
 from repro.core.base import JoinContext
 from repro.core.parallel import (
     parallel_algorithm2,
@@ -19,6 +20,7 @@ from repro.core.parallel import (
     parallel_algorithm4,
     parallel_algorithm5,
     parallel_algorithm6,
+    parallel_algorithm7,
 )
 from repro.crypto.provider import FastProvider
 from repro.errors import BlemishError, ConfigurationError, SchemaError
@@ -240,6 +242,25 @@ def test_one_device_cluster_runs_the_sequential_cartesian_join(case):
     assert (renamed(cluster[0].trace, parallel_region, region)
             == list(sequential.trace.events))
     assert parallel.result.records() == sequential.result.records()
+
+
+@pytest.mark.parametrize("left, right, results", [(8, 10, 6), (3, 7, 7), (9, 9, 0)],
+                         ids=["S<n1", "S>n1", "S=0"])
+def test_one_device_cluster_runs_the_sequential_sort_merge_join(left, right, results):
+    """With P = 1 parallel Algorithm 7 runs every phase on the one device,
+    its union phases fused as the sequential algorithm fuses them: the same
+    trace event for event and the same result rows in the same order."""
+    wl = equijoin_workload(left, right, results, rng=random.Random(9))
+    multi = BinaryAsMulti(Equality("key"))
+    sequential = algorithm7(JoinContext.fresh(provider=FastProvider(KEY)),
+                            [wl.left, wl.right], multi)
+    context, cluster = rig(1)
+    parallel = parallel_algorithm7(context, cluster, [wl.left, wl.right], multi)
+    assert sequential.meta["S"] == parallel.meta["S"] == results
+    assert list(cluster[0].trace.events) == list(sequential.trace.events)
+    assert parallel.result.records() == sequential.result.records()
+    assert (cluster[0].physical_encryptions
+            == sequential.meta["n"] + max(left, results) + max(right, results) + results)
 
 
 @pytest.mark.parametrize("processors", [1, 2, 3, 4])

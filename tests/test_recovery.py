@@ -365,10 +365,10 @@ class TestRunWithRecovery:
         """Batched Algorithm 7 at 32x32 declares its exact-model count of
         boundary ops over far fewer physical host calls; a crash planned
         halfway through a phase must still fire — exactly once.  The
-        partition sort is a single batch that ends past the first interval
-        multiple, so a crash inside it restarts from checkpoint zero; a crash
-        inside the expansions resumes off the checkpoint sealed where that
-        batch ends."""
+        union section (build through the partition sort) is a single batch
+        that ends past the first interval multiple, so a crash inside it
+        restarts from checkpoint zero; a crash inside the expansions resumes
+        off the checkpoint sealed where that section ends."""
         wl = equijoin_workload(32, 32, 32, rng=random.Random(7))
 
         def run(context):
