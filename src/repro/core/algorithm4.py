@@ -34,7 +34,7 @@ from repro.core.cartesian import (
     upload_join,
 )
 from repro.costs.filter_opt import optimal_delta
-from repro.oblivious.filterbuf import emit_kept, oblivious_filter
+from repro.oblivious.filterbuf import emit_kept, filter_delta, oblivious_filter
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
@@ -86,7 +86,8 @@ def algorithm4(
     """Run Algorithm 4 over any number of participating tables.
 
     ``delta`` overrides the filter swap-area size (defaults to the Eq. 5.1
-    optimum for the observed output size S).
+    optimum for the observed output size S); ``meta["delta"]`` is the size
+    the filter ran with (:func:`~repro.oblivious.filterbuf.filter_delta`).
     """
     coprocessor = context.coprocessor
     host = context.host
@@ -105,21 +106,28 @@ def algorithm4(
             coprocessor, range(total), 0,
             tables=reader.tables, predicate=predicate, out_codec=TupleCodec(out_schema))
 
-    # Oblivious decoy removal: keep the S real results.
-    chosen_delta = delta if delta is not None else optimal_delta(result_count, total)
-    with profile.span("filter"):
-        buffer_region = oblivious_filter(
-            coprocessor,
-            OTUPLE_REGION,
-            total,
-            keep=result_count,
-            delta=chosen_delta,
-            priority=decoy_priority,
-        )
-    with profile.span("emit"):
-        emitted = emit_kept(
-            coprocessor, buffer_region, result_count, output, is_real=is_real, strip=1
-        )
+    # Oblivious decoy removal: keep the S real results.  The filter and the
+    # emit are one fused section: the buffer's copies, sorts and emit run on
+    # T's staged plaintexts, and the close (inside the emit span) writes
+    # each buffer slot once.
+    chosen_delta = filter_delta(
+        total, result_count,
+        delta if delta is not None else optimal_delta(result_count, total))
+    with coprocessor.section() as close:
+        with profile.span("filter"):
+            buffer_region = oblivious_filter(
+                coprocessor,
+                OTUPLE_REGION,
+                total,
+                keep=result_count,
+                delta=chosen_delta,
+                priority=decoy_priority,
+            )
+        with profile.span("emit"):
+            emitted = emit_kept(
+                coprocessor, buffer_region, result_count, output, is_real=is_real, strip=1
+            )
+            close()
 
     return finish(
         context,

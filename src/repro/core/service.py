@@ -36,7 +36,13 @@ from repro.core.algorithm6 import algorithm6
 from repro.core.algorithm7 import algorithm7
 from repro.core.algorithm8 import algorithm8
 from repro.core.base import JoinContext, JoinResult
-from repro.crypto.provider import FastProvider, OcbProvider, clone_provider
+from repro.crypto.provider import (
+    FastProvider,
+    OcbProvider,
+    clone_provider,
+    decrypt_batch,
+    encrypt_batch,
+)
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -47,10 +53,10 @@ from repro.errors import (
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.host import HostMemory
 from repro.obs.metrics import MetricsRegistry, instrument_coprocessor, instrument_join
+from repro.relational.batch import BatchCodec
 from repro.relational.predicates import MultiPredicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.relational.tuples import TupleCodec
 
 AlgorithmName = Literal[
     "algorithm4", "algorithm5", "algorithm6", "algorithm7", "algorithm8"
@@ -102,6 +108,11 @@ class Contract:
         return party in self.data_owners
 
 
+def _contract_header(contract_id: str) -> bytes:
+    """The 16-byte contract ID every uploaded tuple is bound to."""
+    return contract_id.encode("utf-8").ljust(16, b"\x00")
+
+
 @dataclass
 class Party:
     """A service requestor: data owner and/or result recipient."""
@@ -118,10 +129,9 @@ class Party:
 
     def encrypt_upload(self, contract_id: str, relation: Relation) -> list[bytes]:
         """Encrypt (contract_id || tuple) per record, as Section 3.3.3 requires."""
-        provider = self.provider()
-        codec = relation.codec()
-        header = contract_id.encode("utf-8").ljust(16, b"\x00")
-        return [provider.encrypt(header + codec.encode(r)) for r in relation]
+        header = _contract_header(contract_id)
+        rows = BatchCodec(relation.schema).encode_rows(relation.records())
+        return encrypt_batch(self.provider(), [header + row for row in rows])
 
 
 class JoinService:
@@ -320,14 +330,12 @@ class JoinService:
             raise ContractError(
                 f"party {owner!r} is not a data owner under contract {contract_id!r}"
             )
-        codec = TupleCodec(schema)
-        header = contract_id.encode("utf-8").ljust(16, b"\x00")
-        accepted = Relation(schema)
-        for ciphertext in ciphertexts:
-            plain = provider.decrypt(ciphertext)  # AuthenticationError on tamper
-            if plain[:16] != header:
-                raise AuthenticationError("tuple bound to a different contract")
-            accepted.append(codec.decode(plain[16:]))
+        header = _contract_header(contract_id)
+        plains = decrypt_batch(provider, ciphertexts)  # AuthenticationError on tamper
+        if any(plain[:16] != header for plain in plains):
+            raise AuthenticationError("tuple bound to a different contract")
+        accepted = Relation(schema, BatchCodec(schema).decode_rows(
+            [plain[16:] for plain in plains]))
         self._uploads[(contract_id, owner)] = accepted
         return len(accepted)
 
@@ -524,9 +532,7 @@ class JoinService:
                 f"({contract.recipient!r})"
             )
         provider = recipient.provider()
-        codec = result.result.codec()
-        wire = [provider.encrypt(codec.encode(r)) for r in result.result]
-        delivered = Relation(result.result.schema)
-        for ciphertext in wire:
-            delivered.append(codec.decode(provider.decrypt(ciphertext)))
-        return delivered
+        codec = BatchCodec(result.result.schema)
+        wire = encrypt_batch(provider, codec.encode_rows(result.result.records()))
+        return Relation(result.result.schema,
+                        codec.decode_rows(decrypt_batch(provider, wire)))

@@ -547,7 +547,8 @@ class SecureCoprocessor:
         books the close inside the last pass's span); leaving the block
         closes it otherwise.  An exception discards the staged plaintexts,
         so the host image stays what it was when the section opened.  Row
-        batches (``get``/``put``/``*_many``) are refused inside it.  A
+        batches (``get``/``put``/``*_many``) are refused inside it, and
+        :meth:`copy_slots` stages its copies instead of moving cells.  A
         section opened inside another, or while the replay tape is active,
         fuses nothing: its passes replay, or run, one section each.
         """
@@ -582,18 +583,23 @@ class SecureCoprocessor:
         if self.replaying:
             return [entry.payload for entry in self._replay.take_batch(
                 [(GATHER, region, index) for index in indices])]
-        written = self._staged.get(region)
-        if written is None:
-            plaintexts = self._gather([(region, index) for index in indices])
-        else:
-            plaintexts = list(map(written.get, indices))
-            unwritten = [index for index, plain in zip(indices, plaintexts) if plain is None]
-            if unwritten:
-                read = iter(self._gather([(region, index) for index in unwritten]))
-                plaintexts = [next(read) if plain is None else plain for plain in plaintexts]
+        plaintexts = self._current(region, indices)
         if self._journaling:
             self._journal.extend(JournalEntry(GATHER, region, index, plaintext)
                                  for index, plaintext in zip(indices, plaintexts))
+        return plaintexts
+
+    def _current(self, region: str, indices: Sequence[int]) -> list[bytes]:
+        """A slot set's current plaintexts: staged by the open section, or
+        read from the host in one authenticated ranged call."""
+        written = self._staged.get(region)
+        if written is None:
+            return self._gather([(region, index) for index in indices])
+        plaintexts = list(map(written.get, indices))
+        unwritten = [index for index, plain in zip(indices, plaintexts) if plain is None]
+        if unwritten:
+            read = iter(self._gather([(region, index) for index in unwritten]))
+            plaintexts = [next(read) if plain is None else plain for plain in plaintexts]
         return plaintexts
 
     def _gather(self, slots: list[tuple[str, int]]) -> list[bytes]:
@@ -657,6 +663,33 @@ class SecureCoprocessor:
         self._staged.setdefault(region, {}).update(zip(indices, plaintexts))
         if append:
             self._appended.add(region)
+
+    def copy_slots(self, src: str, src_start: int, count: int,
+                   dst: str, dst_start: int) -> None:
+        """Copy ``count`` slots of ``src`` from ``src_start`` into ``dst`` at
+        ``dst_start``: a move that declares nothing.
+
+        Inside a fused section the host does not hold the section's writes,
+        so T stages the copies itself: the source's plaintexts are its
+        staged ones, or read like a gather's (one ranged call, a slot-cache
+        hit wherever T wrote the cell), and the close encrypts the copies
+        with everything else.  Anywhere else — no open section, a section
+        opened during replay, the reference device — the host moves the
+        ciphertexts (``host_copy_into``) and T carries its slot-cache
+        entries along, so a later read of a copy is a hit too.
+        """
+        sources = range(src_start, src_start + count)
+        targets = range(dst_start, dst_start + count)
+        if self._fusing:
+            self._keep(False, dst, targets, self._current(src, sources))
+            return
+        self.host.host_copy_into(src, src_start, count, dst, dst_start)
+        ciphers, plains = self._ciphers, self._plains
+        for source, target in zip(sources, targets):
+            cipher = ciphers.get((src, source))
+            if cipher is not None:
+                ciphers[dst, target] = cipher
+                plains[dst, target] = plains[src, source]
 
     def charge_boundary(self, table: Pairs, codes: bytes, indices: Sequence[int]) -> None:
         """Settle a completed pass: admit it, then its ledger; outside a

@@ -15,13 +15,20 @@ repeatedly:
 3. repeat until the source is exhausted; the top ``mu`` buffer slots hold
    every real result.
 
-The refill copies are pure host-side ciphertext moves (no transfer charged);
-only the sorts cross the T/H boundary.  Those sorts are exactly the pattern
-the coprocessor's write-back slot cache accelerates: every comparator re-reads
-slots whose ciphertexts T itself just wrote, so after each buffer slot's first
-physical decrypt the remaining gets are served by byte-equality (the modeled
-transfer/decryption counts below are unchanged).  The boundary cost expression
-is
+The refills are copies that declare nothing; only the sorts cross the T/H
+boundary, and the modeled transfer/decryption counts below do not depend on
+how a copy is carried out.  :func:`oblivious_filter` copies with
+:meth:`~repro.hardware.coprocessor.SecureCoprocessor.copy_slots`.  Inside a
+fused section (Algorithms 4 and 6 run the filter and its emit as one) T
+stages the copied oTuples' plaintexts in the buffer slots, reading the
+source range in one authenticated ranged call whose cells T wrote itself
+(slot-cache hits), so the buffer's sorts gather staged plaintexts, no buffer
+cell is decrypted and the close writes the buffer once under fresh nonces.
+Outside a section the host moves the ciphertexts and T carries its
+slot-cache entries to the copies, so the sorts' gathers hit the cache too,
+but each sort is a section of its own and re-encrypts the whole buffer.
+The parallel filter (:mod:`repro.oblivious.parallel_filter`) keeps the
+host-side copy: its sorts span the cluster.  The boundary cost expression is
 ``C(omega, mu)(delta) = ((omega - mu)/delta) * ((mu+delta)/4) * [log2(mu+delta)]^2``
 comparisons (Section 5.2.2) whose optimal ``delta*`` is computed in
 :mod:`repro.costs.filter_opt`.
@@ -57,8 +64,15 @@ def oblivious_filter(
     real element (padded with decoys when there are fewer than ``keep``).
     """
     _condense(coprocessor.host, source_region, source_size, keep, delta,
-              buffer_region, partial(oblivious_sort, coprocessor, key=priority))
+              buffer_region, partial(oblivious_sort, coprocessor, key=priority),
+              coprocessor.copy_slots)
     return buffer_region
+
+
+def filter_delta(source_size: int, keep: int, delta: int) -> int:
+    """The swap-area size the filter runs with for a requested ``delta``:
+    clamped to ``[1, source_size - keep]`` (1 when nothing is removed)."""
+    return max(1, min(delta, source_size - keep))
 
 
 def _condense(
@@ -69,13 +83,16 @@ def _condense(
     delta: int,
     buffer_region: str,
     sort: Callable[[str, int], Any],
+    copy: Callable[[str, int, int, str, int], None],
 ) -> list[Any]:
     """The copy/sort/refill loop of :func:`oblivious_filter`.
 
     ``sort(region, size)`` sorts the buffer, reals first: one coprocessor's
     :func:`~repro.oblivious.sort.oblivious_sort`, or the cluster's parallel
-    sort in :mod:`repro.oblivious.parallel_filter`.  Returns what each sort
-    returned, in order (so its length is the number of sorts).
+    sort in :mod:`repro.oblivious.parallel_filter`.  ``copy(src, src_start,
+    count, dst, dst_start)`` fills the buffer: the coprocessor's
+    section-aware ``copy_slots``, or the host's ``host_copy_into``.  Returns
+    what each sort returned, in order (so its length is the number of sorts).
     """
     if keep < 0 or source_size < 0:
         raise ConfigurationError("sizes must be non-negative")
@@ -87,20 +104,20 @@ def _condense(
     if keep == source_size:
         # Nothing to remove; the source is the answer.
         host.allocate(buffer_region, source_size)
-        host.host_copy_into(source_region, 0, source_size, buffer_region, 0)
+        copy(source_region, 0, source_size, buffer_region, 0)
         return []
 
-    delta = max(1, min(delta, source_size - keep))
+    delta = filter_delta(source_size, keep, delta)
     buffer_size = min(keep + delta, source_size)
     host.allocate(buffer_region, buffer_size)
-    host.host_copy_into(source_region, 0, buffer_size, buffer_region, 0)
+    copy(source_region, 0, buffer_size, buffer_region, 0)
     sorts = [sort(buffer_region, buffer_size)]
     position = buffer_size
     while position < source_size:
         take = min(delta, source_size - position)
         # Overwrite the lowest-priority slots with fresh source elements;
-        # ciphertexts move host-side, so this is transfer-free.
-        host.host_copy_into(source_region, position, take, buffer_region, buffer_size - take)
+        # a copy declares nothing, so this is transfer-free.
+        copy(source_region, position, take, buffer_region, buffer_size - take)
         position += take
         sorts.append(sort(buffer_region, buffer_size))
     return sorts

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.hardware.cluster import Cluster, TaskExecutor
-from repro.oblivious.filterbuf import _condense
+from repro.oblivious.filterbuf import _condense, filter_delta
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.oblivious.sort import KeyFunction, oblivious_sort
 
@@ -64,7 +64,8 @@ def parallel_oblivious_filter(
     Semantics match :func:`repro.oblivious.filterbuf.oblivious_filter` and
     so does the refill loop; only the buffer's sorts differ: they run on all
     coprocessors (through ``executor`` when one is given), or on T0 alone in
-    the serial fallback.  The refills are host-side copies either way.
+    the serial fallback.  The refills are host-side copies either way: the
+    filter spans the cluster, so no section fuses it.
     """
     coordinator = cluster[0]
     adjusted = (
@@ -76,11 +77,12 @@ def parallel_oblivious_filter(
         before = coordinator.trace.transfer_count()
         sorts = _condense(
             cluster.host, source_region, source_size, keep, delta, buffer_region,
-            partial(oblivious_sort, coordinator, key=priority))
+            partial(oblivious_sort, coordinator, key=priority),
+            cluster.host.host_copy_into)
         return ParallelFilterReport(
             buffer_region=buffer_region,
             buffer_size=cluster.host.size(buffer_region),
-            delta=max(1, delta),
+            delta=filter_delta(source_size, keep, delta),
             sorts=len(sorts),
             parallel=False,
             makespan=coordinator.trace.transfer_count() - before,
@@ -88,7 +90,8 @@ def parallel_oblivious_filter(
 
     reports = _condense(
         cluster.host, source_region, source_size, keep, adjusted, buffer_region,
-        partial(parallel_oblivious_sort, cluster, key=priority, executor=executor))
+        partial(parallel_oblivious_sort, cluster, key=priority, executor=executor),
+        cluster.host.host_copy_into)
     return ParallelFilterReport(
         buffer_region=buffer_region,
         buffer_size=keep + adjusted,

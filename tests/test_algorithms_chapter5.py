@@ -61,6 +61,15 @@ class TestAlgorithm4:
         out = algorithm4(fresh_context(), tables, PRED, delta=3)
         assert out.result.same_multiset(reference)
 
+    @pytest.mark.parametrize("requested, effective", [(0, 1), (10**6, 33)])
+    def test_meta_records_the_delta_the_filter_ran_with(self, requested, effective):
+        """The filter clamps delta to [1, L - S]; meta reports the clamp."""
+        tables, reference = workload(seed=22, left=6, right=6, results=3)
+        out = algorithm4(fresh_context(), tables, PRED, delta=requested)
+        assert (out.meta["L"], out.meta["S"]) == (36, 3)
+        assert out.meta["delta"] == effective
+        assert out.result.same_multiset(reference)
+
     def test_minimal_memory_footprint(self):
         tables, _ = workload(seed=23)
         context = fresh_context(memory_limit=2)
@@ -140,6 +149,17 @@ class TestAlgorithm6:
         assert out.meta["fit_in_memory"] is False
         assert out.result.same_multiset(reference)
         assert out.meta["segments"] >= 2
+
+    @pytest.mark.parametrize("requested", [0, 10**6])
+    def test_meta_records_the_delta_the_filter_ran_with(self, requested):
+        """The filter clamps delta to [1, omega - S]; meta reports the clamp."""
+        tables, reference = workload(seed=30, left=10, right=10, results=8)
+        out = algorithm6(fresh_context(), tables, PRED, memory=4, epsilon=1e-6,
+                         delta=requested)
+        assert out.meta["fit_in_memory"] is False
+        effective = 1 if requested == 0 else out.meta["omega"] - out.meta["S"]
+        assert out.meta["delta"] == effective
+        assert out.result.same_multiset(reference)
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-10, 0.0])
     def test_correct_across_epsilons(self, epsilon):

@@ -3,9 +3,11 @@
 Inside :meth:`SecureCoprocessor.section` every pass still declares, admits
 and charges its own run, but a gather of a slot the section already wrote is
 served from enclave memory and the close encrypts each written slot's final
-plaintext once.  These tests pin the physical side (cells encrypted per join,
-what reaches the host and when) and that recovery stays exact when crashes,
-replays and checkpoint commits land around and inside fused sections.
+plaintext once.  These tests pin the physical side (cells encrypted and
+decrypted per join, what reaches the host and when), the section-aware copy
+the decoy filter of Algorithms 4 and 6 refills its buffer with, and that
+recovery stays exact when crashes, replays and checkpoint commits land
+around and inside fused sections.
 """
 
 import random
@@ -15,18 +17,21 @@ import pytest
 from tests.conftest import KEY
 from tests.test_boundary import SpyHost
 
+from repro.core.algorithm4 import algorithm4
+from repro.core.algorithm6 import algorithm6
 from repro.core.algorithm7 import algorithm7
 from repro.core.algorithm8 import algorithm8
 from repro.core.base import JoinContext
 from repro.costs.oblivious_join import exact_algorithm7
 from repro.crypto.provider import FastProvider, decrypt_batch
-from repro.errors import CoprocessorCrashError, HostMemoryError
+from repro.errors import AuthenticationError, CoprocessorCrashError, HostMemoryError
 from repro.faults.checkpoint import CHECKPOINT_REGION, base_host
 from repro.faults.plan import crash_plan
 from repro.faults.recovery import run_with_recovery
 from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
+from repro.hardware.resilience import GATHER, JournalEntry, ReplayCursor
 from repro.oblivious.expand import oblivious_fill, oblivious_linear_pass
 from repro.oblivious.sort import oblivious_sort
 from repro.relational.generate import equijoin_workload, keyed_schema
@@ -86,6 +91,107 @@ def test_algorithm8_encrypts_each_written_slot_once(mode, left_keys, right_keys,
         assert t.physical_encryptions == n + s
     else:
         assert t.physical_encryptions == t.encryptions
+
+
+def filter_buffer(source, keep, delta):
+    """The decoy filter's buffer slots: the whole source when it keeps all."""
+    return source if keep == source else min(keep + delta, source)
+
+
+#: (left keys, right keys, keyword arguments) of Algorithm 4 joins: S < L,
+#: S = 0, keep == L (the filter's whole-source copy), a non-power-of-two L
+#: and two ``delta`` overrides (one clamped to L - S).
+ALG4_CASES = {
+    "S<L": ([1, 2, 2, 3, 9], [2, 3, 4, 5], {}),
+    "S=0": ([1, 2, 3], [4, 5, 6, 7], {}),
+    "keep=L": ([5, 5], [5, 5, 5], {}),
+    "L=35": ([1, 2, 3, 4, 5, 6, 7], [1, 3, 5, 7, 9], {}),
+    "delta=2": ([1, 2, 2, 3, 9], [2, 3, 4, 5], {"delta": 2}),
+    "delta-clamped": ([1, 2, 2, 3, 9], [2, 3, 4, 5], {"delta": 10**6}),
+}
+
+#: Segmented Algorithm 6 joins (S > M): screened, one-pass, a ``delta``
+#: override and a non-power-of-two L.
+ALG6_CASES = {
+    "screened": ([1, 2, 2, 3, 9, 4], [2, 3, 4, 5], {"memory": 2}),
+    "one-pass": ([1, 2, 2, 3, 9, 4], [2, 3, 4, 5], {"memory": 2, "known_result_size": 4}),
+    "delta=1": ([1, 2, 2, 3, 9, 4], [2, 3, 4, 5], {"memory": 2, "delta": 1}),
+    "L=35": ([1, 2, 3, 4, 5, 6, 7], [1, 3, 5, 7, 9], {"memory": 1}),
+}
+
+
+def cartesian_join(algorithm, device, left_keys, right_keys, kwargs):
+    left, right = tables(left_keys, right_keys)
+    context = JoinContext.fresh(provider=FastProvider(KEY),
+                                batched_io=device is SecureCoprocessor)
+    result = algorithm(context, [left, right], PRED, **kwargs)
+    return result, context.coprocessor, len(left) + len(right)
+
+
+def assert_filter_cells(result, t, inputs, written, device):
+    """The fast path encrypts each written slot once: the pass's ``written``
+    oTuples, the filter buffer and the S emitted rows; both devices decrypt
+    only the input cells (the buffer's copies are slot-cache hits)."""
+    s = result.meta["S"]
+    buffer = filter_buffer(written, s, result.meta["delta"])
+    assert t.encryptions == result.stats.puts
+    if device is SecureCoprocessor:
+        assert t.physical_encryptions == written + buffer + s
+    else:
+        assert t.physical_encryptions == t.encryptions
+    assert t.physical_decryptions == inputs
+    assert t.physical_decryptions + t.cache_hits == t.decryptions
+
+
+@pytest.mark.parametrize("device", [SecureCoprocessor, ReferenceCoprocessor],
+                         ids=["batched", "reference"])
+@pytest.mark.parametrize("case", sorted(ALG4_CASES))
+def test_algorithm4_writes_the_filter_buffer_once(case, device):
+    result, t, inputs = cartesian_join(algorithm4, device, *ALG4_CASES[case])
+    assert_filter_cells(result, t, inputs, result.meta["L"], device)
+    if case == "keep=L":
+        assert result.meta["S"] == result.meta["L"]
+
+
+@pytest.mark.parametrize("device", [SecureCoprocessor, ReferenceCoprocessor],
+                         ids=["batched", "reference"])
+@pytest.mark.parametrize("case", sorted(ALG6_CASES))
+def test_algorithm6_writes_the_filter_buffer_once(case, device):
+    result, t, inputs = cartesian_join(algorithm6, device, *ALG6_CASES[case])
+    assert not result.meta["blemish"] and not result.meta["fit_in_memory"]
+    assert result.meta["S"] > result.meta["M"]
+    assert_filter_cells(result, t, inputs, result.meta["omega"], device)
+
+
+@pytest.mark.parametrize("algorithm, n, kwargs, cells, decrypted", [
+    (algorithm4, 48, {}, 2523, 96),
+    (algorithm6, 128, {"memory": 16, "epsilon": 1e-6}, 1297, 256),
+], ids=["alg4_48", "alg6_128"])
+def test_the_benchmark_shapes_physical_counts(algorithm, n, kwargs, cells, decrypted):
+    """Before the filter was fused: 5 601 cells and 2 400 decryptions for
+    Algorithm 4 at 48 x 48, 1 826 and 896 for Algorithm 6 at 128 x 128."""
+    wl = equijoin_workload(n, n, n, rng=random.Random(1), max_matches=1)
+    context = JoinContext.fresh(provider=FastProvider(KEY))
+    algorithm(context, [wl.left, wl.right], PRED, **kwargs)
+    t = context.coprocessor
+    assert (t.physical_encryptions, t.physical_decryptions) == (cells, decrypted)
+
+
+def test_a_blemish_salvages_as_the_reference_does():
+    """One segment of L rows and M = 1 blemishes; the salvage rescan runs
+    with no section open and leaves the reference device's trace, result
+    and host image."""
+    left, right = tables([1, 2, 2, 3, 9], [2, 3, 4, 5])
+    runs = []
+    for device in (SecureCoprocessor, ReferenceCoprocessor):
+        provider = FastProvider(KEY)
+        context = JoinContext.fresh(provider=provider,
+                                    batched_io=device is SecureCoprocessor)
+        result = algorithm6(context, [left, right], PRED, memory=1, segment_size=20)
+        assert result.meta["blemish"] and result.meta["S"] == 3
+        runs.append((result.result.records(), result.trace.fingerprint(),
+                     image_of(context.host, provider)))
+    assert runs[0] == runs[1]
 
 
 # -- the section itself ---------------------------------------------------------
@@ -175,6 +281,98 @@ def test_row_batches_are_refused_inside_a_fused_section():
     t.get("r", 0)
 
 
+class CopySpy(SpyHost):
+    """A :class:`SpyHost` that logs host-side copies as ``("copy", rows)``."""
+
+    def host_copy_into(self, src, src_start, count, dst, dst_start):
+        self._log("copy", src, count)
+        super().host_copy_into(src, src_start, count, dst, dst_start)
+
+
+def copy_rig(device=SecureCoprocessor, replay=None):
+    spy = CopySpy()
+    provider = FastProvider(KEY)
+    spy.allocate("r", 8)
+    SecureCoprocessor(spy, provider).put_range("r", 0, [bytes([i]) * 4 for i in range(8)])
+    spy.allocate("d", 4)
+    spy.calls.clear()
+    return spy, device(spy, provider, replay=replay)
+
+
+def host_plains(t, region):
+    return decrypt_batch(t.provider, t.host.region_bytes(region))
+
+
+def test_a_fused_copy_of_staged_slots_stages_them_and_touches_no_host_slot():
+    spy, t = copy_rig()
+    with t.section():
+        oblivious_linear_pass(t, "r", 8, increment)
+        t.copy_slots("r", 2, 4, "d", 0)
+        assert spy.calls == [("read", 8)]
+        with t.hold(4):
+            assert t.gather_slots("d", range(4)) == [bytes([i + 1]) * 4 for i in range(2, 6)]
+    assert spy.calls == [("read", 8), ("write", 8), ("write", 4)]
+    assert host_plains(t, "d") == [bytes([i + 1]) * 4 for i in range(2, 6)]
+
+
+def test_a_fused_copy_reads_an_unstaged_source_like_a_gather():
+    """One ranged read, authenticated: the source cells hit the slot cache
+    when T wrote them, and a tampered cell aborts the copy."""
+    spy, t = copy_rig()
+    t.put_range("r", 0, [bytes([9 - i]) * 4 for i in range(8)])
+    decrypted = t.physical_decryptions
+    spy.calls.clear()
+    with t.section():
+        t.copy_slots("r", 4, 4, "d", 0)
+        assert spy.calls == [("read", 4)]
+    assert t.physical_decryptions == decrypted
+    assert host_plains(t, "d") == [bytes([9 - i]) * 4 for i in range(4, 8)]
+    cell = bytearray(spy.region_bytes("r")[5])
+    cell[-1] ^= 1
+    spy.write_slot("r", 5, bytes(cell))
+    with pytest.raises(AuthenticationError):
+        with t.section():
+            t.copy_slots("r", 4, 4, "d", 0)
+
+
+def test_a_copy_outside_a_section_is_the_hosts_and_stays_a_cache_hit():
+    spy, t = copy_rig()
+    t.put_range("r", 0, [bytes([9 - i]) * 4 for i in range(8)])
+    decrypted = t.physical_decryptions
+    spy.calls.clear()
+    t.copy_slots("r", 0, 4, "d", 0)
+    assert spy.calls == [("copy", 4)]
+    assert spy.region_bytes("d") == spy.region_bytes("r")[:4]
+    with t.hold(4):
+        assert t.get_range("d", 0, 4) == [bytes([9 - i]) * 4 for i in range(4)]
+    assert t.physical_decryptions == decrypted
+
+
+def test_a_copy_in_a_nested_section_is_the_outer_sections():
+    """A nested section fuses nothing of its own: its copy is staged by the
+    open outer section and written at the outer close."""
+    spy, t = copy_rig()
+    with t.section():
+        oblivious_linear_pass(t, "r", 8, increment)
+        with t.section():
+            t.copy_slots("r", 0, 4, "d", 0)
+        assert ("copy", 4) not in spy.calls and ("write", 4) not in spy.calls
+    assert host_plains(t, "d") == [bytes([i + 1]) * 4 for i in range(4)]
+
+
+def test_a_copy_is_the_hosts_on_the_reference_and_during_replay():
+    spy, t = copy_rig(ReferenceCoprocessor)
+    with t.section():
+        t.copy_slots("r", 0, 4, "d", 0)
+    assert spy.calls == [("copy", 4)]
+    tape = ReplayCursor([JournalEntry(GATHER, "r", 0, bytes(4))])
+    spy, t = copy_rig(replay=tape)
+    assert t.replaying
+    with t.section():
+        t.copy_slots("r", 0, 4, "d", 0)
+    assert spy.calls == [("copy", 4)]
+
+
 def test_the_reference_fuses_nothing():
     spy = SpyHost()
     t = ReferenceCoprocessor(spy, FastProvider(KEY))
@@ -189,25 +387,27 @@ def test_the_reference_fuses_nothing():
 
 # -- crash at every op, on the fast path ---------------------------------------
 
-#: (algorithm, mode, left keys, right keys): Algorithm 7 with S = 6 > n1, n2
-#: (fillers on both sides), Algorithm 8's join and semi-join.
+#: (algorithm, keyword arguments, left keys, right keys): Algorithm 4 at
+#: 5 x 4, Algorithm 6 segmented with S = 3 > M = 2, Algorithm 7 with
+#: S = 6 > n1, n2 (fillers on both sides), Algorithm 8's join and semi-join.
 CRASH_CASES = {
-    "alg7-fillers": ("algorithm7", None, [5, 5, 1], [5, 5, 5, 2]),
-    "alg8-join": ("algorithm8", "join", [1, 2, 2, 3, 9], [2, 3, 4, 5]),
-    "alg8-semi": ("algorithm8", "semi", [1, 2, 2, 3, 9], [2, 2, 3, 3, 4, 5]),
+    "alg4": (algorithm4, {}, [1, 2, 2, 3, 9], [2, 3, 4, 5]),
+    "alg6-segmented": (algorithm6, {"memory": 2}, [1, 2, 2, 3, 9], [2, 3, 4, 5]),
+    "alg7-fillers": (algorithm7, {}, [5, 5, 1], [5, 5, 5, 2]),
+    "alg8-join": (algorithm8, {"mode": "join"}, [1, 2, 2, 3, 9], [2, 3, 4, 5]),
+    "alg8-semi": (algorithm8, {"mode": "semi"}, [1, 2, 2, 3, 9], [2, 2, 3, 3, 4, 5]),
 }
 
 
 def crash_runner(case):
-    algorithm, mode, left_keys, right_keys = CRASH_CASES[case]
+    algorithm, kwargs, left_keys, right_keys = CRASH_CASES[case]
     relations = list(tables(left_keys, right_keys))
-    if algorithm == "algorithm7":
-        return lambda context: algorithm7(context, relations, PRED)
-    return lambda context: algorithm8(context, relations, PRED, mode=mode)
+    return lambda context: algorithm(context, relations, PRED, **kwargs)
 
 
 def image_of(storage, provider):
-    return {name: decrypt_batch(provider, storage.region_bytes(name))
+    """Every region's plaintexts (``None`` for a slot never written)."""
+    return {name: [cell and provider.decrypt(cell) for cell in storage.region_bytes(name)]
             for name in storage.region_names() if name != CHECKPOINT_REGION}
 
 
@@ -235,9 +435,12 @@ def crash_everywhere(case, intervals):
 def test_fused_joins_recover_from_a_crash_at_every_op(case):
     baseline = crash_everywhere(case, [16])
     algorithm, _, left_keys, right_keys = CRASH_CASES[case]
-    if algorithm == "algorithm7":
+    if algorithm is algorithm7:
         assert baseline.meta["S"] == 6 > max(len(left_keys), len(right_keys))
         assert baseline.stats.total == exact_algorithm7(3, 4, 6).total == 381
+    if algorithm is algorithm6:
+        assert baseline.meta["S"] == 3 > baseline.meta["M"]
+        assert not baseline.meta["blemish"] and not baseline.meta["fit_in_memory"]
 
 
 @pytest.mark.slow

@@ -89,6 +89,43 @@ class TestEndToEnd:
         delivered = service.deliver(result, recipient, "C-001")
         assert delivered.same_multiset(reference)
 
+    def test_upload_cells_are_the_row_codec_under_the_contract_header(self, scenario):
+        wl, _, _, airline, _, _ = scenario
+        header = "C-001".encode().ljust(16, b"\x00")
+        cells = airline.encrypt_upload("C-001", wl.left)
+        codec = wl.left.codec()
+        assert [airline.provider().decrypt(cell) for cell in cells] == [
+            header + codec.encode(record) for record in wl.left]
+
+    def test_delivery_keeps_every_row_in_order(self, scenario):
+        wl, service, _, airline, agency, recipient = scenario
+        service.ingest(airline, "C-001", wl.left)
+        service.ingest(agency, "C-001", wl.right)
+        result = service.execute("C-001", BinaryAsMulti(Equality("key")))
+        assert service.deliver(result, recipient, "C-001") == result.result
+
+    @pytest.mark.parametrize("fault", ["tampered", "foreign"])
+    def test_a_bad_upload_stages_nothing(self, scenario, fault):
+        """One bad cell anywhere in the batch refuses the whole upload."""
+        from repro.errors import AuthenticationError
+
+        wl, service, _, airline, agency, _ = scenario
+        service.register_contract(Contract(
+            contract_id="C-002", data_owners=("airline",),
+            recipient="screening-office", permitted_predicate="key = key",
+        ))
+        cells = airline.encrypt_upload("C-001", wl.left)
+        middle = len(cells) // 2
+        if fault == "tampered":
+            cells[middle] = cells[middle][:-1] + bytes([cells[middle][-1] ^ 1])
+        else:
+            cells[middle] = airline.encrypt_upload("C-002", wl.left)[middle]
+        with pytest.raises(AuthenticationError):
+            service.ingest_upload("airline", "C-001", wl.left.schema, cells)
+        service.ingest(agency, "C-001", wl.right)
+        with pytest.raises(ContractError):
+            service.execute("C-001", BinaryAsMulti(Equality("key")))
+
     def test_delivery_restricted_to_contracted_recipient(self, scenario):
         wl, service, _, airline, agency, _ = scenario
         service.ingest(airline, "C-001", wl.left)
