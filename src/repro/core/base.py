@@ -112,10 +112,11 @@ class JoinContext:
         which stores them on its local disk (Section 4.1).  The upload happens
         before the join and is not part of the coprocessor's trace.  An
         existing region of the same name is replaced, so one context can run
-        several joins in sequence.
+        several joins in sequence.  A STR or BYTES value that ends in NUL is
+        refused (:meth:`BatchCodec.encode_upload`) before any region changes.
         """
         codec = relation.codec()
-        payloads = BatchCodec(relation.schema).encode_rows(list(relation))
+        payloads = BatchCodec(relation.schema).encode_upload(list(relation))
         ciphertexts = encrypt_batch(self.provider, payloads)
         if self.host.has_region(region):
             self.host.free(region)

@@ -128,9 +128,13 @@ class Party:
         return FastProvider(self.key)
 
     def encrypt_upload(self, contract_id: str, relation: Relation) -> list[bytes]:
-        """Encrypt (contract_id || tuple) per record, as Section 3.3.3 requires."""
+        """Encrypt (contract_id || tuple) per record, as Section 3.3.3 requires.
+
+        A STR or BYTES value that ends in NUL is refused with a
+        :class:`~repro.errors.CodecError` (:meth:`BatchCodec.encode_upload`).
+        """
         header = _contract_header(contract_id)
-        rows = BatchCodec(relation.schema).encode_rows(relation.records())
+        rows = BatchCodec(relation.schema).encode_upload(relation.records())
         return encrypt_batch(self.provider(), [header + row for row in rows])
 
 

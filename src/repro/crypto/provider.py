@@ -21,6 +21,10 @@ Three implementations trade fidelity for speed:
   cost-model validation runs where only access patterns and transfer counts
   matter.
 
+Batches do their batch-wide work once: ``encrypt_many``/``decrypt_many``
+reserve the nonces and XOR the whole batch as one big int, and the
+keystream providers' ``decrypt`` (and Fast's ``encrypt``) is a batch of one.
+
 Nonce uniqueness
 ----------------
 Every scheme here is only semantically secure while nonces never repeat
@@ -37,9 +41,9 @@ probability (2^-64 per instance pair).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
+from hashlib import sha256, shake_256
 
 from typing import Protocol, runtime_checkable
 
@@ -79,22 +83,11 @@ class _NonceCounter:
         self._limit = 1 << (8 * (NONCE_SIZE - self.PREFIX_SIZE))
 
     def next_nonce(self) -> bytes:
-        value = next(self._counter)
-        if value >= self._limit:
-            # Counter segment exhausted (2^64 encryptions): rotate the prefix.
-            self._prefix = os.urandom(self.PREFIX_SIZE)
-            self._counter = itertools.count(2)
-            value = 1
-        return self._prefix + value.to_bytes(NONCE_SIZE - self.PREFIX_SIZE, "big")
+        return self.next_nonces(1)[0]
 
     def next_nonces(self, count: int) -> list[bytes]:
-        """Reserve ``count`` consecutive nonces in one call.
-
-        The batch providers draw their per-message nonces through this so a
-        batch costs one attribute lookup instead of one per message; rotation
-        at the counter-segment boundary behaves exactly as in
-        :meth:`next_nonce`.
-        """
+        """Reserve ``count`` consecutive nonces in one call; the prefix
+        rotates when the counter segment is exhausted (2^64 encryptions)."""
         width = NONCE_SIZE - self.PREFIX_SIZE
         out = []
         counter = self._counter
@@ -110,11 +103,24 @@ class _NonceCounter:
         return out
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """XOR equal-length byte strings via one big-int operation."""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
+def _xor_split(parts: list[bytes], streams: list[bytes]) -> list[bytes]:
+    """XOR each part with its equal-length stream, as one big-int operation.
+
+    The batch is joined, XORed once and sliced back into parts: by stride
+    when every part has one width, by running offsets otherwise.
+    """
+    joined = b"".join(parts)
+    total = len(joined)
+    mixed = (int.from_bytes(joined, "big")
+             ^ int.from_bytes(b"".join(streams), "big")).to_bytes(total, "big")
+    if len(parts) < 2:
+        return [mixed] if parts else []
+    lengths = list(map(len, parts))
+    width = lengths[0]
+    if lengths.count(width) == len(lengths):
+        return [mixed[start:start + width] for start in range(0, total, width)]
+    return [mixed[end - length:end]
+            for end, length in zip(itertools.accumulate(lengths), lengths)]
 
 
 #: Ranged ("span") cell layout used by :meth:`OcbProvider.encrypt_many`:
@@ -156,9 +162,11 @@ class OcbProvider:
 
     The span tag is 12 bytes (vs. OCB's 16) to keep the cell expansion equal
     to the scalar path's; forgery probability is 2^-96 per attempt (see
-    docs/THREAT_MODEL.md).  :meth:`decrypt` transparently accepts both cell
-    kinds: a cheap span-tag check first, then the scalar OCB path — a
-    tampered cell fails both and raises :class:`AuthenticationError`.
+    docs/THREAT_MODEL.md).  :meth:`decrypt_many` (and :meth:`decrypt`, a
+    batch of one) accepts both cell kinds: a cheap span-tag check first, then
+    the scalar OCB path — a tampered cell fails both and raises
+    :class:`AuthenticationError` before any plaintext of its batch is
+    released.  :meth:`encrypt` keeps the scalar OCB format.
     """
 
     overhead = NONCE_SIZE + TAG_SIZE
@@ -167,7 +175,7 @@ class OcbProvider:
         self._key = key
         self._ocb = Ocb(key)
         self._nonces = _NonceCounter()
-        self._span_mac_key = hashlib.sha256(_SPAN_MAC_DOMAIN + key).digest()
+        self._span_mac_key = sha256(_SPAN_MAC_DOMAIN + key).digest()
         self._span_seeds: dict[bytes, bytes] = {}
 
     def _span_seed(self, nonce: bytes) -> bytes:
@@ -183,47 +191,56 @@ class OcbProvider:
     def encrypt_many(self, plaintexts) -> list[bytes]:
         """Encrypt a batch as one ranged span (see the class docstring)."""
         plaintexts = list(plaintexts)
-        if not plaintexts:
+        count = len(plaintexts)
+        if not count:
             return []
-        if len(plaintexts) > 0xFFFFFFFF:
+        if count > 0xFFFFFFFF:
             raise ConfigurationError("span batches are limited to 2^32 messages")
-        for plain in plaintexts:
-            if not plain:
-                raise ConfigurationError("messages must be non-empty")
+        lengths = list(map(len, plaintexts))
+        if 0 in lengths:
+            raise ConfigurationError("messages must be non-empty")
         nonce = self._nonces.next_nonce()
         ks_prefix = _SPAN_KS_DOMAIN + self._span_seed(nonce)
         mac_prefix = self._span_mac_key + nonce
-        shake = hashlib.shake_256
-        sha = hashlib.sha256
-        xor = _xor
-        cells = []
-        for i, plain in enumerate(plaintexts):
-            meta = i.to_bytes(_SPAN_META_SIZE, "big")
-            body = xor(plain, shake(ks_prefix + meta).digest(len(plain)))
-            tag = sha(mac_prefix + meta + body).digest()[:_SPAN_TAG_SIZE]
-            cells.append(nonce + body + meta + tag)
-        return cells
+        metas = [i.to_bytes(_SPAN_META_SIZE, "big") for i in range(count)]
+        bodies = _xor_split(plaintexts, [
+            shake_256(ks_prefix + meta).digest(length)
+            for meta, length in zip(metas, lengths)
+        ])
+        return [
+            nonce + body + meta
+            + sha256(mac_prefix + meta + body).digest()[:_SPAN_TAG_SIZE]
+            for body, meta in zip(bodies, metas)
+        ]
 
     def decrypt_many(self, ciphertexts) -> list[bytes]:
-        """Decrypt a batch of cells (span or scalar, in any mixture)."""
-        decrypt = self.decrypt
-        return [decrypt(cell) for cell in ciphertexts]
+        """Decrypt a batch of span or scalar cells, in any mixture.
 
-    def _span_decrypt(self, ciphertext: bytes) -> bytes | None:
-        """Decrypt a span cell, or None when the span tag does not verify."""
-        nonce = ciphertext[:NONCE_SIZE]
-        body = ciphertext[NONCE_SIZE:-_SPAN_TRAILER]
-        meta = ciphertext[-_SPAN_TRAILER:-_SPAN_TAG_SIZE]
-        tag = ciphertext[-_SPAN_TAG_SIZE:]
-        expected = hashlib.sha256(
-            self._span_mac_key + nonce + meta + body
-        ).digest()[:_SPAN_TAG_SIZE]
-        if expected != tag:
-            return None
-        keystream = hashlib.shake_256(
-            _SPAN_KS_DOMAIN + self._span_seed(nonce) + meta
-        ).digest(len(body))
-        return _xor(body, keystream)
+        Cells are authenticated in order; one whose span tag fails takes the
+        scalar OCB path (which raises on tamper).  Then one XOR decrypts the
+        span cells' bodies."""
+        plains: list[bytes | None] = []
+        bodies, streams = [], []
+        mac_key, seeds = self._span_mac_key, self._span_seeds
+        for cell in ciphertexts:
+            if len(cell) <= NONCE_SIZE + TAG_SIZE:
+                raise AuthenticationError("ciphertext too short")
+            nonce = cell[:NONCE_SIZE]
+            body = cell[NONCE_SIZE:-_SPAN_TRAILER]
+            meta = cell[-_SPAN_TRAILER:-_SPAN_TAG_SIZE]
+            tag = cell[-_SPAN_TAG_SIZE:]
+            if sha256(mac_key + nonce + meta + body).digest()[:_SPAN_TAG_SIZE] != tag:
+                plains.append(self._ocb.decrypt(nonce, cell[NONCE_SIZE:]))
+                continue
+            seed = seeds.get(nonce) or self._span_seed(nonce)
+            plains.append(None)
+            bodies.append(body)
+            streams.append(shake_256(_SPAN_KS_DOMAIN + seed + meta).digest(len(body)))
+        decrypted = _xor_split(bodies, streams)
+        if len(decrypted) == len(plains):
+            return decrypted
+        decrypted = iter(decrypted)
+        return [next(decrypted) if plain is None else plain for plain in plains]
 
     def clone(self) -> "OcbProvider":
         """A fresh instance under the same key with its own nonce sequence.
@@ -242,13 +259,7 @@ class OcbProvider:
         return nonce + self._ocb.encrypt(nonce, plaintext)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) <= NONCE_SIZE + TAG_SIZE:
-            raise AuthenticationError("ciphertext too short")
-        plain = self._span_decrypt(ciphertext)
-        if plain is not None:
-            return plain
-        nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
-        return self._ocb.decrypt(nonce, body)
+        return self.decrypt_many((ciphertext,))[0]
 
 
 class FastProvider:
@@ -256,7 +267,7 @@ class FastProvider:
 
     The keystream is a single SHAKE-256 squeeze over (key || nonce) — one
     hash call per message instead of one SHA-256 per 32 bytes — and the
-    plaintext/keystream XOR runs as one big-int operation.
+    plaintext/keystream XOR runs as one big-int operation per batch.
     """
 
     overhead = NONCE_SIZE + TAG_SIZE
@@ -265,8 +276,8 @@ class FastProvider:
         if len(key) < 16:
             raise ConfigurationError("keys must be at least 16 bytes")
         self._key = key
-        self._enc_key = hashlib.sha256(b"fast-enc" + key).digest()
-        self._mac_key = hashlib.sha256(b"fast-mac" + key).digest()
+        self._enc_key = sha256(b"fast-enc" + key).digest()
+        self._mac_key = sha256(b"fast-mac" + key).digest()
         self._nonces = _NonceCounter()
 
     def clone(self) -> "FastProvider":
@@ -274,52 +285,44 @@ class FastProvider:
         :meth:`OcbProvider.clone`)."""
         return FastProvider(self._key)
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        return hashlib.shake_256(self._enc_key + nonce).digest(length)
-
-    def _mac(self, nonce: bytes, body: bytes) -> bytes:
-        return hashlib.sha256(self._mac_key + nonce + body).digest()[:TAG_SIZE]
-
     def encrypt(self, plaintext: bytes) -> bytes:
-        if not plaintext:
-            raise ConfigurationError("messages must be non-empty")
-        nonce = self._nonces.next_nonce()
-        body = _xor(plaintext, self._keystream(nonce, len(plaintext)))
-        return nonce + body + self._mac(nonce, body)
+        return self.encrypt_many((plaintext,))[0]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) < NONCE_SIZE + TAG_SIZE + 1:
-            raise AuthenticationError("ciphertext too short")
-        nonce = ciphertext[:NONCE_SIZE]
-        body = ciphertext[NONCE_SIZE:-TAG_SIZE]
-        tag = ciphertext[-TAG_SIZE:]
-        if self._mac(nonce, body) != tag:
-            raise AuthenticationError("MAC mismatch: ciphertext was tampered with")
-        return _xor(body, self._keystream(nonce, len(body)))
+        return self.decrypt_many((ciphertext,))[0]
 
     def encrypt_many(self, plaintexts) -> list[bytes]:
-        """Batch encryption; per-cell format identical to :meth:`encrypt`.
-
-        The scheme is already two hash calls per message, so batching only
-        amortizes nonce reservation and attribute lookups — no span format.
-        """
+        """Cells ``nonce || body || tag``, each with its own nonce, keystream
+        and tag; the batch shares the nonce reservation and one XOR."""
         plaintexts = list(plaintexts)
-        for plain in plaintexts:
-            if not plain:
-                raise ConfigurationError("messages must be non-empty")
+        lengths = list(map(len, plaintexts))
+        if 0 in lengths:
+            raise ConfigurationError("messages must be non-empty")
         nonces = self._nonces.next_nonces(len(plaintexts))
-        keystream = self._keystream
-        mac = self._mac
-        xor = _xor
-        cells = []
-        for nonce, plain in zip(nonces, plaintexts):
-            body = xor(plain, keystream(nonce, len(plain)))
-            cells.append(nonce + body + mac(nonce, body))
-        return cells
+        enc_key, mac_key = self._enc_key, self._mac_key
+        bodies = _xor_split(plaintexts, [
+            shake_256(enc_key + nonce).digest(length)
+            for nonce, length in zip(nonces, lengths)
+        ])
+        return [
+            nonce + body + sha256(mac_key + nonce + body).digest()[:TAG_SIZE]
+            for nonce, body in zip(nonces, bodies)
+        ]
 
     def decrypt_many(self, ciphertexts) -> list[bytes]:
-        decrypt = self.decrypt
-        return [decrypt(cell) for cell in ciphertexts]
+        """Authenticate every cell, in order, then decrypt with one XOR."""
+        bodies, streams = [], []
+        enc_key, mac_key = self._enc_key, self._mac_key
+        for cell in ciphertexts:
+            if len(cell) < NONCE_SIZE + TAG_SIZE + 1:
+                raise AuthenticationError("ciphertext too short")
+            nonce = cell[:NONCE_SIZE]
+            body = cell[NONCE_SIZE:-TAG_SIZE]
+            if sha256(mac_key + nonce + body).digest()[:TAG_SIZE] != cell[-TAG_SIZE:]:
+                raise AuthenticationError("MAC mismatch: ciphertext was tampered with")
+            bodies.append(body)
+            streams.append(shake_256(enc_key + nonce).digest(len(body)))
+        return _xor_split(bodies, streams)
 
 
 class NullProvider:
@@ -340,13 +343,10 @@ class NullProvider:
 
     @staticmethod
     def _checksum(nonce: bytes, body: bytes) -> bytes:
-        return hashlib.sha256(b"null" + nonce + body).digest()[:TAG_SIZE]
+        return sha256(b"null" + nonce + body).digest()[:TAG_SIZE]
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        if not plaintext:
-            raise ConfigurationError("messages must be non-empty")
-        nonce = self._nonces.next_nonce()
-        return nonce + plaintext + self._checksum(nonce, plaintext)
+        return self.encrypt_many((plaintext,))[0]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) < NONCE_SIZE + TAG_SIZE + 1:
@@ -371,8 +371,7 @@ class NullProvider:
         ]
 
     def decrypt_many(self, ciphertexts) -> list[bytes]:
-        decrypt = self.decrypt
-        return [decrypt(cell) for cell in ciphertexts]
+        return list(map(self.decrypt, ciphertexts))
 
 
 def encrypt_batch(provider: CryptoProvider, plaintexts) -> list[bytes]:

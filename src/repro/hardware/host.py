@@ -126,6 +126,40 @@ class HostMemory(RangedSlots):
                 return cells
         return super().read_slots(slots)
 
+    def write_slots(self, slots: Sequence[tuple[str, int]],
+                    ciphertexts: Sequence[bytes]) -> None:
+        """Write a batch in one pass, without a call per slot.
+
+        The whole batch is validated first: a slot :meth:`write_slot` would
+        refuse sends the batch through the per-slot loop, which writes the
+        slots before it and raises that error.  A subclass that overrides
+        :meth:`write_slot` always gets the loop.
+        """
+        if type(self).write_slot is HostMemory.write_slot:
+            regions = self._regions
+            try:
+                valid = all(0 <= index < len(regions[name]) for name, index in slots)
+            except (KeyError, TypeError):
+                valid = False
+            if valid:
+                for (name, index), ciphertext in zip(slots, ciphertexts):
+                    regions[name][index] = ciphertext
+                return
+        super().write_slots(slots, ciphertexts)
+
+    def append_slots(self, name: str, ciphertexts: Sequence[bytes]) -> list[int]:
+        """Grow a region by one slot per ciphertext, in one pass.
+
+        An unknown region, or a subclass that overrides :meth:`append_slot`,
+        takes the per-slot loop.
+        """
+        region = self._regions.get(name)
+        if region is None or type(self).append_slot is not HostMemory.append_slot:
+            return super().append_slots(name, ciphertexts)
+        start = len(region)
+        region.extend(ciphertexts)
+        return list(range(start, len(region)))
+
     def read_slot(self, name: str, index: int) -> bytes:
         region = self._region(name)
         if not 0 <= index < len(region):

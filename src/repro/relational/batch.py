@@ -2,11 +2,15 @@
 
 The per-tuple :class:`~repro.relational.tuples.TupleCodec` serializes one
 record at a time, re-entering the Python interpreter per attribute per row.
-:class:`BatchCodec` operates on whole batches instead: the values of one
-attribute across N records are encoded into (or decoded from) one contiguous
-byte column of ``N * slot_size`` bytes, with fixed-width types going through
-a single ``struct`` call for the entire column.  Rows are recovered by
-stitching the columns at the schema's cached offsets.
+:class:`BatchCodec` operates on whole batches instead.  Encoding packs the
+values of one attribute across N records into one contiguous byte column of
+``N * slot_size`` bytes, with fixed-width types going through a single
+``struct`` call for the entire column; each column is split by its stride
+once and the rows are joined from the pieces.  Decoding unpacks the joined
+payloads with one row ``struct`` (the fixed-width values decoded, every other
+slot left raw and decoded column by column) and builds each record through
+the trusted :meth:`Record._decoded`, since decoded values already have the
+schema's arity and normal form.
 
 Byte identity is the contract: for every record, the row produced by
 :meth:`encode_rows` equals ``TupleCodec(schema).encode(record)`` bit for bit,
@@ -26,6 +30,13 @@ from repro.relational.schema import AttrType, Schema
 from repro.relational.tuples import Record, TupleCodec, _decode_value, _encode_value
 
 
+#: ``struct`` codes of the fixed-width types; a row struct reads every other
+#: type as its raw slot, which is then decoded value by value.
+_STRUCT_CODES = {AttrType.INT: "q", AttrType.FLOAT: "d"}
+#: The NUL-padded types, each with its own type's NUL.
+_NUL = {AttrType.STR: "\x00", AttrType.BYTES: b"\x00"}
+
+
 class BatchCodec:
     """Columnar serializer for batches of records of one schema."""
 
@@ -34,6 +45,13 @@ class BatchCodec:
         self._row_codec = TupleCodec(schema)
         self.record_size = self._row_codec.record_size
         self.layout = self._row_codec.layout
+        self._row_struct = struct.Struct(">" + "".join(
+            _STRUCT_CODES.get(attr.type, f"{slot}s") for attr, _, slot in self.layout))
+        #: (position, attribute) of every slot the row struct leaves raw.
+        self._raw_slots = [
+            (position, attr) for position, (attr, _, _) in enumerate(self.layout)
+            if attr.type not in _STRUCT_CODES
+        ]
 
     # -- encoding ----------------------------------------------------------
     def encode_columns(self, records: Sequence[Record]) -> list[bytes]:
@@ -85,19 +103,35 @@ class BatchCodec:
                     f"column for {attr.name!r} is {len(column)} bytes, "
                     f"expected {count * slot}"
                 )
-        slots = [slot for _, _, slot in self.layout]
-        return [
-            b"".join(
-                column[k * slot:(k + 1) * slot]
-                for column, slot in zip(columns, slots)
-            )
-            for k in range(count)
+        split = [
+            [column[start:start + slot] for start in range(0, len(column), slot)]
+            for (_, _, slot), column in zip(self.layout, columns)
         ]
+        return list(map(b"".join, zip(*split)))
 
     def encode_rows(self, records: Sequence[Record]) -> list[bytes]:
         """Encode a batch into per-row payloads, byte-identical to
         ``TupleCodec.encode`` applied record by record."""
         return self.rows_from_columns(self.encode_columns(records), len(records))
+
+    def encode_upload(self, records: Sequence[Record]) -> list[bytes]:
+        """:meth:`encode_rows` for a data provider's upload, which refuses a
+        STR or BYTES value that ends in NUL.
+
+        Those slots are padded with NULs that decoding strips, so such a value
+        would come back shorter and a join over it would return rows the
+        plaintext reference does not.
+        """
+        rows = self.encode_rows(records)
+        for position, (attr, _, _) in enumerate(self.layout):
+            nul = _NUL.get(attr.type)
+            if nul is not None and any(
+                    record.values[position][-1:] == nul for record in records):
+                raise CodecError(
+                    f"attribute {attr.name!r} has a value that ends in NUL, "
+                    "which the codec's NUL padding would strip"
+                )
+        return rows
 
     # -- decoding ----------------------------------------------------------
     def columns_from_rows(self, payloads: Sequence[bytes]) -> list[bytes]:
@@ -114,10 +148,15 @@ class BatchCodec:
         ]
 
     def decode_rows(self, payloads: Sequence[bytes]) -> list[Record]:
-        """Decode a batch of row payloads column-wise into records."""
+        """Decode a batch of row payloads into records.
+
+        One row struct unpacks every fixed-width value of the batch; the
+        slots it leaves raw are decoded column by column.  Decoded values
+        have the schema's arity and normal form, so the records are built
+        with :meth:`Record._decoded`.
+        """
         payloads = list(payloads)
-        n = len(payloads)
-        if n == 0:
+        if not payloads:
             return []
         size = self.record_size
         for payload in payloads:
@@ -125,26 +164,15 @@ class BatchCodec:
                 raise CodecError(
                     f"payload is {len(payload)} bytes, schema needs {size}"
                 )
+        rows = self._row_struct.iter_unpack(b"".join(payloads))
+        if self._raw_slots:
+            columns = list(zip(*rows))
+            for position, attr in self._raw_slots:
+                columns[position] = [_decode_value(attr, raw) for raw in columns[position]]
+            rows = zip(*columns)
         schema = self.schema
-        value_columns: list[Sequence] = []
-        for attr, offset, slot in self.layout:
-            column = b"".join(payload[offset:offset + slot] for payload in payloads)
-            value_columns.append(self._decode_column(attr, column, slot, n))
-        return [
-            Record(schema, tuple(column[k] for column in value_columns))
-            for k in range(n)
-        ]
-
-    def _decode_column(self, attr, column: bytes, slot: int, n: int) -> Sequence:
-        kind = attr.type
-        if kind is AttrType.INT:
-            return struct.unpack(f">{n}q", column)
-        if kind is AttrType.FLOAT:
-            return struct.unpack(f">{n}d", column)
-        return [
-            _decode_value(attr, column[k * slot:(k + 1) * slot])
-            for k in range(n)
-        ]
+        decoded = Record._decoded
+        return [decoded(schema, values) for values in rows]
 
     def decode_unique(
         self, payloads: Iterable[bytes]

@@ -37,6 +37,18 @@ class Record:
         object.__setattr__(self, "values", normalized)
 
     @classmethod
+    def _decoded(cls, schema: Schema, values: tuple[Any, ...]) -> "Record":
+        """A record from codec output, built without ``__post_init__``.
+
+        Trusted: ``values`` is a tuple of the schema's arity whose INTSET
+        values are already frozensets, which is what the codec decodes.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "schema", schema)
+        object.__setattr__(record, "values", values)
+        return record
+
+    @classmethod
     def of(cls, schema: Schema, *values: Any) -> "Record":
         """Build a record from positional values."""
         return cls(schema, tuple(values))

@@ -16,9 +16,13 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
-from repro.errors import ConfigurationError
+from repro.core.algorithm7 import algorithm7
+from repro.errors import CodecError, ConfigurationError
+from repro.relational.joins import nested_loop_join
+from repro.relational.predicates import Equality
 from repro.relational.relation import Relation
-from repro.relational.tuples import TupleCodec
+from repro.relational.schema import Schema, blob, integer, text
+from repro.relational.tuples import Record, TupleCodec
 
 
 class TestOTupleFormat:
@@ -60,6 +64,24 @@ class TestJoinContext:
         codec = context.upload_relation("A", relation)
         raw = context.host.read_slot("A", 0)
         assert codec.encode(relation[0]) not in raw
+
+    @pytest.mark.parametrize("kind", ["bytes", "str"])
+    def test_upload_refuses_a_value_that_ends_in_nul(self, kind):
+        """The codec's NUL padding would strip it: Algorithm 7 used to join
+        b"a" with b"a\\x00" and return b"a" in place of b"a\\x00"."""
+        attr = blob("key", 4) if kind == "bytes" else text("key", 4)
+        nul, plain = (b"\x00", b"a") if kind == "bytes" else ("\x00", "a")
+        left = Relation(Schema.of(attr, integer("a"), name="A"))
+        left.append(Record.of(left.schema, plain, 1))
+        right = Relation(Schema.of(attr, integer("b"), name="B"))
+        right.append(Record.of(right.schema, plain + nul, 2))
+        assert len(nested_loop_join(left, right, Equality("key"))) == 0
+        context = JoinContext.fresh()
+        with pytest.raises(CodecError, match="'key'"):
+            context.upload_relation("B", right)
+        assert not context.host.has_region("B")
+        with pytest.raises(CodecError, match="'key'"):
+            algorithm7(JoinContext.fresh(), [left, right], Equality("key"))
 
     def test_download_output_filters_decoys(self):
         context = fresh_context()

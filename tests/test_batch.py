@@ -124,6 +124,28 @@ class TestBatchCodec:
         batch = BatchCodec(schema)
         assert batch.decode_rows(batch.encode_rows(records)) == records
 
+    @settings(max_examples=60, deadline=None)
+    @given(relations())
+    def test_decoded_records_are_constructed_records(self, schema_and_records):
+        """Decoded records skip ``__post_init__``; they must still equal, and
+        hash like, the record the validating constructor builds."""
+        schema, records = schema_and_records
+        batch = BatchCodec(schema)
+        for record in batch.decode_rows(batch.encode_rows(records)):
+            built = Record(schema, record.values)
+            assert record == built and hash(record) == hash(built)
+            assert type(record.values) is tuple
+
+    def test_decoded_records_of_every_attribute_type(self):
+        records = [Record.of(SCHEMA, -42, 3.25, "bob", b"\x01\x02", {5, 9}),
+                   Record.of(SCHEMA, 0, -0.0, "", b"", set())]
+        batch = BatchCodec(SCHEMA)
+        decoded = batch.decode_rows(batch.encode_rows(records))
+        assert decoded == records
+        assert [hash(r) for r in decoded] == [hash(r) for r in records]
+        assert decoded == [Record(SCHEMA, r.values) for r in decoded]
+        assert all(type(r.values[4]) is frozenset for r in decoded)
+
     @settings(max_examples=30, deadline=None)
     @given(relations())
     def test_column_transpose_roundtrip(self, schema_and_records):

@@ -1,5 +1,7 @@
 """Unit and property tests for the crypto substrate (block cipher, OCB, providers)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,3 +249,117 @@ class TestNonceCounter:
         following = counter.next_nonce()
         assert following[:_NonceCounter.PREFIX_SIZE] == after[:_NonceCounter.PREFIX_SIZE]
         assert following != after
+
+
+#: ``encrypt_many`` cells under a pinned nonce prefix (all zero, counter from
+#: 1), captured from the per-cell loops before the batch kernels replaced
+#: them: sha256 of each batch's concatenated cells.  Any drift means a
+#: kernel changed the cell format, not just its speed.
+BATCH_LENGTHS = {1: (17,), 2: (16, 33), 7: (1, 15, 16, 17, 33, 49, 16)}
+BATCH_GOLDEN = {
+    (OcbProvider, 1): "efff4b5fd2b1e2475767eccf8dc1adea2ace556555496b76007d1c43b490b3e2",
+    (OcbProvider, 2): "a3df16326fd62bd900b78e51a0418c171a4d9107af241357880f3c963148d287",
+    (OcbProvider, 7): "ad1899fb880e58d400959498a4e0396f6daf0b505dda613b86b61300d084d760",
+    (FastProvider, 1): "cf19ba4b17ac0ba6fe4e19456eba121fb3e71e50c5703e4cd0950145f751fab5",
+    (FastProvider, 2): "61c55f8f5bdc80a62352a5865f215f388a3af8d6403825790ff1d64be918a890",
+    (FastProvider, 7): "16dbe4c1bc9a8c8ee2de314808335be8a81438805c938c5b21cefe9beb48eb63",
+}
+#: The two-cell batches in full, so the decrypt side is pinned to bytes too.
+BATCH_CELLS = {
+    OcbProvider: (
+        "000000000000000000000000000000015a581395cac15f617777ab4925fc93ca"
+        "00000000cf0e5b5752833210693ac178",
+        "00000000000000000000000000000001495ba908c13e53b18561165570ebc39d"
+        "ef9521654eced230b15d389c817b04d0f7000000013de6baec005284bf36143c4c",
+    ),
+    FastProvider: (
+        "000000000000000000000000000000013b9ac594af586ebc4525cbd3086d0376"
+        "77919505b55d401af4f76ba2293816ab",
+        "0000000000000000000000000000000236ddf7fac71393e5bb8c9b056a35c8e0"
+        "be16621cb548344cf9b7d51ae74cbc9dd440256f407ea00977c6532a16f8b9a928",
+    ),
+}
+FAST_SCALAR_GOLDEN = (
+    "000000000000000000000000000000013b9ac594af586ebc4525cbd3086d0376"
+    "37f8af9a6fb569ab9b303fc77f005ce41f"
+)
+
+
+def pinned(provider_cls):
+    """A provider whose nonces are the all-zero prefix and counter 1, 2, ..."""
+    provider = provider_cls(KEY)
+    provider._nonces._prefix = bytes(_NonceCounter.PREFIX_SIZE)
+    return provider
+
+
+def batch_plaintexts(lengths):
+    return [bytes((7 * i + j) & 0xFF for j in range(n)) for i, n in enumerate(lengths)]
+
+
+def mixed_batch(provider):
+    """Span cells of one ``encrypt_many`` interleaved with scalar cells."""
+    plains = batch_plaintexts(BATCH_LENGTHS[7])
+    spans = provider.encrypt_many(plains[0::2])
+    scalars = [provider.encrypt(plain) for plain in plains[1::2]]
+    cells = [None] * len(plains)
+    cells[0::2], cells[1::2] = spans, scalars
+    return plains, cells
+
+
+@pytest.mark.parametrize("provider_cls", [OcbProvider, FastProvider])
+class TestBatchKernels:
+    @pytest.mark.parametrize("size", sorted(BATCH_LENGTHS))
+    def test_encrypt_many_golden_vectors(self, provider_cls, size):
+        lengths = BATCH_LENGTHS[size]
+        cells = pinned(provider_cls).encrypt_many(batch_plaintexts(lengths))
+        assert [len(cell) for cell in cells] == [
+            n + provider_cls.overhead for n in lengths]
+        digest = hashlib.sha256(b"".join(cells)).hexdigest()
+        assert digest == BATCH_GOLDEN[provider_cls, size]
+
+    def test_two_cell_batch_in_full(self, provider_cls):
+        expected = [bytes.fromhex(cell) for cell in BATCH_CELLS[provider_cls]]
+        plains = batch_plaintexts(BATCH_LENGTHS[2])
+        assert pinned(provider_cls).encrypt_many(plains) == expected
+        assert provider_cls(KEY).decrypt_many(expected) == plains
+        assert [provider_cls(KEY).decrypt(cell) for cell in expected] == plains
+
+    def test_mixed_batch_decrypts(self, provider_cls):
+        provider = provider_cls(KEY)
+        plains, cells = mixed_batch(provider)
+        assert provider.decrypt_many(cells) == plains
+        assert provider_cls(KEY).decrypt_many(iter(cells)) == plains
+
+    def test_flipped_bit_in_any_cell_fails_the_batch(self, provider_cls):
+        provider = provider_cls(KEY)
+        _, cells = mixed_batch(provider)
+        for position, cell in enumerate(cells):
+            for offset in range(len(cell)):
+                corrupted = bytearray(cell)
+                corrupted[offset] ^= 0x01
+                batch = list(cells)
+                batch[position] = bytes(corrupted)
+                with pytest.raises(AuthenticationError):
+                    provider.decrypt_many(batch)
+
+    def test_too_short_cell_fails_the_batch(self, provider_cls):
+        provider = provider_cls(KEY)
+        _, cells = mixed_batch(provider)
+        for position in range(len(cells)):
+            for short in (b"", cells[position][:NONCE_SIZE + TAG_SIZE]):
+                batch = list(cells)
+                batch[position] = short
+                with pytest.raises(AuthenticationError):
+                    provider.decrypt_many(batch)
+
+    def test_empty_batch(self, provider_cls):
+        provider = provider_cls(KEY)
+        assert provider.encrypt_many([]) == []
+        assert provider.decrypt_many([]) == []
+
+
+def test_fast_scalar_encrypt_golden_vector():
+    plain = batch_plaintexts(BATCH_LENGTHS[1])[0]
+    cell = pinned(FastProvider).encrypt(plain)
+    assert cell.hex() == FAST_SCALAR_GOLDEN
+    assert FastProvider(KEY).decrypt(cell) == plain

@@ -105,6 +105,90 @@ class TestHostMemory:
         assert host.region_bytes("dst") == [b"x", b"y"]
 
 
+class SlotLoggingHost(HostMemory):
+    """Overrides the scalar writes, so the ranged calls must loop over them."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def write_slot(self, name, index, ciphertext):
+        self.log.append(("write", name, index))
+        super().write_slot(name, index, ciphertext)
+
+    def append_slot(self, name, ciphertext):
+        self.log.append(("append", name))
+        return super().append_slot(name, ciphertext)
+
+
+class TestHostRangedWrites:
+    """The honest host writes a batch in one pass, and refuses exactly the
+    batches its per-slot calls refuse: same error, same partial writes."""
+
+    @staticmethod
+    def host():
+        host = HostMemory()
+        host.allocate_from("A", [b"a0", b"a1", b"a2"])
+        host.allocate("B", 2)
+        return host
+
+    @pytest.mark.parametrize("slots", [
+        [("A", 0), ("C", 0)],
+        [("A", 1), ("A", 3)],
+        [("A", 2), ("A", -1)],
+        [("B", 1), ("A", 0), ("B", 2), ("Z", 0)],
+    ], ids=["unknown-region", "past-the-end", "negative", "first-refusal-wins"])
+    def test_write_slots_refuses_where_write_slot_does(self, slots):
+        cells = [b"w%d" % i for i in range(len(slots))]
+        one_by_one, batch = self.host(), self.host()
+        with pytest.raises(HostMemoryError) as scalar:
+            for slot, cell in zip(slots, cells):
+                one_by_one.write_slot(*slot, cell)
+        with pytest.raises(HostMemoryError) as ranged:
+            batch.write_slots(slots, cells)
+        assert str(ranged.value) == str(scalar.value)
+        assert batch.snapshot_regions() == one_by_one.snapshot_regions()
+
+    def test_write_slots_writes_what_write_slot_does(self):
+        slots = [("B", 1), ("A", 0), ("B", 1), ("A", 2)]
+        cells = [b"x", b"y", b"z", b"w"]
+        one_by_one, batch = self.host(), self.host()
+        for slot, cell in zip(slots, cells):
+            one_by_one.write_slot(*slot, cell)
+        batch.write_slots(slots, cells)
+        assert batch.snapshot_regions() == one_by_one.snapshot_regions()
+        assert batch.region_bytes("B") == [None, b"z"]
+
+    def test_an_honest_batch_makes_no_per_slot_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-slot call on the direct path")
+
+        host = self.host()
+        monkeypatch.setattr(HostMemory, "write_slot", refuse)
+        monkeypatch.setattr(HostMemory, "append_slot", refuse)
+        host.write_slots([("A", 1), ("B", 0)], [b"x", b"y"])
+        assert host.append_slots("B", [b"p", b"q"]) == [2, 3]
+        assert host.region_bytes("B") == [b"y", None, b"p", b"q"]
+
+    def test_append_slots_matches_append_slot(self):
+        one_by_one, batch = self.host(), self.host()
+        assert batch.append_slots("A", [b"p", b"q"]) == [
+            one_by_one.append_slot("A", cell) for cell in (b"p", b"q")]
+        assert batch.snapshot_regions() == one_by_one.snapshot_regions()
+        assert batch.append_slots("A", []) == []
+        assert batch.append_slots("Z", []) == []
+        with pytest.raises(HostMemoryError, match="'Z' does not exist"):
+            batch.append_slots("Z", [b"x"])
+
+    def test_a_host_that_overrides_the_scalar_writes_sees_every_slot(self):
+        host = SlotLoggingHost()
+        host.allocate("R", 2)
+        host.write_slots([("R", 1), ("R", 0)], [b"x", b"y"])
+        assert host.append_slots("R", [b"p", b"q"]) == [2, 3]
+        assert host.log == [("write", "R", 1), ("write", "R", 0),
+                            ("append", "R"), ("append", "R")]
+
+
 class TestCoprocessor:
     def test_put_get_roundtrip_and_trace(self, rig):
         host, provider, t = rig

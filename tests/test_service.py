@@ -126,6 +126,22 @@ class TestEndToEnd:
         with pytest.raises(ContractError):
             service.execute("C-001", BinaryAsMulti(Equality("key")))
 
+    def test_an_upload_value_that_ends_in_nul_is_refused(self, scenario):
+        """The service decodes uploads at ingest, where the codec's NUL
+        padding would strip the value's own trailing NUL."""
+        from repro.errors import CodecError
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Schema, blob, integer
+        from repro.relational.tuples import Record
+
+        _, service, _, airline, _, _ = scenario
+        relation = Relation(Schema.of(blob("key", 4), integer("a"), name="A"))
+        relation.append(Record.of(relation.schema, b"a\x00", 1))
+        with pytest.raises(CodecError, match="'key'"):
+            airline.encrypt_upload("C-001", relation)
+        with pytest.raises(CodecError, match="'key'"):
+            service.ingest(airline, "C-001", relation)
+
     def test_delivery_restricted_to_contracted_recipient(self, scenario):
         wl, service, _, airline, agency, _ = scenario
         service.ingest(airline, "C-001", wl.left)
