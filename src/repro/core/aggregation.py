@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
-from repro.core.base import OUTPUT_REGION, JoinContext
+from repro.core.base import JoinContext, append_output
 from repro.core.cartesian import scan_matches, upload_join
 from repro.errors import ConfigurationError
 from repro.hardware.counters import TransferStats
@@ -187,7 +187,7 @@ def aggregate_join(
             struct.pack(">d", float(a.result() if a.result() is not None else 0.0))
             for a in accumulators
         )
-        coprocessor.put_append(OUTPUT_REGION, payload)
+        append_output(coprocessor, [payload])
 
     trace = coprocessor.reset_trace()
     values = {_label(spec): acc.result() for spec, acc in zip(aggregates, accumulators)}
@@ -233,10 +233,10 @@ def group_by_aggregate(
             accumulator = accumulators.get(records[group_table].values[group_position])
             if accumulator is not None:
                 accumulator.feed(records)
-        for group in groups:
-            result = accumulators[group].result()
-            payload = struct.pack(">d", float(result if result is not None else 0.0))
-            coprocessor.put_append(OUTPUT_REGION, payload)
+        results = (accumulators[group].result() for group in groups)
+        append_output(coprocessor, [
+            struct.pack(">d", float(result if result is not None else 0.0))
+            for result in results])
 
     trace = coprocessor.reset_trace()
     values = {g: accumulators[g].result() for g in groups}

@@ -25,6 +25,7 @@ from repro.core.base import (
     OUTPUT_REGION,
     JoinContext,
     JoinResult,
+    TupleScan,
     decoy_priority,
     finish,
     joined_payload,
@@ -33,6 +34,7 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
+from repro.hardware.events import GET, PUT
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Predicate
@@ -54,7 +56,7 @@ def algorithm1(
     ``n_max`` is N: the maximum number of B tuples matching any single A
     tuple.  Under Definition 1, N is a public parameter of the computation.
     """
-    validate_two_party_inputs(left, right, n_max)
+    validate_two_party_inputs(left, right, n_max, predicate)
 
     coprocessor = context.coprocessor
     host = context.host
@@ -71,37 +73,36 @@ def algorithm1(
 
     profile = PhaseProfile.for_coprocessor(coprocessor)
     rounds_per_a = math.ceil(len(right) / n_max)
+    scan = TupleScan(coprocessor, left_codec, right_codec, len(right), predicate)
+    decoy = make_decoy(payload_size)
+    table = ((GET, "A"), (GET, "B"), (PUT, SCRATCH_REGION))
     with profile.span("scan"):
         for a_index in range(len(left)):
-            # Initialize scratch[] with 2N fresh decoys (one batched call;
-            # every slot still gets its own nonce, trace event, and counter).
-            decoy = make_decoy(payload_size)
-            with profile.span("init"), coprocessor.hold(1):
-                coprocessor.put_many(
-                    (SCRATCH_REGION, slot, decoy) for slot in range(2 * n_max)
-                )
-            with coprocessor.hold(1):
-                a = left_codec.decode(coprocessor.get("A", a_index))
-                i = 0
-                for b_index in range(len(right)):
-                    with coprocessor.hold(1):
-                        b = right_codec.decode(coprocessor.get("B", b_index))
-                        if predicate.matches(a, b):
-                            plain = make_real(joined_payload(a, b, out_schema, out_codec))
-                        else:
-                            plain = make_decoy(payload_size)
-                        coprocessor.put(SCRATCH_REGION, (i % n_max) + n_max, plain)
-                    i += 1
-                    if i % n_max == 0:
+            # One section per A tuple: scratch[] holds 2N fresh decoys, then
+            # every round writes N oTuples to its upper half, declared
+            # ``GET B[b]``, ``PUT scratch[N + b mod N]`` per B tuple, and sorts.
+            with coprocessor.section():
+                a, records, matches = scan.gather(a_index)
+                with profile.span("init"), coprocessor.hold(1):
+                    coprocessor.put_range(SCRATCH_REGION, 0, [decoy] * (2 * n_max))
+                with coprocessor.hold(1):
+                    for start in range(0, len(right), n_max):
+                        rows = range(start, min(start + n_max, len(right)))
+                        slots = range(n_max, n_max + len(rows))
+                        with coprocessor.hold(1):
+                            coprocessor.scatter_slots(SCRATCH_REGION, slots, [
+                                make_real(joined_payload(a, records[b], out_schema,
+                                                         out_codec))
+                                if matches[b] else decoy for b in rows])
+                            first = start == 0  # the round that also reads A[a]
+                            coprocessor.charge_boundary(
+                                table, b"\0" * first + b"\1\2" * len(rows),
+                                [a_index] * first + [
+                                    i for pair in zip(rows, slots) for i in pair])
                         with profile.span("sort"):
                             oblivious_sort(
                                 coprocessor, SCRATCH_REGION, 2 * n_max, key=decoy_priority
                             )
-                if i % n_max != 0:
-                    with profile.span("sort"):
-                        oblivious_sort(
-                            coprocessor, SCRATCH_REGION, 2 * n_max, key=decoy_priority
-                        )
             # "Request H to write first N of scratch[] to disk" — host-side copy.
             host.host_copy(SCRATCH_REGION, 0, n_max, OUTPUT_REGION)
 

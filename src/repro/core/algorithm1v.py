@@ -14,6 +14,7 @@ from repro.core.base import (
     OUTPUT_REGION,
     JoinContext,
     JoinResult,
+    TupleScan,
     decoy_priority,
     finish,
     joined_payload,
@@ -22,6 +23,7 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
+from repro.hardware.events import GET, PUT
 from repro.oblivious.sort import oblivious_sort
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
@@ -38,7 +40,7 @@ def algorithm1_variant(
     n_max: int,
 ) -> JoinResult:
     """Run the Section 4.4.2 variant of Algorithm 1."""
-    validate_two_party_inputs(left, right, n_max)
+    validate_two_party_inputs(left, right, n_max, predicate)
 
     coprocessor = context.coprocessor
     host = context.host
@@ -53,18 +55,23 @@ def algorithm1_variant(
     host.allocate(BLOCK_REGION, len(right))
     context.allocate_output()
 
+    scan = TupleScan(coprocessor, left_codec, right_codec, len(right), predicate)
+    decoy = make_decoy(payload_size)
+    table = ((GET, "A"), (GET, "B"), (PUT, BLOCK_REGION))
     for a_index in range(len(left)):
-        with coprocessor.hold(1):
-            a = left_codec.decode(coprocessor.get("A", a_index))
-            for b_index in range(len(right)):
+        # One section per A tuple: ``GET A[a]``, then ``GET B[b]``,
+        # ``PUT block[b]`` per B tuple, then the sort of the block.
+        with coprocessor.section():
+            with coprocessor.hold(1):
+                a, records, matches = scan.gather(a_index)
                 with coprocessor.hold(1):
-                    b = right_codec.decode(coprocessor.get("B", b_index))
-                    if predicate.matches(a, b):
-                        plain = make_real(joined_payload(a, b, out_schema, out_codec))
-                    else:
-                        plain = make_decoy(payload_size)
-                    coprocessor.put(BLOCK_REGION, b_index, plain)
-        oblivious_sort(coprocessor, BLOCK_REGION, len(right), key=decoy_priority)
+                    coprocessor.scatter_slots(BLOCK_REGION, scan.right_slots, [
+                        make_real(joined_payload(a, b, out_schema, out_codec))
+                        if matched else decoy for b, matched in zip(records, matches)])
+                    coprocessor.charge_boundary(
+                        table, b"\0" + b"\1\2" * len(right),
+                        [a_index, *(b for b in scan.right_slots for _ in range(2))])
+            oblivious_sort(coprocessor, BLOCK_REGION, len(right), key=decoy_priority)
         host.host_copy(BLOCK_REGION, 0, n_max, OUTPUT_REGION)
 
     return finish(

@@ -23,6 +23,7 @@ from repro.core.base import (
     OUTPUT_REGION,
     JoinContext,
     JoinResult,
+    TupleScan,
     finish,
     joined_payload,
     make_decoy,
@@ -31,6 +32,7 @@ from repro.core.base import (
     validate_two_party_inputs,
 )
 from repro.errors import ConfigurationError
+from repro.hardware.events import GET, PUT
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
@@ -61,34 +63,40 @@ def scan_passes(
 ) -> None:
     """Algorithm 2's scan for the A tuples in ``index_range`` against all of B.
 
+    Each A tuple is one section: ``A[a]`` and B gathered once, then per pass
+    one run declaring its reads (``GET A[a]`` on the first, then ``GET B[j]``
+    for every j) and one staged append of its blk oTuples declaring their
+    PUTs.  Pass ``p`` outputs the matches ranked ``p*blk`` onwards (it
+    resumes after the last one stored), padded with decoys.
+
     The sequential algorithm runs it once over all of A and books each
     pass's flush to ``profile``; the parallel variant runs one share per
     coprocessor (``worker``) and passes no profile, since a profile cannot
     cross a process boundary.
     """
     profile = profile if profile is not None else PhaseProfile()
-    payload_size = out_codec.record_size
+    scan = TupleScan(coprocessor, left_codec, right_codec, right_size, predicate)
+    decoy = make_decoy(out_codec.record_size)
+    reads = ((GET, "A"), (GET, "B"))
+    flush = ((PUT, OUTPUT_REGION),)
     for a_index in index_range:
-        with coprocessor.hold(1):
-            a = left_codec.decode(coprocessor.get("A", a_index))
-            last = -1  # position of the last matched B tuple (paper erratum fixed)
-            for _ in range(gamma):
-                joined = coprocessor.buffer(blk)
-                matches = 0
-                for current in range(right_size):
-                    with coprocessor.hold(1):
-                        b = right_codec.decode(coprocessor.get("B", current))
-                        if current > last and matches < blk and predicate.matches(a, b):
-                            joined.append(make_real(
-                                joined_payload(a, b, out_codec.schema, out_codec)))
-                            matches += 1
-                            last = current
-                # Pad the pass output to exactly blk oTuples with decoys.
-                while len(joined) < blk:
-                    joined.append(make_decoy(payload_size))
-                with profile.span("flush"):
-                    coprocessor.append_many(OUTPUT_REGION, joined.drain())
-                joined.release()
+        with coprocessor.section(), coprocessor.hold(1):
+            a, records, matches = scan.gather(a_index)
+            hits = [j for j, matched in enumerate(matches) if matched]
+            for p in range(gamma):
+                with coprocessor.hold(blk + 1):  # the pass's results and one B tuple
+                    first = p == 0  # the pass that also reads A[a]
+                    coprocessor.charge_boundary(
+                        reads, b"\0" * first + b"\1" * right_size,
+                        [a_index] * first + [*scan.right_slots])
+                    joined = [make_real(joined_payload(a, records[j], out_codec.schema,
+                                                       out_codec))
+                              for j in hits[p * blk:(p + 1) * blk]]
+                    joined += [decoy] * (blk - len(joined))
+                    with profile.span("flush"):
+                        coprocessor.charge_boundary(
+                            flush, bytes(blk),
+                            coprocessor.stage_append(OUTPUT_REGION, joined))
 
 
 def algorithm2(
@@ -101,7 +109,7 @@ def algorithm2(
     delta: int = 0,
 ) -> JoinResult:
     """Run Algorithm 2 with result-buffer capacity ``memory`` (= M) tuples."""
-    validate_two_party_inputs(left, right, n_max)
+    validate_two_party_inputs(left, right, n_max, predicate)
 
     gamma = gamma_for(n_max, memory, delta)
     blk = math.ceil(n_max / gamma)

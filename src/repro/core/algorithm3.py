@@ -16,10 +16,13 @@ the provider ships B pre-sorted (``presorted=True``).
 
 from __future__ import annotations
 
+from array import array
+
 from repro.core.base import (
     OUTPUT_REGION,
     JoinContext,
     JoinResult,
+    TupleScan,
     finish,
     joined_payload,
     make_decoy,
@@ -27,6 +30,7 @@ from repro.core.base import (
     two_party_output_schema,
     validate_two_party_inputs,
 )
+from repro.hardware.events import GET, PUT
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Equality
@@ -59,24 +63,30 @@ def scan_ring(
     ``worker`` its own scratch region and passes no profile.
     """
     profile = profile if profile is not None else PhaseProfile()
+    scan = TupleScan(coprocessor, left_codec, right_codec, right_size, eq)
     decoy = make_decoy(out_codec.record_size)
+    ring_table = ((GET, "B"), (GET, scratch), (PUT, scratch))
+    ring_codes = b"\0\1\2" * right_size
+    ring_indices = array("q", [k for i in range(right_size)
+                               for k in (i, i % n_max, i % n_max)])
     for a_index in index_range:
-        with coprocessor.hold(1):
-            a = left_codec.decode(coprocessor.get("A", a_index))
+        # One section per A tuple: ``GET A[a]``, N decoys into scratch[],
+        # then ``GET B[i]``, ``GET scratch[i mod N]``, ``PUT scratch[i mod
+        # N]`` per B tuple — the slot keeps its previous value (re-encrypted
+        # under a fresh nonce) unless B[i] joins a.
+        with coprocessor.section(), coprocessor.hold(1):
+            a, records, matches = scan.gather(a_index)
+            coprocessor.charge_boundary(((GET, "A"),), b"\0", (a_index,))
             with profile.span("init"):
-                coprocessor.put_many((scratch, slot, decoy) for slot in range(n_max))
-            for i in range(right_size):
-                with coprocessor.hold(2):
-                    b_plain, previous = coprocessor.get_many(
-                        (("B", i), (scratch, i % n_max))
-                    )
-                    b = right_codec.decode(b_plain)
-                    if eq.matches(a, b):
-                        plain = make_real(
+                coprocessor.put_range(scratch, 0, [decoy] * n_max)
+            with coprocessor.hold(2):
+                ring = [decoy] * n_max
+                for i, (b, matched) in enumerate(zip(records, matches)):
+                    if matched:
+                        ring[i % n_max] = make_real(
                             joined_payload(a, b, out_codec.schema, out_codec))
-                    else:
-                        plain = previous  # re-encrypted under a fresh nonce below
-                    coprocessor.put(scratch, i % n_max, plain)
+                coprocessor.scatter_slots(scratch, range(n_max), ring)
+                coprocessor.charge_boundary(ring_table, ring_codes, ring_indices)
         coprocessor.host.host_copy(scratch, 0, n_max, OUTPUT_REGION)
 
 
@@ -115,8 +125,8 @@ def algorithm3(
     ``presorted=True`` models data providers sending sorted data, skipping
     the initial oblivious sort (last paragraph of Section 4.5.2).
     """
-    validate_two_party_inputs(left, right, n_max)
     eq = on if isinstance(on, Equality) else Equality(on)
+    validate_two_party_inputs(left, right, n_max, eq)
 
     coprocessor = context.coprocessor
     host = context.host

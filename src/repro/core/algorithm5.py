@@ -28,9 +28,9 @@ import math
 from typing import Sequence
 
 from repro.core.base import (
-    OUTPUT_REGION,
     JoinContext,
     JoinResult,
+    append_output,
     finish,
     multi_party_output_schema,
 )
@@ -97,7 +97,7 @@ def rescan_output(
         scans += 1
         was_full = buffer.full
         with profile.span("flush"):
-            flushed += len(coprocessor.append_many(OUTPUT_REGION, buffer.drain()))
+            flushed += len(append_output(coprocessor, buffer.drain()))
         buffer.release()
         pindex = lindex
         if not was_full:

@@ -33,7 +33,7 @@ from repro.crypto.provider import (
 from repro.errors import ConfigurationError
 from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor, TraceFactory
 from repro.hardware.counters import TransferStats
-from repro.hardware.events import Trace
+from repro.hardware.events import GET, PUT, Trace
 from repro.obs.spans import PhaseProfile
 from repro.hardware.host import HostMemory
 from repro.relational.joins import joined_schema, multiway_schema
@@ -186,6 +186,15 @@ def finish(
     )
 
 
+def append_output(coprocessor: SecureCoprocessor, plaintexts: Sequence[bytes],
+                  region: str = OUTPUT_REGION) -> list[int]:
+    """Append ``plaintexts`` to ``region`` as one pass: a staged append
+    declaring one PUT per tuple.  Returns the slots they were assigned."""
+    indices = coprocessor.stage_append(region, plaintexts)
+    coprocessor.charge_boundary(((PUT, region),), bytes(len(indices)), indices)
+    return indices
+
+
 def two_party_output_schema(left: Relation, right: Relation) -> Schema:
     """Output schema of a two-party join."""
     return joined_schema(left.schema, right.schema)
@@ -194,6 +203,40 @@ def two_party_output_schema(left: Relation, right: Relation) -> Schema:
 def multi_party_output_schema(relations: Sequence[Relation]) -> Schema:
     """Output schema of an m-way join."""
     return multiway_schema([r.schema for r in relations])
+
+
+class TupleScan:
+    """``A[a]`` and all of B, gathered for one per-A-tuple pass of a
+    Chapter 4 join.
+
+    Every such pass (Algorithms 1, 1v, 2 and 3 and the N-estimation pass)
+    reads ``A[a]`` and scans B in slot order; :meth:`gather` reads both as a
+    section's gathers, and the pass declares its own run.  B is never
+    rewritten during a scan, so its records are decoded once per join, and
+    the predicate is bound once.
+    """
+
+    def __init__(self, coprocessor: SecureCoprocessor, left_codec: TupleCodec,
+                 right_codec: TupleCodec, right_size: int, predicate: Predicate,
+                 left: str = "A", right: str = "B") -> None:
+        self.coprocessor = coprocessor
+        self.left, self.right = left, right
+        self.right_slots = range(right_size)
+        self._left_codec = left_codec
+        self._right_batch = BatchCodec(right_codec.schema)
+        self._test = predicate.bind(left_codec.schema, right_codec.schema)
+        self._plains: list[bytes] | None = None
+        self._records: list[Record] = []
+
+    def gather(self, a_index: int) -> tuple[Record, list[Record], list[bool]]:
+        """``A[a_index]``, B's records and, per B tuple, whether it joins ``a``."""
+        coprocessor = self.coprocessor
+        a = self._left_codec.decode(coprocessor.gather_slots(self.left, (a_index,))[0])
+        plains = coprocessor.gather_slots(self.right, self.right_slots)
+        if plains != self._plains:
+            self._plains, self._records = plains, self._right_batch.decode_rows(plains)
+        test = self._test
+        return a, self._records, [test(a, b) for b in self._records]
 
 
 def compute_n_exactly(
@@ -211,32 +254,36 @@ def compute_n_exactly(
     "A safe way to compute exact N would be to run a nested loop join, but
     without outputting any result tuple.  Note that this preprocessing step
     does not leak information."  The access pattern is a full A x B scan with
-    no writes, hence data-independent.
+    no writes, hence data-independent: per A tuple one section declaring
+    ``GET A[i]`` and then ``GET B[j]`` for every j.
     """
     coprocessor = context.coprocessor
+    scan = TupleScan(coprocessor, left_codec, right_codec, right_size, predicate,
+                     left_region, right_region)
+    table = ((GET, left_region), (GET, right_region))
+    codes = b"\0" + b"\1" * right_size
     best = 0
-    # Each inner pass is one ranged read and the B records are decoded once:
-    # B is never written during the scan, so the first pass's stay valid.
-    right_batch = BatchCodec(right_codec.schema)
-    b_records = None
     with coprocessor.hold(2):
         for i in range(left_size):
-            a = left_codec.decode(coprocessor.get(left_region, i))
-            payloads = coprocessor.get_range(right_region, 0, right_size)
-            if b_records is None:
-                b_records = right_batch.decode_rows(payloads)
-            best = max(best, sum(1 for b in b_records if predicate.matches(a, b)))
+            _, _, matches = scan.gather(i)
+            coprocessor.charge_boundary(table, codes, [i, *scan.right_slots])
+            best = max(best, sum(matches))
     return best
 
 
 def validate_two_party_inputs(
-    left: Relation, right: Relation, n_max: int | None = None
+    left: Relation, right: Relation, n_max: int | None = None,
+    predicate: Predicate | None = None,
 ) -> None:
-    """Both relations non-empty and, when given, ``N`` in ``[1, |B|]``."""
+    """Both relations non-empty, when given, ``N`` in ``[1, |B|]``, and a
+    ``predicate`` that applies to their schemas (:meth:`Predicate.bind`):
+    the refuse-before-upload point of the Chapter 4 joins."""
     if len(left) == 0 or len(right) == 0:
         raise ConfigurationError("both input relations must be non-empty")
     if n_max is not None and not 1 <= n_max <= len(right):
         raise ConfigurationError(f"N must be in [1, |B|], got {n_max}")
+    if predicate is not None:
+        predicate.bind(left.schema, right.schema)
 
 
 def joined_payload(

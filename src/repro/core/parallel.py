@@ -134,7 +134,7 @@ def parallel_algorithm2(
     executor: TaskExecutor | None = None,
 ) -> ParallelJoinResult:
     """Algorithm 2 with A partitioned across the cluster (Section 4.4.4)."""
-    validate_two_party_inputs(left, right, n_max)
+    validate_two_party_inputs(left, right, n_max, predicate)
     gamma = gamma_for(n_max, memory)
     blk = math.ceil(n_max / gamma)
     out_schema = two_party_output_schema(left, right)
@@ -182,8 +182,8 @@ def parallel_algorithm3(
     applied to the sort-based equijoin: the sort is a one-off serial prefix,
     the 3·|A|·|B| scan — the dominant term — splits P ways.
     """
-    validate_two_party_inputs(left, right, n_max)
     eq = on if isinstance(on, Equality) else Equality(on)
+    validate_two_party_inputs(left, right, n_max, eq)
 
     host = context.host
     out_schema = two_party_output_schema(left, right)

@@ -41,7 +41,6 @@ from repro.crypto.provider import CryptoProvider
 from repro.errors import CheckpointError, ConfigurationError, CoprocessorCrashError
 from repro.faults.checkpoint import CheckpointStore
 from repro.hardware.coprocessor import SecureCoprocessor, TraceFactory
-from repro.hardware.events import PUT
 from repro.hardware.host import ForwardingHost
 from repro.hardware.resilience import ReplayCursor, RetryPolicy
 from repro.hardware.timing import VirtualClock
@@ -53,10 +52,11 @@ class RecoveryHost(ForwardingHost):
     While the replay cursor is active, the re-executed prefix's host-side
     mutations are suppressed — the restored checkpoint image already holds
     their effects — and reads pass through.  Once the cursor is exhausted
-    the gate is transparent.  Boundary reads/writes never reach the gate
-    during replay at all (the coprocessor serves them from the journal);
-    what lands here is the algorithm's direct host management: region
-    allocation, uploads, frees, and host-side copies; the rest is forwarded.
+    the gate is transparent.  Boundary reads and writes never reach the gate
+    during replay at all: the coprocessor serves its gathers from the
+    journal and stages nothing to write while it replays.  What lands here
+    is the algorithm's direct host management: region allocation, uploads,
+    frees, and host-side copies; the rest is forwarded.
     """
 
     def __init__(self, inner, cursor: ReplayCursor | None = None) -> None:
@@ -90,29 +90,6 @@ class RecoveryHost(ForwardingHost):
     def free(self, name: str) -> None:
         if not self._suppress():
             self.inner.free(name)
-
-    def write_slot(self, name: str, index: int, ciphertext: bytes) -> None:
-        if not self._suppress():
-            self.inner.write_slot(name, index, ciphertext)
-
-    def write_slots(self, slots, ciphertexts) -> None:
-        if not self._suppress():
-            self.inner.write_slots(slots, ciphertexts)
-
-    def append_slot(self, name: str, ciphertext: bytes) -> int:
-        if not self._suppress():
-            return self.inner.append_slot(name, ciphertext)
-        return self._journalled_appends(name, 1)[0]
-
-    def append_slots(self, name: str, ciphertexts) -> list[int]:
-        if not self._suppress():
-            return self.inner.append_slots(name, ciphertexts)
-        return self._journalled_appends(name, len(ciphertexts))
-
-    def _journalled_appends(self, name: str, count: int) -> list[int]:
-        """A suppressed append reports the indices the journal recorded, one per row."""
-        rows = self.cursor.peek_batch([(PUT, name, None)] * count)
-        return [row.index for row in rows]
 
     def host_copy(self, src: str, src_start: int, count: int, dst: str) -> None:
         if not self._suppress():

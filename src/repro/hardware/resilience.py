@@ -11,16 +11,13 @@ can use them without importing the higher-level recovery machinery:
   :class:`~repro.errors.AuthenticationError` is raised by the provider after
   the host bytes arrive and never enters the retry loop — tampering still
   terminates immediately (Section 3.3.1).
-* :class:`JournalEntry` — one row of the enclave's input tape.  A ``GET`` /
-  ``PUT`` row is one declared boundary op — the (op, region, index) the
-  trace declares plus, for a ``get``, the plaintext T consumed.  A vectorized
-  section journals what it physically read as ``GATHER`` rows and the slots
-  its staged appends were assigned as ``APPENDED`` rows (neither is a
-  boundary op), and its settlement as one ``CHARGE`` row counting the ops it
-  declared.
-  The tape grows a batch at a time — the coprocessor journals nothing but
-  batches, ``get``/``put`` being batches of one — and together with the
-  algorithm's determinism it reconstructs all in-enclave state.
+* :class:`JournalEntry` — one row of the enclave's input tape.  Every
+  crossing is a section, which journals what it physically read as
+  ``GATHER`` rows (with the plaintexts T consumed), the slots its staged
+  appends were assigned as ``APPENDED`` rows, and each pass's settlement as
+  one ``CHARGE`` row counting the boundary ops it declared.  The tape grows
+  a section at a time, and together with the algorithm's determinism it
+  reconstructs all in-enclave state.
 * :class:`ReplayCursor` — serves the tape back during resume, one whole
   batch per :meth:`~ReplayCursor.take_batch` call.  Every replayed row is
   verified against the re-issued (op, region, index); a mismatch means the
@@ -37,7 +34,7 @@ from typing import NamedTuple, Sequence
 from repro.errors import CheckpointError, ConfigurationError, TransientHostError
 from repro.hardware.timing import VirtualClock
 
-#: Tape-only row kinds (``GET``/``PUT`` rows reuse the trace's op names).
+#: The tape's row kinds.
 GATHER = "gather"  # a section's physical read: payload, no boundary op
 APPENDED = "appended"  # a section's staged append: the slot H assigned, no op
 CHARGE = "charge"  # a section's settlement: ``index`` boundary ops declared
@@ -93,13 +90,12 @@ class RetryPolicy:
 class JournalEntry(NamedTuple):
     """One tape row as recorded for deterministic replay.
 
-    ``payload`` carries the plaintext T read (``GET``/``GATHER``) and ``None``
-    for writes (a replayed write re-derives its plaintext from the re-executed
-    algorithm and is suppressed at the host, which already holds the
-    checkpointed ciphertext).
+    ``payload`` carries the plaintext T read (``GATHER``) and ``None``
+    otherwise (a replayed write re-derives its plaintext from the re-executed
+    algorithm, and the restored host image already holds its ciphertext).
     """
 
-    op: str        # GET or PUT (appends record the index they were assigned)
+    op: str        # GATHER, APPENDED (the index H assigned) or CHARGE
     region: str
     index: int
     payload: bytes | None = None
@@ -107,8 +103,7 @@ class JournalEntry(NamedTuple):
 
 def journalled_ops(entries: Sequence[JournalEntry]) -> int:
     """The number of declared boundary ops a run of tape rows stands for."""
-    return sum(e.index if e.op == CHARGE else 1
-               for e in entries if e.op not in (GATHER, APPENDED))
+    return sum(e.index for e in entries if e.op == CHARGE)
 
 
 class ReplayCursor:

@@ -421,8 +421,12 @@ class ShardHostMemory(RangedSlots):
         return name in self._shards
 
     def size(self, name: str) -> int:
+        """The region's size as the sequential host would report it: past
+        this task's appends where it may append, else the shipped size."""
         shard = self._shard(name)
-        return shard.size + len(self._appended.get(name, ()))
+        if shard.append_base is None:
+            return shard.size
+        return shard.append_base + len(self._appended[name])
 
     def _shard(self, name: str) -> RegionShard | SharedRegionShard:
         try:

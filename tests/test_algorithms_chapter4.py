@@ -11,7 +11,9 @@ from repro.core.algorithm1v import algorithm1_variant
 from repro.core.algorithm2 import algorithm2
 from repro.core.algorithm3 import algorithm3
 from repro.core.base import compute_n_exactly
-from repro.errors import ConfigurationError
+from repro.core.parallel import parallel_algorithm2, parallel_algorithm3
+from repro.errors import ConfigurationError, SchemaError
+from repro.hardware.cluster import Cluster
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import max_matches_per_left_tuple, nested_loop_join
 from repro.relational.predicates import Custom, Equality, Theta
@@ -205,3 +207,37 @@ class TestNonIntegerKeys:
         out = algorithm1(fresh_context(), left, right, predicate, 1)
         assert out.result.same_multiset(reference)
         assert len(out.result) == planted
+
+
+
+def _parallel(driver):
+    """A parallel twin on a two-device cluster over the context's host."""
+    def run(context, *args, **kwargs):
+        cluster = Cluster(context.host, context.provider, count=2)
+        return driver(context, cluster, *args, **kwargs)
+    return run
+
+
+CANNOT_APPLY = [
+    pytest.param(algorithm1, Theta("key", "<", "nope"), {}, id="algorithm1"),
+    pytest.param(algorithm1_variant, Equality("nope"), {}, id="algorithm1v"),
+    pytest.param(algorithm2, Equality("nope"), {"memory": 2}, id="algorithm2"),
+    pytest.param(algorithm3, "nope", {}, id="algorithm3"),
+    pytest.param(_parallel(parallel_algorithm2), Theta("nope", "<"), {"memory": 2},
+                 id="parallel_algorithm2"),
+    pytest.param(_parallel(parallel_algorithm3), Equality("key", "nope"), {},
+                 id="parallel_algorithm3"),
+]
+
+
+@pytest.mark.parametrize("algorithm, predicate, kwargs", CANNOT_APPLY)
+def test_a_predicate_that_cannot_apply_is_refused_before_upload(
+        algorithm, predicate, kwargs):
+    """Algorithm 3's predicate is its ``on`` attribute or equality."""
+    a = keyed("A", [(1, 0), (2, 0)])
+    b = keyed("B", [(1, 0), (3, 0)])
+    context = fresh_context()
+    with pytest.raises(SchemaError):
+        algorithm(context, a, b, predicate, 2, **kwargs)
+    assert context.host.region_names() == []
+    assert len(context.coprocessor.trace) == 0

@@ -478,13 +478,11 @@ class TestRangedOps:
         scalar_ctx, batched_ctx = _contexts()
         for ctx in (scalar_ctx, batched_ctx):
             ctx.host.allocate_from("r", [ctx.provider.encrypt(b"p" * 8)])
-        slots = [("r", 0), ("r", 0), ("r", 0)]
-        with scalar_ctx.coprocessor.hold(3):
-            scalar_ctx.coprocessor.get_many(slots)
-        with batched_ctx.coprocessor.hold(3):
-            batched_ctx.coprocessor.get_many(slots)
         for ctx in (scalar_ctx, batched_ctx):
             cop = ctx.coprocessor
+            with cop.hold(3):
+                assert cop.gather_slots("r", [0, 0, 0]) == [b"p" * 8] * 3
+                cop.charge_boundary([("get", "r")], bytes(3), [0, 0, 0])
             assert cop.decryptions == 3
             assert cop.physical_decryptions == 1
             assert cop.cache_hits == 2
@@ -544,7 +542,8 @@ class TestBatchIsTheUnitOfRetry:
         storage, host, t = faulty_coprocessor(
             transient_plan(at_ops=(3,), kind="transient-write"))
         storage.allocate("out", 0)
-        assert t.append_many("out", [b"a", b"b", b"c", b"d"]) == [0, 1, 2, 3]
+        assert t.stage_append("out", [b"a", b"b", b"c", b"d"]) == [0, 1, 2, 3]
+        t.charge_boundary([("put", "out")], bytes(4), range(4))
         assert t.retries == 1
         assert (storage.appends, storage.size("out")) == (4, 4)
 

@@ -1,12 +1,13 @@
 """One boundary crossing, one implementation.
 
-A read, a write and an append each have one body over a list of slots, and
-``get``/``put``/``put_append`` are batches of one; ``FaultyHost.admit`` is the
-fault clock's only entry.  These tests pin what follows from that: the clock
-counts exactly the declared boundary ops (and nothing host-side), an empty
-batch touches nothing, a one-row call is not counted as a batch (a section's
-one-slot gather and stage are), and ``ReferenceCoprocessor`` reaches the
-host one slot per ranged call.
+Every crossing is a section — gathers, stages and one declared
+``charge_boundary`` — and ``get``/``put``/``put_append`` and
+``get_range``/``put_range`` are one-pass sections; ``FaultyHost.admit`` is
+the fault clock's only entry.  These tests pin what follows from that: the
+clock counts exactly the declared boundary ops (and nothing host-side), an
+empty pass touches nothing, a one-row pass is a batch of one row on the
+batched device and none on the reference, and ``ReferenceCoprocessor``
+reaches the host one slot per ranged call.
 """
 
 import random
@@ -86,7 +87,7 @@ def rig(device):
     spy.allocate("r", 4)
     spy.allocate("out", 0)
     seed = SecureCoprocessor(spy, provider)
-    seed.put_many(("r", i, bytes([i]) * 4) for i in range(4))
+    seed.put_range("r", 0, [bytes([i]) * 4 for i in range(4)])
     store = CheckpointStore(host, provider)
     store.initialize()
     t = device(host, provider, checkpoint_store=store, checkpoint_interval=1)
@@ -104,9 +105,10 @@ def counters(t):
 def test_empty_batches_record_journal_admit_write_and_count_nothing(device):
     spy, host, store, t = rig(device)
     image = spy.snapshot_regions()
-    assert t.get_many([]) == []
-    assert t.put_many([]) is None
-    assert t.append_many("out", []) == []
+    assert t.gather_slots("r", []) == []
+    assert t.scatter_slots("r", [], []) is None
+    assert t.stage_append("out", []) == []
+    assert t.charge_boundary([(GET, "r")], b"", []) is None
     assert t.get_range("r", 0, 0) == []
     assert t.put_range("r", 0, []) is None
     assert t.trace.transfer_count() == 0
@@ -121,28 +123,28 @@ def test_empty_batches_record_journal_admit_write_and_count_nothing(device):
 def test_one_row_batches_are_batches_of_one(device):
     spy, host, store, t = rig(device)
     with t.hold(4):
-        assert t.get_many([("r", 0)]) == [bytes([0]) * 4]
+        assert t.get_range("r", 0, 1) == [bytes([0]) * 4]
         assert t.get_range("r", 1, 1) == [bytes([1]) * 4]
         assert t.get("r", 2) == bytes([2]) * 4
-    t.put_many([("r", 0, b"p0")])
+    t.put_range("r", 0, [b"p0"])
     t.put_range("r", 1, [b"p1"])
     t.put("r", 2, b"p2")
-    assert t.append_many("out", [b"a0"]) == [0]
+    assert t.put_append("out", b"a0") == 0
     assert t.put_append("out", b"a1") == 1
-    assert t.batched_ops == t.batch_rows == 0
+    # Each call is a one-pass section: its one-slot gather or stage is one
+    # batch of one row on the fast path; the reference counts no batch.
+    batched = device is SecureCoprocessor
+    assert (t.batched_ops, t.batch_rows) == ((8, 8) if batched else (0, 0))
     assert spy.calls == [("read", 1)] * 3 + [("write", 1)] * 3 + [("append", 1)] * 2
     assert host.ops_attempted == t.ops_completed == t.trace.transfer_count() == 8
     assert store.commits == t.checkpoints_sealed == 8  # one commit per op
     assert CheckpointStore(spy, t.provider).load().ops == 8
-    # A section's one-slot gather and stage are each one batch of one row on
-    # the fast path; the reference device counts no batch at all.
-    batched = device is SecureCoprocessor
     assert t.gather_slots("r", [3]) == [bytes([3]) * 4]
-    assert (t.batched_ops, t.batch_rows) == ((1, 1) if batched else (0, 0))
+    assert (t.batched_ops, t.batch_rows) == ((9, 9) if batched else (0, 0))
     t.scatter_slots("r", [3], [b"p3"])
-    assert (t.batched_ops, t.batch_rows) == ((2, 2) if batched else (0, 0))
+    assert (t.batched_ops, t.batch_rows) == ((10, 10) if batched else (0, 0))
     t.charge_boundary([(GET, "r"), (PUT, "r")], bytes([0, 1]), [3, 3])
-    assert (t.batched_ops, t.batch_rows) == ((2, 2) if batched else (0, 0))
+    assert (t.batched_ops, t.batch_rows) == ((10, 10) if batched else (0, 0))
     assert host.ops_attempted == t.ops_completed == t.trace.transfer_count() == 10
     with t.hold(1):
         assert t.get("r", 3) == b"p3"
@@ -152,9 +154,8 @@ def test_one_row_batches_are_batches_of_one(device):
 def test_a_batch_reaches_the_host_whole_or_one_slot_per_call(device):
     spy, host, _, t = rig(device)
     batched = device is SecureCoprocessor
-    slots = [("r", i) for i in range(4)]
     with t.hold(4):
-        assert t.get_many(slots) == [bytes([i]) * 4 for i in range(4)]
+        assert t.get_range("r", 0, 4) == [bytes([i]) * 4 for i in range(4)]
     reads = [call for call in spy.calls if call[0] == "read"]
     assert reads == ([("read", 4)] if batched else [("read", 1)] * 4)
     assert (t.batched_ops, t.batch_rows) == ((1, 4) if batched else (0, 0))

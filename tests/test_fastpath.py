@@ -182,11 +182,12 @@ class TestCacheSemantics:
 
 class TestBatchedOps:
     def test_get_many_matches_sequence_of_gets(self):
+        """A ranged read of a ranged write, one event per slot."""
         host = HostMemory()
         t = SecureCoprocessor(host, FastProvider(KEY))
         host.allocate("R", 3)
-        t.put_many((("R", i, b"v%d" % i) for i in range(3)))
-        batched = t.get_many((("R", i) for i in range(3)))
+        t.put_range("R", 0, [b"v%d" % i for i in range(3)])
+        batched = t.get_range("R", 0, 3)
         assert batched == [b"v0", b"v1", b"v2"]
         # Trace carries one event per slot, exactly as unbatched code emits.
         trace = t.reset_trace()
@@ -194,11 +195,13 @@ class TestBatchedOps:
         assert trace.count(op="get", region="R") == 3
 
     def test_append_many_returns_indices(self):
+        """A staged append returns the slots the host assigns at its close."""
         host = HostMemory()
         t = SecureCoprocessor(host, FastProvider(KEY))
         host.allocate("out", 0)
-        assert t.append_many("out", [b"a", b"b", b"c"]) == [0, 1, 2]
-        assert t.get_many((("out", i) for i in range(3))) == [b"a", b"b", b"c"]
+        assert t.stage_append("out", [b"a", b"b", b"c"]) == [0, 1, 2]
+        t.charge_boundary([("put", "out")], bytes(3), [0, 1, 2])
+        assert t.get_range("out", 0, 3) == [b"a", b"b", b"c"]
 
     def test_batched_trace_equals_unbatched_trace(self):
         def drive(t):
@@ -207,8 +210,8 @@ class TestBatchedOps:
             return t.get("S", 0), t.get("S", 1)
 
         def drive_batched(t):
-            t.put_many((("S", 0, b"x"), ("S", 1, b"y")))
-            return tuple(t.get_many((("S", 0), ("S", 1))))
+            t.put_range("S", 0, [b"x", b"y"])
+            return tuple(t.get_range("S", 0, 2))
 
         results = []
         for driver in (drive, drive_batched):
@@ -246,13 +249,12 @@ STACKS = {
     "recovery-faulty": lambda tampering: RecoveryHost(FaultyHost(tampering)),
 }
 #: placement -> the coprocessor call whose batch carries the tampered read.
-PLACEMENTS = {"recorded-batch": "get_many", "gathered-section": "gather_slots"}
+PLACEMENTS = {"ranged-get": "get_range", "gathered-section": "gather_slots"}
 
 
 def job(name):
     """The chaos sweep's small join, then its output read back as one ranged
-    get: Algorithms 4-8 read every multi-slot set as a gathered section, so
-    the read-back is the recorded batch all six have."""
+    get: the read-back is the one ``get_range`` all six have."""
     run, _ = _runners(name, small=True)
 
     def drive(context):

@@ -17,6 +17,10 @@ import pytest
 from tests.conftest import KEY
 from tests.test_boundary import SpyHost
 
+from repro.core.algorithm1 import algorithm1
+from repro.core.algorithm1v import algorithm1_variant
+from repro.core.algorithm2 import algorithm2, gamma_for
+from repro.core.algorithm3 import algorithm3
 from repro.core.algorithm4 import algorithm4
 from repro.core.algorithm6 import algorithm6
 from repro.core.algorithm7 import algorithm7
@@ -24,7 +28,7 @@ from repro.core.algorithm8 import algorithm8
 from repro.core.base import JoinContext
 from repro.costs.oblivious_join import exact_algorithm7
 from repro.crypto.provider import FastProvider, decrypt_batch
-from repro.errors import AuthenticationError, CoprocessorCrashError, HostMemoryError
+from repro.errors import AuthenticationError, CoprocessorCrashError
 from repro.faults.checkpoint import CHECKPOINT_REGION, base_host
 from repro.faults.plan import crash_plan
 from repro.faults.recovery import run_with_recovery
@@ -70,6 +74,41 @@ def test_algorithm7_encrypts_each_written_slot_once(n1, n2, results, device):
         assert t.physical_encryptions == n1 + n2 + max(n1, s) + max(n2, s) + s
     else:
         assert t.physical_encryptions == t.encryptions
+
+
+@pytest.mark.parametrize("device", [SecureCoprocessor, ReferenceCoprocessor],
+                         ids=["batched", "reference"])
+@pytest.mark.parametrize("n1, n2, results, n_max", [
+    (8, 10, 6, 3), (1, 7, 3, 3), (5, 4, 0, 4)], ids=["S>0", "|A|=1", "S=0,N=|B|"])
+def test_chapter4_joins_encrypt_each_written_slot_once_per_a_tuple(
+        n1, n2, results, n_max, device):
+    """Each A tuple is one section, so its close encrypts each slot it
+    wrote once: Algorithm 1 scratch's 2N slots, 1v the |B|-slot block, 2
+    its gamma * blk output slots and 3 scratch's N slots, after the one
+    section that sorts B (|B| cells).  The reference encrypts every
+    declared put."""
+    wl = equijoin_workload(n1, n2, results, rng=random.Random(5))
+    memory = 2
+    gamma = gamma_for(n_max, memory)
+    blk = -(-n_max // gamma)
+    cells = {
+        algorithm1: 2 * n_max * n1,
+        algorithm1_variant: n2 * n1,
+        algorithm2: gamma * blk * n1,
+        algorithm3: n_max * n1 + n2,
+    }
+    for algorithm, expected in cells.items():
+        context = JoinContext.fresh(provider=FastProvider(KEY),
+                                    batched_io=device is SecureCoprocessor)
+        kwargs = {"memory": memory} if algorithm is algorithm2 else {}
+        result = algorithm(context, wl.left, wl.right, Equality("key"), n_max, **kwargs)
+        t = context.coprocessor
+        assert len(result.result) == results
+        assert t.encryptions == result.stats.puts
+        if device is SecureCoprocessor:
+            assert t.physical_encryptions == expected, algorithm.__name__
+        else:
+            assert t.physical_encryptions == t.encryptions
 
 
 @pytest.mark.parametrize("device", [SecureCoprocessor, ReferenceCoprocessor],
@@ -271,14 +310,30 @@ def test_a_crash_at_a_later_pass_has_written_nothing():
     assert base_host(host).snapshot_regions() == image
 
 
-def test_row_batches_are_refused_inside_a_fused_section():
-    _, t = spied_device()
+def test_a_get_inside_a_fused_section_joins_it():
+    """``get``/``put``/``put_append`` inside a fused section are passes of
+    it: a get of a slot the section wrote returns the staged plaintext and
+    declares its GET, and nothing reaches the host before the close."""
+    spy, t = spied_device()
+    spy.allocate("out", 0)
+    image = spy.snapshot_regions()
+    t.reset_trace()
+    before = (t.encryptions, t.decryptions, t.ops_completed)
     with t.section():
-        with pytest.raises(HostMemoryError):
-            t.get("r", 0)
-        with pytest.raises(HostMemoryError):
-            t.put_range("r", 0, [b"x" * 4])
-    t.get("r", 0)
+        t.put("r", 0, b"x" * 4)
+        with t.hold(2):
+            assert t.get("r", 0) == b"x" * 4
+            assert t.get("r", 5) == bytes([3]) * 4  # unwritten: read from H
+        assert [t.put_append("out", b"a"), t.put_append("out", b"b")] == [0, 1]
+        assert spy.calls == [("read", 1)]
+        assert spy.snapshot_regions() == image
+    assert t.trace.events == [("put", "r", 0), ("get", "r", 0), ("get", "r", 5),
+                              ("put", "out", 0), ("put", "out", 1)]
+    assert spy.calls == [("read", 1), ("write", 1), ("append", 2)]
+    assert (t.encryptions, t.decryptions, t.ops_completed) == (
+        before[0] + 3, before[1] + 2, before[2] + 5)
+    assert host_plains(t, "r")[0] == b"x" * 4
+    assert host_plains(t, "out") == [b"a", b"b"]
 
 
 class CopySpy(SpyHost):
@@ -382,7 +437,9 @@ def test_the_reference_fuses_nothing():
     with t.section() as close:
         oblivious_linear_pass(t, "r", 4, increment)
         close()
-    assert spy.calls == [("read", 1)] * 4 + [("read", 1), ("write", 1)] * 4
+    # One read per gathered slot, then the walk: a GET is the gather's
+    # plaintext, a PUT one one-slot write.
+    assert spy.calls == [("read", 1)] * 4 + [("write", 1)] * 4
 
 
 # -- crash at every op, on the fast path ---------------------------------------
@@ -399,7 +456,22 @@ CRASH_CASES = {
 }
 
 
+#: Chapter 4 at 3 x 4 with N = 2 (A tuple 2 joins two B tuples); Algorithm 2
+#: at M = 1 runs two passes per A tuple.
+CHAPTER4_CASES = {
+    "alg1": (algorithm1, {}),
+    "alg1v": (algorithm1_variant, {}),
+    "alg2-two-passes": (algorithm2, {"memory": 1}),
+    "alg3": (algorithm3, {}),
+}
+
+
 def crash_runner(case):
+    if case in CHAPTER4_CASES:
+        algorithm, kwargs = CHAPTER4_CASES[case]
+        left, right = tables([1, 2, 3], [2, 2, 3, 5])
+        return lambda context: algorithm(context, left, right, Equality("key"), 2,
+                                         **kwargs)
     algorithm, kwargs, left_keys, right_keys = CRASH_CASES[case]
     relations = list(tables(left_keys, right_keys))
     return lambda context: algorithm(context, relations, PRED, **kwargs)
@@ -411,7 +483,7 @@ def image_of(storage, provider):
             for name in storage.region_names() if name != CHECKPOINT_REGION}
 
 
-def crash_everywhere(case, intervals):
+def crash_everywhere(case, intervals, device=SecureCoprocessor):
     run = crash_runner(case)
     provider = FastProvider(KEY)
     context = JoinContext.fresh(provider=provider)
@@ -422,7 +494,8 @@ def crash_everywhere(case, intervals):
     for interval in intervals:
         for crash_at in range(1, total + 1):
             host = FaultyHost(HostMemory(), crash_plan([crash_at]))
-            report = run_with_recovery(host, provider, run, checkpoint_interval=interval)
+            report = run_with_recovery(host, provider, run, checkpoint_interval=interval,
+                                       device=device)
             assert (report.crashes, report.attempts) == (1, 2), (interval, crash_at)
             assert report.replayed_transfers < crash_at
             observed = (report.result.result.records(), report.result.trace.fingerprint(),
@@ -447,3 +520,23 @@ def test_fused_joins_recover_from_a_crash_at_every_op(case):
 @pytest.mark.parametrize("case", sorted(CRASH_CASES))
 def test_fused_joins_recover_from_a_crash_at_every_op_and_interval(case):
     crash_everywhere(case, [1, 4, 16])
+
+
+DEVICES = [pytest.param(SecureCoprocessor, id="batched"),
+           pytest.param(ReferenceCoprocessor, id="reference")]
+
+
+@pytest.mark.parametrize("device", DEVICES)
+@pytest.mark.parametrize("case", sorted(CHAPTER4_CASES))
+def test_chapter4_joins_recover_from_a_crash_at_every_op(case, device):
+    """One section per A tuple: its close is the resume point."""
+    baseline = crash_everywhere(case, [16], device)
+    if case == "alg2-two-passes":
+        assert baseline.meta["gamma"] == 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("device", DEVICES)
+@pytest.mark.parametrize("case", sorted(CHAPTER4_CASES))
+def test_chapter4_joins_recover_from_a_crash_at_every_op_and_interval(case, device):
+    crash_everywhere(case, [1, 4, 16], device)

@@ -37,7 +37,7 @@ from repro.parallel import (
     build_shards,
     merge_shard_result,
 )
-from repro.parallel.shard import ShardHostMemory
+from repro.parallel.shard import RegionShard, ShardHostMemory
 from repro.relational.generate import equijoin_workload
 from repro.relational.joins import nested_loop_join
 from repro.relational.predicates import BinaryAsMulti, Equality
@@ -131,6 +131,17 @@ class TestShardTransport:
         )
         assert shard_host.append_slot("out", b"a") == 3
         assert shard_host.append_slot("out", b"b") == 4
+
+    def test_size_of_an_append_region_continues_from_its_base(self):
+        """A shard reports the size the sequential host would: the declared
+        append base plus this task's appends, which is where a staged
+        append predicts its slots from."""
+        shard_host = ShardHostMemory({"out": RegionShard(size=3, append_base=7),
+                                      "R": RegionShard(size=5)})
+        assert shard_host.size("out") == 7
+        assert shard_host.append_slot("out", b"a") == 7
+        assert shard_host.size("out") == 8
+        assert shard_host.size("R") == 5
 
     def test_merge_verifies_append_base(self):
         host = HostMemory()
