@@ -4,7 +4,7 @@ Two views of the same operation:
 
 * ``exact_sort_transfers(n)`` — the comparator count of the network our
   executor declares (Batcher's merge-exchange,
-  :func:`repro.oblivious.networks.sorting_network`), times 4 (two gets + two
+  :func:`repro.oblivious.networks.sorting_column`), times 4 (two gets + two
   puts per comparator).  Tests assert the traced executor performs exactly
   this many transfers.
 * ``paper_sort_transfers(n)`` — the paper's bitonic approximation

@@ -26,6 +26,7 @@ down to 1e-300 and L in the millions are handled without underflow.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -101,6 +102,7 @@ def blemish_bound(universe: int, successes: int, memory: int, segment: int) -> f
     return math.exp(min(log_p, 0.0)) if log_p > _NEG_INF else 0.0
 
 
+@lru_cache(maxsize=256)
 def optimal_segment_size(
     universe: int, successes: int, memory: int, epsilon: float
 ) -> int:
@@ -108,7 +110,8 @@ def optimal_segment_size(
 
     Segments of at most M iTuples can never blemish (a segment cannot contain
     more results than tuples), so the result is always >= min(M, L); when even
-    the whole input is safe (e.g. S <= M) the result is L.
+    the whole input is safe (e.g. S <= M) the result is L.  Memoised: it is a
+    pure function of public parameters, asked for on every Algorithm 6 join.
     """
     _validate(universe, successes, 0)
     if memory < 1:

@@ -10,26 +10,22 @@ Algorithm M).  It sorts any ``n`` with no padding, and for the same
 the joins run (1 024 wires: 24 063 instead of 28 160).
 
 Every network here is *standard*: a comparator ``(low, high)`` has
-``low < high`` and leaves the smaller key at ``low``.
+``low < high`` and leaves the smaller key at ``low``.  A network *is* its
+wire column, ``low, high, low, high`` per comparator (the wires of its two
+gets and two puts), a function of the size alone.  Each ``*_column``
+constructor emits it from the network's rounds with range and slice
+arithmetic, and :func:`wired_network` caches it: :func:`sorting_column`
+(Algorithm M), :func:`merging_column` (two ascending halves, the parallel
+sort's block exchange), :func:`distribution_column` /
+:func:`compaction_column` (routes for rows whose final slots are known:
+Algorithm 7's expansion, Algorithm 8's align).  The ``*_network``
+functions are :class:`Comparator` views of them, for checks and tests.
 
-* :func:`sorting_network` — Algorithm M over ``n`` wires.
-* :func:`merging_network` — merges two ascending halves of ``n`` wires (the
-  parallel sort's block exchange): Algorithm M's last round, which merges
-  the even and the odd chain, with the halves laid out as those chains.
-* :func:`distribution_network` / :func:`compaction_network` — move rows
-  whose final slots are already known (Algorithm 7's expansion, Algorithm
-  8's align): ``log2 m`` passes of conditional swaps at a fixed hop,
-  ``O(m log m)`` comparators.
-
-The module also provides the two cost views used throughout the library:
-
-* :func:`comparator_count` / :func:`exact_transfers` — the exact size of the
-  generated network (4 tuple transfers per comparator: two gets, two puts).
-  The traced executor in :mod:`repro.oblivious.sort` performs exactly this
-  many transfers, and tests assert the equality.
-* :func:`paper_comparisons` / :func:`paper_transfers` — the paper's
-  approximation of ``(1/4) n (log2 n)^2`` comparisons and ``n (log2 n)^2``
-  transfers, used when regenerating the paper's tables and figures.
+:func:`comparator_count` / :func:`exact_transfers` count the sort pass by
+pass, 4 tuple transfers per comparator (two gets, two puts), which the
+traced executor in :mod:`repro.oblivious.sort` performs exactly;
+:func:`paper_comparisons` / :func:`paper_transfers` are the paper's
+``(1/4) n (log2 n)^2`` and ``n (log2 n)^2``, for its tables and figures.
 """
 
 from __future__ import annotations
@@ -38,8 +34,8 @@ import math
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain, product
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain, compress, product
+from typing import Callable, Iterable, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -57,34 +53,54 @@ def _check_size(n: int) -> None:
         raise ConfigurationError("network size must be non-negative")
 
 
-def _round(n: int, p: int) -> Iterator[Comparator]:
-    """Round ``p`` of Algorithm M over ``n`` wires.
-
-    With every chain of wires ``i, i + 2p, i + 4p, ...`` sorted, the round
-    leaves every chain ``i, i + p, i + 2p, ...`` sorted.
+def _passes(n: int, merge: bool = False) -> list[tuple[int, int, int]]:
+    """Algorithm M over ``n`` wires as passes ``(p, r, d)``: a pass of round
+    ``p`` compares wire ``i`` with ``i + d`` for every ``i < n - d`` with
+    ``i & p == r``, ascending.  The rounds are ``p = 2^(t-1), ..., 2, 1``,
+    ``t = ceil(log2 n)`` (only the last with ``merge``); with every chain
+    ``i, i + 2p, ...`` sorted, round ``p`` sorts every chain ``i, i + p, ...``.
     """
-    q, r, d = 1 << ((n - 1).bit_length() - 1), 0, p
-    while True:
-        for i in range(n - d):
-            if i & p == r:
-                yield Comparator(i, i + d)
-        if q == p:
-            return
-        q, r, d = q >> 1, p, q - p
-
-
-@lru_cache(maxsize=256)
-def sorting_network(n: int) -> tuple[Comparator, ...]:
-    """Batcher's merge-exchange sorting ``n`` wires ascending: the rounds
-    ``p = 2^(t-1), ..., 2, 1`` of Algorithm M, ``t = ceil(log2 n)``."""
     _check_size(n)
+    if merge and n % 2:
+        raise ConfigurationError("a merging network joins two equal halves")
     rounds = (n - 1).bit_length() if n > 1 else 0
-    return tuple(chain.from_iterable(
-        _round(n, 1 << j) for j in range(rounds - 1, -1, -1)))
+    passes = []
+    for p in (1,) if merge else (1 << j for j in range(rounds - 1, -1, -1)):
+        q, r, d = 1 << max(rounds - 1, 0), 0, p
+        while True:
+            passes.append((p, r, d))
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+    return passes
 
 
-@lru_cache(maxsize=256)
-def merging_network(n: int) -> tuple[Comparator, ...]:
+def _pass_size(p: int, r: int, limit: int) -> int:
+    """How many ``i < limit`` have ``i & p == r``."""
+    full, rest = divmod(max(limit, 0), 2 * p)
+    return full * p + min(max(rest - r, 0), p)
+
+
+def _column(lows: Iterable[int], highs: Iterable[int]) -> array:
+    """The wire column of the comparators ``zip(lows, highs)``."""
+    lows, highs = array("q", lows), array("q", highs)
+    column = array("q", bytes(32 * len(lows)))
+    column[0::4] = column[2::4] = lows
+    column[1::4] = column[3::4] = highs
+    return column
+
+
+def sorting_column(n: int) -> array:
+    """Batcher's merge-exchange sorting ``n`` wires ascending: each pass of
+    Algorithm M picks its wires ``i & p == r`` by a byte mask."""
+    passes = [(d, (bytes(r) + b"\1" * p + bytes(p - r)) * (n // (2 * p) + 1))
+              for p, r, d in _passes(n)]
+    return _column(
+        chain.from_iterable(compress(range(n - d), mask) for d, mask in passes),
+        chain.from_iterable(compress(range(d, n), mask) for d, mask in passes))
+
+
+def merging_column(n: int) -> array:
     """Comparators that merge two ascending halves of ``n`` (even) wires.
 
     Algorithm M's last round merges the even chain with the odd chain, so
@@ -94,34 +110,28 @@ def merging_network(n: int) -> tuple[Comparator, ...]:
     the two wires in every later comparator whenever one would leave the
     smaller key on the higher wire.  The result is standard and still
     merges, since a standard network leaves sorted input where it is.  For
-    ``n = 2^k`` it has ``(k - 1) 2^(k-1) + 1`` comparators.
+    ``n = 2^k`` it has ``(k - 1) 2^(k-1) + 1`` comparators.  A pass pairs
+    places of opposite parity, so it untangles as two slices: min and max.
     """
-    _check_size(n)
-    if n % 2:
-        raise ConfigurationError("a merging network joins two equal halves")
     half = n // 2
-    wire = [i // 2 + half * (i % 2) for i in range(n)]  # chain place -> wire
-    out = []
-    for place in _round(n, 1):
-        a, b = wire[place.low], wire[place.high]
-        if a > b:
-            wire[place.low], wire[place.high] = a, b = b, a
-        out.append(Comparator(a, b))
-    return tuple(out)
+    wire = [place // 2 + half * (place % 2) for place in range(n)]  # place -> wire
+    lows, highs = array("q"), array("q")
+    for _, r, d in _passes(n, merge=True):
+        first, second = wire[r:n - d:2], wire[r + d::2]
+        wire[r:n - d:2] = low = list(map(min, first, second))
+        wire[r + d::2] = high = list(map(max, first, second))
+        lows.extend(low)
+        highs.extend(high)
+    return _column(lows, highs)
 
 
 def _steps(m: int) -> list[int]:
     """The hop lengths ``2^j < m`` of a routing network, shortest first."""
-    steps = []
-    step = 1
-    while step < m:
-        steps.append(step)
-        step <<= 1
-    return steps
+    _check_size(m)
+    return [1 << j for j in range(max(m - 1, 0).bit_length())]
 
 
-@lru_cache(maxsize=256)
-def distribution_network(m: int) -> tuple[Comparator, ...]:
+def distribution_column(m: int) -> array:
     """Conditional swaps that spread rows to their destinations (Krastnikov
     et al., arXiv 2003.09481).
 
@@ -131,14 +141,13 @@ def distribution_network(m: int) -> tuple[Comparator, ...]:
     sorted by distinct destinations below ``m``, end at their destinations
     without ever landing on one another.  ``sum(m - 2^j)`` comparators.
     """
-    _check_size(m)
-    return tuple(Comparator(i, i + step)
-                 for step in reversed(_steps(m))
-                 for i in range(m - step - 1, -1, -1))
+    steps = _steps(m)[::-1]
+    return _column(
+        chain.from_iterable(range(m - step - 1, -1, -1) for step in steps),
+        chain.from_iterable(range(m - 1, step - 1, -1) for step in steps))
 
 
-@lru_cache(maxsize=256)
-def compaction_network(n: int) -> tuple[Comparator, ...]:
+def compaction_column(n: int) -> array:
     """Conditional swaps that pull stamped rows forward to their targets,
     order preserved (Arasu-Kaushik, arXiv 1312.4012).
 
@@ -148,68 +157,73 @@ def compaction_network(n: int) -> tuple[Comparator, ...]:
     stamped ``0, 1, ...`` in slot order reach their targets without ever
     landing on one another.  The same comparator count as the distribution.
     """
-    _check_size(n)
-    return tuple(Comparator(i, i + step)
-                 for step in _steps(n) for i in range(n - step))
+    steps = _steps(n)
+    return _column(chain.from_iterable(range(n - step) for step in steps),
+                   chain.from_iterable(range(step, n) for step in steps))
 
 
 @lru_cache(maxsize=256)
-def wired_network(
-    n: int, build: Callable[[int], tuple[Comparator, ...]] = sorting_network,
-) -> tuple[tuple[Comparator, ...], array]:
-    """The size-``n`` network made by ``build`` and its wire column.
+def wired_network(n: int, build: Callable[[int], array] = sorting_column) -> array:
+    """The wire column of the size-``n`` network made by ``build``, one of
+    this module's ``*_column`` constructors (the sort by default).
 
-    ``build`` is one of the network constructors of this module (the sort
-    by default).  The column holds ``low, high, low, high`` per comparator —
-    the wires its two gets and two puts touch — so mapping it through a slot
-    list gives a section's declared indices.  Shared by every caller: read
-    it, never write.
+    It holds ``low, high, low, high`` per comparator — the wires its two
+    gets and two puts touch — so mapping it through a slot list gives a
+    section's declared indices.  Shared by every caller: read it, never
+    write.
     """
-    network = build(n)
-    return network, array("q", chain.from_iterable(
-        (comp.low, comp.high, comp.low, comp.high) for comp in network))
+    return build(n)
 
 
-def schedule_stages(
-    network: tuple[Comparator, ...],
-) -> tuple[tuple[Comparator, ...], ...]:
-    """Partition a comparator sequence into wire-disjoint stages (ASAP).
+def _view(n: int, build: Callable[[int], array]) -> tuple[Comparator, ...]:
+    column = wired_network(n, build)
+    return tuple(map(Comparator, column[0::4], column[1::4]))
 
-    Each comparator is placed in the earliest stage after every earlier
-    comparator it shares a wire with.  Comparators within one stage touch
-    disjoint positions, so executing a stage as one vectorized
-    compare-exchange is equivalent to executing its comparators in network
-    order — the per-wire comparator order (the only order that matters for
-    the result) is preserved, and wire-disjoint compare-exchanges commute.
+
+def sorting_network(n: int) -> tuple[Comparator, ...]:
+    return _view(n, sorting_column)
+
+
+def merging_network(n: int) -> tuple[Comparator, ...]:
+    return _view(n, merging_column)
+
+
+def distribution_network(m: int) -> tuple[Comparator, ...]:
+    return _view(m, distribution_column)
+
+
+def compaction_network(n: int) -> tuple[Comparator, ...]:
+    return _view(n, compaction_column)
+
+
+@lru_cache(maxsize=256)
+def network_stages(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The size-``n`` sort's ``(low, high)`` pairs in wire-disjoint stages:
+    the synchronization structure of Section 5.3.5 (``k (k + 1) / 2`` stages
+    for ``n = 2^k``).  Each comparator goes in the earliest stage after every
+    earlier one it shares a wire with, so a stage's comparators commute and
+    the per-wire order (the only order that matters for the result) holds.
     """
+    column = wired_network(n, sorting_column)
     next_free: dict[int, int] = {}
-    stages: list[list[Comparator]] = []
-    for comp in network:
-        stage = max(next_free.get(comp.low, 0), next_free.get(comp.high, 0))
+    stages: list[list[tuple[int, int]]] = []
+    for low, high in zip(column[0::4], column[1::4]):
+        stage = max(next_free.get(low, 0), next_free.get(high, 0))
         if stage == len(stages):
             stages.append([])
-        stages[stage].append(comp)
-        next_free[comp.low] = stage + 1
-        next_free[comp.high] = stage + 1
-    return tuple(tuple(stage) for stage in stages)
-
-
-@lru_cache(maxsize=256)
-def network_stages(n: int) -> tuple[tuple[Comparator, ...], ...]:
-    """The size-``n`` sorting network scheduled into wire-disjoint stages:
-    the synchronization structure of Section 5.3.5.  For ``n = 2^k`` that is
-    the classical ``k (k + 1) / 2`` stages."""
-    return schedule_stages(sorting_network(n))
+        stages[stage].append((low, high))
+        next_free[low] = next_free[high] = stage + 1
+    return tuple(map(tuple, stages))
 
 
 def merge_comparator_count(n: int) -> int:
     """Exact number of compare-exchanges in the size-``n`` merging network."""
-    return len(merging_network(n))
+    return sum(_pass_size(p, r, n - d) for p, r, d in _passes(n, merge=True))
 
 
 def comparator_count(n: int) -> int:
     """Exact number of compare-exchanges in the size-``n`` sorting network."""
-    return len(sorting_network(n))
+    return sum(_pass_size(p, r, n - d) for p, r, d in _passes(n))
 
 
 def exact_transfers(n: int) -> int:

@@ -127,7 +127,7 @@ def parallel_oblivious_sort(
     for number, stage in enumerate(stages):
         grouped: dict[int, list[tuple[int, int]]] = {}
         for comp in stage:
-            grouped.setdefault(comp.low, []).append(comp)
+            grouped.setdefault(comp[0], []).append(comp)
         tasks = []
         for device, comps in grouped.items():
             # Each merge touches exactly two aligned chunks, which need not

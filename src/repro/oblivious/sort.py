@@ -1,7 +1,7 @@
 """Oblivious sorting of host regions through the secure coprocessor.
 
 What the host observes of a sort is fixed by a comparator network (Batcher's
-merge-exchange, :func:`~repro.oblivious.networks.sorting_network`): each
+merge-exchange, :func:`~repro.oblivious.networks.sorting_column`): each
 comparator brings two encrypted elements into T and writes both back,
 re-encrypted under fresh nonces, possibly swapped (Section 4.4.1).  Because
 the comparator positions depend only on the region size, the declared access
@@ -37,11 +37,10 @@ from typing import Callable
 from repro.hardware.coprocessor import SecureCoprocessor
 from repro.hardware.events import GET, PUT
 from repro.oblivious.networks import (
-    Comparator,
-    compaction_network,
-    distribution_network,
-    merging_network,
-    sorting_network,
+    compaction_column,
+    distribution_column,
+    merging_column,
+    sorting_column,
     wired_network,
 )
 
@@ -78,14 +77,14 @@ def oblivious_sort_indices(
         return [plains[i] for i in sorted(range(len(plains)), key=keys.__getitem__)]
 
     _run_network(coprocessor, region, indices,
-                 merging_network if merge else sorting_network, image)
+                 merging_column if merge else sorting_column, image)
 
 
 def _run_network(
     coprocessor: SecureCoprocessor,
     region: str,
     indices: list[int],
-    build: Callable[[int], tuple[Comparator, ...]],
+    build: Callable[[int], array],
     image: Callable[[list[bytes]], list[bytes]],
 ) -> None:
     """Run the size-``len(indices)`` network made by ``build`` over the slots
@@ -97,16 +96,16 @@ def _run_network(
     comparator reads both of its slots and writes both back under fresh
     nonces, so the host cannot tell whether they traded places.
     """
-    network, wires = wired_network(len(indices), build)
+    wires = wired_network(len(indices), build)
     with coprocessor.hold(2):
-        if not network:
+        if not wires:
             return
         coprocessor.scatter_slots(
             region, indices, image(coprocessor.gather_slots(region, indices)))
         if indices != list(range(len(indices))):  # else the wire column is the answer
             wires = array("q", [indices[wire] for wire in wires])
         coprocessor.charge_boundary(
-            ((GET, region), (PUT, region)), b"\0\0\1\1" * len(network), wires)
+            ((GET, region), (PUT, region)), b"\0\0\1\1" * (len(wires) // 4), wires)
 
 
 def oblivious_sort(
@@ -161,10 +160,10 @@ def oblivious_distribute(
     A row is a slot whose ``destination`` is not ``None``.  The rows must
     form a prefix, sorted by distinct destinations below ``size``, and every
     other slot must hold one identical filler plaintext.  The declaration is
-    :func:`~repro.oblivious.networks.distribution_network`; T writes its
+    :func:`~repro.oblivious.networks.distribution_column`; T writes its
     closed-form image.
     """
-    _run_network(coprocessor, region, list(range(size)), distribution_network,
+    _run_network(coprocessor, region, list(range(size)), distribution_column,
                  _routed_image(destination))
 
 
@@ -180,8 +179,8 @@ def oblivious_compact(
     A row is a slot whose ``target`` is not ``None``.  Rows must be stamped
     ``0, 1, ...`` in slot order, and every other slot must hold one identical
     filler plaintext.  The declaration is
-    :func:`~repro.oblivious.networks.compaction_network`; T writes its
+    :func:`~repro.oblivious.networks.compaction_column`; T writes its
     closed-form image.
     """
-    _run_network(coprocessor, region, list(range(size)), compaction_network,
+    _run_network(coprocessor, region, list(range(size)), compaction_column,
                  _routed_image(target))

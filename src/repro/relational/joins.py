@@ -11,6 +11,7 @@ demonstrations in :mod:`repro.privacy.attacks`.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -31,15 +32,13 @@ def nested_loop_join(left: Relation, right: Relation, predicate: Predicate) -> R
     A join in the general (arbitrary-predicate) setting requires every tuple of
     the outer relation to be compared with every tuple of the inner relation
     (Section 4.4), so this is both the reference semantics and the cost floor
-    the paper's algorithms are built around.
+    the paper's algorithms are built around.  The predicate is bound once:
+    :meth:`Predicate.bind` agrees with ``matches`` on every pair.
     """
     out_schema = joined_schema(left.schema, right.schema)
-    out = Relation(out_schema)
-    for a in left:
-        for b in right:
-            if predicate.matches(a, b):
-                out.append(a.joined_with(b, out_schema))
-    return out
+    test = predicate.bind(left.schema, right.schema)
+    return Relation(out_schema, (a.joined_with(b, out_schema)
+                                 for a in left for b in right if test(a, b)))
 
 
 def sort_merge_join(left: Relation, right: Relation, on: str | Equality) -> Relation:
@@ -103,25 +102,15 @@ def multiway_schema(schemas: Sequence[Schema], name: str = "joined") -> Schema:
 def multiway_nested_loop_join(
     relations: Sequence[Relation], predicate: MultiPredicate
 ) -> Relation:
-    """Reference m-way join over the full cartesian product D = X1 x ... x XJ."""
+    """Reference m-way join over the full cartesian product D = X1 x ... x XJ,
+    in product order, the predicate bound once."""
     if not relations:
         raise ConfigurationError("multiway join needs at least one relation")
     out_schema = multiway_schema([r.schema for r in relations])
-    out = Relation(out_schema)
-
-    def recurse(depth: int, chosen: list[Record]) -> None:
-        if depth == len(relations):
-            if predicate.satisfies(chosen):
-                values = tuple(v for record in chosen for v in record.values)
-                out.append(Record(out_schema, values))
-            return
-        for record in relations[depth]:
-            chosen.append(record)
-            recurse(depth + 1, chosen)
-            chosen.pop()
-
-    recurse(0, [])
-    return out
+    test = predicate.bind([r.schema for r in relations])
+    return Relation(out_schema, (
+        Record(out_schema, tuple(chain.from_iterable(r.values for r in row)))
+        for row in product(*relations) if test(row)))
 
 
 def max_matches_per_left_tuple(
@@ -134,8 +123,5 @@ def max_matches_per_left_tuple(
     preprocessing pass, in plaintext form; the traced version lives in
     :mod:`repro.core.base`.
     """
-    best = 0
-    for a in left:
-        matches = sum(1 for b in right if predicate.matches(a, b))
-        best = max(best, matches)
-    return best
+    test = predicate.bind(left.schema, right.schema)
+    return max((sum(1 for b in right if test(a, b)) for a in left), default=0)

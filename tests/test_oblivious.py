@@ -2,6 +2,8 @@
 
 import random
 import struct
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,17 @@ from repro.hardware.faulty import FaultyHost
 from repro.hardware.host import HostMemory
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
 from repro.oblivious.networks import (
+    compaction_column,
     comparator_count,
+    distribution_column,
     exact_transfers,
     is_merging_network,
     is_sorting_network,
     merge_comparator_count,
+    merging_column,
     merging_network,
     paper_transfers,
+    sorting_column,
     sorting_network,
 )
 from repro.oblivious.shuffle import oblivious_shuffle
@@ -86,12 +92,109 @@ class TestNetworks:
         assert [comparator_count(n) for n in (48, 512, 1024, 2048)] == [
             367, 9727, 24063, 58367]
 
+    def test_merging_network_has_the_classical_size(self):
+        for k in range(1, 11):
+            assert len(merging_network(1 << k)) == (k - 1) * (1 << (k - 1)) + 1
+
     def test_exact_transfers_is_four_per_comparator(self):
         assert exact_transfers(16) == 4 * comparator_count(16)
 
     def test_paper_transfers_formula(self):
         assert paper_transfers(16) == pytest.approx(16 * 4**2)
         assert paper_transfers(1) == 0.0
+
+
+# --- the wire columns against the per-comparator build they replaced ---------
+
+def _round(n, p):
+    """Round ``p`` of Algorithm M over ``n`` wires, one comparator at a time
+    (the per-comparator build, kept here as the columns' oracle)."""
+    q, r, d = 1 << ((n - 1).bit_length() - 1), 0, p
+    while True:
+        for i in range(n - d):
+            if i & p == r:
+                yield i, i + d
+        if q == p:
+            return
+        q, r, d = q >> 1, p, q - p
+
+
+def oracle_sort(n):
+    rounds = (n - 1).bit_length() if n > 1 else 0
+    return [comp for j in range(rounds - 1, -1, -1) for comp in _round(n, 1 << j)]
+
+
+def oracle_merge(n):
+    half = n // 2
+    wire = [i // 2 + half * (i % 2) for i in range(n)]
+    out = []
+    for low, high in _round(n, 1):
+        a, b = wire[low], wire[high]
+        if a > b:
+            wire[low], wire[high] = a, b = b, a
+        out.append((a, b))
+    return out
+
+
+def oracle_steps(m):
+    return [1 << j for j in range(64) if 1 << j < m]
+
+
+def oracle_distribute(m):
+    return [(i, i + step) for step in reversed(oracle_steps(m))
+            for i in range(m - step - 1, -1, -1)]
+
+
+def oracle_compact(n):
+    return [(i, i + step) for step in oracle_steps(n) for i in range(n - step)]
+
+
+def oracle_column(comparators):
+    return array("q", chain.from_iterable((a, b, a, b) for a, b in comparators))
+
+
+COLUMN_SIZES = [*range(0, 65), 100, 1000, 1024, 2048]
+
+
+class TestWireColumns:
+    @pytest.mark.parametrize("build,oracle", [
+        (sorting_column, oracle_sort),
+        (distribution_column, oracle_distribute),
+        (compaction_column, oracle_compact),
+    ], ids=["sort", "distribute", "compact"])
+    def test_column_is_the_per_comparator_build(self, build, oracle):
+        for n in COLUMN_SIZES:
+            assert build(n).tobytes() == oracle_column(oracle(n)).tobytes(), n
+
+    def test_merging_column_is_the_per_comparator_build(self):
+        for n in COLUMN_SIZES:
+            if n % 2 == 0:
+                merge = oracle_merge(n)
+                assert merging_column(n).tobytes() == oracle_column(merge).tobytes(), n
+                assert merge_comparator_count(n) == len(merge)
+
+    def test_count_by_passes_is_the_column_length(self):
+        rng = random.Random(4096)
+        sizes = [*range(0, 300), *rng.sample(range(300, 4097), 24),
+                 *((1 << k) + d for k in range(9, 13) for d in (-1, 0, 1))]
+        for n in sizes:
+            assert comparator_count(n) == len(sorting_column(n)) // 4, n
+        assert comparator_count(1024) == 24_063
+
+    @pytest.mark.slow
+    def test_count_by_passes_is_the_column_length_to_4096(self):
+        for n in range(4097):
+            assert comparator_count(n) == len(sorting_column(n)) // 4, n
+
+    def test_negative_and_odd_sizes_are_refused(self):
+        for build in (sorting_column, merging_column, distribution_column,
+                      compaction_column, comparator_count, merge_comparator_count):
+            with pytest.raises(ConfigurationError):
+                build(-2)
+        for build in (merging_column, merge_comparator_count):
+            with pytest.raises(ConfigurationError):
+                build(7)
+
 
 
 class TestObliviousSort:

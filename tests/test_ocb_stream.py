@@ -137,9 +137,9 @@ class TestOverheadClaim:
         extra_total = 0
         for stage_comparators in network_stages(n):
             stage = fresh(count=n, n=1)
-            for comp in stage_comparators:
-                stage.offset(comp.low)
-                stage.offset(comp.high)
+            for low, high in stage_comparators:
+                stage.offset(low)
+                stage.offset(high)
             extra = stage.f_applications - sequential_applications(n)
             # Overhead per stage is bounded by the sequential baseline.
             assert stage.f_applications <= 2 * sequential_applications(n) + 1

@@ -65,9 +65,9 @@ class TestNetworkStages:
 
         def wire_sequence(comps):
             per_wire = {}
-            for c in comps:
-                per_wire.setdefault(c.low, []).append(c)
-                per_wire.setdefault(c.high, []).append(c)
+            for low, high in comps:
+                per_wire.setdefault(low, []).append((low, high))
+                per_wire.setdefault(high, []).append((low, high))
             return per_wire
 
         assert wire_sequence(flattened) == wire_sequence(sorting_network(n))
@@ -75,7 +75,7 @@ class TestNetworkStages:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_stage_comparators_are_disjoint(self, n):
         for stage in network_stages(n):
-            touched = [i for c in stage for i in (c.low, c.high)]
+            touched = [i for c in stage for i in c]
             assert len(touched) == len(set(touched))
 
     def test_power_of_two_stage_count(self):

@@ -240,7 +240,7 @@ _append_batches = st.lists(
     min_size=1, max_size=6)
 _sections = st.builds(
     lambda gathered, ops: gathered + [JournalEntry(CHARGE, "", ops)],
-    _gather_batches, st.integers(1, 500))
+    _gather_batches, st.integers(0, 500))
 
 
 @settings(max_examples=40, deadline=None)

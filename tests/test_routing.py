@@ -14,7 +14,7 @@ which slots hold rows, these tests pin that
 * the network has ``route(m) / 4`` comparators, ``route`` being the exact
   cost model's;
 * the cached wire column is shared and unchanged after use, and the fast
-  path never iterates the network;
+  path builds no comparator;
 
 and the edge sizes 0, 1, 2, 3 and ``2^k +- 1``.
 """
@@ -28,13 +28,15 @@ from hypothesis import strategies as st
 
 from tests.conftest import KEY
 
-import repro.oblivious.sort as sort_module
+import repro.oblivious.networks as networks
 from repro.costs.bitonic import exact_route_transfers
 from repro.crypto.provider import FastProvider, OcbProvider, decrypt_batch, encrypt_batch
 from repro.hardware.coprocessor import ReferenceCoprocessor, SecureCoprocessor
 from repro.hardware.host import HostMemory
 from repro.oblivious.networks import (
+    compaction_column,
     compaction_network,
+    distribution_column,
     distribution_network,
     wired_network,
 )
@@ -84,6 +86,8 @@ NETWORKS = {
     "compact": (compaction_network, compaction_layout, compaction_rule,
                 oblivious_compact),
 }
+
+COLUMNS = {"distribute": distribution_column, "compact": compaction_column}
 
 
 def walked_image(name, plains):
@@ -174,8 +178,7 @@ def test_route_exhaustively(name):
             check(name, [rng.random() < density for _ in range(size)],
                   reference=False)
         # A size is never revisited; keep the caches small.
-        for cached in (distribution_network, compaction_network, wired_network):
-            cached.cache_clear()
+        wired_network.cache_clear()
 
 
 # --- (c) comparator counts ----------------------------------------------------
@@ -196,32 +199,24 @@ def test_comparator_counts_at_the_benchmark_sizes():
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 def test_wire_column_is_shared_and_unchanged_after_use(name):
-    build = NETWORKS[name][0]
-    network, wires = wired_network(100, build)
+    column = COLUMNS[name]
+    wires = wired_network(100, column)
     pristine = wires.tolist()
-    assert pristine == [wire for comp in network
+    assert pristine == [wire for comp in NETWORKS[name][0](100)
                         for wire in (comp.low, comp.high, comp.low, comp.high)]
     check(name, [i % 4 == 0 for i in range(100)])
-    assert wired_network(100, build)[1] is wires
+    assert wired_network(100, column) is wires
     assert wires.tolist() == pristine
 
 
-class Unwalkable(tuple):
-    """A network whose length is known but whose comparators cannot be read."""
-
-    def __iter__(self):
-        raise AssertionError("the fast path walked the routing network")
+def no_comparator(*_):
+    raise AssertionError("the fast path built a comparator")
 
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 def test_fast_path_declares_the_network_without_walking_it(name, monkeypatch):
-    real = sort_module.wired_network
-
-    def declared_only(n, build):
-        network, wires = real(n, build)
-        return Unwalkable(network), wires
-
-    monkeypatch.setattr(sort_module, "wired_network", declared_only)
+    networks.wired_network.cache_clear()
+    monkeypatch.setattr(networks, "Comparator", no_comparator)
     plains = NETWORKS[name][1]([i % 5 != 0 for i in range(1024)])
     image, trace = run_route(name, plains, SecureCoprocessor)
     assert image == expected_image(plains)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.analysis.settings import EPSILON_RELAXED, EPSILON_STRICT, TABLE_5_2
 from repro.costs.segments import (
     blemish_bound,
     hypergeom_pmf,
@@ -128,6 +129,24 @@ class TestOptimalSegmentSize:
             optimal_segment_size(100, 10, 0, 0.5)
         with pytest.raises(ConfigurationError):
             optimal_segment_size(100, 10, 4, 2.0)
+
+    @pytest.mark.parametrize("setting", TABLE_5_2, ids=lambda s: s.name)
+    @pytest.mark.parametrize("epsilon", [EPSILON_STRICT, EPSILON_RELAXED])
+    def test_cached_value_is_a_fresh_computation(self, setting, epsilon):
+        args = (setting.total, setting.results, setting.memory, epsilon)
+        first = optimal_segment_size(*args)
+        hits = optimal_segment_size.cache_info().hits
+        assert optimal_segment_size(*args) == first
+        assert optimal_segment_size.cache_info().hits == hits + 1
+        assert optimal_segment_size.__wrapped__(*args) == first
+
+    @pytest.mark.parametrize("args", [
+        (100, 10, 0, 0.5), (100, 10, 4, 2.0), (100, 10, 4, -0.1), (10, 20, 4, 0.5),
+    ])
+    def test_invalid_args_raise_every_time(self, args):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                optimal_segment_size(*args)
 
 
 class TestSegmentCount:

@@ -4,9 +4,9 @@ The merge-exchange network is a sort's declaration; the fast path computes
 the permutation with one stable ``sorted`` on the total key ``(key, rank)``.
 These tests pin that the network, run on that total key, yields exactly the
 fast path's permutation (full sorts and merges, duplicate-heavy keys), that
-equal keys keep their input order, that the fast path never walks the
-network, and that the scalar reference and the fast path leave the same
-rows in the same order on all-duplicate keys end to end.
+equal keys keep their input order, that the fast path builds none of the
+network's comparators, and that the scalar reference and the fast path
+leave the same rows in the same order on all-duplicate keys end to end.
 """
 
 import random
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import KEY, keyed
 
-import repro.oblivious.sort as sort_module
+import repro.oblivious.networks as networks
 from repro.core.algorithm1 import algorithm1
 from repro.core.algorithm1v import algorithm1_variant
 from repro.core.algorithm3 import algorithm3
@@ -142,8 +142,7 @@ def test_network_on_the_total_key_exhaustively(family):
                 check_merge([draw() for _ in range(n)])
         # A size is never revisited; 256 cached networks of ~1000 wires would
         # hold about a gigabyte.
-        for cached in (sorting_network, merging_network, wired_network):
-            cached.cache_clear()
+        wired_network.cache_clear()
 
 
 # --- (b) equal keys keep their input order -----------------------------------
@@ -188,23 +187,16 @@ def test_a_two_chunk_parallel_sort_over_equal_keys_moves_nothing(
     assert decrypt_batch(provider, host.region_bytes("R")) == plains
 
 
-# --- (c) the fast path never walks the network -------------------------------
+# --- (c) the fast path builds no comparator ----------------------------------
 
-class Unwalkable(tuple):
-    """A network whose length is known but whose comparators cannot be read."""
-
-    def __iter__(self):
-        raise AssertionError("the fast path walked the comparator network")
+def no_comparator(*_):
+    raise AssertionError("the fast path built a comparator")
 
 
 def test_fast_path_declares_the_network_without_walking_it(monkeypatch):
-    real = sort_module.wired_network
-
-    def declared_only(n, build):
-        network, wires = real(n, build)
-        return Unwalkable(network), wires
-
-    monkeypatch.setattr(sort_module, "wired_network", declared_only)
+    """The sort declares the cached wire column; it builds no comparator."""
+    networks.wired_network.cache_clear()
+    monkeypatch.setattr(networks, "Comparator", no_comparator)
     provider = FastProvider(KEY)
     host = HostMemory()
     rng = random.Random(2048)
@@ -240,6 +232,27 @@ ALGORITHMS = {
     "algorithm7": lambda c: algorithm7(c, [LEFT, RIGHT], PRED),
     "algorithm8": lambda c: algorithm8(c, [LEFT, RIGHT], PRED, mode="semi"),
 }
+
+
+@pytest.mark.parametrize("name", ["algorithm1", "algorithm4", "algorithm7",
+                                  "algorithm8"])
+def test_no_join_builds_a_comparator(name, monkeypatch):
+    """Sorts, routes and cost models read wire columns and pass counts."""
+    networks.wired_network.cache_clear()
+    networks.network_stages.cache_clear()
+    monkeypatch.setattr(networks, "Comparator", no_comparator)
+    context = JoinContext.fresh(provider=FastProvider(KEY), seed=0)
+    assert len(ALGORITHMS[name](context).result) == (12 if name == "algorithm8" else 144)
+
+
+def test_no_parallel_sort_builds_a_comparator(monkeypatch):
+    networks.wired_network.cache_clear()
+    networks.network_stages.cache_clear()
+    monkeypatch.setattr(networks, "Comparator", no_comparator)
+    provider = FastProvider(KEY)
+    host = HostMemory()
+    host.allocate_from("R", encrypt_batch(provider, [bytes([i % 5]) for i in range(24)]))
+    parallel_oblivious_sort(Cluster(host, provider, count=4), "R", 24, key=same_key)
 
 
 def image(host, provider):

@@ -211,7 +211,7 @@ class TestRunDigest:
         assert run_digest_bytes(table, bytearray(codes), list(indices)) == expected
 
     def test_a_sort_sized_run(self):
-        _, wires = wired_network(64)
+        wires = wired_network(64)
         table, codes = ((GET, "scratch"), (PUT, "scratch")), b"\0\0\1\1" * (len(wires) // 4)
         trace = Trace()
         trace.record_run(table, codes, wires)
@@ -328,7 +328,7 @@ class TestTheLedgerIsOneAppend:
     def test_consecutive_same_size_sorts_declare_equal_traces(self):
         """The cached wire column is shared, so nothing may write to it."""
         size = 96
-        pristine = array("q", wired_network(size)[1])
+        pristine = array("q", wired_network(size))
         traces = []
         for salt in (5, 11):
             context = loaded_context([(v * salt) % size for v in range(size)])
@@ -336,13 +336,13 @@ class TestTheLedgerIsOneAppend:
             traces.append(context.coprocessor.reset_trace())
         assert traces[0] == traces[1]
         assert traces[0].fingerprint() == traces[1].fingerprint()
-        assert wired_network(size)[1] is wired_network(size)[1]  # cached ...
-        assert wired_network(size)[1] == pristine                # ... and untouched
+        assert wired_network(size) is wired_network(size)  # cached ...
+        assert wired_network(size) == pristine                # ... and untouched
         context = loaded_context(list(range(size, 0, -1)))
         oblivious_sort(context.coprocessor, "R", size // 2, int_key, start=size // 2)
         shifted = context.coprocessor.trace
         assert {e.index for e in shifted} == set(range(size // 2, size))
-        assert wired_network(size // 2)[1] == array("q", wired_network(size // 2)[1])
+        assert wired_network(size // 2) == array("q", wired_network(size // 2))
 
     def test_an_executor_round_appends_one_run_per_task(self):
         provider = FastProvider(KEY)
